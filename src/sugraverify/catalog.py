@@ -22,8 +22,7 @@ from .liealg import CWData, nw6, so12_so3, e15, _SU3_TRIPLES
 from .geometry import ConstCurvBlock, ProductGeometry, cw_patch
 from .sugra import (BackgroundSpec, VerificationReport,
                     verify_d11_maxsusy, verify_iib_maxsusy, verify_d6,
-                    verify_typeII_common, supercovariant_flatness,
-                    dilatino_kernel)
+                    verify_typeII_common, dilatino_kernel)
 from . import linalg
 
 __all__ = ["ElementaryFactor", "GeometryProduct", "FACTORS",
@@ -550,13 +549,7 @@ def get_background(name, mu=None, Rv=None, perturb=None):
 def verify_background(b):
     """Dispatch to the theory verifier, including the max-susy layer."""
     if b.theory == "d11":
-        rep = verify_d11_maxsusy(b)
-        if b.kind == "cw":
-            fl, dim, basis, alg = supercovariant_flatness(b)
-            for c in fl.conditions:
-                rep.add(c.name, c.passed, c.witness, c.note)
-            rep.invariants.update(fl.invariants)
-        return rep
+        return verify_d11_maxsusy(b)
     if b.theory == "iib":
         return verify_iib_maxsusy(b)
     if b.theory == "iia":

@@ -65,18 +65,14 @@ def cmd_verify(args):
             else:
                 print(f"{'PASS' if passed else 'FAIL'}  {name}")
         return 0 if all_ok else 1
-    if os.path.exists(args.background):
-        b = catalog.load_background(args.background)
-    else:
-        try:
-            b = catalog.get_background(args.background, mu=args.mu, Rv=args.r,
-                                       perturb=perturb)
-        except KeyError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
     try:
+        if os.path.exists(args.background):
+            b = catalog.load_background(args.background)
+        else:
+            b = catalog.get_background(args.background, mu=args.mu,
+                                       Rv=args.r, perturb=perturb)
         rep = catalog.verify_background(b)
-    except ValueError as e:
+    except (KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     _emit_report(rep)

@@ -1,6 +1,14 @@
 """Exact tensor calculus on polynomial-metric coordinate patches and on
 algebraic products of constant-curvature blocks.
 
+Every geometry a verifier sees -- a CoordinatePatch, a ProductGeometry or a
+liealg.MetricLieAlgebra -- offers one interface: ``space`` and ``dim``,
+``signature()``, ``riemann()`` and ``ricci()``, the exterior derivative
+``d(F)``, the covariant derivative ``nabla(F)`` as {direction: form}, the
+``premise`` a report cites for d and nabla (empty where they are computed),
+and (chart and algebra) the connection coefficients ``gamma(k, i, j)`` and
+coordinate partials ``partial(x, mu)``, None where they vanish.
+
 Sign conventions (calibrated once, see docs/conventions.md):
   * Riemann  R(X,Y)Z = [nabla_X, nabla_Y]Z - nabla_[X,Y] Z,
     R(X,Y,Z,W) = g(R(X,Y)Z, W); the round unit sphere has
@@ -14,8 +22,8 @@ Sign conventions (calibrated once, see docs/conventions.md):
 from itertools import combinations
 
 from .exactnum import Scalar, Polynomial
-from .multilinear import QuadraticSpace, KForm, BiSymTensor
-from .liealg import MetricLieAlgebra
+from .multilinear import QuadraticSpace, KForm, BiSymTensor, sort_sign, \
+    form_component, signature
 from . import linalg
 
 __all__ = ["CoordinatePatch", "cw_patch", "christoffel", "riemann", "ricci",
@@ -33,7 +41,10 @@ def _pz(vars=()):
 
 class CoordinatePatch:
     """Chart with polynomial metric components and an exact polynomial
-    inverse (verified on construction)."""
+    inverse (verified on construction).  Christoffel symbols, Riemann
+    tensor and lightcone coframe are built once, on first use."""
+
+    premise = ""            # d and nabla are computed, not structural
 
     def __init__(self, coords, metric, inverse, orientation=1):
         self.coords = tuple(coords)
@@ -49,6 +60,8 @@ class CoordinatePatch:
         self.space = QuadraticSpace(metric, orientation, names=self.coords,
                                     inverse=inverse)
         self._christoffel = None
+        self._riemann = None
+        self._coframe = None
 
     def metric_at_origin(self):
         vals = {v: Scalar(0) for v in self.coords}
@@ -56,6 +69,41 @@ class CoordinatePatch:
         for row in self.metric:
             out.append([_eval_const(x, vals) for x in row])
         return out
+
+    def signature(self):
+        return signature(self.metric_at_origin())
+
+    def gamma(self, k, i, j):
+        ch = self._christoffel
+        if ch is None:
+            ch = christoffel(self)
+        return _gamma(ch, k, i, j)
+
+    def partial(self, x, mu):
+        if not isinstance(x, Polynomial) or self.coords[mu] not in x.vars:
+            return None
+        d = x.partial(self.coords[mu])
+        return None if d.is_zero() else d
+
+    def riemann(self):
+        if self._riemann is None:
+            self._riemann = riemann(self)
+        return self._riemann
+
+    def ricci(self):
+        return self.riemann().ricci()
+
+    def d(self, F):
+        return exterior_derivative(F, self)
+
+    def nabla(self, F):
+        return covariant_derivative_form(F, self)
+
+    def coframe(self):
+        """lightcone_coframe of a plane-wave chart."""
+        if self._coframe is None:
+            self._coframe = lightcone_coframe(self)
+        return self._coframe
 
     def __repr__(self):
         return f"CoordinatePatch({', '.join(self.coords)})"
@@ -65,12 +113,6 @@ def _eval_const(p, vals):
     if isinstance(p, Scalar):
         return p
     return p.subs(vals).constant_value()
-
-
-def _poly(x, vars):
-    if isinstance(x, Polynomial):
-        return x
-    return Polynomial.constant(x, vars)
 
 
 def cw_patch(data, names=None, orientation=1):
@@ -199,7 +241,7 @@ def riemann(p):
 
 
 def ricci(p):
-    return riemann(p).ricci()
+    return p.riemann().ricci()
 
 
 def exterior_derivative(F, p):
@@ -230,26 +272,25 @@ def exterior_derivative(F, p):
 
 
 def covariant_derivative_form(F, p):
-    """nabla_mu F_{i1..ik} as a dict {mu: KForm} (each a k-form)."""
-    ch = christoffel(p)
+    """nabla_mu F_{i1..ik} as a dict {mu: KForm} (each a k-form), on any
+    geometry with connection coefficients p.gamma and partials p.partial."""
     n = p.dim
     out = {}
     for mu in range(n):
         comps = {}
         for idx, c in F.components.items():
-            if isinstance(c, Polynomial) and p.coords[mu] in c.vars:
-                dc = c.partial(p.coords[mu])
-                if not dc.is_zero():
-                    _acc_form(comps, idx, dc)
+            dc = p.partial(c, mu)
+            if dc is not None:
+                _acc_form(comps, idx, dc)
             # (nabla_mu F)_J -= Gamma^{i}_{mu j} F_{J|pos: j -> i}: the stored
             # component at idx feeds outputs with slot pos replaced by j
             for pos, i in enumerate(idx):
                 for j in range(n):
-                    gma = _gamma(ch, i, mu, j)
+                    gma = p.gamma(i, mu, j)
                     if gma is None:
                         continue
                     new = idx[:pos] + (j,) + idx[pos + 1:]
-                    sign, srt = _sort_idx(new)
+                    sign, srt = sort_sign(new)
                     if sign == 0:
                         continue
                     term = c * gma
@@ -269,128 +310,32 @@ def _acc_form(comps, idx, val):
         comps[idx] = val
 
 
-def _sort_idx(idx):
-    lst = list(idx)
-    sign = 1
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and lst[j - 1] > lst[j]:
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(lst, lst[1:]):
-        if a == b:
-            return 0, None
-    return sign, tuple(lst)
-
-
 # ---------------------------------------------------------------------------
 # connections with torsion
 # ---------------------------------------------------------------------------
 
-class _PatchData:
-    """Uniform access to patch / Lie-algebra connection data."""
-
-    def __init__(self, obj):
-        if isinstance(obj, CoordinatePatch):
-            self.kind = "patch"
-            self.p = obj
-            self.n = obj.dim
-            self.space = obj.space
-            self.g = obj.metric
-            self.ginv = obj.metric_inv
-            ch = christoffel(obj)
-            self.gamma = lambda k, i, j: _gamma(ch, k, i, j)
-            self.cbrk = None
-            self.coords = obj.coords
-        elif isinstance(obj, MetricLieAlgebra):
-            self.kind = "algebra"
-            self.alg = obj
-            self.n = obj.dim
-            self.space = obj.space()
-            self.g = obj.metric
-            self.ginv = self.space.metric_inv
-            gam = _koszul(obj)
-            self.gamma = lambda k, i, j: (gam[i][j][k]
-                                          if not gam[i][j][k].is_zero() else None)
-            self.cbrk = obj.c
-            self.coords = None
-        else:
-            raise TypeError("expected CoordinatePatch or MetricLieAlgebra")
-
-    def partial(self, poly, mu):
-        if self.kind != "patch" or not isinstance(poly, Polynomial):
-            return None
-        if self.coords[mu] not in poly.vars:
-            return None
-        d = poly.partial(self.coords[mu])
-        return None if d.is_zero() else d
-
-
-def _koszul(alg):
-    """Levi-Civita coefficients of a left-invariant metric in the invariant
-    frame: 2 B(nabla_i j, k) = B([i,j],k) - B([j,k],i) + B([k,i],j)."""
-    n = alg.dim
-    half = Scalar.from_rational(1, 2)
-    lower = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                v = alg.inner(alg.basis_bracket(i, j), alg.basis_vector(k)) \
-                    - alg.inner(alg.basis_bracket(j, k), alg.basis_vector(i)) \
-                    + alg.inner(alg.basis_bracket(k, i), alg.basis_vector(j))
-                lower[i][j][k] = v * half
-    out = [[[_Z] * n for _ in range(n)] for _ in range(n)]
-    ginv = alg.space().metric_inv
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                s = _Z
-                for l in range(n):
-                    if not (ginv[k][l].is_zero() or lower[i][j][l].is_zero()):
-                        s = s + ginv[k][l] * lower[i][j][l]
-                out[i][j][k] = s
-    return out
-
-
-def _torsion_from_h(pd, H):
+def _torsion_from_h(geom, H):
     """T^k_{ij} = H_{ijl} g^{lk} as a dense 3-array."""
-    n = pd.n
+    n = geom.dim
+    ginv = geom.space.metric_inv
     T = [[[None] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 total = None
                 for l in range(n):
-                    if pd.ginv[l][k].is_zero():
+                    if ginv[l][k].is_zero():
                         continue
-                    h = _form_component(H, (i, j, l))
+                    h = form_component(H, (i, j, l))
                     if h is None:
                         continue
-                    t = h * pd.ginv[l][k]
+                    t = h * ginv[l][k]
                     total = t if total is None else total + t
                 T[i][j][k] = total
     return T
 
 
-def _form_component(F, idx):
-    sign, srt = _sort_idx(idx)
-    if sign == 0:
-        return None
-    c = F.components.get(srt)
-    if c is None:
-        return None
-    return c if sign > 0 else -c
-
-
-def _is_closed(pd, H):
-    if pd.kind == "patch":
-        return exterior_derivative(H, pd.p).is_zero()
-    from .liealg import ce_differential
-    return ce_differential(H, pd.alg).is_zero()
-
-
-def curvature_with_torsion(obj, H):
+def curvature_with_torsion(geom, H):
     """Curvature of D = nabla + T/2 (H must be closed; checked):
 
     R^D(X,Y,Z,W) = R + 1/2 g((nabla_X T)(Y,Z),W) - 1/2 g((nabla_Y T)(X,Z),W)
@@ -398,34 +343,24 @@ def curvature_with_torsion(obj, H):
 
     On a metric Lie algebra with its canonical 3-form this vanishes
     identically (the parallelising connection)."""
-    pd = _PatchData(obj)
-    if not _is_closed(pd, H):
+    if not geom.d(H).is_zero():
         raise ValueError("torsion 3-form is not closed")
-    n = pd.n
-    T = _torsion_from_h(pd, H)
-    base = riemann(obj) if pd.kind == "patch" else _frame_riemann(pd)
-    nT = _nabla_torsion(pd, T)
+    n = geom.dim
+    g = geom.space.metric
+    T = _torsion_from_h(geom, H)
+    base = geom.riemann()
+    nT = _nabla_torsion(geom, T)
     half = Scalar.from_rational(1, 2)
     quarter = Scalar.from_rational(1, 4)
 
-    def t_low(i, j, k):
-        # g(T(e_i, e_j), e_k)
-        total = None
-        for l in range(n):
-            v = T[i][j][l]
-            if v is None or pd.g[l][k].is_zero():
-                continue
-            t = v * pd.g[l][k]
-            total = t if total is None else total + t
-        return total
-
     def nt_low(mu, i, j, k):
+        # g((nabla_mu T)(e_i, e_j), e_k)
         total = None
         for l in range(n):
             v = nT[mu][i][j][l]
-            if v is None or pd.g[l][k].is_zero():
+            if v is None or g[l][k].is_zero():
                 continue
-            t = v * pd.g[l][k]
+            t = v * g[l][k]
             total = t if total is None else total + t
         return total
 
@@ -438,9 +373,9 @@ def curvature_with_torsion(obj, H):
                 continue
             for b in range(n):
                 vb = T[k][l][b]
-                if vb is None or pd.g[a][b].is_zero():
+                if vb is None or g[a][b].is_zero():
                     continue
-                t = va * vb * pd.g[a][b]
+                t = va * vb * g[a][b]
                 total = t if total is None else total + t
         return total
 
@@ -460,12 +395,12 @@ def curvature_with_torsion(obj, H):
             total = total + quarter * u
         return total
 
-    return BiSymTensor.from_function(pd.space, component)
+    return BiSymTensor.from_function(geom.space, component)
 
 
-def _nabla_torsion(pd, T):
-    """(nabla_mu T)^k_{ij}; includes coordinate derivatives on patches."""
-    n = pd.n
+def _nabla_torsion(geom, T):
+    """(nabla_mu T)^k_{ij}; includes coordinate derivatives on charts."""
+    n = geom.dim
     out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for mu in range(n):
         for i in range(n):
@@ -473,19 +408,19 @@ def _nabla_torsion(pd, T):
                 for k in range(n):
                     total = None
                     v = T[i][j][k]
-                    d = pd.partial(v, mu) if v is not None else None
+                    d = geom.partial(v, mu) if v is not None else None
                     if d is not None:
                         total = d
                     for lam in range(n):
-                        gkl = pd.gamma(k, mu, lam)
+                        gkl = geom.gamma(k, mu, lam)
                         if gkl is not None and T[i][j][lam] is not None:
                             t = gkl * T[i][j][lam]
                             total = t if total is None else total + t
-                        gli = pd.gamma(lam, mu, i)
+                        gli = geom.gamma(lam, mu, i)
                         if gli is not None and T[lam][j][k] is not None:
                             t = gli * T[lam][j][k]
                             total = -t if total is None else total - t
-                        glj = pd.gamma(lam, mu, j)
+                        glj = geom.gamma(lam, mu, j)
                         if glj is not None and T[i][lam][k] is not None:
                             t = glj * T[i][lam][k]
                             total = -t if total is None else total - t
@@ -494,69 +429,22 @@ def _nabla_torsion(pd, T):
     return out
 
 
-def _frame_riemann(pd):
-    """Riemann of the invariant metric in the frame:
-    R(a,b)c = nabla_a nabla_b c - nabla_b nabla_a c - nabla_{[a,b]} c."""
-    n = pd.n
-
-    def component(a, b, c, w):
-        total = _Z
-        for kap in range(n):
-            if pd.g[kap][w].is_zero():
-                continue
-            s = _Z
-            for lam in range(n):
-                x1 = pd.gamma(lam, b, c)
-                x2 = pd.gamma(kap, a, lam)
-                if x1 is not None and x2 is not None:
-                    s = s + x2 * x1
-                x1 = pd.gamma(lam, a, c)
-                x2 = pd.gamma(kap, b, lam)
-                if x1 is not None and x2 is not None:
-                    s = s - x2 * x1
-                br = pd.cbrk[a][b][lam]
-                if not br.is_zero():
-                    x2 = pd.gamma(kap, lam, c)
-                    if x2 is not None:
-                        s = s - br * x2
-            total = total + s * pd.g[kap][w]
-        return total
-
-    return BiSymTensor.from_function(pd.space, component)
-
-
-def flat_torsion_consequences(obj, H):
+def flat_torsion_consequences(geom, H):
     """Given R^D = 0 (re-verified), independently check that the torsion is
     parallel (nabla H = 0) and satisfies the cyclic Jacobi identity.
     Returns a dict report; a nonzero R^D is a precondition violation."""
-    pd = _PatchData(obj)
     report = {"precondition_RD_zero": None, "nabla_H_zero": None,
               "jacobi_cyclic": None}
-    rd = curvature_with_torsion(obj, H)
+    rd = curvature_with_torsion(geom, H)
     if not rd.is_zero():
         report["precondition_RD_zero"] = False
         report["witness"] = rd.first_nonzero()
         return report
     report["precondition_RD_zero"] = True
-    n = pd.n
-    # nabla H = 0
-    if pd.kind == "patch":
-        nH = covariant_derivative_form(H, pd.p)
-        report["nabla_H_zero"] = all(f.is_zero() for f in nH.values())
-    else:
-        ok = True
-        T = _torsion_from_h(pd, H)
-        nT = _nabla_torsion(pd, T)
-        for mu in range(n):
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        v = nT[mu][i][j][k]
-                        if v is not None and not v.is_zero():
-                            ok = False
-        report["nabla_H_zero"] = ok
+    report["nabla_H_zero"] = all(f.is_zero() for f in geom.nabla(H).values())
     # cyclic identity sum T(X, T(Y,Z)) = 0
-    T = _torsion_from_h(pd, H)
+    n = geom.dim
+    T = _torsion_from_h(geom, H)
     ok = True
     for i, j, k in combinations(range(n), 3):
         for m in range(n):
@@ -765,12 +653,43 @@ class ConstCurvBlock:
         return f"{self.label}({self.S})"
 
 
+class Unverified:
+    """A derivative that a product of constant-curvature blocks cannot
+    compute, because the form fails the premise of the structural pass.
+    It is never zero, stays unverified under subtraction, and prints why."""
+
+    def __init__(self, why):
+        self.why = why
+
+    def is_zero(self):
+        return False
+
+    def __sub__(self, other):
+        return self
+
+    def __str__(self):
+        return self.why
+
+
 class ProductGeometry:
     """Ordered product of constant-curvature blocks with the concatenated
-    orthonormal frame (exactly one lorentzian block, timelike leg first)."""
+    orthonormal frame (exactly one lorentzian block, timelike leg first).
+
+    Forms on it are frame-constant.  d and nabla are structural: such a form
+    is parallel, hence closed, when each component meets every curved block
+    in none or all of its legs (on S^n and AdS_n the only parallel forms are
+    1 and the volume form; flat blocks accept any legs).  That premise is
+    checked; where it fails the derivative is Unverified."""
+
+    premise = ("structural: every component meets each curved block in none "
+               "or all of its legs (checked), so the frame-constant form is "
+               "parallel, hence closed")
 
     def __init__(self, blocks, orientation=1):
-        assert sum(1 for b in blocks if b.lorentzian) == 1
+        lorentzian = sum(1 for b in blocks if b.lorentzian)
+        if lorentzian != 1:
+            raise ValueError(f"a product needs exactly one lorentzian block, "
+                             f"got {lorentzian}")
         self.blocks = blocks
         self.dim = sum(b.dim for b in blocks)
         g = linalg.eye(self.dim)
@@ -786,6 +705,9 @@ class ProductGeometry:
             ofs += b.dim
         self.ranges = ranges
         self.space = QuadraticSpace(g, orientation, names)
+
+    def signature(self):
+        return self.space.signature()
 
     def block_of(self, index):
         for bi, r in enumerate(self.ranges):
@@ -818,3 +740,32 @@ class ProductGeometry:
             for i in r:
                 out[i][i] = f * self.space.metric[i][i]
         return out
+
+    def _premise_failure(self, F):
+        """(first leg of the block, Unverified) for the first component that
+        meets a curved block in some but not all of its legs, or None."""
+        for idx in sorted(F.components):
+            for blk, r in zip(self.blocks, self.ranges):
+                k = sum(1 for i in idx if i in r)
+                if 0 < k < blk.dim and not blk.S.is_zero():
+                    return r[0], Unverified(
+                        f"component {idx} meets the curved block "
+                        f"{blk.label} in {k} of its {blk.dim} legs")
+        return None
+
+    def d(self, F):
+        bad = self._premise_failure(F)
+        if bad is None:
+            return KForm.zero(self.space, min(F.degree + 1, self.dim))
+        return bad[1]
+
+    def nabla(self, F):
+        bad = self._premise_failure(F)
+        return {} if bad is None else {bad[0]: bad[1]}
+
+    def gamma(self, *args):
+        raise ValueError("a product of constant-curvature blocks has no "
+                         "frame connection; torsion needs a chart or a "
+                         "metric Lie algebra")
+
+    partial = gamma

@@ -71,7 +71,7 @@ def reduce_group(g, X, H=None):
     inv = sqrt_scalar(norm2).inverse() if not (norm2 - Scalar(1)).is_zero() \
         else Scalar(1)
     Xu = [x * inv for x in X]
-    space = g.space()
+    space = g.space
     # alpha = B(Xu, .) as a 1-form
     alpha = KForm(space, 1, {(i,): g.inner(Xu, g.basis_vector(i))
                              for i in range(n)})

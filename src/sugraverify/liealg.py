@@ -11,7 +11,9 @@ catalog entry so the stated duality properties hold).
 from itertools import combinations
 
 from .exactnum import Scalar, sqrt_scalar
-from .multilinear import QuadraticSpace, KForm, hodge
+from .multilinear import (QuadraticSpace, KForm, BiSymTensor, hodge,
+                          form_component)
+from .geometry import covariant_derivative_form
 from . import linalg
 
 __all__ = ["MetricLieAlgebra", "CWData", "jacobi_check", "invariance_check",
@@ -23,7 +25,11 @@ _Z = Scalar(0)
 
 
 class MetricLieAlgebra:
-    """Lie algebra with an invariant scalar product and an orientation."""
+    """Lie algebra with an invariant scalar product and an orientation.
+    It is also the geometry of its group with the left-invariant metric, in
+    the invariant frame (the interface in geometry's docstring)."""
+
+    premise = ""            # d and nabla are computed, not structural
 
     def __init__(self, dim, brackets, metric, orientation=1, name=""):
         self.dim = dim
@@ -38,6 +44,8 @@ class MetricLieAlgebra:
         self.orientation = orientation
         self.name = name
         self._space = None
+        self._gamma = None
+        self._riemann = None
 
     def bracket(self, x, y):
         """[x, y] for coefficient vectors x, y."""
@@ -82,11 +90,87 @@ class MetricLieAlgebra:
                     out = out + x[i] * y[j] * self.metric[i][j]
         return out
 
+    @property
     def space(self):
         """The frame QuadraticSpace carrying forms on this algebra."""
         if self._space is None:
             self._space = QuadraticSpace(self.metric, self.orientation)
         return self._space
+
+    # -- the geometry of the group with its left-invariant metric ----------
+
+    def signature(self):
+        return self.space.signature()
+
+    def gamma(self, k, i, j):
+        """Levi-Civita coefficient: the e_k component of nabla_{e_i} e_j, or
+        None where it vanishes.  From the Koszul formula
+        2 B(nabla_i j, k) = B([i,j],k) - B([j,k],i) + B([k,i],j)."""
+        if self._gamma is None:
+            n = self.dim
+            half = Scalar.from_rational(1, 2)
+            ginv = self.space.metric_inv
+            lower = [[[(self.inner(self.c[i][j], self.basis_vector(l))
+                        - self.inner(self.c[j][l], self.basis_vector(i))
+                        + self.inner(self.c[l][i], self.basis_vector(j)))
+                       * half for l in range(n)]
+                      for j in range(n)] for i in range(n)]
+            self._gamma = {}
+            for i in range(n):
+                for j in range(n):
+                    for kk in range(n):
+                        s = _Z
+                        for l in range(n):
+                            if not (ginv[kk][l].is_zero()
+                                    or lower[i][j][l].is_zero()):
+                                s = s + ginv[kk][l] * lower[i][j][l]
+                        if not s.is_zero():
+                            self._gamma[(kk, i, j)] = s
+        return self._gamma.get((k, i, j))
+
+    def partial(self, x, mu):
+        """Invariant frame components are constant."""
+        return None
+
+    def riemann(self):
+        """Riemann tensor in the invariant frame:
+        R(a,b)c = nabla_a nabla_b c - nabla_b nabla_a c - nabla_{[a,b]} c."""
+        if self._riemann is None:
+            n = self.dim
+            gam = self.gamma
+
+            def component(a, b, c, w):
+                total = _Z
+                for kap in range(n):
+                    if self.metric[kap][w].is_zero():
+                        continue
+                    s = _Z
+                    for lam in range(n):
+                        x1, x2 = gam(lam, b, c), gam(kap, a, lam)
+                        if x1 is not None and x2 is not None:
+                            s = s + x2 * x1
+                        x1, x2 = gam(lam, a, c), gam(kap, b, lam)
+                        if x1 is not None and x2 is not None:
+                            s = s - x2 * x1
+                        br = self.c[a][b][lam]
+                        if not br.is_zero():
+                            x2 = gam(kap, lam, c)
+                            if x2 is not None:
+                                s = s - br * x2
+                    total = total + s * self.metric[kap][w]
+                return total
+
+            self._riemann = BiSymTensor.from_function(self.space, component)
+        return self._riemann
+
+    def ricci(self):
+        return biinvariant_ricci(self)
+
+    def d(self, F):
+        return ce_differential(F, self)
+
+    def nabla(self, F):
+        return covariant_derivative_form(F, self)
 
     def basis_vector(self, i):
         v = [_Z] * self.dim
@@ -537,7 +621,7 @@ def canonical_three_form(g):
         v = g.inner(g.basis_bracket(i, j), g.basis_vector(k))
         if not v.is_zero():
             comps[(i, j, k)] = v
-    return KForm(g.space(), 3, comps)
+    return KForm(g.space, 3, comps)
 
 
 def ce_differential(omega, g):
@@ -546,7 +630,7 @@ def ce_differential(omega, g):
     n = g.dim
     k = omega.degree
     if k + 1 > n:
-        return KForm.zero(g.space(), n)     # Lambda^{n+1} = 0
+        return KForm.zero(g.space, n)     # Lambda^{n+1} = 0
     comps = {}
     for idx in combinations(range(n), k + 1):
         total = None
@@ -558,7 +642,7 @@ def ce_differential(omega, g):
                 for l in range(n):
                     if br[l].is_zero():
                         continue
-                    val = _form_eval(omega, (l,) + rest)
+                    val = form_component(omega, (l,) + rest)
                     if val is None:
                         continue
                     term = br[l] * val
@@ -567,26 +651,7 @@ def ce_differential(omega, g):
                     total = term if total is None else total + term
         if total is not None and not total.is_zero():
             comps[idx] = total
-    return KForm(g.space(), k + 1, comps)
-
-
-def _form_eval(omega, idx):
-    """Component of omega at an arbitrary (possibly unsorted) index tuple."""
-    lst = list(idx)
-    sign = 1
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and lst[j - 1] > lst[j]:
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(lst, lst[1:]):
-        if a == b:
-            return None
-    c = omega.components.get(tuple(lst))
-    if c is None:
-        return None
-    return c if sign > 0 else -c
+    return KForm(g.space, k + 1, comps)
 
 
 def biinvariant_ricci(g):

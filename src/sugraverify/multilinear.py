@@ -24,8 +24,9 @@ from .exactnum import Scalar, sqrt_scalar
 from . import linalg
 
 __all__ = ["QuadraticSpace", "KForm", "BiSymTensor", "wedge", "interior",
-           "hodge", "form_inner", "kulkarni_nomizu", "plucker_check",
-           "lambda_action"]
+           "interior_frame", "hodge", "form_inner", "kulkarni_nomizu",
+           "plucker_check", "lambda_action", "sort_sign", "form_component",
+           "signature"]
 
 _Z = Scalar(0)
 
@@ -92,39 +93,8 @@ class QuadraticSpace:
         return QuadraticSpace(g, orientation, names)
 
     def signature(self):
-        """(t, s) with t timelike directions, computed exactly by recursive
-        congruence diagonalization."""
         if self._signature is None:
-            g = [list(r) for r in self.metric]
-            n = self.dim
-            t = s = 0
-            idx = list(range(n))
-            while idx:
-                # find a nonzero diagonal entry, else create one
-                d = next((i for i in idx if not g[i][i].is_zero()), None)
-                if d is None:
-                    i = idx[0]
-                    j = next(j for j in idx if not g[i][j].is_zero())
-                    for k in range(n):          # row/col op: e_i -> e_i + e_j
-                        g[i][k] = g[i][k] + g[j][k]
-                    for k in range(n):
-                        g[k][i] = g[k][i] + g[k][j]
-                    d = i
-                if g[d][d].sign() > 0:
-                    s += 1
-                else:
-                    t += 1
-                idx.remove(d)
-                inv = g[d][d].inverse()
-                for i in list(idx):
-                    if g[i][d].is_zero():
-                        continue
-                    f = g[i][d] * inv
-                    for k in range(n):
-                        g[i][k] = g[i][k] - f * g[d][k]
-                    for k in range(n):
-                        g[k][i] = g[k][i] - f * g[k][d]
-            self._signature = (t, s)
+            self._signature = signature(self.metric)
         return self._signature
 
     def volume_coeff(self):
@@ -166,6 +136,41 @@ class QuadraticSpace:
     def __repr__(self):
         t, s = self.signature()
         return f"QuadraticSpace(dim={self.dim}, signature=({t},{s}))"
+
+
+def signature(metric):
+    """(t, s) of a constant symmetric matrix, t timelike directions,
+    computed exactly by recursive congruence diagonalization."""
+    g = [list(r) for r in metric]
+    n = len(g)
+    t = s = 0
+    idx = list(range(n))
+    while idx:
+        # find a nonzero diagonal entry, else create one
+        d = next((i for i in idx if not g[i][i].is_zero()), None)
+        if d is None:
+            i = idx[0]
+            j = next(j for j in idx if not g[i][j].is_zero())
+            for k in range(n):          # row/col op: e_i -> e_i + e_j
+                g[i][k] = g[i][k] + g[j][k]
+            for k in range(n):
+                g[k][i] = g[k][i] + g[k][j]
+            d = i
+        if g[d][d].sign() > 0:
+            s += 1
+        else:
+            t += 1
+        idx.remove(d)
+        inv = g[d][d].inverse()
+        for i in list(idx):
+            if g[i][d].is_zero():
+                continue
+            f = g[i][d] * inv
+            for k in range(n):
+                g[i][k] = g[i][k] - f * g[d][k]
+            for k in range(n):
+                g[k][i] = g[k][i] - f * g[k][d]
+    return t, s
 
 
 def sum_nonzero(items, zero=_Z):
@@ -317,6 +322,33 @@ def wedge(a, b):
             else:
                 comps.pop(idx, None)
     return KForm(a.space, deg, comps)
+
+
+def sort_sign(idx):
+    """(sign, sorted tuple) of the permutation that sorts idx, or (0, None)
+    when an index repeats."""
+    lst = list(idx)
+    sign = 1
+    for i in range(1, len(lst)):
+        j = i
+        while j > 0 and lst[j - 1] > lst[j]:
+            lst[j - 1], lst[j] = lst[j], lst[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(lst, lst[1:]):
+        if a == b:
+            return 0, None
+    return sign, tuple(lst)
+
+
+def form_component(F, idx):
+    """Component of F at an index tuple in any order, or None where it
+    vanishes."""
+    sign, srt = sort_sign(idx)
+    c = F.components.get(srt) if sign else None
+    if c is None:
+        return None
+    return c if sign > 0 else -c
 
 
 def interior(v, a):
@@ -591,7 +623,7 @@ def lambda_action(omega, F):
                 c = coeff * (-A[i][a])
                 new = idx[:pos] + (a,) + idx[pos + 1:]
                 # re-sort with sign
-                sign, srt = _sort_sign(new)
+                sign, srt = sort_sign(new)
                 if sign == 0:
                     continue
                 if sign < 0:
@@ -603,20 +635,3 @@ def lambda_action(omega, F):
                 else:
                     comps.pop(srt, None)
     return KForm(space, F.degree, comps)
-
-
-def _sort_sign(idx):
-    lst = list(idx)
-    sign = 1
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and lst[j - 1] > lst[j]:
-            if lst[j - 1] == lst[j]:
-                return 0, None
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(lst, lst[1:]):
-        if a == b:
-            return 0, None
-    return sign, tuple(lst)

@@ -3,24 +3,26 @@
 Covers d=11, the constant axi-dilaton sector of IIB, d=6 (1,0), and the
 type-II common sector.  Every check is exact; each verifier emits a
 VerificationReport listing all conditions it owes (passes, failures with
-witnesses, and structural facts that hold by construction on symmetric
-products, which are reported as such rather than silently skipped).
+witnesses, and structural facts on symmetric products, reported as such
+with the premise that was checked rather than silently skipped).  Each
+verifier has one body for every geometry kind: it works through the
+geometry interface described in geometry's docstring.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 import json
 
 from .exactnum import Scalar, Polynomial
-from .multilinear import (KForm, wedge, interior, hodge, form_inner,
-                          kulkarni_nomizu, plucker_check, lambda_action)
+from .multilinear import (KForm, wedge, interior_frame, hodge, form_inner,
+                          kulkarni_nomizu, plucker_check, lambda_action,
+                          sort_sign)
 from .clifford import (ComplexScalar, build_gamma, FrameAlgebra,
                        clifford_action, omega_xf, kernel_dim, chiral_basis,
                        spinor_to_vector)
-from .liealg import canonical_three_form, ce_differential, \
-    biinvariant_ricci
-from .geometry import (cw_patch, riemann, ricci, exterior_derivative,
-                       covariant_derivative_form, curvature_with_torsion,
-                       lightcone_coframe, spin_connection, killing_check)
+from .liealg import canonical_three_form
+from .geometry import (CoordinatePatch, cw_patch, curvature_with_torsion,
+                       spin_connection, killing_check)
 
 __all__ = ["BackgroundSpec", "VerificationReport", "verify_d11",
            "verify_d11_maxsusy", "supercovariant_flatness",
@@ -128,36 +130,91 @@ class BackgroundSpec:
     params: dict = field(default_factory=dict)
     frame_data: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
+    _geometry: object = field(default=None, init=False, repr=False,
+                              compare=False)
 
-    def patch(self):
-        assert self.kind == "cw"
-        return cw_patch(self.cw_data)
+    @property
+    def geometry(self):
+        """The geometry the verifiers work on, built once (see the
+        interface in geometry's docstring)."""
+        if self._geometry is None:
+            if self.kind == "cw":
+                self._geometry = cw_patch(
+                    self.cw_data,
+                    orientation=self.frame_data.get("orientation", 1))
+            else:
+                self._geometry = {"product": self.product,
+                                  "algebra": self.algebra}.get(self.kind)
+            if self._geometry is None:
+                raise ValueError(f"{self.name}: no geometry of kind "
+                                 f"{self.kind!r}")
+        return self._geometry
+
+
+_DIMENSION = {"d11": 11, "iib": 10, "d6-(1,0)": 6}
+
+
+def _theory_geometry(b, theory):
+    """b's geometry, rejected unless it has the theory's dimension n and
+    lorentzian signature (1, n-1)."""
+    geom = b.geometry
+    n = _DIMENSION[theory]
+    sig = geom.signature()
+    if geom.dim != n or sig != (1, n - 1):
+        raise ValueError(f"{b.name}: {theory} needs dimension {n} and "
+                         f"signature (1, {n - 1}), got dimension {geom.dim} "
+                         f"and signature {sig}")
+    return geom
+
+
+def _add_vanishing(rep, name, value, note=""):
+    """Condition `value = 0` for a form or a {direction: form} dict; the
+    witness is the first part that is not zero."""
+    parts = value.items() if isinstance(value, dict) else [(None, value)]
+    bad = next(((k, v) for k, v in parts if not v.is_zero()), None)
+    if bad is None:
+        rep.add(name, True, note=note)
+    else:
+        where = "" if bad[0] is None else f"direction {bad[0]}: "
+        rep.add(name, False, witness=f"{where}{bad[1]}", note=note)
+
+
+FREUND_RUBIN = ("supercovariant flatness on the Freund-Rubin product is "
+                "cited through its equivalence with the curvature conditions "
+                "above; it is not recomputed in trigonometric coordinates")
+
+
+def _add_supercovariant_flatness(rep, b, geom):
+    """Supercovariant flatness: computed where there is a chart, cited on a
+    product (its blocks carry no coordinates here)."""
+    if not isinstance(geom, CoordinatePatch):
+        rep.notes.append(FREUND_RUBIN)
+        return
+    fl = supercovariant_flatness(b)[0]
+    for c in fl.conditions:
+        rep.add(c.name, c.passed, c.witness, c.note)
+    rep.invariants.update(fl.invariants)
 
 
 # ---------------------------------------------------------------------------
 # d = 11
 # ---------------------------------------------------------------------------
 
-def _einstein_tensor(space, F):
-    """T(X,Y) = 1/2 <iota_X F, iota_Y F> - 1/6 g(X,Y) |F|^2 componentwise."""
+def _stress(space, F, trace):
+    """T(X,Y) = 1/2 <iota_X F, iota_Y F> - trace g(X,Y) |F|^2
+    componentwise."""
     n = space.dim
     half = Scalar.from_rational(1, 2)
-    sixth = Scalar.from_rational(1, 6)
     F2 = form_inner(F, F)
-    iotas = [interior(_basis_vec(n, i), F) for i in range(n)]
+    iotas = [interior_frame(space, i, F) for i in range(n)]
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            t = half * form_inner(iotas[i], iotas[j]) \
-                - sixth * space.metric[i][j] * F2
+            t = half * form_inner(iotas[i], iotas[j])
+            if not trace.is_zero():
+                t = t - trace * space.metric[i][j] * F2
             out[i][j] = out[j][i] = t
     return out
-
-
-def _basis_vec(n, i):
-    v = [_Z] * n
-    v[i] = Scalar(1)
-    return v
 
 
 def _tensor_eq(a, b, n):
@@ -170,47 +227,28 @@ def _tensor_eq(a, b, n):
     return None
 
 
+def _add_einstein(rep, name, geom, T):
+    w = _tensor_eq(geom.ricci(), T, geom.dim)
+    rep.add(name, w is None,
+            witness="" if w is None else f"component {w[0]},{w[1]}: {w[2]}")
+
+
 def verify_d11(b):
     """Closedness dF = 0, the nonlinear Maxwell equation
     d*F = -1/2 F ^ F, and the Einstein equation, all exact."""
     rep = VerificationReport(b.name, "d11")
-    if b.kind == "cw":
-        p = b.patch()
-        F = b.flux_builder(p.space)["F4"]
-        rep.add("dF=0", exterior_derivative(F, p).is_zero())
-        starF = hodge(F)
-        lhs = exterior_derivative(starF, p)
-        rhs = wedge(F, F) * Scalar.from_rational(-1, 2)
-        diff = lhs - rhs
-        rep.add("maxwell d*F=-1/2 F^F", diff.is_zero(),
-                witness="" if diff.is_zero() else str(diff))
-        ric = ricci(p)
-        T = _einstein_tensor(p.space, F)
-        w = _tensor_eq(ric, T, p.dim)
-        rep.add("einstein Ric=T(g,F)", w is None,
-                witness="" if w is None else f"component {w[0]},{w[1]}: {w[2]}")
-        rep.invariants["|F|^2"] = str(_poly_str(form_inner(F, F)))
+    geom = _theory_geometry(b, "d11")
+    F = b.flux_builder(geom.space)["F4"]
+    _add_vanishing(rep, "dF=0", geom.d(F), geom.premise)
+    rhs = wedge(F, F) * Scalar.from_rational(-1, 2)
+    _add_vanishing(rep, "maxwell d*F=-1/2 F^F", geom.d(hodge(F)) - rhs,
+                   geom.premise)
+    _add_einstein(rep, "einstein Ric=T(g,F)", geom,
+                  _stress(geom.space, F, Scalar.from_rational(1, 6)))
+    rep.invariants["|F|^2"] = str(_poly_str(form_inner(F, F)))
+    if b.cw_data is not None:
         rep.invariants["tr A"] = str(_trace(b.cw_data.A))
-    elif b.kind == "product":
-        prod = b.product
-        F = b.flux_builder(prod.space)["F4"]
-        rep.add("dF=0", True,
-                note="structural: F is a constant multiple of a block "
-                     "volume form, parallel hence closed")
-        rhs = wedge(F, F) * Scalar.from_rational(-1, 2)
-        rep.add("maxwell d*F=-1/2 F^F", rhs.is_zero(),
-                note="d*F = 0 structurally (parallel form); F^F computed "
-                     "exactly")
-        ric = prod.ricci()
-        T = _einstein_tensor(prod.space, F)
-        w = _tensor_eq(ric, T, prod.dim)
-        rep.add("einstein Ric=T(g,F)", w is None,
-                witness="" if w is None else f"component {w[0]},{w[1]}: {w[2]}")
-        rep.invariants["|F|^2"] = str(form_inner(F, F))
-    else:
-        raise ValueError(f"verify_d11 cannot handle geometry kind {b.kind}")
-    for n in b.notes:
-        rep.notes.append(n)
+    rep.notes.extend(b.notes)
     return rep
 
 
@@ -234,12 +272,12 @@ def _riemann_flux_identity(space, riem, F):
     Returns the first failing component or None."""
     n = space.dim
     F2 = form_inner(F, F)
-    iotas = [interior(_basis_vec(n, i), F) for i in range(n)]
+    iotas = [interior_frame(space, i, F) for i in range(n)]
     iotas2 = {}
     for i in range(n):
         for j in range(n):
             if i != j:
-                iotas2[(i, j)] = interior(_basis_vec(n, i), iotas[j])
+                iotas2[(i, j)] = interior_frame(space, i, iotas[j])
 
     T2 = [[form_inner(iotas[i], iotas[j]) for j in range(n)] for i in range(n)]
     gT2 = kulkarni_nomizu(space.metric, T2, space)
@@ -247,13 +285,11 @@ def _riemann_flux_identity(space, riem, F):
     c12 = Scalar.from_rational(1, 12)
     c36 = Scalar.from_rational(1, 36)
     c72 = Scalar.from_rational(-1, 72)
-    from itertools import combinations
     pairs = list(combinations(range(n), 2))
     for pi, (x, y) in enumerate(pairs):
         for (z, w) in pairs[pi:]:
             # T4 term with the slot pairing (X,Y),(W,Z)
-            t4 = form_inner(iotas2[(x, y)], iotas2[(w, z)]) \
-                if (x, y) in iotas2 and (w, z) in iotas2 else _Z
+            t4 = form_inner(iotas2[(x, y)], iotas2[(w, z)])
             want = c12 * t4 + c36 * gT2.get(x, y, z, w) \
                 + c72 * F2 * gg.get(x, y, z, w)
             got = riem.get(x, y, z, w)
@@ -264,42 +300,20 @@ def _riemann_flux_identity(space, riem, F):
 
 
 def verify_d11_maxsusy(b):
-    """nabla F = 0, the Riemann-flux identity, and the Plucker identity;
-    the underlying field equations are re-verified first (no silent skips)."""
+    """nabla F = 0, the Riemann-flux identity, the Plucker identity and
+    supercovariant flatness; the underlying field equations are re-verified
+    first (no silent skips)."""
     rep = verify_d11(b)
-    if b.kind == "cw":
-        p = b.patch()
-        space = p.space
-        F = b.flux_builder(space)["F4"]
-        nF = covariant_derivative_form(F, p)
-        ok = all(f.is_zero() for f in nF.values())
-        rep.add("nabla F=0", ok)
-        riem = riemann(p)
-        w = _riemann_flux_identity(space, riem, F)
-        rep.add("riemann-flux identity", w is None,
-                witness="" if w is None else f"component {w[:4]}: {w[4]}")
-        Fs = _scalarize(F)
-        status, witness = plucker_check(Fs)
-        rep.add("plucker", status == "decomposable",
-                witness="" if status == "decomposable" else str(witness))
-    elif b.kind == "product":
-        prod = b.product
-        space = prod.space
-        F = b.flux_builder(space)["F4"]
-        rep.add("nabla F=0", True,
-                note="structural: constant multiple of a block volume form "
-                     "on a symmetric product")
-        riem = prod.riemann()
-        w = _riemann_flux_identity(space, riem, F)
-        rep.add("riemann-flux identity", w is None,
-                witness="" if w is None else f"component {w[:4]}: {w[4]}")
-        status, witness = plucker_check(F)
-        rep.add("plucker", status == "decomposable",
-                witness="" if status == "decomposable" else str(witness))
-        rep.notes.append(
-            "supercovariant flatness on the Freund-Rubin product is invoked "
-            "through the equivalence with the three curvature conditions; "
-            "it is not recomputed in trigonometric coordinates")
+    geom = b.geometry
+    F = b.flux_builder(geom.space)["F4"]
+    _add_vanishing(rep, "nabla F=0", geom.nabla(F), geom.premise)
+    w = _riemann_flux_identity(geom.space, geom.riemann(), F)
+    rep.add("riemann-flux identity", w is None,
+            witness="" if w is None else f"component {w[:4]}: {w[4]}")
+    status, witness = plucker_check(_scalarize(F))
+    rep.add("plucker", status == "decomposable",
+            witness="" if status == "decomposable" else str(witness))
+    _add_supercovariant_flatness(rep, b, geom)
     return rep
 
 
@@ -331,7 +345,7 @@ def _frame_form(F, frm, frame_space):
                     new.append((done + (a,), coeff * e))
             terms = new
         for (word, coeff) in terms:
-            sign, srt = _sort_idx_local(word)
+            sign, srt = sort_sign(word)
             if sign == 0:
                 continue
             val = coeff if sign > 0 else -coeff
@@ -344,63 +358,41 @@ def _frame_form(F, frm, frame_space):
     return KForm(frame_space, F.degree, comps)
 
 
-def _sort_idx_local(idx):
-    lst = list(idx)
-    sign = 1
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and lst[j - 1] > lst[j]:
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(lst, lst[1:]):
-        if a == b:
-            return 0, None
-    return sign, tuple(lst)
-
-
 def supercovariant_connection(b):
     """Assemble the coordinate components Theta_mu of the supercovariant
     connection on a plane-wave chart.  Returns (patch, alg, [Theta_mu])."""
-    p = b.patch()
+    if b.theory not in ("d11", "iib"):
+        raise ValueError("supercovariant connection only for d11/iib")
+    p = b.geometry
     n = p.dim
-    cof, frm, gram = lightcone_coframe(p)
+    cof, frm, gram = p.coframe()
     om = spin_connection(p, cof, frm, gram)
-    rep = build_gamma((1, n - 1))
-    alg = FrameAlgebra.lightcone(rep)
+    alg = FrameAlgebra.lightcone(build_gamma((1, n - 1)))
     quarter = Scalar.from_rational(1, 4)
     fluxes = b.flux_builder(p.space)
-    thetas = []
     if b.theory == "d11":
-        F = fluxes["F4"]
-        F_frame = _frame_form(F, frm, alg.space)
-        for mu in range(n):
-            th = alg.element()
-            for (a, bb), w in om[mu].items():
-                th = th + (alg.raised_gamma(a) * alg.raised_gamma(bb)) \
-                    .scale(w * quarter)
-            X = [cof[a][mu] for a in range(n)]       # d_mu in frame comps
-            th = th + omega_xf(X, F_frame, alg)
-            thetas.append(th)
-    elif b.theory == "iib":
-        F = fluxes["F5"]
-        F_frame = _frame_form(F, frm, alg.space)
-        cF = clifford_action(F_frame, alg)
+        F_frame = _frame_form(fluxes["F4"], frm, alg.space)
+
+        def flux_term(X):
+            return omega_xf(X, F_frame, alg)
+    else:
+        cF = clifford_action(_frame_form(fluxes["F5"], frm, alg.space), alg)
         iq = ComplexScalar(_Z, Scalar.from_rational(1, 4))
-        for mu in range(n):
-            th = alg.element()
-            for (a, bb), w in om[mu].items():
-                th = th + (alg.raised_gamma(a) * alg.raised_gamma(bb)) \
-                    .scale(w * quarter)
-            X = [cof[a][mu] for a in range(n)]
+
+        def flux_term(X):
             low = alg.space.lower_vector(X)
             xflat = KForm(alg.space, 1,
                           {(i,): low[i] for i in range(n)
                            if not low[i].is_zero()})
-            th = th + (cF * clifford_action(xflat, alg)).scale(iq)
-            thetas.append(th)
-    else:
-        raise ValueError("supercovariant connection only for d11/iib")
+            return (cF * clifford_action(xflat, alg)).scale(iq)
+    thetas = []
+    for mu in range(n):
+        th = alg.element()
+        for (a, bb), w in om[mu].items():
+            th = th + (alg.raised_gamma(a) * alg.raised_gamma(bb)) \
+                .scale(w * quarter)
+        X = [cof[a][mu] for a in range(n)]       # d_mu in frame comps
+        thetas.append(th + flux_term(X))
     return p, alg, thetas
 
 
@@ -427,18 +419,10 @@ def supercovariant_flatness(b):
         rep.add("supercovariant curvature R^D = 0", flat,
                 witness="" if flat else str(_first_nonzero_curv(curv)))
         # sl(32): tracelessness of every curvature value
-        traceless = True
-        for r in curv.values():
-            t = r.trace()
-            if isinstance(t, Polynomial):
-                t_ok = t.is_zero()
-            else:
-                t_ok = t.is_zero()
-            if not t_ok:
-                traceless = False
-        rep.add("sl(32) tracelessness", traceless)
+        rep.add("sl(32) tracelessness",
+                all(r.trace().is_zero() for r in curv.values()))
         # field-equation identity: sum_a c(e^a) R_{d_mu, E_a} = 0
-        cof, frm, gram = lightcone_coframe(p)
+        frm = p.coframe()[1]
         ok = True
         for mu in range(n):
             total = alg.element()
@@ -508,17 +492,16 @@ def _riemann_iib_identity(space, riem, F):
                   - <iota_X iota_Z F, iota_Y iota_W F>   (this module's
     Riemann sign); returns the first failing component or None."""
     n = space.dim
-    iotas = [interior(_basis_vec(n, i), F) for i in range(n)]
+    iotas = [interior_frame(space, i, F) for i in range(n)]
     cache = {}
 
     def i2(a, b):
         if a == b:
             return None
         if (a, b) not in cache:
-            cache[(a, b)] = interior(_basis_vec(n, a), iotas[b])
+            cache[(a, b)] = interior_frame(space, a, iotas[b])
         return cache[(a, b)]
 
-    from itertools import combinations
     pairs = list(combinations(range(n), 2))
     for pi, (x, y) in enumerate(pairs):
         for (z, w) in pairs[pi:]:
@@ -539,81 +522,39 @@ def _inner_or_zero(a, b):
 
 
 def verify_iib_maxsusy(b):
-    """Self-duality (an error if absent), closedness, nabla F = 0, the IIB
-    Riemann identity, the 2-form/5-form identity, and the decomposition
-    F = G + *G with G decomposable."""
-    if b.kind == "cw":
-        p = b.patch()
-        space = p.space
-        F = b.flux_builder(space)["F5"]
-        sd = hodge(F) - F
-        if not sd.is_zero():
-            raise ValueError("F5 is not self-dual in the chart orientation")
-        rep = VerificationReport(b.name, "iib")
-        rep.add("self-duality *F=F", True)
-        rep.add("dF=0", exterior_derivative(F, p).is_zero())
-        nF = covariant_derivative_form(F, p)
-        rep.add("nabla F=0", all(f.is_zero() for f in nF.values()))
-        riem = riemann(p)
-        w = _riemann_iib_identity(space, riem, F)
-        rep.add("riemann-flux identity (IIB)", w is None,
-                witness="" if w is None else f"component {w[:4]}: {w[4]}")
-        Fs = _scalarize(F)
-        rep.add("plucker-jacobi identity", _plujac_holds(Fs),
-                note="lambda(iota^3 F) F = 0 over all frame triples")
-        G = b.flux_builder(space).get("G5")
-        if G is not None:
-            Gs = _scalarize(G)
-            rt = _scalarize(F) - (Gs + hodge(Gs))
-            rep.add("F = G + *G", rt.is_zero())
-            status, witness = plucker_check(Gs)
-            rep.add("G decomposable", status == "decomposable",
-                    witness="" if status == "decomposable" else str(witness))
-        fl_rep, dim, basis, alg = supercovariant_flatness(b)
-        for c in fl_rep.conditions:
-            rep.add(c.name, c.passed, c.witness, c.note)
-        rep.invariants.update(fl_rep.invariants)
-        return rep
-    elif b.kind == "product":
-        prod = b.product
-        space = prod.space
-        F = b.flux_builder(space)["F5"]
-        sd = hodge(F) - F
-        if not sd.is_zero():
-            raise ValueError("F5 is not self-dual in the product orientation")
-        rep = VerificationReport(b.name, "iib")
-        rep.add("self-duality *F=F", True,
-                note=f"orientation {space.orientation:+d} of the ordered "
-                     "frame realizes self-duality (recorded)")
-        rep.add("dF=0", True, note="structural: parallel block volume forms")
-        rep.add("nabla F=0", True,
-                note="structural: constant multiples of block volume forms")
-        riem = prod.riemann()
-        w = _riemann_iib_identity(space, riem, F)
-        rep.add("riemann-flux identity (IIB)", w is None,
-                witness="" if w is None else f"component {w[:4]}: {w[4]}")
-        rep.add("plucker-jacobi identity", _plujac_holds(F))
-        G = b.flux_builder(space).get("G5")
-        if G is not None:
-            rt = F - (G + hodge(G))
-            rep.add("F = G + *G", rt.is_zero())
-            status, witness = plucker_check(G)
-            rep.add("G decomposable", status == "decomposable")
-        rep.notes.append(
-            "supercovariant flatness on the Freund-Rubin product is invoked "
-            "through the equivalence with the curvature conditions")
-        return rep
-    raise ValueError(f"verify_iib_maxsusy cannot handle kind {b.kind}")
+    """Self-duality, closedness, nabla F = 0, the IIB Riemann identity, the
+    2-form/5-form identity, the decomposition F = G + *G with G
+    decomposable, and supercovariant flatness."""
+    rep = VerificationReport(b.name, "iib")
+    geom = _theory_geometry(b, "iib")
+    fluxes = b.flux_builder(geom.space)
+    F = fluxes["F5"]
+    _add_vanishing(rep, "self-duality *F=F", hodge(F) - F)
+    _add_vanishing(rep, "dF=0", geom.d(F), geom.premise)
+    _add_vanishing(rep, "nabla F=0", geom.nabla(F), geom.premise)
+    w = _riemann_iib_identity(geom.space, geom.riemann(), F)
+    rep.add("riemann-flux identity (IIB)", w is None,
+            witness="" if w is None else f"component {w[:4]}: {w[4]}")
+    Fs = _scalarize(F)
+    rep.add("plucker-jacobi identity", _plujac_holds(Fs),
+            note="lambda(iota^3 F) F = 0 over all frame triples")
+    G = fluxes.get("G5")
+    if G is not None:
+        Gs = _scalarize(G)
+        rep.add("F = G + *G", (Fs - (Gs + hodge(Gs))).is_zero())
+        status, witness = plucker_check(Gs)
+        rep.add("G decomposable", status == "decomposable",
+                witness="" if status == "decomposable" else str(witness))
+    _add_supercovariant_flatness(rep, b, geom)
+    return rep
 
 
 def _plujac_holds(F):
-    from itertools import combinations
     space = F.space
-    n = space.dim
-    for tri in combinations(range(n), 3):
+    for tri in combinations(range(space.dim), 3):
         g = F
         for i in reversed(tri):
-            g = interior(_basis_vec(n, i), g)
+            g = interior_frame(space, i, g)
         if g.is_zero():
             continue
         if not lambda_action(g, F).is_zero():
@@ -631,53 +572,21 @@ def verify_d6(b):
     of the parallelising connection.  Geometry may be a metric Lie algebra
     or a plane-wave chart."""
     rep = VerificationReport(b.name, "d6-(1,0)")
-    n = None
-    if b.kind == "algebra":
-        g = b.algebra
-        H = b.flux_builder(g.space())["H3"] if b.flux_builder \
-            else canonical_three_form(g)
-        rep.add("dH=0", ce_differential(H, g).is_zero())
-        ric = biinvariant_ricci(g)
-        n = g.dim
-        carrier = g
-        space = g.space()
-    elif b.kind == "cw":
-        p = cw_patch(b.cw_data, orientation=b.frame_data.get("orientation", 1))
-        H = b.flux_builder(p.space)["H3"]
-        rep.add("dH=0", exterior_derivative(H, p).is_zero())
-        ric = ricci(p)
-        n = p.dim
-        carrier = p
-        space = p.space
-    else:
-        raise ValueError("d6 verifier expects a metric Lie algebra or a "
-                         "plane-wave chart")
-    asd = hodge(H) + H
-    rep.add("*H=-H", asd.is_zero(),
-            witness="" if asd.is_zero() else str(asd))
-    half = Scalar.from_rational(1, 2)
-    w = None
-    for i in range(n):
-        for j in range(n):
-            want = half * form_inner(interior(_basis_vec(n, i), H),
-                                     interior(_basis_vec(n, j), H))
-            d = ric[i][j] - want
-            if not d.is_zero():
-                w = (i, j, str(d))
-                break
-        if w:
-            break
-    rep.add("einstein Ric = 1/2 <iH,iH>", w is None,
-            witness="" if w is None else f"component {w[0]},{w[1]}: {w[2]}")
-    rd = curvature_with_torsion(carrier, H)
+    geom = _theory_geometry(b, "d6-(1,0)")
+    H = b.flux_builder(geom.space)["H3"] if b.flux_builder \
+        else canonical_three_form(geom)
+    _add_vanishing(rep, "dH=0", geom.d(H), geom.premise)
+    _add_vanishing(rep, "*H=-H", hodge(H) + H)
+    _add_einstein(rep, "einstein Ric = 1/2 <iH,iH>", geom,
+                  _stress(geom.space, H, _Z))
+    rd = curvature_with_torsion(geom, H)
     rep.add("parallelising connection flat (R^D = 0)", rd.is_zero(),
             witness="" if rd.is_zero() else str(rd.first_nonzero()))
     rep.add("maximally supersymmetric", rd.is_zero(),
             note="flat D with anti-selfdual closed torsion carries the full "
                  "spinor space")
     rep.invariants["|H|^2"] = str(_poly_str(form_inner(H, H)))
-    for nnote in b.notes:
-        rep.notes.append(nnote)
+    rep.notes.extend(b.notes)
     return rep
 
 
@@ -718,16 +627,10 @@ def verify_typeII_common(b):
 
 
 def _nabla_dphi_zero(p, phi_poly):
-    n = p.dim
-    dphi_comps = {}
-    for mu in range(n):
-        if p.coords[mu] in phi_poly.vars:
-            d = phi_poly.partial(p.coords[mu])
-            if not d.is_zero():
-                dphi_comps[(mu,)] = d
-    dphi = KForm(p.space, 1, dphi_comps)
-    nd = covariant_derivative_form(dphi, p)
-    return all(f.is_zero() for f in nd.values())
+    dphi = KForm(p.space, 1, {(mu,): p.partial(phi_poly, mu)
+                              for mu in range(p.dim)
+                              if p.partial(phi_poly, mu) is not None})
+    return all(f.is_zero() for f in p.nabla(dphi).values())
 
 
 def dilatino_kernel(b):
@@ -754,14 +657,14 @@ def killing_vectors_from_kernel(b, basis, alg):
     """Spinor bilinears of kernel spinors, with the exact coordinate Killing
     check on the chart.  Returns the list of (vector components, is_killing).
     Lightcone-annihilated constant spinors give vectors along d+ only."""
-    p = b.patch()
+    p = b.geometry
+    n = p.dim
+    frm = p.coframe()[1]
     out = []
     for i in range(min(4, len(basis))):
         for j in range(min(4, len(basis))):
             V = spinor_to_vector(basis[i], basis[j], alg)
             # frame components -> coordinate components via E_a
-            cof, frm, gram = lightcone_coframe(p)
-            n = p.dim
             Vc = []
             for mu in range(n):
                 s = None

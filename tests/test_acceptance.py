@@ -270,7 +270,7 @@ def test_criterion_9_negative_controls():
     details.append("beta=2alpha: anti-selfduality witness")
     # non-closed torsion
     g = nw6()
-    sp = g.space()
+    sp = g.space
     Hbad = KForm(sp, 3, {(0, 2, 3): S(1)})      # e+ leg: not CE-closed here?
     from sugraverify.liealg import ce_differential
     if ce_differential(Hbad, g).is_zero():

@@ -83,10 +83,17 @@ def test_builtin_catalog_size_and_verification():
     assert len(by_theory["iib"]) == 3
     assert len(by_theory["iia"]) == 1
     assert len(by_theory["d6-(1,0)"]) == 3
+    # golden/reports.json holds every catalog report as of the last
+    # deliberate report change; a difference here is a change in what the
+    # certificate says
+    with open(os.path.join(GOLDEN, "reports.json")) as fh:
+        reports = json.load(fh)
+    assert sorted(reports) == sorted(b.name for b in cat)
     for b in cat:
         rep = verify_background(b)
         assert rep.passed, (b.name,
                             [c.name for c in rep.conditions if not c.passed])
+        assert json.loads(rep.to_json()) == reports[b.name], b.name
 
 
 def test_builtin_cw_profiles_nondegenerate():
@@ -150,6 +157,70 @@ def test_background_file_product(tmp_path):
     b = load_background(str(path))
     rep = verify_background(b)
     assert rep.passed
+
+
+def ads4xs7_document(legs):
+    return {
+        "theory": "d11",
+        "name": "ads4xs7-legs",
+        "parameters": {"R": "-6"},
+        "geometry": {
+            "type": "product",
+            "blocks": [
+                {"dim": 4, "scalar_curvature": "8*R", "lorentzian": True,
+                 "label": "AdS4"},
+                {"dim": 7, "scalar_curvature": "-7*R", "label": "S7"},
+            ],
+        },
+        "fluxes": {"F4": [{"indices": legs, "coeff": "sqrt(-6*R)"}]},
+    }
+
+
+def test_product_flux_across_blocks_fails_closure_and_parallelism(tmp_path):
+    # F4 on three AdS4 legs and one S7 leg is not parallel: the structural
+    # pass must check its premise and fail with the component and block
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(ads4xs7_document([0, 1, 2, 4])))
+    rep = verify_background(load_background(str(path)))
+    cond = {c.name: c for c in rep.conditions}
+    for name in ("dF=0", "nabla F=0"):
+        assert not cond[name].passed, name
+        assert "(0, 1, 2, 4)" in cond[name].witness, name
+        assert "AdS4" in cond[name].witness, name
+        assert "checked" in cond[name].note, name
+    # on the AdS4 volume the same document passes, premise included
+    path.write_text(json.dumps(ads4xs7_document([0, 1, 2, 3])))
+    rep = verify_background(load_background(str(path)))
+    assert rep.passed
+    assert "checked" in {c.name: c for c in rep.conditions}["dF=0"].note
+
+
+def test_background_of_the_wrong_dimension_or_signature_is_rejected(tmp_path):
+    flat = {
+        "theory": "d11",
+        "name": "flat-4d",
+        "geometry": {
+            "type": "product",
+            "blocks": [
+                {"dim": 1, "scalar_curvature": "0", "lorentzian": True},
+                {"dim": 3, "scalar_curvature": "0"},
+            ],
+        },
+        "fluxes": {"F4": []},
+    }
+    two = json.loads(json.dumps(ads4xs7_document([0, 1, 2, 3])))
+    two["geometry"]["blocks"][1]["lorentzian"] = True
+    for doc, words in ((flat, ["d11 needs dimension 11", "dimension 4"]),
+                       (two, ["exactly one lorentzian block"])):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            verify_background(load_background(str(path)))
+        code, out, err = run_cli("verify", str(path))
+        assert code == 2, (out, err)
+        assert err.startswith("error: ") and "Traceback" not in err, err
+        for w in words:
+            assert w in err, err
 
 
 # ---------------------------------------------------------------------------

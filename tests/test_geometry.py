@@ -34,6 +34,37 @@ def cw11_data(mu=6):
 # christoffel / riemann on patches
 # ---------------------------------------------------------------------------
 
+def test_signature_of_every_geometry_kind():
+    # a chart's metric is polynomial: its signature is read at the origin
+    assert cw_patch(cw11_data()).signature() == (1, 10)
+    assert nw6().signature() == (1, 5)
+    prod = ProductGeometry([ConstCurvBlock(5, S(-5), lorentzian=True),
+                            ConstCurvBlock(5, S(5))])
+    assert prod.signature() == (1, 9)
+    with pytest.raises(ValueError):
+        ProductGeometry([ConstCurvBlock(5, S(-5), lorentzian=True),
+                         ConstCurvBlock(5, S(-5), lorentzian=True)])
+    with pytest.raises(ValueError):
+        ProductGeometry([ConstCurvBlock(5, S(5))])
+
+
+def test_product_derivatives_check_the_block_premise():
+    prod = ProductGeometry([ConstCurvBlock(4, S(-12), lorentzian=True),
+                            ConstCurvBlock(2, S(0), label="E2"),
+                            ConstCurvBlock(3, S(6))])
+    sp = prod.space
+    # whole curved blocks, with any flat legs: parallel and closed
+    for idx in [(0, 1, 2, 3), (6, 7, 8), (0, 1, 2, 3, 4), (5,), (6, 7, 8, 5)]:
+        F = KForm(sp, len(idx), {tuple(sorted(idx)): S(2)})
+        assert prod.d(F).is_zero() and prod.nabla(F) == {}, idx
+    # part of a curved block: neither is verified, and the text says where
+    F = KForm(sp, 2, {(6, 7): S(1)})
+    assert not prod.d(F).is_zero()
+    assert "S3 in 2 of its 3 legs" in str(prod.d(F))
+    (direction, nF), = prod.nabla(F).items()
+    assert direction == 6 and not nF.is_zero()
+
+
 def test_flat_patch_is_flat():
     p = flat_patch(4)
     assert christoffel(p) == {}

@@ -14,7 +14,7 @@ S = Scalar
 
 def test_reduce_form_horizontal_input():
     g = e15()
-    sp = g.space()
+    sp = g.space
     alpha = KForm.basis(sp, 1)                 # dual to e1; alpha(e1) = 1
     xi = [S(0)] * 6
     xi[1] = S(1)
@@ -25,7 +25,7 @@ def test_reduce_form_horizontal_input():
 
 def test_reduce_form_vertical_roundtrip():
     g = e15()
-    sp = g.space()
+    sp = g.space
     alpha = KForm.basis(sp, 1)
     xi = [S(0)] * 6
     xi[1] = S(1)
@@ -41,7 +41,7 @@ def test_reduce_form_vertical_roundtrip():
 
 def test_reduce_form_requires_normalized_pairing():
     g = e15()
-    sp = g.space()
+    sp = g.space
     alpha = KForm.basis(sp, 1, coeff=S(2))
     xi = [S(0)] * 6
     xi[1] = S(1)
@@ -53,7 +53,7 @@ def test_cw11_flux_reduction_along_transverse_direction():
     # iota_{d9} F = 0 for F = mu dx- ^ dx1 ^ dx2 ^ dx3: H = 0, G = F
     from sugraverify.catalog import get_background
     b = get_background("cw11")
-    p = b.patch()
+    p = b.geometry
     F = b.flux_builder(p.space)["F4"]
     xi = [None] * 11
     from sugraverify.exactnum import Polynomial

@@ -79,7 +79,7 @@ def test_double_extension_brackets_and_signature():
     # central charge: [v, w] = <Jv, w> e+ (the sign invariance forces)
     assert d6.basis_bracket(2, 3)[0] == S(1)
     # signature bookkeeping: (0,4) -> (1,5)
-    assert d6.space().signature() == (1, 5)
+    assert d6.space.signature() == (1, 5)
 
 
 def test_double_extension_matches_nw6_brackets():
@@ -123,7 +123,7 @@ def test_double_extension_random_property():
         d = double_extension(abelian(n), J, b=rng.randint(-2, 2))
         assert jacobi_check(d)[0] == "pass"
         assert invariance_check(d)[0] == "pass"
-        t, s = d.space().signature()
+        t, s = d.space.signature()
         assert (t, s) == (1, n + 1)
 
 
@@ -254,7 +254,7 @@ def test_parallelising_torsion_of_double_extension():
     J = rotation_block_derivation([2, 3])
     d = double_extension(abelian(4), J)
     H = canonical_three_form(d)
-    sp = d.space()
+    sp = d.space
     want = KForm(sp, 3, {(1, 2, 3): S(2), (1, 4, 5): S(3)})
     assert H == want
 
@@ -269,14 +269,14 @@ def test_ce_differential_central_dual_closed():
     # e+ is central: the dual one-form e^0 ... d e^0 (X,Y) = -e^0([X,Y]):
     # [e1,e2] = e+ so d e^0 != 0; the form dual to a central element *in the
     # bracket image complement* is e^1 (dual to e-): closed
-    em_dual = KForm.basis(d6.space(), 1)
+    em_dual = KForm.basis(d6.space, 1)
     assert ce_differential(em_dual, d6).is_zero()
 
 
 def test_ce_differential_so3_maurer_cartan():
     g = so3()
-    d_e1 = ce_differential(KForm.basis(g.space(), 0), g)
-    assert d_e1 == KForm(g.space(), 2, {(1, 2): S(-1)})
+    d_e1 = ce_differential(KForm.basis(g.space, 0), g)
+    assert d_e1 == KForm(g.space, 2, {(1, 2): S(-1)})
 
 
 def test_canonical_three_form_closed_for_catalog():

@@ -202,7 +202,7 @@ def test_mu_zero_gives_flat_iib():
     assert rep.invariants["nu"] == "32/32"
 
 
-def test_non_self_dual_flux_is_an_error_before_curvature():
+def test_non_self_dual_flux_fails_self_duality_with_witness():
     mu = S(1)
     data = CWData.diagonal([-(mu * mu)] * 8)
 
@@ -213,8 +213,19 @@ def test_non_self_dual_flux_is_an_error_before_curvature():
 
     b = BackgroundSpec("iib", "cw10-nonsd", "cw", cw_data=data,
                        flux_builder=flux)
-    with pytest.raises(ValueError):
-        verify_iib_maxsusy(b)
+    rep = verify_iib_maxsusy(b)
+    assert not rep.passed
+    cond = {c.name: c for c in rep.conditions}
+    sd = cond["self-duality *F=F"]
+    assert not sd.passed
+    # the witness is *F - F: the missing block with its coefficient and F
+    # itself with the opposite sign
+    F = flux(b.geometry.space)["F5"]
+    assert sd.witness == str(hodge(F) - F)
+    assert "xm^x5^x6^x7^x8" in sd.witness and "xm^x1^x2^x3^x4" in sd.witness
+    # the rest of the report is still computed
+    assert "riemann-flux identity (IIB)" in cond
+    assert "supercovariant curvature R^D = 0 on the Weyl bundle" in cond
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +263,26 @@ def test_nw6_unequal_weights_fail_antiselfduality():
                          algebra=nw6_family(1, 2))
     rep = verify_d6(bad)
     assert not rep.passed
+
+
+def test_theory_gate_rejects_dimension_and_signature():
+    from sugraverify.liealg import MetricLieAlgebra
+    from sugraverify import linalg
+    # a ten-dimensional plane wave is not a d=11 background
+    with pytest.raises(ValueError, match="d11 needs dimension 11"):
+        verify_d11(BackgroundSpec("d11", "cw10-as-d11", "cw",
+                                  cw_data=get_background("cw10").cw_data,
+                                  flux_builder=lambda sp: {
+                                      "F4": KForm(sp, 4, {})}))
+    # nor an eleven-dimensional one a IIB background
+    with pytest.raises(ValueError, match="iib needs dimension 10"):
+        verify_iib_maxsusy(BackgroundSpec(
+            "iib", "cw11-as-iib", "cw", cw_data=get_background("cw11").cw_data,
+            flux_builder=lambda sp: {"F5": KForm(sp, 5, {})}))
+    # a euclidean six-dimensional algebra has the right dimension only
+    e6 = MetricLieAlgebra(6, {}, linalg.eye(6), name="E6")
+    with pytest.raises(ValueError, match=r"signature \(0, 6\)"):
+        verify_d6(BackgroundSpec("d6-(1,0)", "e6", "algebra", algebra=e6))
 
 
 # ---------------------------------------------------------------------------
