@@ -4,13 +4,18 @@ Gamma matrices for the supported signatures are built from tensor products
 of 2x2 real blocks {1, s1, s3, eps} together with octonion/quaternion
 left-multiplication matrices, so every entry is 0 or +-1 (or a fourth root
 of unity in the complex (1,5) case).  They are stored as signed
-permutations; dense matrices over the scalar tower appear only when kernels
-are computed.
+permutations.
 
 Computations with spinor endomorphisms happen in a sparse monomial basis
 {gamma_S} indexed by sorted tuples of frame indices, with multiplication
 driven by the frame Gram matrix (which may pair lightcone legs
 off-diagonally).  This keeps connection/curvature algebra exact and fast.
+
+Elements act on sparse spinors ({index: component}) through the orthonormal
+words of their monomials, each a coefficient times a signed permutation.
+Kernels are computed from the images of sparse basis columns, so no dense
+spinor_dim x spinor_dim matrix is built; realize() builds one only for
+callers that ask for it.
 """
 
 from .exactnum import Scalar, Polynomial, sqrt_scalar
@@ -304,15 +309,16 @@ class CliffordRep:
                     want = self.eta[a]
                     for j in range(n):
                         p, v = ab.column(j)
-                        assert p == j and _unit_eq(v, int(want.rational_value())), \
-                            f"gamma_{a}^2 != eta"
+                        if p != j or not _unit_eq(v, int(want.rational_value())):
+                            raise RuntimeError(f"gamma_{a}^2 != eta")
                 else:
                     for j in range(n):
                         pa, va = ab.column(j)
                         pb, vb = ba.column(j)
-                        assert pa == pb and _unit_eq(_unit_mul(va, 1),
-                                                     _unit_mul(-1, vb)), \
-                            f"gamma_{a} gamma_{b} not anticommuting"
+                        if pa != pb or not _unit_eq(_unit_mul(va, 1),
+                                                    _unit_mul(-1, vb)):
+                            raise RuntimeError(
+                                f"gamma_{a} gamma_{b} not anticommuting")
 
     def gamma_dense(self, a):
         return self.gammas[a].dense(scalar=self.real)
@@ -353,13 +359,14 @@ def build_gamma(signature):
             if vol.is_identity():
                 gammas = [gammas[0].scale(-1)] + gammas[1:]
             rep = CliffordRep(signature, gammas)
-            assert rep.volume_spmat().is_minus_identity()
+            if not rep.volume_spmat().is_minus_identity():
+                raise RuntimeError("(1,10) volume element is not -1")
             _REP_CACHE[signature] = rep
             return rep
         rep = CliffordRep(signature, gammas)
-        assert rep.chirality is not None
-        chi2 = rep.chirality @ rep.chirality
-        assert chi2.is_identity()
+        if rep.chirality is None or \
+                not (rep.chirality @ rep.chirality).is_identity():
+            raise RuntimeError("(1,9) chirality does not square to 1")
         _REP_CACHE[signature] = rep
         return rep
     if signature == (1, 5):
@@ -407,7 +414,9 @@ class FrameAlgebra:
         self.space = space
         self.rep = rep
         n = space.dim
-        assert n == rep.n, "frame dimension must match representation"
+        if n != rep.n:
+            raise ValueError(f"frame dimension {n} does not match the "
+                             f"representation's {rep.n}")
         if frame_map is None:
             frame_map = linalg.eye(n)
         self.frame_map = frame_map
@@ -415,10 +424,11 @@ class FrameAlgebra:
         for a in range(n):
             eta[a][a] = rep.eta[a]
         check = linalg.mat_mul(frame_map, linalg.mat_mul(eta, linalg.transpose(frame_map)))
-        assert linalg.mat_eq_zero(linalg.mat_sub(check, space.metric)), \
-            "frame map does not reproduce the Gram matrix"
+        if not linalg.mat_eq_zero(linalg.mat_sub(check, space.metric)):
+            raise ValueError("frame map does not reproduce the Gram matrix")
         self._mono_cache = {}
-        self._realize_cache = {}
+        self._bracket_cache = {}
+        self._word_cache = {}
         self._action_cache = {}
 
     @staticmethod
@@ -469,6 +479,18 @@ class FrameAlgebra:
         self._mono_cache[key] = acc
         return acc
 
+    def mono_bracket(self, S, T):
+        """gamma_S gamma_T - gamma_T gamma_S as {monomial: Scalar} (cached;
+        empty when the monomials commute)."""
+        key = (S, T)
+        out = self._bracket_cache.get(key)
+        if out is None:
+            out = dict(self.mono_mul(S, T))
+            for mono, c in self.mono_mul(T, S).items():
+                _acc(out, mono, -c)
+            self._bracket_cache[key] = out
+        return out
+
     def _insert(self, S, b):
         """gamma_S gamma_b expanded over monomials."""
         G = self.space.metric
@@ -500,17 +522,15 @@ class FrameAlgebra:
 
     # -- realization --------------------------------------------------------
 
-    def realize_mono(self, S):
-        """Dense matrix of gamma_S (frame monomial) over the scalar tower."""
-        if S in self._realize_cache:
-            return self._realize_cache[S]
+    def mono_words(self, S):
+        """gamma_S (frame monomial) expanded over orthonormal words, as a
+        list of (coefficient, SPMat) (cached)."""
+        words = self._word_cache.get(S)
+        if words is not None:
+            return words
         n = self.rep.n
-        N = self.rep.spinor_dim
-        real = self.rep.real
-        zero = _Z if real else ComplexScalar(0, 0)
-        one = _ONE if real else ComplexScalar(1, 0)
         # expand each frame generator into orthonormal ones and reduce
-        terms = {(): one}
+        terms = {(): _ONE}
         eta = self.rep.eta
         for a in S:
             nxt = {}
@@ -531,14 +551,9 @@ class FrameAlgebra:
                     else:
                         nxt[w2] = cc
             terms = nxt
-        out = [[zero] * N for _ in range(N)]
-        for word, c in terms.items():
-            sp = self._orthonormal_word(word)
-            for j in range(N):
-                p, v = sp.column(j)
-                out[p][j] = out[p][j] + c * _unit_to_coeff(v, real)
-        self._realize_cache[S] = out
-        return out
+        words = [(c, self._orthonormal_word(word)) for word, c in terms.items()]
+        self._word_cache[S] = words
+        return words
 
     def _orthonormal_word(self, word):
         sp = SPMat.identity(self.rep.spinor_dim)
@@ -636,7 +651,18 @@ class CliffordElement:
     __rmul__ = scale
 
     def commutator(self, other):
-        return self * other - other * self
+        """[self, other], one coefficient product per non-commuting pair of
+        monomials."""
+        comps = {}
+        for s, cs in self.comps.items():
+            for t, ct in other.comps.items():
+                br = self.alg.mono_bracket(s, t)
+                if not br:
+                    continue
+                c = cs * ct
+                for mono, f in br.items():
+                    _acc_c(comps, mono, c * f)
+        return CliffordElement(self.alg, comps)
 
     def partial(self, var):
         return CliffordElement(self.alg, {k: coeff_partial(c, var)
@@ -652,28 +678,36 @@ class CliffordElement:
             return c
         return CliffordElement(self.alg, {k: sub(c) for k, c in self.comps.items()})
 
+    def apply(self, spinor):
+        """The image of a sparse spinor {index: component}, in the same form
+        (zero components are left out)."""
+        out = {}
+        for mono, c in self.comps.items():
+            for w, sp in self.alg.mono_words(mono):
+                cw = c * w
+                perm, vals = sp.perm, sp.vals
+                for j, x in spinor.items():
+                    _acc_c(out, perm[j], _unit_scale(cw * x, vals[j]))
+        return out
+
     def realize(self):
         """Dense spinor_dim x spinor_dim matrix (entries keep the coefficient
         ring of the element)."""
         N = self.alg.rep.spinor_dim
-        real = self.alg.rep.real
-        zero = _Z if real else ComplexScalar(0, 0)
+        one, zero = _units(self.alg)
         out = [[zero] * N for _ in range(N)]
-        for mono, c in self.comps.items():
-            m = self.alg.realize_mono(mono)
-            for i in range(N):
-                mi = m[i]
-                oi = out[i]
-                for j in range(N):
-                    if not coeff_zero(mi[j]):
-                        oi[j] = oi[j] + c * mi[j]
+        for j in range(N):
+            for i, x in self.apply({j: one}).items():
+                out[i][j] = x
         return out
 
     def trace(self):
-        m = self.realize()
-        t = None
-        for i in range(len(m)):
-            t = m[i][i] if t is None else t + m[i][i]
+        one, zero = _units(self.alg)
+        t = zero
+        for j in range(self.alg.rep.spinor_dim):
+            x = self.apply({j: one}).get(j)
+            if x is not None:
+                t = t + x
         return t
 
     def __str__(self):
@@ -694,6 +728,20 @@ def _acc_c(d, k, v):
         d.pop(k, None)
     else:
         d[k] = v
+
+
+def _unit_scale(x, u):
+    """x times a unit of a signed permutation (+-1 or ComplexScalar)."""
+    if isinstance(u, int):
+        return x if u == 1 else -x
+    return u * x
+
+
+def _units(alg):
+    """(one, zero) of the representation's scalar ring."""
+    if alg.rep.real:
+        return _ONE, _Z
+    return ComplexScalar(1, 0), ComplexScalar(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -762,171 +810,103 @@ def spinor_pairing_matrix(alg):
 
 def spinor_to_vector(eps1, eps2, alg):
     """V^a with g(V, X) = (eps1, X . eps2); indices raised with the Gram."""
-    C = spinor_pairing_matrix(alg)
+    C = alg.rep.gammas[0]           # the pairing matrix, as a signed perm
     n = alg.space.dim
-    N = alg.rep.spinor_dim
+    psi = _sparse(eps2)
     V_low = []
     for a in range(n):
         # gamma_a in the frame: c of the *lowered* basis vector e_a
-        ga = alg.realize_mono((a,))
-        gae = _mat_vec(ga, eps2)
-        Ce = _mat_vec(C, gae)
-        V_low.append(_dot(eps1, Ce))
+        s = _Z
+        for j, x in alg.element({(a,): _ONE}).apply(psi).items():
+            p, u = C.column(j)
+            if not coeff_zero(eps1[p]):
+                s = s + eps1[p] * _unit_scale(x, u)
+        V_low.append(s)
     return [sum((alg.space.metric_inv[a][b] * V_low[b] for b in range(n)),
                 _Z) for a in range(n)]
 
 
-def _mat_vec(m, v):
-    n = len(m)
-    out = []
-    for i in range(n):
-        s = None
-        mi = m[i]
-        for j in range(n):
-            if coeff_zero(mi[j]):
-                continue
-            if hasattr(v[j], "is_zero") and v[j].is_zero():
-                continue
-            t = mi[j] * v[j]
-            s = t if s is None else s + t
-        out.append(_Z if s is None else s)
-    return out
-
-
-def _dot(a, b):
-    s = None
-    for x, y in zip(a, b):
-        if coeff_zero(x) or coeff_zero(y):
-            continue
-        t = x * y
-        s = t if s is None else s + t
-    return _Z if s is None else s
+def _sparse(col):
+    """A dense spinor as {index: component}."""
+    return {i: x for i, x in enumerate(col) if not coeff_zero(x)}
 
 
 def kernel_dim(ops, alg, columns=None):
-    """Joint kernel of a list of spinor endomorphisms (CliffordElements or
-    dense matrices).  Polynomial entries are handled by demanding that every
-    coordinate-monomial coefficient matrix annihilates the spinor.  Returns
-    (dimension, basis_vectors).  `columns` restricts to a subspace given by
-    basis column vectors (e.g. a chiral half)."""
+    """Joint kernel of a list of CliffordElements.  Polynomial coefficients
+    are handled by demanding that every coordinate-monomial part of each
+    operator annihilates the spinor.  Returns (dimension, basis_vectors).
+    `columns` restricts to the subspace spanned by the given dense column
+    vectors (e.g. a chiral half); basis vectors are then coordinates on
+    those columns."""
     N = alg.rep.spinor_dim
-    real = alg.rep.real
-    one = _ONE if real else ComplexScalar(1, 0)
-    zero = _Z if real else ComplexScalar(0, 0)
-    ncols = N if columns is None else len(columns)
+    one, zero = _units(alg)
+    if columns is None:
+        cols = [{j: one} for j in range(N)]
+    else:
+        cols = [_sparse(c) for c in columns]
+    ncols = len(cols)
     rows = []
     for op in ops:
-        m = op.realize() if isinstance(op, CliffordElement) else op
-        if columns is not None:
-            m = _restrict_columns(m, columns)
-        for cm in _coefficient_matrices(m, real):
-            rows.extend(r for r in cm if any(not coeff_zero(x) for x in r))
-    if not rows:
-        basis = [[one if i == j else zero for i in range(ncols)]
-                 for j in range(ncols)]
-        return ncols, basis
+        for part in _coordinate_parts(op):
+            block = {}
+            for k, col in enumerate(cols):
+                for i, x in part.apply(col).items():
+                    block.setdefault(i, [zero] * ncols)[k] = x
+            rows.extend(block.values())
     basis = linalg.nullspace(rows, ncols=ncols, one=one, zero=zero)
     return len(basis), basis
 
 
-def _restrict_columns(m, columns):
-    n = len(m)
-    out = []
-    for i in range(n):
-        row = []
-        for col in columns:
-            s = None
-            for j in range(n):
-                if coeff_zero(m[i][j]) or coeff_zero(col[j]):
-                    continue
-                t = m[i][j] * col[j]
-                s = t if s is None else s + t
-            row.append(_Z if s is None else s)
-        out.append(row)
-    return out
+def _coordinate_parts(op):
+    """The constant elements E_m with op = sum_m x^m E_m, one per coordinate
+    monomial x^m of the coefficients."""
+    parts = {}
+    for mono, c in op.comps.items():
+        for key, k in _coeff_terms(c).items():
+            _acc_c(parts.setdefault(key, {}), mono, k)
+    return [CliffordElement(op.alg, p) for p in parts.values()]
 
 
-def _coefficient_matrices(m, real):
-    """Split a (possibly rectangular) matrix with Polynomial or
-    complex-polynomial entries into per-monomial constant matrices."""
-    n = len(m)
-    ncols = len(m[0]) if m else 0
-    zero = _Z if real else ComplexScalar(0, 0)
-    monos = {}
-
-    def push(mono, i, j, c):
-        if mono not in monos:
-            monos[mono] = [[zero] * ncols for _ in range(n)]
-        monos[mono][i][j] = monos[mono][i][j] + c
-
-    for i in range(n):
-        for j in range(ncols):
-            e = m[i][j]
-            if coeff_zero(e):
-                continue
-            if isinstance(e, Polynomial):
-                for exp, c in e.terms.items():
-                    push((e.vars, exp), i, j, c)
-            elif isinstance(e, ComplexScalar) and (
-                    isinstance(e.re, Polynomial) or isinstance(e.im, Polynomial)):
-                parts = {}
-                for part, pick in ((e.re, "re"), (e.im, "im")):
-                    if isinstance(part, Polynomial):
-                        for exp, c in part.terms.items():
-                            parts.setdefault((part.vars, exp),
-                                             {})[pick] = c
-                    elif not part.is_zero():
-                        parts.setdefault(((), ()), {})[pick] = part
-                for mono, d in parts.items():
-                    push(mono, i, j, ComplexScalar(d.get("re", _Z),
-                                                   d.get("im", _Z)))
-            else:
-                push(((), ()), i, j, e)
-    return list(monos.values())
+def _coeff_terms(c):
+    """{coordinate monomial: constant} of a Scalar, Polynomial or
+    ComplexScalar coefficient; a monomial is its sorted ((var, exp), ...)
+    with the zero exponents left out."""
+    if isinstance(c, Polynomial):
+        return {tuple((v, e) for v, e in zip(c.vars, exp) if e): k
+                for exp, k in c.terms.items()}
+    if isinstance(c, ComplexScalar):
+        re, im = _coeff_terms(c.re), _coeff_terms(c.im)
+        return {key: ComplexScalar(re.get(key, _Z), im.get(key, _Z))
+                for key in {**re, **im}}
+    return {} if c.is_zero() else {(): c}
 
 
 def chiral_basis(alg, sign):
-    """Exact basis of the +-1 chirality eigenspace (even-dimensional reps)."""
+    """Exact basis of the +-1 chirality eigenspace (even-dimensional reps),
+    as dense column vectors."""
     chi = alg.rep.chirality
     if chi is None:
         raise ValueError("representation has no chirality operator")
     N = alg.rep.spinor_dim
     real = alg.rep.real
-    one = _ONE if real else ComplexScalar(1, 0)
-    dense = chi.dense(scalar=real)
-    cols = []
-    seen = set()
+    one, zero = _units(alg)
+    s = Scalar(sign) if real else ComplexScalar(sign, 0)
+    out = []
     for j in range(N):
         p, v = chi.column(j)
-        if j in seen or p in seen:
-            continue
-        if p == j:
-            if _unit_eq(v, sign):
-                col = [one if i == j else (_Z if real else ComplexScalar(0, 0))
-                       for i in range(N)]
-                cols.append(col)
-            seen.add(j)
-        else:
-            # v e_p (+-) e_j pair: eigenvector e_j + sign/v ... use dense
-            col = [(_Z if real else ComplexScalar(0, 0)) for _ in range(N)]
-            col[j] = one
-            val = dense[p][j]
-            # chi (e_j) = val e_p; eigenvector e_j + (sign/val)... chi^2=1
-            col[p] = (Scalar(sign) if real else ComplexScalar(sign, 0)) * \
-                _coeff_inverse(val, real)
-            cols.append(col)
-            seen.add(j)
-            seen.add(p)
-    # keep only genuine eigenvectors
-    out = []
-    for col in cols:
-        img = _mat_vec(dense, col)
-        tgt = [(Scalar(sign) if real else ComplexScalar(sign, 0)) * x for x in col]
-        if all((a - b).is_zero() for a, b in zip(img, tgt)):
-            out.append(col)
-    assert len(out) == N // 2, "chiral split must halve the spinor space"
+        if p < j:
+            continue            # the pair (p, j) was tried from p
+        # chi e_j = v e_p, so e_j + (sign / v) e_p when p != j
+        col = {j: one}
+        if p != j:
+            col[p] = s * _unit_to_coeff(v, real).inverse()
+        img = {}
+        for i, x in col.items():
+            q, u = chi.column(i)
+            _acc_c(img, q, _unit_scale(x, u))
+        if img.keys() == col.keys() and \
+                all((img[i] - s * x).is_zero() for i, x in col.items()):
+            out.append([col.get(i, zero) for i in range(N)])
+    if len(out) != N // 2:
+        raise RuntimeError("chiral split must halve the spinor space")
     return out
-
-
-def _coeff_inverse(x, real):
-    return x.inverse()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sugraverify import linalg
-from sugraverify.exactnum import Scalar, sqrt_scalar
+from sugraverify.exactnum import Scalar, Polynomial, sqrt_scalar
 from sugraverify.multilinear import KForm, QuadraticSpace, wedge, interior
 from sugraverify.clifford import (
     ComplexScalar, build_gamma, FrameAlgebra, clifford_action, omega_xf,
@@ -376,3 +376,125 @@ def test_kernel_with_polynomial_entries_degree_by_degree():
     gm = clifford_action(KForm.basis(alg.space, 1), alg)
     dim2, _ = kernel_dim([gm.scale(x)], alg)
     assert dim2 == 16
+
+
+# ---------------------------------------------------------------------------
+# invariants as exceptions; kernels and brackets against dense references
+# ---------------------------------------------------------------------------
+
+def test_frame_map_not_reproducing_the_gram_raises():
+    rep = build_gamma((1, 2))
+    space = QuadraticSpace(linalg.eye(3))          # no timelike leg
+    with pytest.raises(ValueError, match="Gram"):
+        FrameAlgebra(space, rep)
+    # the check is an exception, so python -O keeps it
+    import os
+    import subprocess
+    import sys
+    import sugraverify
+    src = os.path.dirname(os.path.dirname(sugraverify.__file__))
+    code = ("from sugraverify import linalg\n"
+            "from sugraverify.clifford import build_gamma, FrameAlgebra\n"
+            "from sugraverify.multilinear import QuadraticSpace\n"
+            "try:\n"
+            "    FrameAlgebra(QuadraticSpace(linalg.eye(3)), "
+            "build_gamma((1, 2)))\n"
+            "except ValueError as e:\n"
+            "    print('ValueError:', e)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "ValueError: frame map does not reproduce the Gram" in proc.stdout
+
+
+_XY = ("x1", "x2")
+
+
+def _random_poly(rng):
+    """A random Polynomial in x1, x2 of degree <= 1 (possibly zero)."""
+    terms = {}
+    for exp in ((0, 0), (1, 0), (0, 1)):
+        c = rng.choice((0, 0, 1, -1, 2))
+        if c:
+            terms[exp] = S(c)
+    return Polynomial(_XY, terms)
+
+
+def _random_coeff(rng):
+    if rng.random() < 0.5:
+        return _random_poly(rng)
+    return ComplexScalar(_random_poly(rng), _random_poly(rng))
+
+
+def _random_element(alg, rng, terms=3):
+    comps = {}
+    for _ in range(terms):
+        k = rng.randint(0, 3)
+        comps[tuple(sorted(rng.sample(range(alg.space.dim), k)))] = \
+            _random_coeff(rng)
+    return alg.element(comps)
+
+
+def _coordinate_split(x):
+    """{coordinate monomial: constant} of a matrix entry."""
+    if isinstance(x, Polynomial):
+        return {tuple((v, e) for v, e in zip(x.vars, exp) if e): c
+                for exp, c in x.terms.items()}
+    if isinstance(x, ComplexScalar):
+        re, im = _coordinate_split(x.re), _coordinate_split(x.im)
+        return {m: ComplexScalar(re.get(m, S(0)), im.get(m, S(0)))
+                for m in set(re) | set(im)}
+    return {} if x.is_zero() else {(): x}
+
+
+def _dense_kernel(ops, columns):
+    """Reference kernel: realize() times each column, each coordinate
+    monomial of the result one block of rows, then linalg.nullspace."""
+    rows = []
+    for op in ops:
+        m = op.realize()
+        blocks = {}
+        for k, col in enumerate(columns):
+            for i, row in enumerate(m):
+                x = S(0)
+                for a, b in zip(row, col):
+                    if not a.is_zero() and not b.is_zero():
+                        x = a * b + x
+                for mono, c in _coordinate_split(x).items():
+                    blocks.setdefault((mono, i), [S(0)] * len(columns))[k] = c
+        rows.extend(blocks.values())
+    return linalg.nullspace(rows, ncols=len(columns))
+
+
+def test_chiral_kernel_matches_dense_reference(rep_1_9):
+    alg = FrameAlgebra.lightcone(rep_1_9)
+    gminus = alg.raised_gamma(1)        # c(e^-): a null leg, half rank
+    rng = random.Random(2024)
+    dims = set()
+    for trial in range(4):
+        ops = [_random_element(alg, rng) * gminus
+               for _ in range(rng.randint(1, 2))]
+        if trial % 2:
+            ops.append(_random_element(alg, rng, terms=2))
+        for sign in (1, -1):
+            cols = chiral_basis(alg, sign)
+            dim, basis = kernel_dim(ops, alg, columns=cols)
+            want = _dense_kernel(ops, cols)
+            assert dim == len(want)
+            for v, w in zip(basis, want):
+                assert all((a - b).is_zero() for a, b in zip(v, w))
+            dims.add(dim)
+    assert len(dims) > 1, dims         # both trivial and larger kernels
+
+
+def test_commutator_equals_difference_of_products(rep_1_9):
+    alg = FrameAlgebra.lightcone(rep_1_9)
+    rng = random.Random(5)
+    for _ in range(12):
+        x = _random_element(alg, rng, terms=rng.randint(1, 4))
+        y = _random_element(alg, rng, terms=rng.randint(1, 4))
+        assert (x.commutator(y) - (x * y - y * x)).is_zero()
+    # commuting monomials give an exact zero bracket
+    g01 = alg.element({(0, 1): S(1)})
+    assert g01.commutator(alg.element({(2, 3): S(1)})).is_zero()
