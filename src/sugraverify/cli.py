@@ -14,6 +14,7 @@ Exit code 0 iff every requested check passes.
 import argparse
 import json
 import os
+import re
 import sys
 
 from .exactnum import parse_scalar
@@ -38,15 +39,22 @@ def _verify_one(name):
     return name, rep.passed, rep
 
 
+def _parse_perturb(text):
+    """'A11=+1,A23=1/2' -> {(0, 0): 1, (1, 2): 1/2}; profile entries are
+    numbered from 1."""
+    out = {}
+    for item in text.split(","):
+        key, sep, val = item.partition("=")
+        m = re.fullmatch(r"A([1-9])([1-9])", key.strip())
+        if m is None or not sep:
+            raise ValueError(f"--perturb entry {item!r}: expected "
+                             f"A<i><j>=<value> with i, j in 1..9")
+        out[(int(m[1]) - 1, int(m[2]) - 1)] = \
+            parse_scalar(val.strip().lstrip("+"))
+    return out
+
+
 def cmd_verify(args):
-    perturb = None
-    if args.perturb:
-        perturb = {}
-        for item in args.perturb.split(","):
-            key, val = item.split("=")
-            assert key[0] == "A"
-            i, j = int(key[1]) - 1, int(key[2]) - 1
-            perturb[(i, j)] = parse_scalar(val.lstrip("+"))
     if args.background == "all":
         # every catalog entry, verified in parallel, reported sorted by id
         import concurrent.futures
@@ -65,15 +73,18 @@ def cmd_verify(args):
             else:
                 print(f"{'PASS' if passed else 'FAIL'}  {name}")
         return 0 if all_ok else 1
+    from_file = os.path.exists(args.background)
     try:
-        if os.path.exists(args.background):
+        if from_file:
             b = catalog.load_background(args.background)
         else:
+            perturb = _parse_perturb(args.perturb) if args.perturb else None
             b = catalog.get_background(args.background, mu=args.mu,
                                        Rv=args.r, perturb=perturb)
         rep = catalog.verify_background(b)
     except (KeyError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        where = f"{args.background}: " if from_file else ""
+        print(f"error: {where}{e}", file=sys.stderr)
         return 2
     _emit_report(rep)
     if args.format == "json":

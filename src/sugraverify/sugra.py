@@ -167,6 +167,19 @@ def _theory_geometry(b, theory):
     return geom
 
 
+_FLUX = {"d11": "F4", "iib": "F5", "d6-(1,0)": "H3"}
+
+
+def _theory_fluxes(b, space):
+    """b's fluxes on `space`, rejected unless they include its theory's."""
+    fluxes = b.flux_builder(space)
+    need = _FLUX[b.theory]
+    if need not in fluxes:
+        raise ValueError(f"{b.name}: {b.theory} needs the flux {need}, "
+                         f"which the background does not give")
+    return fluxes
+
+
 def _add_vanishing(rep, name, value, note=""):
     """Condition `value = 0` for a form or a {direction: form} dict; the
     witness is the first part that is not zero."""
@@ -238,7 +251,7 @@ def verify_d11(b):
     d*F = -1/2 F ^ F, and the Einstein equation, all exact."""
     rep = VerificationReport(b.name, "d11")
     geom = _theory_geometry(b, "d11")
-    F = b.flux_builder(geom.space)["F4"]
+    F = _theory_fluxes(b, geom.space)["F4"]
     _add_vanishing(rep, "dF=0", geom.d(F), geom.premise)
     rhs = wedge(F, F) * Scalar.from_rational(-1, 2)
     _add_vanishing(rep, "maxwell d*F=-1/2 F^F", geom.d(hodge(F)) - rhs,
@@ -305,7 +318,7 @@ def verify_d11_maxsusy(b):
     first (no silent skips)."""
     rep = verify_d11(b)
     geom = b.geometry
-    F = b.flux_builder(geom.space)["F4"]
+    F = _theory_fluxes(b, geom.space)["F4"]
     _add_vanishing(rep, "nabla F=0", geom.nabla(F), geom.premise)
     w = _riemann_flux_identity(geom.space, geom.riemann(), F)
     rep.add("riemann-flux identity", w is None,
@@ -527,7 +540,7 @@ def verify_iib_maxsusy(b):
     decomposable, and supercovariant flatness."""
     rep = VerificationReport(b.name, "iib")
     geom = _theory_geometry(b, "iib")
-    fluxes = b.flux_builder(geom.space)
+    fluxes = _theory_fluxes(b, geom.space)
     F = fluxes["F5"]
     _add_vanishing(rep, "self-duality *F=F", hodge(F) - F)
     _add_vanishing(rep, "dF=0", geom.d(F), geom.premise)
@@ -545,6 +558,7 @@ def verify_iib_maxsusy(b):
         status, witness = plucker_check(Gs)
         rep.add("G decomposable", status == "decomposable",
                 witness="" if status == "decomposable" else str(witness))
+    rep.notes.extend(b.notes)
     _add_supercovariant_flatness(rep, b, geom)
     return rep
 
@@ -573,7 +587,7 @@ def verify_d6(b):
     or a plane-wave chart."""
     rep = VerificationReport(b.name, "d6-(1,0)")
     geom = _theory_geometry(b, "d6-(1,0)")
-    H = b.flux_builder(geom.space)["H3"] if b.flux_builder \
+    H = _theory_fluxes(b, geom.space)["H3"] if b.flux_builder \
         else canonical_three_form(geom)
     _add_vanishing(rep, "dH=0", geom.d(H), geom.premise)
     _add_vanishing(rep, "*H=-H", hodge(H) + H)
@@ -649,7 +663,9 @@ def dilatino_kernel(b):
     dim_plus, _ = kernel_dim([op], alg, columns=plus)
     minus = chiral_basis(alg, -1)
     dim_minus, _ = kernel_dim([op], alg, columns=minus)
-    assert dim_plus + dim_minus == dim_full
+    if dim_plus + dim_minus != dim_full:
+        raise RuntimeError(f"dilatino kernel: chiral halves {dim_plus} + "
+                           f"{dim_minus} != full kernel {dim_full}")
     return dim_full, 2 * dim_plus
 
 

@@ -247,6 +247,26 @@ def test_cli_verify_perturbed_fails_with_witness():
     assert "FAIL" in out and "einstein" in out
 
 
+def test_cli_verify_missing_flux_names_the_flux_and_the_file(tmp_path):
+    doc = ads4xs7_document([0, 1, 2, 3])
+    doc["fluxes"] = {}
+    path = tmp_path / "noflux.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("verify", str(path))
+    assert code == 2, (out, err)
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    assert "F4" in err and str(path) in err, err
+    assert err.strip() != "error: 'F4'", err
+
+
+def test_cli_verify_rejects_a_bad_perturbation_key():
+    for bad in ("B11=1", "A1=1", "A11"):
+        code, out, err = run_cli("verify", "cw11", "--perturb", bad)
+        assert code == 2, (bad, out, err)
+        assert err.startswith("error: ") and "Traceback" not in err, err
+        assert "--perturb" in err and bad in err, err
+
+
 def test_cli_verify_unknown_id():
     code, _, err = run_cli("verify", "nosuchthing")
     assert code == 2

@@ -466,3 +466,25 @@ def test_nw6_chart_as_d6_background():
                         frame_data={"orientation": -1})
     rep2 = verify_d6(b2)
     assert not rep2.passed
+
+
+def test_cw10_connection_commutators_equal_difference_of_products():
+    from sugraverify.sugra import supercovariant_connection
+    p, alg, thetas = supercovariant_connection(get_background("cw10"))
+    n = p.dim
+    nonzero = 0
+    for mm in range(n):
+        for nn in range(mm + 1, n):
+            x, y = thetas[mm], thetas[nn]
+            got = x.commutator(y)
+            assert (got - (x * y - y * x)).is_zero(), (mm, nn)
+            nonzero += not got.is_zero()
+    assert nonzero
+
+
+def test_iib_report_keeps_the_catalog_notes():
+    rep = verify_background(get_background("cw10"))
+    assert any(n.startswith("flux normalization mu (not mu/2)")
+               for n in rep.notes), rep.notes
+    assert get_background("e1_9").notes[0] in \
+        verify_background(get_background("e1_9")).notes
