@@ -108,7 +108,8 @@ def enumerate_parallelisable(total_dim=10):
                     flats = rest - 7 * n_s7 - 8 * n_su3 - 3 * n_s3
                     out.append(GeometryProduct(lorentz, n_s3, n_s7, n_su3,
                                                flats))
-    assert all(p.dim == total_dim for p in out)
+    if any(p.dim != total_dim for p in out):
+        raise RuntimeError(f"a product is not {total_dim}-dimensional")
     return sorted(out, key=lambda p: p.display())
 
 
@@ -521,7 +522,15 @@ def background_ids():
     return [b.name for b in builtin_backgrounds()]
 
 
+# the parameters each builtin id takes; any other is an error
+_PARAMETERS = {"cw11": ("mu", "perturb"), "cw10": ("mu",),
+               "ads7xs4": ("R",), "ads4xs7": ("R",), "ads5xs5": ("R",)}
+
+
 def get_background(name, mu=None, Rv=None, perturb=None):
+    given = {"mu": mu, "R": Rv, "perturb": perturb}
+    extra = [k for k, v in given.items()
+             if v is not None and k not in _PARAMETERS.get(name, ())]
     builders = {
         "cw11": lambda: _cw11_background(Scalar(mu) if mu is not None
                                          else Scalar(6),
@@ -538,12 +547,12 @@ def get_background(name, mu=None, Rv=None, perturb=None):
         "e1_9": _e1_9_background,
         "e1_9_iia": _e1_9_iia_background,
     }
-    if name in builders:
-        return builders[name]()
-    for b in _d6_backgrounds():
-        if b.name == name:
-            return b
-    raise KeyError(f"unknown background id {name!r}")
+    d6 = {} if name in builders else {b.name: b for b in _d6_backgrounds()}
+    if name not in builders and name not in d6:
+        raise KeyError(f"unknown background id {name!r}")
+    if extra:
+        raise ValueError(f"{name} takes no parameter {', '.join(extra)}")
+    return builders[name]() if name in builders else d6[name]
 
 
 def verify_background(b):

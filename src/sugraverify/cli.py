@@ -6,7 +6,6 @@ Subcommands:
   susy <geometry-id>                   frame-constant supersymmetry counts
   canonicalize-cw <matrix.json>        plane-wave moduli invariant
   reduce <algebra-id> --along ...      group reduction identities
-  bench                                compare the rational backends
 
 Exit code 0 iff every requested check passes.
 """
@@ -22,6 +21,9 @@ from .liealg import CWData, cw_canonicalize, nw6, so12_so3, e15, su3
 from .kaluza import reduce_group
 from . import catalog
 from ._backend import BACKEND_NAME
+
+# what malformed input raises: a missing file, bad JSON or a bad scalar
+_INPUT_ERRORS = (OSError, KeyError, ValueError, ZeroDivisionError)
 
 
 def _emit_report(rep):
@@ -55,6 +57,14 @@ def _parse_perturb(text):
 
 
 def cmd_verify(args):
+    from_file = os.path.exists(args.background)
+    if args.background == "all" or from_file:
+        given = [f"--{k}" for k in ("mu", "r", "perturb")
+                 if getattr(args, k) is not None]
+        if given:
+            print(f"error: {args.background}: {', '.join(given)} applies "
+                  f"only to a catalog id", file=sys.stderr)
+            return 2
     if args.background == "all":
         # every catalog entry, verified in parallel, reported sorted by id
         import concurrent.futures
@@ -73,7 +83,6 @@ def cmd_verify(args):
             else:
                 print(f"{'PASS' if passed else 'FAIL'}  {name}")
         return 0 if all_ok else 1
-    from_file = os.path.exists(args.background)
     try:
         if from_file:
             b = catalog.load_background(args.background)
@@ -82,7 +91,7 @@ def cmd_verify(args):
             b = catalog.get_background(args.background, mu=args.mu,
                                        Rv=args.r, perturb=perturb)
         rep = catalog.verify_background(b)
-    except (KeyError, ValueError) as e:
+    except _INPUT_ERRORS as e:
         where = f"{args.background}: " if from_file else ""
         print(f"error: {where}{e}", file=sys.stderr)
         return 2
@@ -151,20 +160,27 @@ def cmd_susy(args):
 
 
 def cmd_canonicalize_cw(args):
-    with open(args.matrix) as fh:
-        rows = json.load(fh)
-    A = [[parse_scalar(str(x)) for x in row] for row in rows]
-    tup, degenerate, exact = cw_canonicalize(CWData(A))
+    try:
+        with open(args.matrix) as fh:
+            rows = json.load(fh)
+        if not (isinstance(rows, list) and rows and all(
+                isinstance(r, list) and len(r) == len(rows) for r in rows)):
+            raise ValueError("expected a square array of arrays")
+        A = [[parse_scalar(str(x)) for x in row] for row in rows]
+        key, degenerate = cw_canonicalize(CWData(A))
+    except _INPUT_ERRORS as e:
+        print(f"error: {args.matrix}: {e}", file=sys.stderr)
+        return 2
     out = {
-        "canonical_tuple": [str(x) for x in tup],
+        "canonical_key": [[sign, str(v)] for sign, v in key],
         "degenerate": degenerate,
-        "exact": exact,
     }
     if args.format == "json":
         print(json.dumps(out, indent=2))
     else:
-        print("canonical tuple:", ", ".join(out["canonical_tuple"]))
-        print("degenerate:", degenerate, " exact:", exact)
+        print("canonical key:", ", ".join(f"({s}, {v})"
+                                          for s, v in out["canonical_key"]))
+        print("degenerate:", degenerate)
     return 0
 
 
@@ -192,11 +208,11 @@ def _algebra_by_id(name):
 def cmd_reduce(args):
     if args.algebra == "e1_10" or args.algebra == "e1_10_flat":
         from .kaluza import reduce_flat_d11
-        comps = [parse_scalar(x) for x in args.along.split(",")]
         try:
+            comps = [parse_scalar(x) for x in args.along.split(",")]
             red = reduce_flat_d11({"type": "translation",
                                    "components": comps})
-        except ValueError as e:
+        except _INPUT_ERRORS as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
         print(json.dumps(red, indent=2) if args.format == "json"
@@ -208,13 +224,12 @@ def cmd_reduce(args):
               f"{sorted(_ALGEBRAS)}, d2n2(w1,...), and e1_10",
               file=sys.stderr)
         return 2
-    X = [parse_scalar(x) for x in args.along.split(",")]
-    if len(X) != g.dim:
-        print(f"error: expected {g.dim} components", file=sys.stderr)
-        return 2
     try:
+        X = [parse_scalar(x) for x in args.along.split(",")]
+        if len(X) != g.dim:
+            raise ValueError(f"expected {g.dim} components")
         red = reduce_group(g, X)
-    except ValueError as e:
+    except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     out = {k: bool(v) for k, v in red.checks.items()}
@@ -224,11 +239,6 @@ def cmd_reduce(args):
         for k, v in out.items():
             print(f"{'PASS' if v else 'FAIL'}  {k}")
     return 0 if red.passed else 1
-
-
-def cmd_bench(args):
-    from . import _bench
-    return _bench.run(args)
 
 
 def main(argv=None):
@@ -270,9 +280,6 @@ def main(argv=None):
                     help="comma-separated frame components")
     pr.add_argument("--format", choices=("text", "json"), default="text")
     pr.set_defaults(func=cmd_reduce)
-
-    pb = sub.add_parser("bench", help="compare rational backends")
-    pb.set_defaults(func=cmd_bench)
 
     args = parser.parse_args(argv)
     return args.func(args)

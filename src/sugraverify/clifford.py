@@ -19,7 +19,8 @@ callers that ask for it.
 """
 
 from .exactnum import Scalar, Polynomial, sqrt_scalar
-from .multilinear import QuadraticSpace, KForm, interior, wedge
+from .multilinear import QuadraticSpace, KForm, interior, wedge, \
+    accumulate
 from . import linalg
 
 __all__ = ["ComplexScalar", "CliffordRep", "build_gamma", "FrameAlgebra",
@@ -28,10 +29,6 @@ __all__ = ["ComplexScalar", "CliffordRep", "build_gamma", "FrameAlgebra",
 
 _Z = Scalar(0)
 _ONE = Scalar(1)
-
-
-def coeff_zero(c):
-    return c.is_zero()
 
 
 def coeff_partial(c, var):
@@ -338,8 +335,13 @@ def build_gamma(signature):
     (0,k) for k <= 4.  For (1,10) the normalized volume element is forced
     to act as minus the identity (flipping gamma_0 if necessary)."""
     signature = tuple(signature)
-    if signature in _REP_CACHE:
-        return _REP_CACHE[signature]
+    rep = _REP_CACHE.get(signature)
+    if rep is None:
+        rep = _REP_CACHE[signature] = _make_rep(signature)
+    return rep
+
+
+def _make_rep(signature):
     t, s = signature
     if signature == (1, 10) or signature == (1, 9):
         octs = _left_mult_spmats(8)
@@ -361,13 +363,11 @@ def build_gamma(signature):
             rep = CliffordRep(signature, gammas)
             if not rep.volume_spmat().is_minus_identity():
                 raise RuntimeError("(1,10) volume element is not -1")
-            _REP_CACHE[signature] = rep
             return rep
         rep = CliffordRep(signature, gammas)
         if rep.chirality is None or \
                 not (rep.chirality @ rep.chirality).is_identity():
             raise RuntimeError("(1,9) chirality does not square to 1")
-        _REP_CACHE[signature] = rep
         return rep
     if signature == (1, 5):
         gammas = [
@@ -378,13 +378,9 @@ def build_gamma(signature):
             _S3.tensor(_S3).tensor(_IE),
             _S3.tensor(_S3).tensor(_S1),
         ]
-        rep = CliffordRep(signature, gammas, real=False)
-        _REP_CACHE[signature] = rep
-        return rep
+        return CliffordRep(signature, gammas, real=False)
     if signature == (1, 2):
-        rep = CliffordRep(signature, [_E2, _S1, _S3])
-        _REP_CACHE[signature] = rep
-        return rep
+        return CliffordRep(signature, [_E2, _S1, _S3])
     if t == 0 and 1 <= s <= 4:
         if s == 1:
             gammas = [SPMat((0,), (1,))]
@@ -395,9 +391,7 @@ def build_gamma(signature):
         else:
             quats = _left_mult_spmats(4)
             gammas = [_b_block(l) for l in quats]
-        rep = CliffordRep(signature, gammas)
-        _REP_CACHE[signature] = rep
-        return rep
+        return CliffordRep(signature, gammas)
     raise ValueError(f"unsupported signature {signature}")
 
 
@@ -487,7 +481,7 @@ class FrameAlgebra:
         if out is None:
             out = dict(self.mono_mul(S, T))
             for mono, c in self.mono_mul(T, S).items():
-                _acc(out, mono, -c)
+                accumulate(out, mono, -c)
             self._bracket_cache[key] = out
         return out
 
@@ -502,22 +496,22 @@ class FrameAlgebra:
             s = lst[pos - 1]
             if s < b:
                 mono = tuple(lst[:pos] + [b] + lst[pos:])
-                _acc(out, mono, Scalar(sign))
+                accumulate(out, mono, Scalar(sign))
                 return out
             # contraction 2 G(s,b), with current sign
             g = G[s][b]
             if not g.is_zero():
                 mono = tuple(lst[:pos - 1] + lst[pos:])
-                _acc(out, mono, Scalar(2 * sign) * g)
+                accumulate(out, mono, Scalar(2 * sign) * g)
             if s == b:
                 # gamma_b gamma_b handled via contraction minus recursion:
                 # gamma_s gamma_b = 2G - gamma_b gamma_s kills the repeated leg
                 rest = tuple(lst[:pos - 1] + lst[pos:])
-                _acc(out, rest, Scalar(-sign) * G[b][b])
+                accumulate(out, rest, Scalar(-sign) * G[b][b])
                 return out
             sign = -sign
         mono = tuple([b] + lst)
-        _acc(out, mono, Scalar(sign))
+        accumulate(out, mono, Scalar(sign))
         return out
 
     # -- realization --------------------------------------------------------
@@ -577,15 +571,6 @@ class FrameAlgebra:
         return CliffordElement(self, {(): _ONE})
 
 
-def _acc(d, k, v):
-    if k in d:
-        v = d[k] + v
-    if v.is_zero():
-        d.pop(k, None)
-    else:
-        d[k] = v
-
-
 def _reduce_word(word, b, eta):
     """Multiply the reduced orthonormal word by gammahat_b on the right.
 
@@ -614,7 +599,7 @@ class CliffordElement:
         self.comps = {}
         if comps:
             for k, c in comps.items():
-                if not coeff_zero(c):
+                if not c.is_zero():
                     self.comps[tuple(k)] = c
 
     def is_zero(self):
@@ -624,7 +609,7 @@ class CliffordElement:
         if isinstance(other, CliffordElement):
             comps = dict(self.comps)
             for k, c in other.comps.items():
-                _acc_c(comps, k, c)
+                accumulate(comps, k, c)
             return CliffordElement(self.alg, comps)
         return NotImplemented
 
@@ -645,7 +630,7 @@ class CliffordElement:
             for t, ct in other.comps.items():
                 c = cs * ct
                 for mono, f in self.alg.mono_mul(s, t).items():
-                    _acc_c(comps, mono, c * f)
+                    accumulate(comps, mono, c * f)
         return CliffordElement(self.alg, comps)
 
     __rmul__ = scale
@@ -661,7 +646,7 @@ class CliffordElement:
                     continue
                 c = cs * ct
                 for mono, f in br.items():
-                    _acc_c(comps, mono, c * f)
+                    accumulate(comps, mono, c * f)
         return CliffordElement(self.alg, comps)
 
     def partial(self, var):
@@ -687,7 +672,7 @@ class CliffordElement:
                 cw = c * w
                 perm, vals = sp.perm, sp.vals
                 for j, x in spinor.items():
-                    _acc_c(out, perm[j], _unit_scale(cw * x, vals[j]))
+                    accumulate(out, perm[j], _unit_scale(cw * x, vals[j]))
         return out
 
     def realize(self):
@@ -719,15 +704,6 @@ class CliffordElement:
             for k, c in sorted(self.comps.items()))
 
     __repr__ = __str__
-
-
-def _acc_c(d, k, v):
-    if k in d:
-        v = d[k] + v
-    if coeff_zero(v):
-        d.pop(k, None)
-    else:
-        d[k] = v
 
 
 def _unit_scale(x, u):
@@ -786,15 +762,11 @@ def omega_xf(X, F, alg):
     space = alg.space
     low = space.lower_vector(X)
     xflat = KForm(space, 1, {(i,): low[i] for i in range(space.dim)
-                             if _nzc(low[i])})
+                             if not low[i].is_zero()})
     term1 = clifford_action(wedge(xflat, F), alg)
     term2 = clifford_action(interior(X, F), alg)
     return term1.scale(Scalar.from_rational(1, 12)) \
         - term2.scale(Scalar.from_rational(1, 6))
-
-
-def _nzc(c):
-    return not c.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +791,7 @@ def spinor_to_vector(eps1, eps2, alg):
         s = _Z
         for j, x in alg.element({(a,): _ONE}).apply(psi).items():
             p, u = C.column(j)
-            if not coeff_zero(eps1[p]):
+            if not eps1[p].is_zero():
                 s = s + eps1[p] * _unit_scale(x, u)
         V_low.append(s)
     return [sum((alg.space.metric_inv[a][b] * V_low[b] for b in range(n)),
@@ -828,7 +800,7 @@ def spinor_to_vector(eps1, eps2, alg):
 
 def _sparse(col):
     """A dense spinor as {index: component}."""
-    return {i: x for i, x in enumerate(col) if not coeff_zero(x)}
+    return {i: x for i, x in enumerate(col) if not x.is_zero()}
 
 
 def kernel_dim(ops, alg, columns=None):
@@ -863,7 +835,7 @@ def _coordinate_parts(op):
     parts = {}
     for mono, c in op.comps.items():
         for key, k in _coeff_terms(c).items():
-            _acc_c(parts.setdefault(key, {}), mono, k)
+            accumulate(parts.setdefault(key, {}), mono, k)
     return [CliffordElement(op.alg, p) for p in parts.values()]
 
 
@@ -903,7 +875,7 @@ def chiral_basis(alg, sign):
         img = {}
         for i, x in col.items():
             q, u = chi.column(i)
-            _acc_c(img, q, _unit_scale(x, u))
+            accumulate(img, q, _unit_scale(x, u))
         if img.keys() == col.keys() and \
                 all((img[i] - s * x).is_zero() for i, x in col.items()):
             out.append([col.get(i, zero) for i in range(N)])

@@ -23,7 +23,7 @@ from itertools import combinations
 
 from .exactnum import Scalar, Polynomial
 from .multilinear import QuadraticSpace, KForm, BiSymTensor, sort_sign, \
-    form_component, signature
+    form_component, signature, accumulate
 from . import linalg
 
 __all__ = ["CoordinatePatch", "cw_patch", "christoffel", "riemann", "ricci",
@@ -281,7 +281,7 @@ def covariant_derivative_form(F, p):
         for idx, c in F.components.items():
             dc = p.partial(c, mu)
             if dc is not None:
-                _acc_form(comps, idx, dc)
+                accumulate(comps, idx, dc)
             # (nabla_mu F)_J -= Gamma^{i}_{mu j} F_{J|pos: j -> i}: the stored
             # component at idx feeds outputs with slot pos replaced by j
             for pos, i in enumerate(idx):
@@ -296,18 +296,9 @@ def covariant_derivative_form(F, p):
                     term = c * gma
                     if sign < 0:
                         term = -term
-                    _acc_form(comps, srt, -term)
+                    accumulate(comps, srt, -term)
         out[mu] = KForm(p.space, F.degree, comps)
     return out
-
-
-def _acc_form(comps, idx, val):
-    if idx in comps:
-        val = comps[idx] + val
-    if val.is_zero():
-        comps.pop(idx, None)
-    else:
-        comps[idx] = val
 
 
 # ---------------------------------------------------------------------------

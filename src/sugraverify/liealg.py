@@ -464,9 +464,11 @@ def cw_algebra(data):
     invariance facts checked on construction)."""
     out = CWAlgebra(data)
     status, witness = out.jacobi()
-    assert status == "pass", f"Jacobi fails at {witness}"
-    assert out.symmetric_split_check()
-    assert out.k_invariance_check()
+    if status != "pass":
+        raise RuntimeError(f"CW Jacobi identity fails at {witness}")
+    if not (out.symmetric_split_check() and out.k_invariance_check()):
+        raise RuntimeError("CW algebra: symmetric split or k-invariance "
+                           "fails")
     return out
 
 
@@ -474,136 +476,29 @@ def cw_algebra(data):
 # moduli of Cahen-Wallach metrics
 # ---------------------------------------------------------------------------
 
-def _rational_eigenvalues(A):
-    """Exact eigenvalues of a symmetric matrix with rational entries, when
-    they stay inside the flat tower.  Returns (list of Scalars, exact_flag);
-    on failure the numeric fallback is used and flagged."""
-    m = len(A)
-    # integerize: scaling A by the lcm of denominators scales eigenvalues
-    # by the same factor which the caller undoes
-    coeffs = linalg.charpoly(A)
-    # rational roots p/q of the monic charpoly over Q: substitute and deflate
-    poly = [c for c in coeffs]          # index k = coefficient of x^k
-    roots = []
-
-    def deflate(p, r):
-        # synthetic division by (x - r)
-        n = len(p) - 1
-        out = [Scalar(0)] * n
-        out[n - 1] = p[n]
-        for k in range(n - 2, -1, -1):
-            out[k] = p[k + 1] + r * out[k + 1]
-        return out
-
-    work = poly
-    # search rational roots among divisors of the constant term times signs;
-    # the constant term of the integerized charpoly is an integer but after
-    # Faddeev-LeVerrier the coefficients are rational: clear denominators
-    while len(work) > 1:
-        n = len(work) - 1
-        if n <= 0:
-            break
-        if work[0].is_zero():
-            roots.append(Scalar(0))
-            work = deflate(work, Scalar(0))
-            continue
-        if n == 1:
-            roots.append(-work[0] / work[1])
-            break
-        if n == 2:
-            a, b, c = work[2], work[1], work[0]
-            disc = b * b - Scalar(4) * a * c
-            if disc.sign() < 0:
-                return None, False
-            try:
-                sq = sqrt_scalar(disc)
-            except ValueError:
-                return None, False
-            half = (Scalar(2) * a).inverse()
-            roots.append((-b + sq) * half)
-            roots.append((-b - sq) * half)
-            work = []
-            break
-        root = _find_rational_root(work)
-        if root is None:
-            return None, False
-        roots.append(root)
-        work = deflate(work, root)
-    return roots, True
-
-
-def _find_rational_root(poly):
-    """Rational root of a monic-rational polynomial via divisor search."""
-    import math
-    lcm = 1
-    for c in poly:
-        if not c.is_zero():
-            lcm = lcm * int(c.rational_value().denominator) // math.gcd(
-                lcm, int(c.rational_value().denominator))
-    ip = [int(c.rational_value() * lcm) for c in poly]
-    lead = ip[-1]
-    const = ip[0]
-    if const == 0:
-        return Scalar(0)
-
-    def divisors(k):
-        k = abs(k)
-        out = set()
-        d = 1
-        while d * d <= k:
-            if k % d == 0:
-                out.add(d)
-                out.add(k // d)
-            d += 1
-        return sorted(out)
-
-    def evl(x):
-        acc = Scalar(0)
-        for c in reversed(poly):
-            acc = acc * x + c
-        return acc
-
-    for p in divisors(const):
-        for q in divisors(lead):
-            for sgn in (1, -1):
-                cand = Scalar.from_rational(sgn * p, q)
-                if evl(cand).is_zero():
-                    return cand
-    return None
-
-
 def cw_canonicalize(data):
-    """Canonical invariant of a Cahen-Wallach metric: eigenvalues of A
-    sorted ascending and normalized to unit euclidean norm, plus a
-    degeneracy flag (det A = 0 exactly).  Two CW metrics are isometric iff
-    their canonical tuples agree (orthogonal conjugation and positive
-    scaling quotiented out).  Returns (tuple_of_Scalars, degenerate,
-    exact_flag)."""
+    """Exact invariant of a Cahen-Wallach metric up to isometry, i.e. of its
+    symmetric profile A up to orthogonal conjugation and positive scale.
+
+    With p(x) = sum c_k x^k the characteristic polynomial of the m x m
+    matrix A (c_{m-j} = (-1)^j e_j(eigenvalues)) and t = tr A^2, the key is
+    ((sign c_{m-j}, c_{m-j}^2 / t^j) for j = 1..m).  Each entry is
+    invariant under A -> c O^T A O with c > 0, and the key fixes the
+    characteristic polynomial of A / sqrt(t), hence the spectrum up to
+    scale: two profiles are equivalent iff their keys agree.  A = 0 (t = 0)
+    gets the all-zero key.  Returns (key, degenerate) with degenerate iff
+    det A = 0."""
     A = data.A
-    degenerate = data.is_degenerate()
-    eigs, exact = _rational_eigenvalues(A)
-    if not exact:
-        import numpy as np
-        arr = np.array([[float(x) for x in row] for row in A])
-        vals = sorted(np.linalg.eigvalsh(arr))
-        norm = sum(v * v for v in vals) ** 0.5
-        if norm == 0:
-            return tuple(vals), degenerate, False
-        return tuple(v / norm for v in vals), degenerate, False
-    eigs.sort()
-    norm2 = Scalar(0)
-    for v in eigs:
-        norm2 = norm2 + v * v
-    if norm2.is_zero():
-        return tuple(eigs), degenerate, True
-    try:
-        inv = sqrt_scalar(norm2).inverse()
-    except ValueError:
-        # eigenvalues exact but the norm leaves the flat tower: compare via
-        # the squared invariant instead
-        num = tuple((v.sign(), v * v * norm2.inverse()) for v in eigs)
-        return num, degenerate, True
-    return tuple(v * inv for v in eigs), degenerate, True
+    m = len(A)
+    coeffs = linalg.charpoly(A)
+    t = sum((x * x for row in A for x in row), _Z)
+    key = []
+    tj = Scalar(1)
+    for j in range(1, m + 1):
+        c = coeffs[m - j]
+        tj = tj * t
+        key.append((c.sign(), _Z if c.is_zero() else c * c / tj))
+    return tuple(key), coeffs[0].is_zero()
 
 
 # ---------------------------------------------------------------------------

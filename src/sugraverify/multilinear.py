@@ -26,7 +26,7 @@ from . import linalg
 __all__ = ["QuadraticSpace", "KForm", "BiSymTensor", "wedge", "interior",
            "interior_frame", "hodge", "form_inner", "kulkarni_nomizu",
            "plucker_check", "lambda_action", "sort_sign", "form_component",
-           "signature"]
+           "signature", "accumulate"]
 
 _Z = Scalar(0)
 
@@ -195,7 +195,7 @@ class KForm:
         self.components = {}
         if components:
             for idx, c in components.items():
-                if _nz(c):
+                if not c.is_zero():
                     if len(idx) != degree or list(idx) != sorted(set(idx)):
                         raise ValueError(f"bad index tuple {idx}")
                     self.components[tuple(idx)] = c
@@ -224,12 +224,7 @@ class KForm:
             raise ValueError("can only add forms of equal degree on one space")
         comps = dict(self.components)
         for idx, c in other.components.items():
-            s = comps.get(idx)
-            s = c if s is None else s + c
-            if _nz(s):
-                comps[idx] = s
-            else:
-                comps.pop(idx, None)
+            accumulate(comps, idx, c)
         return KForm(self.space, self.degree, comps)
 
     def __neg__(self):
@@ -257,10 +252,6 @@ class KForm:
         return hash((id(self.space), self.degree,
                      frozenset(self.components.keys())))
 
-    def map_coeff(self, f):
-        return KForm(self.space, self.degree,
-                     {i: f(c) for i, c in self.components.items()})
-
     def __str__(self):
         if not self.components:
             return "0"
@@ -274,8 +265,14 @@ class KForm:
     __repr__ = __str__
 
 
-def _nz(c):
-    return not c.is_zero() if hasattr(c, "is_zero") else bool(c)
+def accumulate(d, key, v):
+    """d[key] += v, dropping the key when the sum is zero."""
+    if key in d:
+        v = d[key] + v
+    if v.is_zero():
+        d.pop(key, None)
+    else:
+        d[key] = v
 
 
 def _merge_sign(a, b):
@@ -315,12 +312,7 @@ def wedge(a, b):
             c = ca * cb
             if sign < 0:
                 c = -c
-            s = comps.get(idx)
-            s = c if s is None else s + c
-            if _nz(s):
-                comps[idx] = s
-            else:
-                comps.pop(idx, None)
+            accumulate(comps, idx, c)
     return KForm(a.space, deg, comps)
 
 
@@ -359,18 +351,13 @@ def interior(v, a):
     for idx, c in a.components.items():
         for pos, i in enumerate(idx):
             vi = v[i]
-            if not _nz(vi):
+            if vi.is_zero():
                 continue
             rest = idx[:pos] + idx[pos + 1:]
             term = c * vi
             if pos % 2:
                 term = -term
-            s = comps.get(rest)
-            s = term if s is None else s + term
-            if _nz(s):
-                comps[rest] = s
-            else:
-                comps.pop(rest, None)
+            accumulate(comps, rest, term)
     return KForm(a.space, a.degree - 1, comps)
 
 
@@ -414,7 +401,8 @@ def hodge(a):
         # coefficient of e^J in *a:  (*a)_J such that  b ^ *a = <b,a> vol
         comp = tuple(i for i in all_idx if i not in J)   # complement, increasing
         sign, merged = _merge_sign(comp, J)
-        assert merged == all_idx
+        if merged != all_idx:
+            raise RuntimeError(f"{comp} and {J} do not partition the frame")
         total = None
         for ia, ca in a.components.items():
             g = space.gram_minor(comp, ia)
@@ -427,7 +415,7 @@ def hodge(a):
         c = total * volc
         if sign < 0:
             c = -c
-        if _nz(c):
+        if not c.is_zero():
             comps[J] = c
     return KForm(space, n - k, comps)
 
@@ -454,9 +442,10 @@ class BiSymTensor:
         self.components = {}
         if components:
             for key, c in components.items():
-                if _nz(c):
+                if not c.is_zero():
                     i, j, k, l = key
-                    assert i < j and k < l and (i, j) <= (k, l), key
+                    if not (i < j and k < l and (i, j) <= (k, l)):
+                        raise ValueError(f"non-canonical key {key}")
                     self.components[key] = c
 
     @staticmethod
@@ -467,7 +456,7 @@ class BiSymTensor:
         for pi, (i, j) in enumerate(pairs):
             for (k, l) in pairs[pi:]:
                 c = f(i, j, k, l)
-                if _nz(c):
+                if not c.is_zero():
                     comps[(i, j, k, l)] = c
         return BiSymTensor(space, comps)
 
@@ -494,12 +483,7 @@ class BiSymTensor:
     def __add__(self, other):
         comps = dict(self.components)
         for key, c in other.components.items():
-            s = comps.get(key)
-            s = c if s is None else s + c
-            if _nz(s):
-                comps[key] = s
-            else:
-                comps.pop(key, None)
+            accumulate(comps, key, c)
         return BiSymTensor(self.space, comps)
 
     def __sub__(self, other):
@@ -508,10 +492,6 @@ class BiSymTensor:
     def scale(self, c):
         return BiSymTensor(self.space,
                            {k: v * c for k, v in self.components.items()})
-
-    def map_coeff(self, f):
-        return BiSymTensor(self.space,
-                           {k: f(c) for k, c in self.components.items()})
 
     def first_nonzero(self):
         for key in sorted(self.components):
@@ -531,7 +511,7 @@ class BiSymTensor:
                         if ginv[a][b].is_zero():
                             continue
                         c = self.get(a, y, z, b)
-                        if not _nz(c):
+                        if c.is_zero():
                             continue
                         term = ginv[a][b] * c
                         total = term if total is None else total + term
@@ -550,7 +530,7 @@ class BiSymTensor:
                 i, j, k = (quad[x] for x in range(4) if x != w)
                 s = self.get(i, j, k, l) + self.get(j, k, i, l) \
                     + self.get(k, i, j, l)
-                if _nz(s):
+                if not s.is_zero():
                     return (i, j, k, l), s
         return None
 
@@ -628,10 +608,5 @@ def lambda_action(omega, F):
                     continue
                 if sign < 0:
                     c = -c
-                s = comps.get(srt)
-                s = c if s is None else s + c
-                if _nz(s):
-                    comps[srt] = s
-                else:
-                    comps.pop(srt, None)
+                accumulate(comps, srt, c)
     return KForm(space, F.degree, comps)

@@ -1,8 +1,10 @@
+import ast
 import json
 import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -99,8 +101,9 @@ def test_builtin_catalog_size_and_verification():
 def test_builtin_cw_profiles_nondegenerate():
     for name in ("cw11", "cw10"):
         b = get_background(name)
-        tup, degenerate, exact = cw_canonicalize(b.cw_data)
-        assert exact and not degenerate
+        key, degenerate = cw_canonicalize(b.cw_data)
+        assert not degenerate
+        assert all(sign == 1 for sign, _ in key)     # A negative definite
 
 
 def test_susy_count_annotated_sector():
@@ -267,6 +270,22 @@ def test_cli_verify_rejects_a_bad_perturbation_key():
         assert "--perturb" in err and bad in err, err
 
 
+def test_cli_verify_parameter_the_id_does_not_take_exits_2(tmp_path):
+    code, out, err = run_cli("verify", "e1_10", "--perturb", "A11=+1")
+    assert code == 2, (out, err)
+    assert "e1_10 takes no parameter perturb" in err, err
+    with pytest.raises(ValueError, match="takes no parameter mu"):
+        get_background("ads4xs7", mu=2)
+    code, out, err = run_cli("verify", "all", "--perturb", "A11=+1")
+    assert code == 2 and not out, (out, err)
+    assert "--perturb applies only to a catalog id" in err, err
+    path = tmp_path / "ads4xs7.json"
+    path.write_text(json.dumps(ads4xs7_document([0, 1, 2, 3])))
+    code, out, err = run_cli("verify", str(path), "--mu", "2")
+    assert code == 2 and not out, (out, err)
+    assert str(path) in err and "--mu" in err, err
+
+
 def test_cli_verify_unknown_id():
     code, _, err = run_cli("verify", "nosuchthing")
     assert code == 2
@@ -296,8 +315,52 @@ def test_cli_canonicalize(tmp_path):
     path.write_text(json.dumps([["-4", "0"], ["0", "-1"]]))
     code, out, _ = run_cli("canonicalize-cw", str(path), "--format", "json")
     assert code == 0
-    doc = json.loads(out)
-    assert doc["degenerate"] is False and doc["exact"] is True
+    # p(x) = x^2 + 5x + 4 and tr A^2 = 17
+    assert json.loads(out) == {"canonical_key": [[1, "25/17"], [1, "16/289"]],
+                               "degenerate": False}
+
+
+def test_cli_canonicalize_large_primes_exactly_without_numpy(tmp_path):
+    vals = [1000003, 1000033, 999983]
+    path = tmp_path / "m.json"
+    rows = [[str(v) if i == j else "0" for j in range(3)]
+            for i, v in enumerate(vals)]
+    path.write_text(json.dumps(rows))
+    script = ("import json, sys; from sugraverify.cli import main; "
+              f"main(['canonicalize-cw', {str(path)!r}, '--format', 'json']); "
+              "print(json.dumps('numpy' in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    doc, numpy_loaded = proc.stdout.rstrip().rsplit("\n", 1)
+    assert numpy_loaded == "false"
+    e1, e2, e3 = (sum(vals), vals[0] * vals[1] + vals[0] * vals[2]
+                  + vals[1] * vals[2], vals[0] * vals[1] * vals[2])
+    t = sum(v * v for v in vals)
+    want = [[-1, Fraction(e1 ** 2, t)], [1, Fraction(e2 ** 2, t ** 2)],
+            [-1, Fraction(e3 ** 2, t ** 3)]]
+    assert json.loads(doc) == {"canonical_key": [[s, str(v)] for s, v in want],
+                               "degenerate": False}
+
+
+BAD_PROFILES = {
+    "missing": (None, "No such file"),
+    "nonsymmetric": (json.dumps([["1", "2"], ["0", "1"]]), "symmetric"),
+    "invalid": ("[[1, 2], [2", "Expecting"),
+    "badscalar": (json.dumps([["1", "x"], ["x", "1"]]), "unbound parameter"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_PROFILES))
+def test_cli_canonicalize_rejects_bad_input(tmp_path, name):
+    text, message = BAD_PROFILES[name]
+    path = tmp_path / f"{name}.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli("canonicalize-cw", str(path))
+    assert code == 2 and not out, (out, err)
+    assert err.startswith(f"error: {path}: ") and message in err, err
+    assert "Traceback" not in err, err
 
 
 def test_cli_reduce():
@@ -305,6 +368,15 @@ def test_cli_reduce():
     assert code == 0 and "PASS" in out
     code, _, err = run_cli("reduce", "nw6", "--along", "1,0,0,0,0,0")
     assert code == 2 and "spacelike" in err
+
+
+def test_cli_reduce_rejects_a_bad_direction():
+    for algebra in ("nw6", "e1_10"):
+        code, out, err = run_cli("reduce", algebra, "--along", "a,b")
+        assert code == 2 and not out, (algebra, out, err)
+        assert err == "error: unbound parameter 'a'\n", err
+    code, _, err = run_cli("reduce", "nw6", "--along", "1,0")
+    assert code == 2 and "expected 6 components" in err, err
 
 
 def test_cli_verify_all_parallel():
@@ -315,15 +387,6 @@ def test_cli_verify_all_parallel():
     names = [l.split()[1] for l in lines]
     assert names == sorted(names)
     assert all(l.startswith("PASS") for l in lines)
-
-
-def test_cli_bench_times_the_installed_backends():
-    code, out, err = run_cli("bench")
-    assert code == 0, err
-    header = next(l for l in out.splitlines() if l.startswith("workload"))
-    columns = header.split()
-    assert "fractions" in columns
-    assert "gmpy2" in columns or "gmpy2: not installed" in out, out
 
 
 def test_report_directory_env_var(tmp_path):
@@ -424,3 +487,16 @@ def test_installed_console_script():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "E(1,9)" in proc.stdout
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so invariants must raise
+    pkg = os.path.dirname(catalog.__file__)
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []

@@ -1,9 +1,13 @@
+import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sugraverify import linalg
-from sugraverify.exactnum import Scalar, sqrt_scalar
+from sugraverify.exactnum import Scalar
 from sugraverify.multilinear import KForm, hodge, form_inner, interior
 from sugraverify.liealg import (
     MetricLieAlgebra, CWData, jacobi_check, invariance_check,
@@ -178,28 +182,42 @@ def test_cw11_profile_matches_theorem_data():
 
 
 def test_cw_canonicalize_scale_and_permutation_quotient():
-    t1, d1, e1 = cw_canonicalize(CWData.diagonal([1, 2]))
-    t2, d2, e2 = cw_canonicalize(CWData.diagonal([4, 8]))
-    t3, d3, e3 = cw_canonicalize(CWData.diagonal([2, 1]))
-    assert e1 and e2 and e3
+    t1, d1 = cw_canonicalize(CWData.diagonal([1, 2]))
+    t2, d2 = cw_canonicalize(CWData.diagonal([4, 8]))
+    t3, d3 = cw_canonicalize(CWData.diagonal([2, 1]))
     assert t1 == t2 == t3
     assert not (d1 or d2 or d3)
+
+
+def key_from_eigenvalues(vals):
+    """The key from the elementary symmetric functions e_j of the
+    eigenvalues: c_{m-j} = (-1)^j e_j and tr A^2 = sum of squares."""
+    vals = [Fraction(v) for v in vals]
+    t = sum(v * v for v in vals)
+    key = []
+    for j in range(1, len(vals) + 1):
+        e = sum(math.prod(sub) for sub in itertools.combinations(vals, j))
+        c = (-1) ** j * e
+        q = c * c / t ** j if c else Fraction(0)
+        key.append(((c > 0) - (c < 0), R(q.numerator, q.denominator)))
+    return tuple(key)
 
 
 def test_cw_canonicalize_d11_matrix():
     mu = S(6)
     vals = [mu * mu * R(-1, 36) * S(k) for k in [4, 4, 4, 1, 1, 1, 1, 1, 1]]
-    tup, degenerate, exact = cw_canonicalize(CWData.diagonal(vals))
-    assert exact and not degenerate
-    # proportional to (-4,-4,-4,-1,...,-1)/sqrt(54), ascending
-    norm = sqrt_scalar(S(48 + 6))
-    want = sorted([S(-4) / norm] * 3 + [S(-1) / norm] * 6)
-    assert list(tup) == want
+    key, degenerate = cw_canonicalize(CWData.diagonal(vals))
+    assert not degenerate
+    assert key == key_from_eigenvalues([-4] * 3 + [-1] * 6)
+    assert key[0] == (1, S(18 * 18 // 54))      # e1^2 / tr A^2
 
 
 def test_cw_canonicalize_degenerate_flag():
-    tup, degenerate, exact = cw_canonicalize(CWData.diagonal([1, 0, 2]))
-    assert degenerate and exact
+    key, degenerate = cw_canonicalize(CWData.diagonal([1, 0, 2]))
+    assert degenerate
+    assert key[-1] == (0, S(0))                 # det A = 0
+    zero, degenerate = cw_canonicalize(CWData.diagonal([0, 0]))
+    assert degenerate and zero == ((0, S(0)), (0, S(0)))
 
 
 def _pythagorean_rotation(rng, n):
@@ -234,9 +252,8 @@ def test_cw_canonicalize_invariance_under_conjugation_and_scale():
         A2 = linalg.mat_scale(
             linalg.mat_mul(linalg.transpose(O),
                            linalg.mat_mul(D.A, O)), c)
-        t1, d1, e1 = cw_canonicalize(D)
-        t2, d2, e2 = cw_canonicalize(CWData(A2))
-        assert e1 and e2
+        t1, d1 = cw_canonicalize(D)
+        t2, d2 = cw_canonicalize(CWData(A2))
         assert t1 == t2, f"trial {trial}: {t1} vs {t2}"
         assert d1 == d2 == (0 in diag)
 
@@ -384,23 +401,70 @@ def test_d2n2_weight_normalization():
         normalize_weights([1, 0])
 
 
-def test_cw_canonicalize_numeric_fallback_flagged():
-    # symmetric profile whose eigenvalues leave the flat tower: the
-    # canonicalization falls back to floats and says so
-    import itertools
-    found = None
+def test_cw_canonicalize_irreducible_spectra_agree_on_conjugates():
+    # profiles whose integer characteristic cubic has no rational root, so
+    # their eigenvalues leave the flat tower: conjugate copies still agree
+    rng = random.Random(7)
+    irreducible = 0
     for vals in itertools.product([-2, -1, 0, 1, 2, 3], repeat=3):
         A = [[S(1), S(vals[0]), S(vals[1])],
              [S(vals[0]), S(2), S(vals[2])],
              [S(vals[1]), S(vals[2]), S(3)]]
-        try:
-            tup, deg, exact = cw_canonicalize(CWData(A))
-        except Exception:
+        p = [int(str(c)) for c in linalg.charpoly(A)]
+        roots = [r for d in range(1, abs(p[0]) + 1) if p[0] % d == 0
+                 for r in (d, -d)]
+        if p[0] == 0 or any(sum(c * r ** k for k, c in enumerate(p)) == 0
+                            for r in roots):
             continue
-        if not exact:
-            found = (tup, deg)
-            break
-    assert found is not None
-    tup, deg = found
-    norm = sum(v * v for v in tup)
-    assert abs(norm - 1.0) < 1e-9
+        irreducible += 1
+        O = _pythagorean_rotation(rng, 3)
+        A2 = linalg.mat_scale(
+            linalg.mat_mul(linalg.transpose(O), linalg.mat_mul(A, O)),
+            R(rng.randint(1, 5), rng.randint(1, 5)))
+        assert cw_canonicalize(CWData(A2)) == cw_canonicalize(CWData(A)), vals
+    assert irreducible == 179                   # of the 216 profiles
+
+
+@st.composite
+def _profile_and_motion(draw):
+    """A symmetric integer profile, a rational Cayley rotation
+    O = (I - S)(I + S)^-1 with S skew and integer, and a positive scale."""
+    m = draw(st.integers(2, 4))
+    entry = st.integers(-4, 4)
+    A = linalg.zeros(m, m)
+    S_ = linalg.zeros(m, m)
+    for i in range(m):
+        for j in range(i, m):
+            A[i][j] = A[j][i] = S(draw(entry))
+            if j > i:
+                S_[i][j] = S(draw(st.integers(-3, 3)))
+                S_[j][i] = -S_[i][j]
+    I = linalg.eye(m)
+    O = linalg.mat_mul(linalg.mat_sub(I, S_),
+                       linalg.inverse(linalg.mat_add(I, S_)))
+    c = R(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    return A, O, c
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_profile_and_motion())
+def test_cw_key_is_invariant_under_cayley_rotations_and_scale(case):
+    A, O, c = case
+    assert linalg.mat_eq_zero(linalg.mat_sub(
+        linalg.mat_mul(linalg.transpose(O), O), linalg.eye(len(A))))
+    A2 = linalg.mat_scale(
+        linalg.mat_mul(linalg.transpose(O), linalg.mat_mul(A, O)), c)
+    assert cw_canonicalize(CWData(A2)) == cw_canonicalize(CWData(A))
+    trace = sum((A[i][i] for i in range(len(A))), S(0))
+    if not trace.is_zero():
+        minus = linalg.mat_scale(A, S(-1))
+        assert cw_canonicalize(CWData(minus))[0] != cw_canonicalize(
+            CWData(A))[0]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=5))
+def test_cw_key_of_a_diagonal_profile_is_its_symmetric_functions(vals):
+    key, degenerate = cw_canonicalize(CWData.diagonal(vals))
+    assert key == key_from_eigenvalues(vals)
+    assert degenerate == (0 in vals)
