@@ -13,7 +13,7 @@ The elementary factors and their torsion/dilaton classes:
     CW2n      2n   dH = 0, |H|^2 = 0        phi(x-)
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exactnum import Scalar, Polynomial, sqrt_scalar, parse_scalar
 from .multilinear import KForm
@@ -34,13 +34,10 @@ _Z = Scalar(0)
 R_ = Scalar.from_rational
 
 
-@dataclass(frozen=True)
-class ElementaryFactor:
-    name: str
-    dim: int
-    lorentzian: bool
-    torsion: str            # "neg" | "zero-flat" | "pos" | "pos-nonclosed" | "null"
-    dilaton: str            # "constant" | "unconstrained" | "xminus"
+# torsion: "neg" | "zero-flat" | "pos" | "pos-nonclosed" | "null"
+# dilaton: "constant" | "unconstrained" | "xminus"
+ElementaryFactor = namedtuple("ElementaryFactor",
+                              "name dim lorentzian torsion dilaton")
 
 
 FACTORS = {
@@ -57,14 +54,14 @@ FACTORS = {
 }
 
 
-@dataclass(frozen=True)
-class GeometryProduct:
-    """Multiset of elementary factors making a ten-dimensional spacetime."""
-    lorentz: str                      # AdS3 | CWn | E(1,0)
-    spheres: int = 0                  # number of S3 factors
-    s7: int = 0
-    su3: int = 0
-    flats: int = 0                    # spacelike flat directions
+class GeometryProduct(namedtuple("GeometryProduct",
+                                 "lorentz spheres s7 su3 flats",
+                                 defaults=(0, 0, 0, 0))):
+    """Multiset of elementary factors making a ten-dimensional spacetime:
+    the lorentzian factor (AdS3, CWn or E(1,0)), the numbers of S3, S7 and
+    SU(3) factors, and the number of spacelike flat directions."""
+
+    __slots__ = ()
 
     @property
     def dim(self):
@@ -113,12 +110,9 @@ def enumerate_parallelisable(total_dim=10):
     return sorted(out, key=lambda p: p.display())
 
 
-@dataclass
-class DilatonSolution:
-    accepted: bool
-    pattern: str = ""
-    reason: str = ""
-    constraint: str = ""
+DilatonSolution = namedtuple("DilatonSolution",
+                             "accepted pattern reason constraint",
+                             defaults=("", "", ""))
 
 
 def solve_dilaton(p):

@@ -18,7 +18,7 @@ spinor_dim x spinor_dim matrix is built; realize() builds one only for
 callers that ask for it.
 """
 
-from .exactnum import Scalar, Polynomial, sqrt_scalar
+from .exactnum import Scalar, Polynomial, ZERO, ONE, sqrt_scalar
 from .multilinear import QuadraticSpace, KForm, interior, wedge, \
     accumulate
 from . import linalg
@@ -27,8 +27,8 @@ __all__ = ["ComplexScalar", "CliffordRep", "build_gamma", "FrameAlgebra",
            "CliffordElement", "clifford_action", "omega_xf",
            "spinor_to_vector", "kernel_dim"]
 
-_Z = Scalar(0)
-_ONE = Scalar(1)
+_Z = ZERO
+_ONE = ONE
 
 
 def coeff_partial(c, var):
@@ -39,26 +39,25 @@ def coeff_partial(c, var):
     return _Z
 
 
+_REAL = (int, Scalar, Polynomial)
+
+
+def _from_int(n):
+    return ZERO if n == 0 else ONE if n == 1 else Scalar(n)
+
+
 class ComplexScalar:
     """a + b*i with exact real/imaginary parts (Scalar or Polynomial)."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if not isinstance(re, int) else Scalar(re)
-        self.im = im if not isinstance(im, int) else Scalar(im)
+        self.re = re if not isinstance(re, int) else _from_int(re)
+        self.im = im if not isinstance(im, int) else _from_int(im)
 
     @staticmethod
     def i():
         return ComplexScalar(0, 1)
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, ComplexScalar):
-            return x
-        if isinstance(x, (int, Scalar, Polynomial)):
-            return ComplexScalar(x if not isinstance(x, int) else Scalar(x), 0)
-        return None
 
     def is_zero(self):
         return self.re.is_zero() and self.im.is_zero()
@@ -69,11 +68,14 @@ class ComplexScalar:
     def conj(self):
         return ComplexScalar(self.re, -self.im)
 
+    # a real operand (int, Scalar or Polynomial) acts on re and im directly
+
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexScalar(self.re + o.re, self.im + o.im)
+        if isinstance(other, ComplexScalar):
+            return ComplexScalar(self.re + other.re, self.im + other.im)
+        if isinstance(other, _REAL):
+            return ComplexScalar(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -81,20 +83,22 @@ class ComplexScalar:
         return ComplexScalar(-self.re, -self.im)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        if isinstance(other, ComplexScalar):
+            return ComplexScalar(self.re - other.re, self.im - other.im)
+        if isinstance(other, _REAL):
+            return ComplexScalar(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexScalar(self.re * o.re - self.im * o.im,
-                             self.re * o.im + self.im * o.re)
+        if isinstance(other, ComplexScalar):
+            return ComplexScalar(self.re * other.re - self.im * other.im,
+                                 self.re * other.im + self.im * other.re)
+        if isinstance(other, _REAL):
+            return ComplexScalar(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -106,14 +110,14 @@ class ComplexScalar:
         return ComplexScalar(self.re * ninv, -self.im * ninv)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        return self * o.inverse()
+        if not isinstance(other, ComplexScalar):
+            other = ComplexScalar(other)
+        return self * other.inverse()
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (ComplexScalar, int, Scalar, Polynomial)):
             return NotImplemented
-        return (self - o).is_zero()
+        return (self - other).is_zero()
 
     def __hash__(self):
         return hash((self.re, self.im))

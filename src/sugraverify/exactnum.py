@@ -2,25 +2,44 @@
 
 A Scalar is a finite sum  sum_r  c_r * sqrt(r)  where each radicand r is a
 positive square-free integer (r = 1 for the rational part) and each c_r is an
-exact rational.  The representation is canonical: zero coefficients are never
-stored, so equality is dictionary equality.  The tower is flat by design --
-sqrt of a non-rational Scalar is rejected rather than nested.
+exact rational.  The rational part is held directly and the other terms in
+a radicand map that a rational value does not have, so the rational
+arithmetic that dominates costs one rational operation.  The representation
+is canonical: zero coefficients are never stored, so equality is equality of
+the parts.  The tower is flat by design -- sqrt of a non-rational Scalar is
+rejected rather than nested.
 
 Polynomials are multivariate over Scalar with a sparse exponent-tuple
 representation and are used for coordinate-dependent tensor components.
 """
 
-from math import isqrt
+from math import gcd, isqrt
 
-from ._backend import RAT, RAT_ZERO, rat
+from ._backend import RAT, RAT_ONE, RAT_ZERO, rat
 
 __all__ = ["Scalar", "Polynomial", "parse_scalar", "sqrt_scalar"]
 
 
+# trial division covers the divisors up to _TRIAL_BOUND; a cofactor below
+# its cube has at most two prime factors, so it is still factored exactly
+_TRIAL_BOUND = 10 ** 5
+
+
 def _squarefree_split(n):
-    """n = m*m*r with r square-free; returns (m, r).  n must be positive."""
+    """n = m*m*r with r square-free; returns (m, r).  n must be positive.
+
+    Raises ValueError when n has a cofactor free of primes up to
+    _TRIAL_BOUND that is too large to classify without factoring it."""
     m, r, d = 1, 1, 2
     while d * d <= n:
+        if d > _TRIAL_BOUND:
+            # n is 1, p, p*q or p*p with primes p, q > _TRIAL_BOUND
+            if n >= _TRIAL_BOUND ** 3:
+                raise ValueError("radicand too large to factor exactly")
+            s = isqrt(n)
+            if s * s == n:
+                return m * s, r
+            break
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -31,19 +50,6 @@ def _squarefree_split(n):
                 r *= d
         d += 1 if d == 2 else 2
     return m, r * n
-
-
-def _prime_factors(n):
-    fs, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            fs.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        fs.append(n)
-    return fs
 
 
 _SQRT_CACHE = {}
@@ -60,48 +66,58 @@ def _sqrt_bounds(r, digits):
 
 
 class Scalar:
-    """Element of Q(sqrt(p1), sqrt(p2), ...), canonically represented."""
+    """Element of Q(sqrt(p1), sqrt(p2), ...), canonically represented.
 
-    __slots__ = ("_terms",)
+    _q is the rational part.  _irr is None for a rational value, otherwise
+    a {radicand > 1: coefficient} map with no zero coefficient.  Scalars are
+    immutable, so results share maps and the constants ZERO and ONE are
+    handed out freely.
+    """
 
-    def __init__(self, value=0, _terms=None):
-        if _terms is not None:
-            self._terms = _terms
-        elif isinstance(value, Scalar):
-            self._terms = dict(value._terms)
+    __slots__ = ("_q", "_irr")
+
+    def __init__(self, value=0):
+        if isinstance(value, Scalar):
+            self._q, self._irr = value._q, value._irr
         else:
-            q = rat(value) if not isinstance(value, (int,)) else RAT(value)
-            self._terms = {1: q} if q != RAT_ZERO else {}
-
-    @staticmethod
-    def _make(terms):
-        return Scalar(_terms={r: c for r, c in terms.items() if c != RAT_ZERO})
+            self._q, self._irr = RAT(value), None
 
     @staticmethod
     def from_rational(n, d=1):
-        return Scalar._make({1: rat(n, d)})
+        return _mk(rat(n, d))
+
+    @property
+    def _terms(self):
+        """{radicand: coefficient}, radicand 1 for the rational part; a
+        fresh dict, so changing it changes nothing."""
+        terms = {1: self._q} if self._q else {}
+        if self._irr is not None:
+            terms.update(self._irr)
+        return terms
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self):
-        return not self._terms
+        return self._irr is None and not self._q
 
     def is_rational(self):
-        return all(r == 1 for r in self._terms)
+        return self._irr is None
 
     def rational_value(self):
-        if not self.is_rational():
+        if self._irr is not None:
             raise ValueError(f"not rational: {self}")
-        return self._terms.get(1, RAT_ZERO)
+        return self._q
 
     @property
     def radicands(self):
-        return sorted(r for r in self._terms if r != 1)
-
-    def coefficient(self, radicand):
-        return self._terms.get(radicand, RAT_ZERO)
+        return sorted(self._irr or ())
 
     # -- ring operations ----------------------------------------------------
+    #
+    # Each operation branches once on the shapes of its operands: a zero
+    # operand costs no rational arithmetic, two rationals cost one rational
+    # operation, a rational times an irrational scales the map, and only two
+    # irrationals merge radicands.  An int operand is used as a rational.
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
@@ -111,35 +127,73 @@ class Scalar:
         return NotImplemented
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, Scalar):
+            oq, oirr = other._q, other._irr
+        elif isinstance(other, int):
+            oq, oirr = other, None
+        else:
             return NotImplemented
-        terms = dict(self._terms)
-        for r, c in o._terms.items():
-            terms[r] = terms.get(r, RAT_ZERO) + c
-        return Scalar._make(terms)
+        q, irr = self._q, self._irr
+        if oirr is None:
+            if not oq:
+                return self
+            if irr is None and not q:
+                return other if isinstance(other, Scalar) else _mk(RAT(oq))
+            return _mk(q + oq, irr)
+        if irr is None:
+            return other if not q else _mk(q + oq, oirr)
+        merged = dict(irr)
+        for r, c in oirr.items():
+            if r in merged:
+                c += merged[r]
+                if not c:
+                    del merged[r]
+                    continue
+            merged[r] = c
+        return _mk(q + oq, merged or None)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(_terms={r: -c for r, c in self._terms.items()})
+        irr = self._irr
+        if irr is None:
+            return _mk(-self._q) if self._q else self
+        return _mk(-self._q, {r: -c for r, c in irr.items()})
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
+        if isinstance(other, Scalar):
+            if self._irr is None and other._irr is None:
+                q, oq = self._q, other._q
+                if not oq:
+                    return self
+                return _mk(q - oq) if q else _mk(-oq)
+            return self + (-other)
+        if isinstance(other, int):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, Scalar):
+            oq, oirr = other._q, other._irr
+        elif isinstance(other, int):
+            oq, oirr = other, None
+        else:
             return NotImplemented
+        q, irr = self._q, self._irr
+        if oirr is None:
+            if not oq:
+                return ZERO
+            if irr is None:
+                return _mk(q * oq) if q else ZERO
+            return self._scaled(oq)
+        if irr is None:
+            return other._scaled(q) if q else ZERO
         terms = {}
         for r1, c1 in self._terms.items():
-            for r2, c2 in o._terms.items():
+            for r2, c2 in other._terms.items():
                 # sqrt(r1)*sqrt(r2) = g*sqrt(r1'*r2') with g = gcd, coprime parts
                 if r1 == r2:
                     r, m = 1, r1
@@ -148,27 +202,40 @@ class Scalar:
                 elif r2 == 1:
                     r, m = r1, 1
                 else:
-                    g = _gcd(r1, r2)
+                    g = gcd(r1, r2)
                     r, m = (r1 // g) * (r2 // g), g
                 c = c1 * c2 * m
                 if r in terms:
                     terms[r] += c
                 else:
                     terms[r] = c
-        return Scalar._make(terms)
+        q = terms.pop(1, RAT_ZERO)
+        return _mk(q, {r: c for r, c in terms.items() if c} or None)
 
     __rmul__ = __mul__
 
+    def _scaled(self, k):
+        """self * k for an irrational self and a nonzero rational k."""
+        q = self._q
+        return _mk(q * k if q else q, {r: c * k for r, c in self._irr.items()})
+
     def inverse(self):
         """Exact inverse by iterated conjugate multiplication (field inverse)."""
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero Scalar")
-        if self.is_rational():
-            return Scalar._make({1: 1 / self._terms[1]})
-        # conjugate over one prime appearing in some radicand
-        p = _prime_factors(next(r for r in self._terms if r != 1))[0]
-        conj = Scalar(_terms={r: (-c if r % p == 0 else c)
-                              for r, c in self._terms.items()})
+        irr = self._irr
+        if irr is None:
+            if not self._q:
+                raise ZeroDivisionError("division by zero Scalar")
+            return _mk(RAT_ONE / self._q)
+        # g > 1 divides a radicand and, for every radicand r, gcd(g, r) is
+        # 1 or g; flipping sqrt(r) for g | r is then the conjugation over
+        # any prime of g, found without factoring
+        g = next(iter(irr))
+        for r in irr:
+            d = gcd(g, r)
+            if d != 1:
+                g = d
+        conj = _mk(self._q, {r: (-c if r % g == 0 else c)
+                             for r, c in irr.items()})
         norm = self * conj          # invariant under the conjugation => fewer primes
         return conj * norm.inverse()
 
@@ -184,7 +251,7 @@ class Scalar:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only non-negative integer powers")
-        out = Scalar(1)
+        out = ONE
         base = self
         while k:
             if k & 1:
@@ -196,10 +263,11 @@ class Scalar:
     # -- comparisons --------------------------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._terms == o._terms
+        if isinstance(other, Scalar):
+            return self._irr == other._irr and self._q == other._q
+        if isinstance(other, int):
+            return self._irr is None and self._q == other
+        return NotImplemented
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
@@ -211,19 +279,15 @@ class Scalar:
             return 0
         digits = 20
         while True:
-            lo = hi = RAT_ZERO
-            for r, c in self._terms.items():
-                if r == 1:
-                    lo += c
-                    hi += c
+            lo = hi = self._q
+            for r, c in (self._irr or {}).items():
+                bl, bh = _sqrt_bounds(r, digits)
+                if c >= 0:
+                    lo += c * bl
+                    hi += c * bh
                 else:
-                    bl, bh = _sqrt_bounds(r, digits)
-                    if c >= 0:
-                        lo += c * bl
-                        hi += c * bh
-                    else:
-                        lo += c * bh
-                        hi += c * bl
+                    lo += c * bh
+                    hi += c * bl
             if lo > 0:
                 return 1
             if hi < 0:
@@ -260,8 +324,9 @@ class Scalar:
         if self.is_zero():
             return "0"
         parts = []
-        for r in sorted(self._terms):
-            c = self._terms[r]
+        terms = self._terms
+        for r in sorted(terms):
+            c = terms[r]
             n, d = c.numerator, c.denominator
             if r == 1:
                 body = f"{abs(n)}" if d == 1 else f"{abs(n)}/{d}"
@@ -278,10 +343,16 @@ class Scalar:
         return f"Scalar({self})"
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+_new = object.__new__
+
+
+def _mk(q, irr=None):
+    """The Scalar with rational part q (a RAT) and radicand map irr (None,
+    or a map with no zero coefficient)."""
+    s = _new(Scalar)
+    s._q = q
+    s._irr = irr
+    return s
 
 
 def sqrt_scalar(x):
@@ -295,10 +366,11 @@ def sqrt_scalar(x):
     if q < 0:
         raise ValueError(f"sqrt of negative value {q}")
     if q == 0:
-        return Scalar(0)
+        return ZERO
     n, d = int(q.numerator), int(q.denominator)
     m, r = _squarefree_split(n * d)     # sqrt(n/d) = sqrt(n d)/d
-    return Scalar._make({int(r): rat(m, d)})
+    c = rat(m, d)
+    return _mk(c) if r == 1 else _mk(RAT_ZERO, {r: c})
 
 
 ZERO = Scalar(0)
@@ -331,7 +403,7 @@ class Polynomial:
 
     @staticmethod
     def variable(name):
-        return Polynomial((name,), {(1,): Scalar(1)})
+        return Polynomial((name,), {(1,): ONE})
 
     @staticmethod
     def _promote(x, vars=()):
@@ -366,7 +438,7 @@ class Polynomial:
 
     def constant_value(self):
         """The value as a Scalar; raises if genuinely coordinate-dependent."""
-        val = Scalar(0)
+        val = ZERO
         for exp, c in self.terms.items():
             if any(exp):
                 raise ValueError(f"not constant: {self}")
@@ -505,11 +577,18 @@ class Polynomial:
 # parsing of exact scalar strings ("5/6", "2*sqrt(5)/5", "-1/36*mu^2", ...)
 # ---------------------------------------------------------------------------
 
+# the largest exponent parse_scalar accepts, counting the exponents of nested
+# powers multiplied together, so that "(2^64)^64" is refused as well; the
+# catalog uses only ^2
+MAX_EXPONENT = 64
+
+
 class _Parser:
     def __init__(self, text, params):
         self.toks = self._lex(text)
         self.pos = 0
         self.params = params
+        self.nested = 1         # largest exponent product in the last power
 
     @staticmethod
     def _lex(text):
@@ -565,11 +644,17 @@ class _Parser:
         return node
 
     def power(self):
+        outer, self.nested = self.nested, 1
         base = self.atom()
         if self.peek() == "^":
             self.take()
             k = self.take("int")[1]
-            return base ** k
+            self.nested *= k
+            if self.nested > MAX_EXPONENT:
+                raise ValueError(f"exponent {self.nested} (nested powers "
+                                 f"multiplied) exceeds {MAX_EXPONENT}")
+            base = base ** k
+        self.nested = max(outer, self.nested)
         return base
 
     def atom(self):

@@ -10,7 +10,7 @@ catalog entry so the stated duality properties hold).
 
 from itertools import combinations
 
-from .exactnum import Scalar, sqrt_scalar
+from .exactnum import Scalar, ZERO, ONE, sqrt_scalar
 from .multilinear import (QuadraticSpace, KForm, BiSymTensor, hodge,
                           form_component)
 from .geometry import covariant_derivative_form
@@ -21,7 +21,7 @@ __all__ = ["MetricLieAlgebra", "CWData", "jacobi_check", "invariance_check",
            "canonical_three_form", "ce_differential", "biinvariant_ricci",
            "d6_catalog", "so3", "so12", "su3"]
 
-_Z = Scalar(0)
+_Z = ZERO
 
 
 class MetricLieAlgebra:
@@ -174,7 +174,7 @@ class MetricLieAlgebra:
 
     def basis_vector(self, i):
         v = [_Z] * self.dim
-        v[i] = Scalar(1)
+        v[i] = ONE
         return v
 
     def derived_series(self):

@@ -20,7 +20,7 @@ Conventions (see docs/conventions.md):
 
 from itertools import combinations
 
-from .exactnum import Scalar, sqrt_scalar
+from .exactnum import Scalar, ZERO, ONE, sqrt_scalar
 from . import linalg
 
 __all__ = ["QuadraticSpace", "KForm", "BiSymTensor", "wedge", "interior",
@@ -28,7 +28,7 @@ __all__ = ["QuadraticSpace", "KForm", "BiSymTensor", "wedge", "interior",
            "plucker_check", "lambda_action", "sort_sign", "form_component",
            "signature", "accumulate"]
 
-_Z = Scalar(0)
+_Z = ZERO
 
 
 class QuadraticSpace:
@@ -363,8 +363,8 @@ def interior(v, a):
 
 def interior_frame(space, i, a):
     """iota against the i-th frame vector."""
-    v = [Scalar(0)] * space.dim
-    v[i] = Scalar(1)
+    v = [ZERO] * space.dim
+    v[i] = ONE
     return interior(v, a)
 
 
@@ -384,7 +384,7 @@ def form_inner(a, b):
                 continue
             term = ca * cb * g
             total = term if total is None else total + term
-    return Scalar(0) if total is None else total
+    return ZERO if total is None else total
 
 
 def hodge(a):
@@ -462,9 +462,8 @@ class BiSymTensor:
 
     def get(self, i, j, k, l):
         """Component with arbitrary index order, via the symmetries."""
-        zero = Scalar(0)
         if i == j or k == l:
-            return zero
+            return ZERO
         sign = 1
         if i > j:
             i, j, sign = j, i, -sign
@@ -474,7 +473,7 @@ class BiSymTensor:
             i, j, k, l = k, l, i, j
         c = self.components.get((i, j, k, l))
         if c is None:
-            return zero
+            return ZERO
         return c if sign > 0 else -c
 
     def is_zero(self):

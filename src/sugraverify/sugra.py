@@ -9,7 +9,7 @@ verifier has one body for every geometry kind: it works through the
 geometry interface described in geometry's docstring.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations
 import json
 
@@ -41,22 +41,18 @@ OUT_OF_SCOPE = [
 ]
 
 
-@dataclass
-class Condition:
-    name: str
-    passed: bool
-    witness: str = ""
-    note: str = ""
+Condition = namedtuple("Condition", "name passed witness note",
+                       defaults=("", ""))
 
 
-@dataclass
 class VerificationReport:
-    background: str
-    theory: str
-    conditions: list = field(default_factory=list)
-    invariants: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
-    out_of_scope: list = field(default_factory=lambda: list(OUT_OF_SCOPE))
+    def __init__(self, background, theory):
+        self.background = background
+        self.theory = theory
+        self.conditions = []
+        self.invariants = {}
+        self.notes = []
+        self.out_of_scope = list(OUT_OF_SCOPE)
 
     def add(self, name, passed, witness="", note=""):
         self.conditions.append(Condition(name, bool(passed), witness, note))
@@ -111,7 +107,6 @@ class VerificationReport:
             self.to_json() == other.to_json()
 
 
-@dataclass
 class BackgroundSpec:
     """Concrete background: geometry + fluxes + parameter bindings.
 
@@ -119,19 +114,22 @@ class BackgroundSpec:
     "product" (constant-curvature blocks), "algebra" (a metric Lie algebra),
     or "parallelisable" (type-II frame data assembled by the catalog).
     """
-    theory: str
-    name: str
-    kind: str
-    cw_data: object = None
-    product: object = None
-    algebra: object = None
-    flux_builder: object = None          # space -> dict of named KForms
-    dilaton: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
-    frame_data: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
-    _geometry: object = field(default=None, init=False, repr=False,
-                              compare=False)
+
+    def __init__(self, theory, name, kind, cw_data=None, product=None,
+                 algebra=None, flux_builder=None, dilaton=None, params=None,
+                 frame_data=None, notes=None):
+        self.theory = theory
+        self.name = name
+        self.kind = kind
+        self.cw_data = cw_data
+        self.product = product
+        self.algebra = algebra
+        self.flux_builder = flux_builder      # space -> dict of named KForms
+        self.dilaton = {} if dilaton is None else dilaton
+        self.params = {} if params is None else params
+        self.frame_data = {} if frame_data is None else frame_data
+        self.notes = [] if notes is None else notes
+        self._geometry = None
 
     @property
     def geometry(self):

@@ -1,7 +1,15 @@
+import itertools
+import json
 import random
+import subprocess
+import sys
+import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sugraverify import cli, exactnum
 from sugraverify.exactnum import Scalar, Polynomial, parse_scalar, sqrt_scalar
 
 
@@ -173,3 +181,187 @@ def test_poly_subs_partial_evaluation():
     p = x("u") * x("v") + x("v")
     q = p.subs({"u": Scalar(2)})
     assert q == Scalar(3) * x("v")
+
+
+# ---------------------------------------------------------------------------
+# the shape dispatch of Scalar against a dictionary reference in Q(√2, √3, √6)
+# ---------------------------------------------------------------------------
+
+# n = m*m*r for every product n of two radicands of Q(√2, √3, √6)
+_SQUAREFREE = {1: (1, 1), 2: (1, 2), 3: (1, 3), 4: (2, 1), 6: (1, 6),
+               9: (3, 1), 12: (2, 3), 18: (3, 2), 36: (6, 1)}
+_RADICANDS = (1, 2, 3, 6)
+
+
+def _ref(coeffs):
+    return {r: c for r, c in zip(_RADICANDS, coeffs) if c}
+
+
+def _ref_add(x, y, sign=1):
+    out = dict(x)
+    for r, c in y.items():
+        out[r] = out.get(r, 0) + sign * c
+    return {r: c for r, c in out.items() if c}
+
+
+def _ref_mul(x, y):
+    out = {}
+    for r1, c1 in x.items():
+        for r2, c2 in y.items():
+            m, r = _SQUAREFREE[r1 * r2]
+            out[r] = out.get(r, 0) + c1 * c2 * m
+    return {r: c for r, c in out.items() if c}
+
+
+def _build(coeffs):
+    out = Scalar(0)
+    for r, c in zip(_RADICANDS, coeffs):
+        out = out + Scalar(c) * sqrt_scalar(r)
+    return out
+
+
+def _as_ref(s):
+    return {r: Fraction(c) for r, c in s._terms.items()}
+
+
+_coeff = st.one_of(st.just(Fraction(0)),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=4))
+_element = st.tuples(_coeff, _coeff, _coeff, _coeff)
+
+
+@st.composite
+def _pairs(draw):
+    """Two elements, often with a zero, a rational or a sum or product
+    that cancels to a rational."""
+    x = draw(_element)
+    kind = draw(st.sampled_from(("any", "conjugate", "shift", "equal",
+                                 "rational")))
+    if kind == "any":
+        y = draw(_element)
+    elif kind == "conjugate":           # (a + b√2)(a - b√2) is rational
+        x = (x[0], x[1], 0, 0)
+        y = (x[0], -x[1], 0, 0)
+    elif kind == "shift":               # (a + c√3) - c√3 is rational
+        y = (0,) + x[1:]
+    elif kind == "equal":
+        y = x
+    else:
+        x, y = (x[0], 0, 0, 0), draw(_element)
+    return (x, y) if draw(st.booleans()) else (y, x)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_pairs())
+def test_shape_dispatch_matches_dictionary_reference(pair):
+    (xc, yc) = pair
+    x, y = _build(xc), _build(yc)
+    X, Y = _ref(xc), _ref(yc)
+    assert _as_ref(x) == X and _as_ref(y) == Y
+    assert _as_ref(x + y) == _ref_add(X, Y)
+    assert _as_ref(x - y) == _ref_add(X, Y, -1)
+    assert _as_ref(x * y) == _ref_mul(X, Y)
+    assert _as_ref(-x) == _ref_add({}, X, -1)
+    if Y:
+        assert _ref_mul(_as_ref(x / y), Y) == X
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    for s, ref in ((x, X), (x + y, _ref_add(X, Y)), (x * y, _ref_mul(X, Y))):
+        assert s.is_rational() == (set(ref) <= {1})
+        assert s.is_zero() == (not ref)
+        assert parse_scalar(str(s)) == s
+    for a, b in ((x, y), (x + y - y, x), (x * y, y * x),
+                 (parse_scalar(str(x)), x)):
+        if a == b:
+            assert hash(a) == hash(b)
+        assert (a == b) == (_as_ref(a) == _as_ref(b))
+    q = X.get(1, Fraction(0))
+    assert (x == q.numerator) == (set(X) <= {1} and q.denominator == 1)
+    assert _as_ref(x * 3) == _ref_mul(X, {1: 3})
+    assert _as_ref(2 - x) == _ref_add({1: 2}, X, -1)
+    assert _as_ref(x + 0) == X and _as_ref(x * 0) == {}
+
+
+def test_cancellation_returns_a_rational_shape():
+    r2, r3 = sqrt_scalar(2), sqrt_scalar(3)
+    for s in ((1 + r2) * (1 - r2), (rational(1, 2) + r3) - r3, r2 * r2,
+              r2 * r3 - sqrt_scalar(6)):
+        assert s.is_rational() and s.radicands == []
+        assert hash(s) == hash(Scalar(s.rational_value()))
+    assert (1 + r2) * (1 - r2) == -1
+
+
+def test_inverse_conjugates_over_a_common_factor_of_composite_radicands():
+    # the first radicand is composite and shares a factor with the others,
+    # so the conjugation must be chosen by gcds, not from the first radicand
+    for parts in ((6, 10, 15), (6, 2, 3), (15, 21, 35)):
+        for perm in itertools.permutations(parts):
+            x = Scalar(1)
+            for k, r in enumerate(perm, 1):
+                x = x + k * sqrt_scalar(r)
+            assert x * x.inverse() == 1, perm
+
+
+# ---------------------------------------------------------------------------
+# hostile input: exponents and radicands
+# ---------------------------------------------------------------------------
+
+def test_parse_scalar_bounds_exponents_before_multiplying(monkeypatch,
+                                                         capsys, tmp_path):
+    bound = exactnum.MAX_EXPONENT
+    original = Scalar.__pow__
+
+    def guarded(self, k):
+        if k > bound:
+            raise RuntimeError(f"power {k} computed")
+        return original(self, k)
+
+    monkeypatch.setattr(Scalar, "__pow__", guarded)
+    assert parse_scalar(f"2^{bound}") == Scalar(2 ** bound)
+    assert parse_scalar("(2^8)^8") == Scalar(2 ** 64)
+    for text in (f"2^{bound + 1}", "2^999999999", "(2^8)^9",
+                 "((3^2)^2)^17", "mu^999999999"):
+        with pytest.raises(ValueError, match="exceeds"):
+            parse_scalar(text, {"mu": Scalar(3)})
+    assert cli.main(["verify", "cw11", "--perturb", "A11=2^999999999"]) == 2
+    assert "exceeds" in capsys.readouterr().err
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([["2^999999999", "0"], ["0", "1"]]))
+    assert cli.main(["canonicalize-cw", str(path)]) == 2
+    assert "exceeds" in capsys.readouterr().err
+
+
+# two 12- and 13-digit primes: their product has 24 digits
+SEMIPRIME = 100000000003 * 1000000000039
+
+
+def test_sqrt_factors_large_radicands_exactly_or_refuses():
+    n = 1000003 * 1000033               # both primes beyond trial division
+    s = sqrt_scalar(n)
+    assert s.radicands == [n] and s * s == n
+    t = sqrt_scalar(100003 ** 2 * 7)    # a square of a large prime
+    assert t == 100003 * sqrt_scalar(7)
+    assert sqrt_scalar(Scalar(100019 * 100043) / 4) * 2 == \
+        sqrt_scalar(100019 * 100043)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too large to factor exactly"):
+        sqrt_scalar(SEMIPRIME)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cli_refuses_a_background_with_an_unfactorable_radicand(tmp_path):
+    doc = {"theory": "d11", "name": "semiprime",
+           "geometry": {"type": "product", "blocks": [
+               {"dim": 4, "scalar_curvature": "-48", "lorentzian": True,
+                "label": "AdS4"},
+               {"dim": 7, "scalar_curvature": "42", "label": "S7"}]},
+           "fluxes": {"F4": [{"indices": [0, 1, 2, 3],
+                              "coeff": f"sqrt({SEMIPRIME})"}]}}
+    path = tmp_path / "semiprime.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "sugraverify.cli", "verify",
+                           str(path)], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2, (proc.stdout, proc.stderr)
+    assert "too large to factor exactly" in proc.stderr
+    assert "Traceback" not in proc.stderr
