@@ -582,6 +582,11 @@ class Polynomial:
 # catalog uses only ^2
 MAX_EXPONENT = 64
 
+# the most distinct radicands a parsed scalar may draw on, from its sqrt atoms
+# and its parameters together, so that every value it can build lies in a
+# field of dimension at most 2^MAX_RADICANDS over Q
+MAX_RADICANDS = 8
+
 
 class _Parser:
     def __init__(self, text, params):
@@ -589,6 +594,7 @@ class _Parser:
         self.pos = 0
         self.params = params
         self.nested = 1         # largest exponent product in the last power
+        self.radicands = set()
 
     @staticmethod
     def _lex(text):
@@ -678,12 +684,21 @@ class _Parser:
                 self.take("(")
                 arg = self.expr()
                 self.take(")")
-                return sqrt_scalar(arg)
+                return self.adjoin(sqrt_scalar(arg))
             if name in self.params:
                 v = self.params[name]
-                return v if isinstance(v, Scalar) else Scalar(v)
+                return self.adjoin(v if isinstance(v, Scalar) else Scalar(v))
             raise ValueError(f"unbound parameter {name!r}")
         raise ValueError(f"unexpected token {kind}")
+
+    def adjoin(self, value):
+        """value, once its radicands fit under MAX_RADICANDS with the ones
+        already read."""
+        self.radicands.update(value.radicands)
+        if len(self.radicands) > MAX_RADICANDS:
+            raise ValueError(f"more than {MAX_RADICANDS} distinct square "
+                             f"roots in one scalar")
+        return value
 
 
 def parse_scalar(text, params=None):

@@ -9,6 +9,11 @@ liealg.MetricLieAlgebra -- offers one interface: ``space`` and ``dim``,
 and (chart and algebra) the connection coefficients ``gamma(k, i, j)`` and
 coordinate partials ``partial(x, mu)``, None where they vanish.
 
+Curvature is one formula over ``gamma`` and ``partial`` (``_curvature``):
+``riemann()`` of a chart or an algebra applies it to the Levi-Civita
+coefficients, ``curvature_with_torsion`` to Gamma + T/2.  Only
+``CoordinatePatch.gamma`` reads the Christoffel symbols.
+
 Sign conventions (calibrated once, see docs/conventions.md):
   * Riemann  R(X,Y)Z = [nabla_X, nabla_Y]Z - nabla_[X,Y] Z,
     R(X,Y,Z,W) = g(R(X,Y)Z, W); the round unit sphere has
@@ -77,7 +82,7 @@ class CoordinatePatch:
         ch = self._christoffel
         if ch is None:
             ch = christoffel(self)
-        return _gamma(ch, k, i, j)
+        return ch.get((k, i, j) if i <= j else (k, j, i))
 
     def partial(self, x, mu):
         if not isinstance(x, Polynomial) or self.coords[mu] not in x.vars:
@@ -160,9 +165,7 @@ def christoffel(p):
 
     def dg(m, i, j):
         if d[m][i][j] is None:
-            e = g[i][j]
-            d[m][i][j] = e.partial(p.coords[m]) if isinstance(e, Polynomial) \
-                and p.coords[m] in e.vars else _pz()
+            d[m][i][j] = p.partial(g[i][j], m) or _pz()
         return d[m][i][j]
 
     out = {}
@@ -185,59 +188,70 @@ def christoffel(p):
     return out
 
 
-def _gamma(ch, k, i, j):
-    if i <= j:
-        return ch.get((k, i, j))
-    return ch.get((k, j, i))
+def _curvature(geom, gamma):
+    """Curvature R(a,b,c,w) = g(R(e_a,e_b)e_c, e_w) of the connection D with
+    coefficients gamma(k, i, j) = e^k(D_{e_i} e_j) (None where zero):
+
+      R^k_{cab} = d_a G^k_{bc} - d_b G^k_{ac} + G^k_{al} G^l_{bc}
+                  - G^k_{bl} G^l_{ac} - C^l_{ab} G^k_{lc},
+
+    with d = geom.partial and the frame bracket C^l_{ab} = L^l_{ab} - L^l_{ba}
+    read from the torsion-free Levi-Civita coefficients L = geom.gamma (zero
+    on a chart, the structure constants on a Lie algebra).  Only
+    BiSymTensor's canonical keys are evaluated, so pair symmetry is assumed;
+    for D = nabla + T/2 it follows from dH = 0."""
+    n = geom.dim
+    g = geom.space.metric
+    # conn[a][k] = {l: G^k_{al}}, the matrix of D_{e_a}, tabulated once
+    conn = [{} for _ in range(n)]
+    brackets = {}
+    for a in range(n):
+        for k in range(n):
+            row = {}
+            for l in range(n):
+                v = gamma(k, a, l)
+                if v is not None and not v.is_zero():
+                    row[l] = v
+            if row:
+                conn[a][k] = row
+    for a, b in combinations(range(n), 2):
+        for l in range(n):
+            x, y = geom.gamma(l, a, b), geom.gamma(l, b, a)
+            c = (_Z if x is None else x) - (_Z if y is None else y)
+            if not c.is_zero():
+                brackets.setdefault((a, b), {})[l] = c
+    lower = [[(w, g[k][w]) for w in range(n) if not g[k][w].is_zero()]
+             for k in range(n)]
+    comps = {}
+    for a, b in combinations(range(n), 2):
+        # the matrix R(e_a, e_b) as {(k, c): R^k_{cab}}
+        m = {}
+        for d, e, sign in ((a, b, 1), (b, a, -1)):
+            for k, row in conn[e].items():
+                for c, v in row.items():
+                    dv = geom.partial(v, d)
+                    if dv is not None:
+                        accumulate(m, (k, c), dv if sign > 0 else -dv)
+            for k, row in conn[d].items():
+                for l, x in row.items():
+                    for c, y in conn[e].get(l, {}).items():
+                        t = x * y
+                        accumulate(m, (k, c), t if sign > 0 else -t)
+        for l, cl in brackets.get((a, b), {}).items():
+            for k, row in conn[l].items():
+                for c, y in row.items():
+                    accumulate(m, (k, c), -(cl * y))
+        for (k, c), v in m.items():
+            for w, gkw in lower[k]:
+                if c < w and (a, b) <= (c, w):
+                    accumulate(comps, (a, b, c, w), v * gkw)
+    return BiSymTensor(geom.space, comps)
 
 
 def riemann(p):
-    """Riemann tensor of the Levi-Civita connection as a BiSymTensor with
-    polynomial components."""
-    ch = christoffel(p)
-    n = p.dim
-    g = p.metric
-
-    def upper(kk, rho, mu, nu):
-        # R^kk_{rho mu nu} = d_mu G^kk_{nu rho} - d_nu G^kk_{mu rho}
-        #                    + G^kk_{mu l} G^l_{nu rho} - G^kk_{nu l} G^l_{mu rho}
-        total = None
-        a = _gamma(ch, kk, nu, rho)
-        if a is not None:
-            t = a.partial(p.coords[mu]) if p.coords[mu] in a.vars else None
-            if t is not None and not t.is_zero():
-                total = t
-        b = _gamma(ch, kk, mu, rho)
-        if b is not None:
-            t = b.partial(p.coords[nu]) if p.coords[nu] in b.vars else None
-            if t is not None and not t.is_zero():
-                total = -t if total is None else total - t
-        for l in range(n):
-            x = _gamma(ch, kk, mu, l)
-            y = _gamma(ch, l, nu, rho)
-            if x is not None and y is not None:
-                t = x * y
-                total = t if total is None else total + t
-            x = _gamma(ch, kk, nu, l)
-            y = _gamma(ch, l, mu, rho)
-            if x is not None and y is not None:
-                t = x * y
-                total = -t if total is None else total - t
-        return total
-
-    def component(mu, nu, rho, sigma):
-        total = None
-        for kk in range(n):
-            if g[kk][sigma].is_zero():
-                continue
-            u = upper(kk, rho, mu, nu)
-            if u is None or u.is_zero():
-                continue
-            t = u * g[kk][sigma]
-            total = t if total is None else total + t
-        return _pz() if total is None else total
-
-    return BiSymTensor.from_function(p.space, component)
+    """Riemann tensor of the Levi-Civita connection of a chart or a metric
+    Lie algebra, as a BiSymTensor."""
+    return _curvature(p, p.gamma)
 
 
 def ricci(p):
@@ -249,25 +263,13 @@ def exterior_derivative(F, p):
     n = p.dim
     comps = {}
     for idx, c in F.components.items():
-        if not isinstance(c, Polynomial):
-            continue
         for mu in range(n):
-            if p.coords[mu] not in c.vars:
-                continue
-            dc = c.partial(p.coords[mu])
-            if dc.is_zero():
-                continue
-            if mu in idx:
+            dc = p.partial(c, mu)
+            if dc is None or mu in idx:
                 continue
             pos = sum(1 for i in idx if i < mu)
-            new = tuple(sorted(idx + (mu,)))
-            term = dc if pos % 2 == 0 else -dc
-            if new in comps:
-                term = comps[new] + term
-            if term.is_zero():
-                comps.pop(new, None)
-            else:
-                comps[new] = term
+            accumulate(comps, tuple(sorted(idx + (mu,))),
+                       dc if pos % 2 == 0 else -dc)
     return KForm(p.space, F.degree + 1, comps)
 
 
@@ -327,97 +329,27 @@ def _torsion_from_h(geom, H):
 
 
 def curvature_with_torsion(geom, H):
-    """Curvature of D = nabla + T/2 (H must be closed; checked):
+    """Curvature of D = nabla + T/2 (H must be closed; checked), by the
+    Riemann formula of _curvature with the coefficients Gamma + T/2.  It
+    equals the expansion
 
     R^D(X,Y,Z,W) = R + 1/2 g((nabla_X T)(Y,Z),W) - 1/2 g((nabla_Y T)(X,Z),W)
-                   - 1/4 g(T(X,W),T(Y,Z)) + 1/4 g(T(Y,W),T(X,Z)).
+                   - 1/4 g(T(X,W),T(Y,Z)) + 1/4 g(T(Y,W),T(X,Z)),
 
-    On a metric Lie algebra with its canonical 3-form this vanishes
-    identically (the parallelising connection)."""
+    which the tests check.  On a metric Lie algebra with its canonical
+    3-form this vanishes identically (the parallelising connection)."""
     if not geom.d(H).is_zero():
         raise ValueError("torsion 3-form is not closed")
-    n = geom.dim
-    g = geom.space.metric
     T = _torsion_from_h(geom, H)
-    base = geom.riemann()
-    nT = _nabla_torsion(geom, T)
     half = Scalar.from_rational(1, 2)
-    quarter = Scalar.from_rational(1, 4)
 
-    def nt_low(mu, i, j, k):
-        # g((nabla_mu T)(e_i, e_j), e_k)
-        total = None
-        for l in range(n):
-            v = nT[mu][i][j][l]
-            if v is None or g[l][k].is_zero():
-                continue
-            t = v * g[l][k]
-            total = t if total is None else total + t
-        return total
+    def gamma(k, i, j):
+        lc, t = geom.gamma(k, i, j), T[i][j][k]
+        if t is None:
+            return lc
+        return t * half if lc is None else lc + t * half
 
-    def tt(i, j, k, l):
-        # g(T(e_i,e_j), T(e_k,e_l))
-        total = None
-        for a in range(n):
-            va = T[i][j][a]
-            if va is None:
-                continue
-            for b in range(n):
-                vb = T[k][l][b]
-                if vb is None or g[a][b].is_zero():
-                    continue
-                t = va * vb * g[a][b]
-                total = t if total is None else total + t
-        return total
-
-    def component(x, y, z, w):
-        total = base.get(x, y, z, w)
-        u = nt_low(x, y, z, w)
-        if u is not None:
-            total = total + half * u
-        u = nt_low(y, x, z, w)
-        if u is not None:
-            total = total - half * u
-        u = tt(x, w, y, z)
-        if u is not None:
-            total = total - quarter * u
-        u = tt(y, w, x, z)
-        if u is not None:
-            total = total + quarter * u
-        return total
-
-    return BiSymTensor.from_function(geom.space, component)
-
-
-def _nabla_torsion(geom, T):
-    """(nabla_mu T)^k_{ij}; includes coordinate derivatives on charts."""
-    n = geom.dim
-    out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for mu in range(n):
-        for i in range(n):
-            for j in range(i + 1, n):       # T skew in (i,j)
-                for k in range(n):
-                    total = None
-                    v = T[i][j][k]
-                    d = geom.partial(v, mu) if v is not None else None
-                    if d is not None:
-                        total = d
-                    for lam in range(n):
-                        gkl = geom.gamma(k, mu, lam)
-                        if gkl is not None and T[i][j][lam] is not None:
-                            t = gkl * T[i][j][lam]
-                            total = t if total is None else total + t
-                        gli = geom.gamma(lam, mu, i)
-                        if gli is not None and T[lam][j][k] is not None:
-                            t = gli * T[lam][j][k]
-                            total = -t if total is None else total - t
-                        glj = geom.gamma(lam, mu, j)
-                        if glj is not None and T[i][lam][k] is not None:
-                            t = glj * T[i][lam][k]
-                            total = -t if total is None else total - t
-                    out[mu][i][j][k] = total
-                    out[mu][j][i][k] = None if total is None else -total
-    return out
+    return _curvature(geom, gamma)
 
 
 def flat_torsion_consequences(geom, H):
@@ -520,7 +452,6 @@ def spin_connection(p, cof, frm, gram):
     """Connection coefficients omega_{mu,ab} (lowered, skew in ab) of the
     Levi-Civita connection in the given frame:
     omega_mu^a_b = e^a_nu (d_mu E_b^nu + Gamma^nu_{mu lam} E_b^lam)."""
-    ch = christoffel(p)
     n = p.dim
     omega = [dict() for _ in range(n)]
     for mu in range(n):
@@ -528,14 +459,9 @@ def spin_connection(p, cof, frm, gram):
             # v^nu = d_mu E_b^nu + Gamma^nu_{mu lam} E_b^lam
             v = []
             for nu in range(n):
-                e = frm[b][nu]
-                total = None
-                if isinstance(e, Polynomial) and p.coords[mu] in e.vars:
-                    d = e.partial(p.coords[mu])
-                    if not d.is_zero():
-                        total = d
+                total = p.partial(frm[b][nu], mu)
                 for lam in range(n):
-                    gma = _gamma(ch, nu, mu, lam)
+                    gma = p.gamma(nu, mu, lam)
                     if gma is None or frm[b][lam].is_zero():
                         continue
                     t = gma * frm[b][lam]
@@ -577,44 +503,23 @@ def spin_connection(p, cof, frm, gram):
 
 def killing_check(p, V):
     """Exact Killing equation nabla_(mu V_nu) = 0 for a vector field with
-    polynomial components V^mu."""
-    ch = christoffel(p)
+    polynomial components V^mu; returns (True, None) or (False, (mu, nu))."""
     n = p.dim
     # V_mu = g_{mu nu} V^nu
-    Vlow = []
+    Vlow = {}
     for mu in range(n):
-        s = None
         for nu in range(n):
-            if p.metric[mu][nu].is_zero():
-                continue
-            t = p.metric[mu][nu] * V[nu]
-            s = t if s is None else s + t
-        Vlow.append(s if s is not None else _pz())
-
-    def nabla(mu, nu):
-        e = Vlow[nu]
-        total = None
-        if isinstance(e, Polynomial) and p.coords[mu] in e.vars:
-            d = e.partial(p.coords[mu])
-            if not d.is_zero():
-                total = d
-        for lam in range(n):
-            gma = _gamma(ch, lam, mu, nu)
-            if gma is None or Vlow[lam].is_zero():
-                continue
-            t = gma * Vlow[lam]
-            total = -t if total is None else total - t
-        return total
-
+            if not p.metric[mu][nu].is_zero():
+                accumulate(Vlow, (mu,), p.metric[mu][nu] * V[nu])
+    nV = p.nabla(KForm(p.space, 1, Vlow))
     for mu in range(n):
         for nu in range(mu, n):
-            a = nabla(mu, nu)
-            b = nabla(nu, mu)
-            s = None
-            if a is not None:
-                s = a
-            if b is not None:
-                s = b if s is None else s + b
+            s = form_component(nV[mu], (nu,))
+            t = form_component(nV[nu], (mu,))
+            if s is None:
+                s = t
+            elif t is not None:
+                s = s + t
             if s is not None and not s.is_zero():
                 return False, (mu, nu)
     return True, None

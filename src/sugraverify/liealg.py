@@ -11,9 +11,8 @@ catalog entry so the stated duality properties hold).
 from itertools import combinations
 
 from .exactnum import Scalar, ZERO, ONE, sqrt_scalar
-from .multilinear import (QuadraticSpace, KForm, BiSymTensor, hodge,
-                          form_component)
-from .geometry import covariant_derivative_form
+from .multilinear import QuadraticSpace, KForm, hodge, form_component
+from .geometry import covariant_derivative_form, riemann
 from . import linalg
 
 __all__ = ["MetricLieAlgebra", "CWData", "jacobi_check", "invariance_check",
@@ -133,34 +132,8 @@ class MetricLieAlgebra:
         return None
 
     def riemann(self):
-        """Riemann tensor in the invariant frame:
-        R(a,b)c = nabla_a nabla_b c - nabla_b nabla_a c - nabla_{[a,b]} c."""
         if self._riemann is None:
-            n = self.dim
-            gam = self.gamma
-
-            def component(a, b, c, w):
-                total = _Z
-                for kap in range(n):
-                    if self.metric[kap][w].is_zero():
-                        continue
-                    s = _Z
-                    for lam in range(n):
-                        x1, x2 = gam(lam, b, c), gam(kap, a, lam)
-                        if x1 is not None and x2 is not None:
-                            s = s + x2 * x1
-                        x1, x2 = gam(lam, a, c), gam(kap, b, lam)
-                        if x1 is not None and x2 is not None:
-                            s = s - x2 * x1
-                        br = self.c[a][b][lam]
-                        if not br.is_zero():
-                            x2 = gam(kap, lam, c)
-                            if x2 is not None:
-                                s = s - br * x2
-                    total = total + s * self.metric[kap][w]
-                return total
-
-            self._riemann = BiSymTensor.from_function(self.space, component)
+            self._riemann = riemann(self)
         return self._riemann
 
     def ricci(self):

@@ -614,18 +614,24 @@ def verify_typeII_common(b):
     H = b.frame_data["H"]
     dphi = b.frame_data["dphi"]          # 1-form on the frame
     n = space.dim
-    # nabla d phi: the only nonflat directions carrying dphi would be the
-    # plane-wave x^-; the chart computation shows Gamma^-_{mu nu} = 0 there,
-    # so affine dilatons are parallel.  Verified on the chart when a CW
-    # factor is present, structural otherwise.
+    # nabla d phi: computed on the chart when a plane-wave factor is present.
+    # Otherwise the frame is left-invariant on a group with a bi-invariant
+    # metric, so (nabla_X dphi)(Y) = -1/2 dphi([X,Y]); the brackets span the
+    # legs that H touches (those of AdS3, S3 and SU(3)), and a frame-constant
+    # dphi without such legs is parallel.
     if b.frame_data.get("cw_patch") is not None:
         p = b.frame_data["cw_patch"]
         phi_poly = b.frame_data["phi_poly"]
         ok = _nabla_dphi_zero(p, phi_poly)
         rep.add("nabla d phi = 0", ok, note="verified on the plane-wave chart")
     else:
-        rep.add("nabla d phi = 0", True,
-                note="structural: affine dilaton along flat directions")
+        legs = {i for idx in H.components for i in idx}
+        bad = [i for (i,) in sorted(dphi.components) if i in legs]
+        rep.add("nabla d phi = 0", not bad,
+                witness=f"dphi has a component on leg {bad[0]}, which H "
+                        f"touches" if bad else "",
+                note="structural: dphi has no leg that H touches (checked), "
+                     "so the frame-constant dilaton gradient is parallel")
     sH = hodge(H)
     rep.add("dphi ^ *H = 0", wedge(dphi, sH).is_zero())
     bal = form_inner(dphi, dphi) - Scalar.from_rational(1, 4) * form_inner(H, H)

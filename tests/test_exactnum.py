@@ -365,3 +365,53 @@ def test_cli_refuses_a_background_with_an_unfactorable_radicand(tmp_path):
     assert proc.returncode == 2, (proc.stdout, proc.stderr)
     assert "too large to factor exactly" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# 11 factors (1+sqrt(p)): 2,047 radicands if it were expanded
+ROOT_PRODUCT = "*".join(f"(1+sqrt({p}))" for p in PRIMES[:11])
+# the inverse of a sum of 12 roots: 2,048 radicands, about a second to build
+ROOT_SUM_INVERSE = "1/(" + "+".join(f"sqrt({p})" for p in PRIMES) + ")"
+
+
+def test_parse_scalar_bounds_the_distinct_radicands():
+    bound = exactnum.MAX_RADICANDS
+    for text in (ROOT_PRODUCT, ROOT_SUM_INVERSE):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="distinct square roots"):
+            parse_scalar(text)
+        assert time.perf_counter() - start < 1.0
+    # up to the bound everything is still computed, repeated roots included
+    inside = "*".join(f"(1+sqrt({p}))" for p in PRIMES[:bound])
+    assert len(parse_scalar(inside).radicands) == 2 ** bound - 1
+    assert parse_scalar(f"{inside}*sqrt(8)/sqrt(18)") == \
+        parse_scalar(inside) * rational(2, 3)
+    # a parameter brings its radicands along
+    a = sum((sqrt_scalar(p) for p in PRIMES[:bound]), Scalar(0))
+    assert parse_scalar("a*sqrt(2)", {"a": a}) == a * sqrt_scalar(2)
+    with pytest.raises(ValueError, match="distinct square roots"):
+        parse_scalar(f"a*sqrt({PRIMES[bound]})", {"a": a})
+
+
+def test_cli_refuses_a_scalar_with_too_many_radicands(tmp_path):
+    # in subprocesses with a timeout: without the bound, verifying either
+    # input takes minutes
+    def verify(*args):
+        proc = subprocess.run([sys.executable, "-m", "sugraverify.cli",
+                               "verify", *args], capture_output=True,
+                              text=True, timeout=30)
+        assert proc.returncode == 2, (proc.stdout, proc.stderr)
+        assert "distinct square roots" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    verify("cw11", "--perturb", f"A11={ROOT_PRODUCT}")
+    doc = {"theory": "d11", "name": "roots",
+           "geometry": {"type": "product", "blocks": [
+               {"dim": 4, "scalar_curvature": "-48", "lorentzian": True,
+                "label": "AdS4"},
+               {"dim": 7, "scalar_curvature": "42", "label": "S7"}]},
+           "fluxes": {"F4": [{"indices": [0, 1, 2, 3],
+                              "coeff": ROOT_SUM_INVERSE}]}}
+    path = tmp_path / "roots.json"
+    path.write_text(json.dumps(doc))
+    verify(str(path))

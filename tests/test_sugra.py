@@ -390,6 +390,30 @@ def test_typeII_negative_control_unbalanced_dilaton():
     assert cond["|dphi|^2 = 1/4 |H|^2"].witness
 
 
+def test_structural_nabla_dphi_checks_its_premise():
+    from sugraverify.catalog import (enumerate_parallelisable, solve_dilaton,
+                                     verify_typeII_product)
+    accepted = [p for p in enumerate_parallelisable(10)
+                if solve_dilaton(p).accepted]
+    assert len(accepted) == 12
+    for p in accepted:
+        rep = verify_typeII_product(p, "nonconstant")
+        assert rep.passed, p.display()
+        cond = {c.name: c for c in rep.conditions}["nabla d phi = 0"]
+        assert "chart" in cond.note or "(checked)" in cond.note
+    # negative control: the dilaton gradient moved onto a leg of the sphere,
+    # where the torsion lives, is not parallel
+    b = typeII_background(GeometryProduct("E(1,0)", spheres=1, flats=6),
+                          "nonconstant")
+    dphi = b.frame_data["dphi"]
+    (coeff,) = dphi.components.values()
+    b.frame_data["dphi"] = KForm(dphi.space, 1, {(1,): coeff})
+    assert any(1 in idx for idx in b.frame_data["H"].components)
+    cond = {c.name: c for c in verify_typeII_common(b).conditions}
+    assert not cond["nabla d phi = 0"].passed
+    assert "leg 1" in cond["nabla d phi = 0"].witness
+
+
 def test_spin_curvature_matches_riemann_on_chart():
     # with zero flux the supercovariant curvature is the spin-connection
     # curvature; it must equal -1/4 R_{mu nu a b} gamma^a gamma^b with the
