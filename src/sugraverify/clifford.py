@@ -11,14 +11,19 @@ Computations with spinor endomorphisms happen in a sparse monomial basis
 driven by the frame Gram matrix (which may pair lightcone legs
 off-diagonally).  This keeps connection/curvature algebra exact and fast.
 
-Elements act on sparse spinors ({index: component}) through the orthonormal
-words of their monomials, each a coefficient times a signed permutation.
-Kernels are computed from the images of sparse basis columns, so no dense
-spinor_dim x spinor_dim matrix is built; realize() builds one only for
-callers that ask for it.
+A frame is tied to the orthonormal gammas by a rational frame map; the
+lightcone one sends gamma_+ to gammahat_{n-1} + gammahat_0 and gamma_- to
+half their difference, so no square root enters a coefficient.
+
+Elements act on sparse spinors ({index: component}) through their
+orthonormal words, each a coefficient times a signed permutation, with the
+words of all monomials merged.  A kernel's rows come from one pass over the
+words and stay sparse, repeated rows are dropped, and linalg.rref eliminates
+over the nonzero entries only; no dense spinor_dim x spinor_dim matrix is
+built.  realize() builds one only for callers that ask for it.
 """
 
-from .exactnum import Scalar, Polynomial, ZERO, ONE, sqrt_scalar
+from .exactnum import Scalar, Polynomial, ZERO, ONE
 from .multilinear import QuadraticSpace, KForm, interior, wedge, \
     accumulate
 from . import linalg
@@ -427,6 +432,7 @@ class FrameAlgebra:
         self._mono_cache = {}
         self._bracket_cache = {}
         self._word_cache = {}
+        self._matrix_cache = {}
         self._action_cache = {}
 
     @staticmethod
@@ -438,17 +444,21 @@ class FrameAlgebra:
         return FrameAlgebra(space, rep)
 
     @staticmethod
-    def lightcone(rep, orientation=1, extra_names=None):
-        """Frame (e+, e-, e1..e_{n-2}) with e+- = (ehat_{n-1} +- ehat_0)/sqrt2
-        built over the orthonormal representation."""
+    def lightcone(rep, orientation=1):
+        """Frame (e+, e-, e1..e_{n-2}) over the orthonormal representation,
+        with gamma_+ = gammahat_{n-1} + gammahat_0 and gamma_- =
+        (gammahat_{n-1} - gammahat_0)/2, so B(e+, e-) = 1 and the frame map
+        is rational.  The symmetric map (gammahat_{n-1} +- gammahat_0)/sqrt2
+        differs from it by a boost, which changes no kernel dimension, trace
+        or chirality."""
         n = rep.n
         space = QuadraticSpace.lightcone(n - 2, orientation=orientation)
-        r2inv = sqrt_scalar(Scalar(2)).inverse()
+        half = Scalar.from_rational(1, 2)
         M = linalg.zeros(n, n)
-        M[0][n - 1] = r2inv
-        M[0][0] = r2inv
-        M[1][n - 1] = r2inv
-        M[1][0] = -r2inv
+        M[0][n - 1] = _ONE
+        M[0][0] = _ONE
+        M[1][n - 1] = half
+        M[1][0] = -half
         for i in range(n - 2):
             M[2 + i][1 + i] = Scalar(1)
         return FrameAlgebra(space, rep, M)
@@ -521,8 +531,8 @@ class FrameAlgebra:
     # -- realization --------------------------------------------------------
 
     def mono_words(self, S):
-        """gamma_S (frame monomial) expanded over orthonormal words, as a
-        list of (coefficient, SPMat) (cached)."""
+        """gamma_S (frame monomial) expanded over orthonormal words, as
+        {word: coefficient} (cached)."""
         words = self._word_cache.get(S)
         if words is not None:
             return words
@@ -549,14 +559,18 @@ class FrameAlgebra:
                     else:
                         nxt[w2] = cc
             terms = nxt
-        words = [(c, self._orthonormal_word(word)) for word, c in terms.items()]
-        self._word_cache[S] = words
-        return words
+        self._word_cache[S] = terms
+        return terms
 
-    def _orthonormal_word(self, word):
-        sp = SPMat.identity(self.rep.spinor_dim)
-        for b in word:
-            sp = sp @ self.rep.gammas[b]
+    def word_matrix(self, word):
+        """The orthonormal word gammahat_{b1}...gammahat_{bk} as an SPMat
+        (cached)."""
+        sp = self._matrix_cache.get(word)
+        if sp is None:
+            sp = SPMat.identity(self.rep.spinor_dim)
+            for b in word:
+                sp = sp @ self.rep.gammas[b]
+            self._matrix_cache[word] = sp
         return sp
 
     def raised_gamma(self, a):
@@ -667,16 +681,23 @@ class CliffordElement:
             return c
         return CliffordElement(self.alg, {k: sub(c) for k, c in self.comps.items()})
 
+    def words(self):
+        """The element over orthonormal words, as a list of (coefficient,
+        SPMat) with one entry per word whose coefficient is nonzero."""
+        merged = {}
+        for mono, c in self.comps.items():
+            for word, w in self.alg.mono_words(mono).items():
+                accumulate(merged, word, c * w)
+        return [(c, self.alg.word_matrix(word)) for word, c in merged.items()]
+
     def apply(self, spinor):
         """The image of a sparse spinor {index: component}, in the same form
         (zero components are left out)."""
         out = {}
-        for mono, c in self.comps.items():
-            for w, sp in self.alg.mono_words(mono):
-                cw = c * w
-                perm, vals = sp.perm, sp.vals
-                for j, x in spinor.items():
-                    accumulate(out, perm[j], _unit_scale(cw * x, vals[j]))
+        for c, sp in self.words():
+            perm, vals = sp.perm, sp.vals
+            for j, x in spinor.items():
+                accumulate(out, perm[j], _unit_scale(c * x, vals[j]))
         return out
 
     def realize(self):
@@ -691,12 +712,13 @@ class CliffordElement:
         return out
 
     def trace(self):
-        one, zero = _units(self.alg)
-        t = zero
-        for j in range(self.alg.rep.spinor_dim):
-            x = self.apply({j: one}).get(j)
-            if x is not None:
-                t = t + x
+        """Each word adds its coefficient times the units at the fixed
+        points of its signed permutation."""
+        t = _units(self.alg)[1]
+        for c, sp in self.words():
+            for j, (p, u) in enumerate(zip(sp.perm, sp.vals)):
+                if p == j:
+                    t = t + _unit_scale(c, u)
         return t
 
     def __str__(self):
@@ -777,13 +799,6 @@ def omega_xf(X, F, alg):
 # spinor bilinears and kernels
 # ---------------------------------------------------------------------------
 
-def spinor_pairing_matrix(alg):
-    """The gamma_0-based charge conjugation pairing (psi, chi) = psi^T C chi.
-    For (1,10) C is antisymmetric (a spin-invariant symplectic form); its
-    spin invariance is asserted by the test suite, not assumed here."""
-    return alg.rep.gamma_dense(0)
-
-
 def spinor_to_vector(eps1, eps2, alg):
     """V^a with g(V, X) = (eps1, X . eps2); indices raised with the Gram."""
     C = alg.rep.gammas[0]           # the pairing matrix, as a signed perm
@@ -813,7 +828,11 @@ def kernel_dim(ops, alg, columns=None):
     operator annihilates the spinor.  Returns (dimension, basis_vectors).
     `columns` restricts to the subspace spanned by the given dense column
     vectors (e.g. a chiral half); basis vectors are then coordinates on
-    those columns."""
+    those columns.
+
+    Each part's rows come from one pass over its orthonormal words and stay
+    sparse until the elimination; a row that repeats an earlier one up to a
+    factor adds nothing to the row space and is dropped."""
     N = alg.rep.spinor_dim
     one, zero = _units(alg)
     if columns is None:
@@ -821,16 +840,43 @@ def kernel_dim(ops, alg, columns=None):
     else:
         cols = [_sparse(c) for c in columns]
     ncols = len(cols)
-    rows = []
+    rows, seen = [], {}
     for op in ops:
         for part in _coordinate_parts(op):
             block = {}
-            for k, col in enumerate(cols):
-                for i, x in part.apply(col).items():
-                    block.setdefault(i, [zero] * ncols)[k] = x
-            rows.extend(block.values())
+            for c, sp in part.words():
+                perm, vals = sp.perm, sp.vals
+                for k, col in enumerate(cols):
+                    for j, x in col.items():
+                        accumulate(block.setdefault(perm[j], {}), k,
+                                   _unit_scale(c if x is one else c * x,
+                                               vals[j]))
+            for row in block.values():
+                if row and _new_direction(
+                        row, seen.setdefault(frozenset(row), [])):
+                    rows.append([row.get(k, zero) for k in range(ncols)])
     basis = linalg.nullspace(rows, ncols=ncols, one=one, zero=zero)
     return len(basis), basis
+
+
+def _new_direction(row, same_support):
+    """Whether a nonzero sparse row is a multiple of none of the rows in
+    same_support, which have the same columns; if so it is added there.
+    A factor of +-1, the common one, is tested without multiplying."""
+    k0 = next(iter(row))
+    a = row[k0]
+    for other in same_support:
+        b = other[k0]
+        if a == b:
+            same = all(x == other[k] for k, x in row.items())
+        elif a == -b:
+            same = all(x == -other[k] for k, x in row.items())
+        else:
+            same = all(x * b == other[k] * a for k, x in row.items())
+        if same:
+            return False
+    same_support.append(row)
+    return True
 
 
 def _coordinate_parts(op):

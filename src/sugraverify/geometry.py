@@ -338,7 +338,11 @@ def curvature_with_torsion(geom, H):
 
     which the tests check.  On a metric Lie algebra with its canonical
     3-form this vanishes identically (the parallelising connection)."""
-    if not geom.d(H).is_zero():
+    dH = geom.d(H)
+    if isinstance(dH, Unverified):
+        raise ValueError(f"closure of the torsion 3-form was not computed: "
+                         f"{dH}")
+    if not dH.is_zero():
         raise ValueError("torsion 3-form is not closed")
     T = _torsion_from_h(geom, H)
     half = Scalar.from_rational(1, 2)

@@ -1,8 +1,10 @@
-"""Exact dense linear algebra over the scalar tower (or any exact field).
+"""Exact linear algebra over the scalar tower (or any exact field).
 
 Matrices are lists of lists whose entries support +, -, *, .is_zero() and,
-where division is required, .inverse().  Everything here is small (n <= 64)
-so plain Gaussian elimination is used throughout.
+where division is required, .inverse().  Everything here is small (n <= 64).
+rref eliminates over sparse {column: entry} rows, so its cost follows the
+nonzero entries rather than the matrix size; det keeps plain Gaussian
+elimination.
 """
 
 from .exactnum import Scalar
@@ -71,28 +73,45 @@ def mat_eq_zero(a):
 
 
 def rref(mat):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    rows = [list(r) for r in mat]
-    n = len(rows)
-    m = len(rows[0]) if n else 0
-    pivots = []
-    r = 0
+    """Reduced row echelon form; returns (rref_rows, pivot_columns).
+
+    The rows are eliminated as {column: entry} maps.  Each pivot is the
+    sparsest remaining row with a nonzero entry in its column, and clearing
+    that column from another row touches only the pivot row's nonzero
+    entries.  The reduced form is unique, so the choice of pivot row changes
+    neither the rows nor the pivots."""
+    n = len(mat)
+    m = len(mat[0]) if n else 0
+    live = [{c: x for c, x in enumerate(r) if not x.is_zero()} for r in mat]
+    live = [row for row in live if row]
+    done, pivots = [], []
     for c in range(m):
-        piv = next((i for i in range(r, n) if not rows[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
+        if not live:
             break
-    return rows, pivots
+        cands = [row for row in live if c in row]
+        if not cands:
+            continue
+        row = min(cands, key=len)
+        live = [other for other in live if other is not row]
+        inv = row[c].inverse()
+        piv = {k: x * inv for k, x in row.items()}
+        for other in live + done:
+            f = other.get(c)
+            if f is None:
+                continue
+            for k, y in piv.items():
+                x = other.get(k)
+                x = -(f * y) if x is None else x - f * y
+                if x.is_zero():
+                    other.pop(k, None)
+                else:
+                    other[k] = x
+        live = [other for other in live if other]
+        done.append(piv)
+        pivots.append(c)
+    zero = mat[0][0] * 0 if m else None
+    rows = [[row.get(k, zero) for k in range(m)] for row in done]
+    return rows + [[zero] * m for _ in range(n - len(done))], pivots
 
 
 def rank(mat):

@@ -421,11 +421,17 @@ def hodge(a):
 
 
 def kulkarni_nomizu(h, k, space):
-    """KN product of two symmetric 2-tensors (given as matrices)."""
+    """KN product of two symmetric 2-tensors (given as matrices).  A term is
+    multiplied out only when neither factor is zero: a lightcone or diagonal
+    metric has at most two nonzero entries per row."""
+    def prod(a, b, c, d):
+        x, y = h[a][b], k[c][d]
+        return ZERO if x.is_zero() or y.is_zero() else x * y
+
     return BiSymTensor.from_function(
         space,
-        lambda x, y, z, w: h[x][w] * k[y][z] + h[y][z] * k[x][w]
-        - h[x][z] * k[y][w] - h[y][w] * k[x][z])
+        lambda x, y, z, w: prod(x, w, y, z) + prod(y, z, x, w)
+        - prod(x, z, y, w) - prod(y, w, x, z))
 
 
 class BiSymTensor:

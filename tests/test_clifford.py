@@ -8,8 +8,9 @@ from sugraverify import linalg
 from sugraverify.exactnum import Scalar, Polynomial, sqrt_scalar
 from sugraverify.multilinear import KForm, QuadraticSpace, wedge, interior
 from sugraverify.clifford import (
-    ComplexScalar, build_gamma, FrameAlgebra, clifford_action, omega_xf,
-    spinor_to_vector, spinor_pairing_matrix, kernel_dim, chiral_basis)
+    ComplexScalar, build_gamma, FrameAlgebra, CliffordElement,
+    clifford_action, omega_xf,
+    spinor_to_vector, kernel_dim, chiral_basis)
 
 
 def S(x):
@@ -241,6 +242,13 @@ def test_omega_cw11_flux_exact_and_nilpotency():
 # ---------------------------------------------------------------------------
 # invariant pairing and spinor bilinears
 # ---------------------------------------------------------------------------
+
+def spinor_pairing_matrix(alg):
+    """The gamma_0-based charge conjugation pairing (psi, chi) = psi^T C chi.
+    For (1,10) C is antisymmetric (a spin-invariant symplectic form); the
+    tests below check its spin invariance rather than assume it."""
+    return alg.rep.gamma_dense(0)
+
 
 def test_pairing_is_antisymmetric_and_gamma_compatible(alg_1_10):
     C = spinor_pairing_matrix(alg_1_10)
@@ -498,3 +506,130 @@ def test_commutator_equals_difference_of_products(rep_1_9):
     # commuting monomials give an exact zero bracket
     g01 = alg.element({(0, 1): S(1)})
     assert g01.commutator(alg.element({(2, 3): S(1)})).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the rational lightcone map against the symmetric sqrt(2) map, and kernel
+# bases checked by direct application
+# ---------------------------------------------------------------------------
+
+def _sqrt2_lightcone(alg):
+    """The algebra on alg's lightcone frame under the symmetric map
+    gamma_+- = (gammahat_{n-1} +- gammahat_0)/sqrt2, a boost of the
+    rational one."""
+    n = alg.rep.n
+    r = sqrt_scalar(S(2)).inverse()
+    M = linalg.zeros(n, n)
+    M[0][n - 1] = M[0][0] = M[1][n - 1] = r
+    M[1][0] = -r
+    for i in range(n - 2):
+        M[2 + i][1 + i] = S(1)
+    return FrameAlgebra(alg.space, alg.rep, M)
+
+
+def _susy_rows():
+    """(product, dilaton kind) for every accepted row of the susy table and
+    each dilaton kind it admits."""
+    from sugraverify import catalog
+    rows = []
+    for p in catalog.enumerate_parallelisable(10):
+        if not catalog.solve_dilaton(p).accepted:
+            continue
+        rows.append((p, "nonconstant"))
+        if catalog.has_constant_dilaton_member(p):
+            rows.append((p, "constant"))
+    return rows
+
+
+def _kernel_dims(op, alg):
+    """(full, chirality +1, chirality -1) kernel dimensions of op."""
+    return tuple(kernel_dim([op], alg, columns=cols)[0]
+                 for cols in (None, chiral_basis(alg, 1),
+                              chiral_basis(alg, -1)))
+
+
+def test_rational_lightcone_map_keeps_the_dilatino_kernels():
+    from sugraverify import catalog
+    half = Scalar.from_rational(1, 2)
+    rows = _susy_rows()
+    assert len({p.ident() for p, _ in rows}) == 12
+    compared = 0
+    for p, kind in rows:
+        data = catalog.assemble_parallelisable(p, kind)
+        alg = data["alg"]
+        op = clifford_action(data["dphi"], alg) + \
+            clifford_action(data["H"], alg).scale(half)
+        dims = _kernel_dims(op, alg)
+        assert dims[1] + dims[2] == dims[0], (p.ident(), kind)
+        if alg.space.names[:2] != ("e+", "e-"):
+            continue            # an orthonormal frame has no lightcone map
+        old = _sqrt2_lightcone(alg)
+        assert dims == _kernel_dims(CliffordElement(old, op.comps), old), \
+            (p.ident(), kind)
+        compared += 1
+    assert compared >= 7, compared      # the CW and flat rows
+
+
+def test_rational_lightcone_map_keeps_traces_and_the_volume_element(rep_1_10):
+    alg = FrameAlgebra.lightcone(rep_1_10)
+    old = _sqrt2_lightcone(alg)
+    for a in (alg, old):
+        assert all(x.is_rational() for row in a.frame_map for x in row) == \
+            (a is alg)
+    rng = random.Random(31)
+    elements = [_random_element(alg, rng, terms=rng.randint(1, 5))
+                for _ in range(12)]
+    elements.append(alg.element({tuple(range(11)): S(3), (0, 1): S(1)}))
+    for x in elements:
+        t, t_old = x.trace(), CliffordElement(old, x.comps).trace()
+        assert (t - t_old).is_zero(), x
+    # gamma_+ gamma_- = 1 + gammahat_0 gammahat_10, and gammahat_0 gammahat_10
+    # gammahat_1..gammahat_9 = -vol = +1 in (1,10): trace 32 + 3 * 32
+    assert elements[-1].trace() == S(128)
+    vol = clifford_action(alg.space.volume_form(), alg)
+    assert linalg.mat_eq_zero(linalg.mat_sub(
+        vol.realize(), CliffordElement(old, vol.comps).realize()))
+    for x in vol.realize()[0] + vol.realize()[5]:
+        assert x.is_rational()
+
+
+def test_kernel_bases_are_annihilated_by_direct_application(monkeypatch):
+    # every kernel the certificate computes, on the catalog plane waves (a
+    # perturbed cw11 among them, so the curvature is not zero) and the susy
+    # rows: each basis spinor is mapped to zero by each operator, checked
+    # with apply and not through rref
+    from sugraverify import catalog, sugra
+    calls = []
+
+    def recording(ops, alg, columns=None):
+        dim, basis = kernel_dim(ops, alg, columns=columns)
+        calls.append((ops, alg, columns, dim, basis))
+        return dim, basis
+
+    monkeypatch.setattr(sugra, "kernel_dim", recording)
+    for bid in ("cw11", "cw10", "e1_10", "e1_9"):
+        assert catalog.verify_background(catalog.get_background(bid)).passed
+    catalog.verify_background(
+        catalog.get_background("cw11", perturb={(0, 1): S(1)}))
+    for p, kind in _susy_rows():
+        catalog.susy_count(p, kind)
+    assert len(calls) >= 6 + 3 * 19
+    partial = 0
+    for ops, alg, columns, dim, basis in calls:
+        assert dim == len(basis)
+        N = alg.rep.spinor_dim
+        partial += 0 < dim < (N if columns is None else len(columns))
+        for v in basis:
+            if columns is None:
+                spinor = {j: x for j, x in enumerate(v) if not x.is_zero()}
+            else:
+                spinor = {}
+                for x, col in zip(v, columns):
+                    for j, y in enumerate(col):
+                        if not (x.is_zero() or y.is_zero()):
+                            spinor[j] = spinor[j] + x * y if j in spinor \
+                                else x * y
+            assert spinor
+            for op in ops:
+                assert all(y.is_zero() for y in op.apply(spinor).values())
+    assert partial > 0

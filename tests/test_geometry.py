@@ -264,6 +264,20 @@ def test_torsion_curvature_needs_a_connection():
         curvature_with_torsion(prod, H)
 
 
+def test_torsion_curvature_names_an_unmet_block_premise():
+    # e^{013} meets the curved block AdS3 in 2 of its 3 legs, so d(H) is
+    # Unverified: closure was never computed and must not be reported as
+    # failing
+    prod = ProductGeometry([ConstCurvBlock(3, S(-6), lorentzian=True),
+                            ConstCurvBlock(3, S(6))])
+    H = KForm.basis(prod.space, 0, 1, 3)
+    with pytest.raises(ValueError) as err:
+        curvature_with_torsion(prod, H)
+    msg = str(err.value)
+    assert "not computed" in msg and "AdS3 in 2 of its 3 legs" in msg, msg
+    assert "is not closed" not in msg
+
+
 def test_lie_algebra_riemann_has_the_biinvariant_ricci():
     # an oracle independent of the Koszul coefficients: Ric = -1/4 B(ad, ad)
     rng = random.Random(8)

@@ -1,6 +1,9 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from sugraverify import linalg
+from sugraverify.clifford import ComplexScalar
 from sugraverify.exactnum import Scalar, sqrt_scalar
 
 
@@ -72,3 +75,81 @@ def test_charpoly_random_cayley_hamilton():
             acc = linalg.mat_add(acc, linalg.mat_scale(power, coeffs[k]))
             power = linalg.mat_mul(power, m)
         assert linalg.mat_eq_zero(acc)
+
+
+# ---------------------------------------------------------------------------
+# the sparse rref against the dense Gauss-Jordan elimination it replaced
+# ---------------------------------------------------------------------------
+
+def _dense_rref(mat):
+    """Reference: the first nonzero row of a column is its pivot, and every
+    other row is updated over every column."""
+    rows = [list(r) for r in mat]
+    n = len(rows)
+    m = len(rows[0]) if n else 0
+    pivots = []
+    r = 0
+    for c in range(m):
+        piv = next((i for i in range(r, n) if not rows[i][c].is_zero()), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(n):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return rows, pivots
+
+
+_R3 = sqrt_scalar(3)
+
+
+def _field_entry(field, a, b, d):
+    if field == "Q":
+        return Scalar.from_rational(a, d)
+    if field == "Q(sqrt3)":
+        return Scalar.from_rational(a, d) + Scalar.from_rational(b, d) * _R3
+    return ComplexScalar(Scalar.from_rational(a, d), Scalar(b))
+
+
+@st.composite
+def _matrices(draw):
+    """(field, matrix): entries in Q, Q(sqrt3) or Q(i); dense, half-sparse
+    or sparse; sometimes with a row that combines two others."""
+    field = draw(st.sampled_from(("Q", "Q(sqrt3)", "complex")))
+    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 8))
+    zeros_per_nonzero = draw(st.sampled_from((0, 1, 4)))
+    small = st.integers(-3, 3)
+    mat = []
+    for _ in range(n):
+        row = []
+        for _ in range(m):
+            if draw(st.integers(0, zeros_per_nonzero)):
+                row.append(_field_entry(field, 0, 0, 1))
+            else:
+                row.append(_field_entry(field, draw(small), draw(small),
+                                        draw(st.integers(1, 3))))
+        mat.append(row)
+    if n >= 2 and draw(st.booleans()):
+        k = _field_entry(field, draw(small), draw(small), 1)
+        mat.append([x + k * y for x, y in zip(mat[0], mat[1])])
+    return field, mat
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_matrices())
+def test_sparse_rref_matches_dense_gauss_jordan(case):
+    field, mat = case
+    rows, pivots = linalg.rref(mat)
+    want, want_pivots = _dense_rref(mat)
+    assert pivots == want_pivots, field
+    assert len(rows) == len(want)
+    for r, w in zip(rows, want):
+        assert len(r) == len(w)
+        assert all((x - y).is_zero() for x, y in zip(r, w)), field
