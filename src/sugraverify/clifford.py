@@ -10,6 +10,9 @@ Computations with spinor endomorphisms happen in a sparse monomial basis
 {gamma_S} indexed by sorted tuples of frame indices, with multiplication
 driven by the frame Gram matrix (which may pair lightcone legs
 off-diagonally).  This keeps connection/curvature algebra exact and fast.
+Two monomials without linked legs (legs s != t across them with G[s][t]
+!= 0) commute or anticommute up to one contracted monomial, so commutators
+decide them by parity (docs/conventions.md).
 
 A frame is tied to the orthonormal gammas by a rational frame map; the
 lightcone one sends gamma_+ to gammahat_{n-1} + gammahat_0 and gamma_- to
@@ -429,6 +432,14 @@ class FrameAlgebra:
         check = linalg.mat_mul(frame_map, linalg.mat_mul(eta, linalg.transpose(frame_map)))
         if not linalg.mat_eq_zero(linalg.mat_sub(check, space.metric)):
             raise ValueError("frame map does not reproduce the Gram matrix")
+        # bit b of _links[a] is set when a != b are linked, G[a][b] != 0;
+        # commutator decides pairs without linked legs by parity
+        G = space.metric
+        self._links = [sum(1 << b for b in range(n)
+                           if b != a and not G[a][b].is_zero())
+                       for a in range(n)]
+        self._bits_cache = {}
+        self._square_cache = {}
         self._mono_cache = {}
         self._bracket_cache = {}
         self._word_cache = {}
@@ -498,6 +509,37 @@ class FrameAlgebra:
                 accumulate(out, mono, -c)
             self._bracket_cache[key] = out
         return out
+
+    def _mono_bits(self, S):
+        """(legs of S, legs linked to a leg of S) as bit masks (cached)."""
+        bits = self._bits_cache.get(S)
+        if bits is None:
+            legs = links = 0
+            for s in S:
+                legs |= 1 << s
+                links |= self._links[s]
+            bits = self._bits_cache[S] = (legs, links)
+        return bits
+
+    def _unlinked_bracket(self, S, T, legs_s, legs_t):
+        """gamma_S gamma_T - gamma_T gamma_S for monomials with no linked
+        legs s != t, whose exponent |S||T| - |S & T| is odd: the one
+        monomial 2 (merge sign) prod_{i in S & T} G_ii gamma_{S ^ T}, or
+        nothing when a shared leg is null."""
+        shared = legs_s & legs_t
+        f = self._square_cache.get(shared)
+        if f is None:
+            f = Scalar(2)
+            for i in S:
+                if shared >> i & 1:
+                    f = f * self.space.metric[i][i]
+            self._square_cache[shared] = f
+        if f.is_zero():
+            return {}
+        # each leg t of T passes the legs of S above it
+        if sum((legs_s >> (t + 1)).bit_count() for t in T) & 1:
+            f = -f
+        return {tuple(sorted(set(S).symmetric_difference(T))): f}
 
     def _insert(self, S, b):
         """gamma_S gamma_b expanded over monomials."""
@@ -655,11 +697,27 @@ class CliffordElement:
 
     def commutator(self, other):
         """[self, other], one coefficient product per non-commuting pair of
-        monomials."""
+        monomials.
+
+        A pair gamma_S, gamma_T with no linked legs s != t (G[s][t] = 0)
+        obeys gamma_S gamma_T = (-1)^(|S||T| - |S & T|) gamma_T gamma_S: an
+        even exponent commutes and is skipped, an odd one brackets to a
+        single monomial (FrameAlgebra._unlinked_bracket).  Only a linked
+        pair, in a lightcone frame one with e+ on one side and e- on the
+        other, expands through the cached mono_bracket."""
+        alg = self.alg
+        right = [(t, ct, alg._mono_bits(t)[0])
+                 for t, ct in other.comps.items()]
         comps = {}
         for s, cs in self.comps.items():
-            for t, ct in other.comps.items():
-                br = self.alg.mono_bracket(s, t)
+            legs_s, links_s = alg._mono_bits(s)
+            for t, ct, legs_t in right:
+                if links_s & legs_t:
+                    br = alg.mono_bracket(s, t)
+                elif (len(s) * len(t) - (legs_s & legs_t).bit_count()) & 1:
+                    br = alg._unlinked_bracket(s, t, legs_s, legs_t)
+                else:
+                    continue
                 if not br:
                     continue
                 c = cs * ct

@@ -156,34 +156,51 @@ def flat_patch(dim, lorentzian=True, names=None):
 
 
 def christoffel(p):
-    """Levi-Civita symbols as a sparse dict {(k,i,j): Polynomial} (i <= j)."""
+    """Levi-Civita symbols as a sparse dict {(k,i,j): Polynomial} (i <= j),
+    keyed in (i, j, k) order:
+
+      Gamma^k_{ij} = 1/2 g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij}),
+
+    summed over increasing l.  Only the nonzero partials d_m g_{ab} of the
+    nonzero metric entries are taken, and a bracket is formed only for an
+    (i, j, l) that one of them enters."""
     if p._christoffel is not None:
         return p._christoffel
     n = p.dim
     g, ginv = p.metric, p.metric_inv
-    d = [[[None] * n for _ in range(n)] for _ in range(n)]
-
-    def dg(m, i, j):
-        if d[m][i][j] is None:
-            d[m][i][j] = p.partial(g[i][j], m) or _pz()
-        return d[m][i][j]
-
+    dg = {}                     # (m, a, b): d_m g_{ab}, both orders of a, b
+    for a in range(n):
+        for b in range(a, n):
+            if g[a][b].is_zero():
+                continue
+            for m in range(n):
+                x = p.partial(g[a][b], m)
+                if x is not None:
+                    dg[(m, a, b)] = dg[(m, b, a)] = x
+    reached = set()             # the (i <= j, l) whose bracket takes d_m g_ab
+    for m, a, b in dg:
+        reached.add((min(m, a), max(m, a), b))
+        reached.add((min(a, b), max(a, b), m))
+    brackets = {}               # (i, j): [(l, bracket)], l increasing
+    zero = _pz()
+    for i, j, l in sorted(reached):
+        s = dg.get((i, j, l), zero) + dg.get((j, i, l), zero) \
+            - dg.get((l, i, j), zero)
+        if not s.is_zero():
+            brackets.setdefault((i, j), []).append((l, s))
+    ginv_col = [[k for k in range(n) if not ginv[k][l].is_zero()]
+                for l in range(n)]
     out = {}
     half = Scalar.from_rational(1, 2)
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                total = None
-                for l in range(n):
-                    if ginv[k][l].is_zero():
-                        continue
-                    s = dg(i, j, l) + dg(j, i, l) - dg(l, i, j)
-                    if s.is_zero():
-                        continue
-                    term = ginv[k][l] * s
-                    total = term if total is None else total + term
-                if total is not None and not total.is_zero():
-                    out[(k, i, j)] = total * half
+    for (i, j), terms in brackets.items():
+        totals = {}
+        for l, s in terms:
+            for k in ginv_col[l]:
+                t = ginv[k][l] * s
+                totals[k] = totals[k] + t if k in totals else t
+        for k in sorted(totals):
+            if not totals[k].is_zero():
+                out[(k, i, j)] = totals[k] * half
     p._christoffel = out
     return out
 
@@ -217,6 +234,8 @@ def _curvature(geom, gamma):
     for a, b in combinations(range(n), 2):
         for l in range(n):
             x, y = geom.gamma(l, a, b), geom.gamma(l, b, a)
+            if x is y:
+                continue            # one stored symmetric entry, or None
             c = (_Z if x is None else x) - (_Z if y is None else y)
             if not c.is_zero():
                 brackets.setdefault((a, b), {})[l] = c
@@ -425,80 +444,95 @@ def lightcone_coframe(p):
     return cof, frm, gram
 
 
+def _nonzero_rows(m):
+    """A square matrix as [[(column, entry)] per row], nonzero entries only."""
+    return [[(j, x) for j, x in enumerate(row) if not x.is_zero()]
+            for row in m]
+
+
+def _nonzero_cols(m):
+    """A square matrix as [[(row, entry)] per column], nonzero entries only."""
+    return _nonzero_rows([list(col) for col in zip(*m)])
+
+
 def _check_frame(p, cof, frm, gram):
-    # duality e^a(E_b) = delta^a_b and exact orthonormalization of g
+    """Raise ValueError unless the coframe and frame are dual, e^a(E_b) =
+    delta^a_b, and the coframe orthonormalizes the metric, g_{mu nu} =
+    G_{ab} e^a_mu e^b_nu.  Both sums run over nonzero entries only."""
     n = p.dim
+    cof_rows, frm_cols = _nonzero_rows(cof), _nonzero_cols(frm)
+    dual = {}
+    for a, row in enumerate(cof_rows):
+        for mu, x in row:
+            for b, y in frm_cols[mu]:
+                accumulate(dual, (a, b), x * y)
     for a in range(n):
         for b in range(n):
-            s = None
-            for mu in range(n):
-                t = cof[a][mu] * frm[b][mu]
-                s = t if s is None else s + t
             want = Scalar(1 if a == b else 0)
-            if not (s - want).is_zero():
+            if not (dual.get((a, b), _pz()) - want).is_zero():
                 raise ValueError("coframe/frame are not dual")
-    # g_{mu nu} = sum_{a,b} G_{ab} e^a_mu e^b_nu
+    metric = {}
+    for a, row in enumerate(_nonzero_rows(gram)):
+        for b, gab in row:
+            for mu, x in cof_rows[a]:
+                for nu, y in cof_rows[b]:
+                    accumulate(metric, (mu, nu), x * y * gab)
     for mu in range(n):
         for nu in range(n):
-            s = None
-            for a in range(n):
-                for b in range(n):
-                    if gram[a][b].is_zero():
-                        continue
-                    t = cof[a][mu] * cof[b][nu] * gram[a][b]
-                    s = t if s is None else s + t
-            e = (s if s is not None else _pz()) - p.metric[mu][nu]
-            if not e.is_zero():
+            if not (metric.get((mu, nu), _pz()) - p.metric[mu][nu]).is_zero():
                 raise ValueError("coframe does not orthonormalize the metric")
 
 
 def spin_connection(p, cof, frm, gram):
     """Connection coefficients omega_{mu,ab} (lowered, skew in ab) of the
     Levi-Civita connection in the given frame:
-    omega_mu^a_b = e^a_nu (d_mu E_b^nu + Gamma^nu_{mu lam} E_b^lam)."""
+    omega_mu^a_b = e^a_nu (d_mu E_b^nu + Gamma^nu_{mu lam} E_b^lam).
+
+    The sums run over the nonzero frame, coframe and Gram entries and the
+    stored Christoffel symbols; each output dict is keyed in (a, b) order.
+    Raises ValueError if the lowered coefficients are not skew."""
     n = p.dim
-    omega = [dict() for _ in range(n)]
+    # conn[mu][lam] = [(nu, Gamma^nu_{mu lam})]
+    conn = [[[] for _ in range(n)] for _ in range(n)]
+    for (k, i, j), v in christoffel(p).items():
+        conn[i][j].append((k, v))
+        if i != j:
+            conn[j][i].append((k, v))
+    frm_rows, cof_cols = _nonzero_rows(frm), _nonzero_cols(cof)
+    gram_cols = _nonzero_cols(gram)
+    lowered = []
     for mu in range(n):
+        omega = {}                      # (a, b): omega_mu^a_b, b-major
         for b in range(n):
             # v^nu = d_mu E_b^nu + Gamma^nu_{mu lam} E_b^lam
-            v = []
-            for nu in range(n):
-                total = p.partial(frm[b][nu], mu)
-                for lam in range(n):
-                    gma = p.gamma(nu, mu, lam)
-                    if gma is None or frm[b][lam].is_zero():
-                        continue
-                    t = gma * frm[b][lam]
-                    total = t if total is None else total + t
-                v.append(total)
-            for a in range(n):
-                total = None
-                for nu in range(n):
-                    if v[nu] is None or cof[a][nu].is_zero():
-                        continue
-                    t = cof[a][nu] * v[nu]
-                    total = t if total is None else total + t
-                if total is not None and not total.is_zero():
-                    omega[mu][(a, b)] = total
-    # lower the first index with the Gram matrix and verify skewness
-    lowered = [dict() for _ in range(n)]
-    for mu in range(n):
-        for a in range(n):
-            for b in range(n):
-                total = None
-                for c in range(n):
-                    if gram[a][c].is_zero():
-                        continue
-                    u = omega[mu].get((c, b))
-                    if u is None:
-                        continue
-                    t = gram[a][c] * u
-                    total = t if total is None else total + t
-                if total is not None and not total.is_zero():
-                    lowered[mu][(a, b)] = total
-    for mu in range(n):
-        for (a, b), v in lowered[mu].items():
-            w = lowered[mu].get((b, a))
+            v = {}
+            for nu, x in frm_rows[b]:
+                dx = p.partial(x, mu)
+                if dx is not None:
+                    v[nu] = dx
+            for lam, x in frm_rows[b]:
+                for nu, gma in conn[mu][lam]:
+                    t = gma * x
+                    v[nu] = v[nu] + t if nu in v else t
+            col = {}
+            for nu in sorted(v):
+                for a, e in cof_cols[nu]:
+                    t = e * v[nu]
+                    col[a] = col[a] + t if a in col else t
+            for a in sorted(col):
+                if not col[a].is_zero():
+                    omega[(a, b)] = col[a]
+        # lower the first index with the Gram matrix
+        low = {}
+        for (c, b), u in omega.items():
+            for a, gac in gram_cols[c]:
+                t = gac * u
+                low[(a, b)] = low[(a, b)] + t if (a, b) in low else t
+        lowered.append({k: low[k] for k in sorted(low)
+                        if not low[k].is_zero()})
+    for om in lowered:
+        for (a, b), v in om.items():
+            w = om.get((b, a))
             e = v + w if w is not None else v
             if not e.is_zero():
                 raise ValueError("spin connection not metric-skew")

@@ -1,12 +1,14 @@
 import random
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
 
 from sugraverify import linalg
 from sugraverify.exactnum import Scalar, Polynomial, sqrt_scalar
-from sugraverify.multilinear import KForm, QuadraticSpace, wedge, interior
+from sugraverify.multilinear import KForm, QuadraticSpace, wedge, interior, \
+    accumulate
 from sugraverify.clifford import (
     ComplexScalar, build_gamma, FrameAlgebra, CliffordElement,
     clifford_action, omega_xf,
@@ -111,54 +113,70 @@ def test_action_algebra_map_on_disjoint_products(alg_1_10):
         assert (lhs - rhs).is_zero()
 
 
+def _sparse_mul(a, b):
+    """Product of sparse matrices {row: {col: entry}}."""
+    out = {}
+    for i, row in a.items():
+        acc = {}
+        for k, x in row.items():
+            for j, y in b.get(k, {}).items():
+                accumulate(acc, j, x * y)
+        if acc:
+            out[i] = acc
+    return out
+
+
+def _sparse_add(out, m, coef):
+    """out += coef * m, in place, for sparse matrices."""
+    if coef.is_zero():
+        return
+    for i, row in m.items():
+        acc = out.setdefault(i, {})
+        for j, x in row.items():
+            accumulate(acc, j, x * coef)
+        if not acc:
+            del out[i]
+
+
 def _dense_action_oracle(form, alg):
-    """Independent c(form): average over permutations of dense raised gammas."""
+    """Independent c(form): average over permutations of products of raised
+    frame gammas, built from the dense orthonormal gammas and multiplied as
+    sparse {row: {col: entry}} matrices; returned dense."""
     N = alg.rep.spinor_dim
-    raised = []
     n = alg.space.dim
-    eta_dense = [alg.rep.gamma_dense(b) for b in range(n)]
-    for a in range(n):
-        m = linalg.zeros(N, N)
-        for b in range(n):
-            # frame gamma_a = sum_c M[a][c] gammahat_c ; raise with Gram inv
-            pass
-        raised.append(m)
-    # build frame gammas then raise
+    hat = []
+    for c in range(n):
+        dense = alg.rep.gamma_dense(c)
+        hat.append({i: {j: x for j, x in enumerate(row) if not x.is_zero()}
+                    for i, row in enumerate(dense)})
+    # frame gamma_a = sum_c M[a][c] gammahat_c, raised with the inverse Gram
     frame = []
     for a in range(n):
-        m = linalg.zeros(N, N)
+        m = {}
         for c in range(n):
-            coef = alg.frame_map[a][c]
-            if coef.is_zero():
-                continue
-            m = linalg.mat_add(m, linalg.mat_scale(eta_dense[c], coef))
+            _sparse_add(m, hat[c], alg.frame_map[a][c])
         frame.append(m)
     raised = []
     for a in range(n):
-        m = linalg.zeros(N, N)
+        m = {}
         for b in range(n):
-            coef = alg.space.metric_inv[a][b]
-            if coef.is_zero():
-                continue
-            m = linalg.mat_add(m, linalg.mat_scale(frame[b], coef))
+            _sparse_add(m, frame[b], alg.space.metric_inv[a][b])
         raised.append(m)
-    out = linalg.zeros(N, N)
-    fact = {1: 1, 2: 2, 3: 6, 4: 24, 5: 120}
+    one = {i: {i: S(1)} for i in range(N)}
+    out = {}
     for idx, c in form.components.items():
         k = len(idx)
-        if k == 0:
-            out = linalg.mat_add(out, linalg.mat_scale(linalg.eye(N), c))
-            continue
-        acc = linalg.zeros(N, N)
         for perm in permutations(range(k)):
-            sgn = _perm_sign(perm)
-            m = linalg.eye(N)
+            m = one
             for p in perm:
-                m = linalg.mat_mul(m, raised[idx[p]])
-            acc = linalg.mat_add(acc, linalg.mat_scale(m, S(sgn)))
-        acc = linalg.mat_scale(acc, Scalar.from_rational(1, fact[k]))
-        out = linalg.mat_add(out, linalg.mat_scale(acc, c))
-    return out
+                m = _sparse_mul(m, raised[idx[p]])
+            _sparse_add(out, m, c * Scalar.from_rational(_perm_sign(perm),
+                                                         factorial(k)))
+    dense = linalg.zeros(N, N)
+    for i, row in out.items():
+        for j, x in row.items():
+            dense[i][j] = x
+    return dense
 
 
 def _perm_sign(perm):
@@ -435,10 +453,10 @@ def _random_coeff(rng):
     return ComplexScalar(_random_poly(rng), _random_poly(rng))
 
 
-def _random_element(alg, rng, terms=3):
+def _random_element(alg, rng, terms=3, degree=3):
     comps = {}
     for _ in range(terms):
-        k = rng.randint(0, 3)
+        k = rng.randint(0, degree)
         comps[tuple(sorted(rng.sample(range(alg.space.dim), k)))] = \
             _random_coeff(rng)
     return alg.element(comps)
@@ -506,6 +524,53 @@ def test_commutator_equals_difference_of_products(rep_1_9):
     # commuting monomials give an exact zero bracket
     g01 = alg.element({(0, 1): S(1)})
     assert g01.commutator(alg.element({(2, 3): S(1)})).is_zero()
+
+
+def _linked_frame_algebra(rep, rng):
+    """A FrameAlgebra whose Gram matrix M eta M^T comes from a random
+    rational frame map M and has no zero off-diagonal entry, so that every
+    pair of indices is linked."""
+    n = rep.n
+    eta = linalg.zeros(n, n)
+    for a in range(n):
+        eta[a][a] = rep.eta[a]
+    while True:
+        M = [[Scalar.from_rational(rng.randint(-3, 3), rng.randint(1, 3))
+              for _ in range(n)] for _ in range(n)]
+        if linalg.det(M).is_zero():
+            continue
+        G = linalg.mat_mul(M, linalg.mat_mul(eta, linalg.transpose(M)))
+        if all(not G[a][b].is_zero() for a in range(n) for b in range(n)
+               if a != b):
+            return FrameAlgebra(QuadraticSpace(G), rep, M)
+
+
+@pytest.mark.parametrize("frame,sig", [("lightcone", (1, 9)),
+                                       ("lightcone", (1, 10)),
+                                       ("orthonormal", (1, 10)),
+                                       ("linked", (1, 10))])
+def test_commutator_matches_difference_of_products_on_every_frame(frame, sig):
+    # the parity rule on unlinked pairs and mono_bracket on linked ones
+    rng = random.Random(23)
+    rep = build_gamma(sig)
+    if frame == "linked":
+        alg = _linked_frame_algebra(rep, rng)
+    else:
+        alg = getattr(FrameAlgebra, frame)(rep)
+    nonzero = 0
+    for _ in range(10):
+        x = _random_element(alg, rng, terms=rng.randint(1, 4), degree=5)
+        y = _random_element(alg, rng, terms=rng.randint(1, 4), degree=5)
+        got = x.commutator(y)
+        assert (got - (x * y - y * x)).is_zero()
+        nonzero += not got.is_zero()
+    assert nonzero >= 5
+    # a pair sharing leg 0, which is null in a lightcone frame, with an odd
+    # exponent |S||T| - |S & T| = 3
+    x, y = alg.element({(0, 2): S(1)}), alg.element({(0, 3): S(1)})
+    got = x.commutator(y)
+    assert (got - (x * y - y * x)).is_zero()
+    assert got.is_zero() == (frame == "lightcone")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from sugraverify import linalg
+from sugraverify import catalog, linalg
 from sugraverify.exactnum import Scalar, Polynomial
 from sugraverify.multilinear import KForm, BiSymTensor, form_component
 from sugraverify.liealg import (CWData, abelian, double_extension,
@@ -14,7 +14,7 @@ from sugraverify.geometry import (
     CoordinatePatch, cw_patch, flat_patch, christoffel, riemann, ricci,
     exterior_derivative, covariant_derivative_form, curvature_with_torsion,
     flat_torsion_consequences, lightcone_coframe, spin_connection,
-    killing_check, ConstCurvBlock, ProductGeometry)
+    killing_check, ConstCurvBlock, ProductGeometry, _check_frame)
 
 
 def S(x):
@@ -459,3 +459,210 @@ def test_metric_parallel_under_levi_civita():
                         t = gm * p.metric[lam][b]
                         total = -t if total is None else total - t
                 assert total is None or total.is_zero(), (mu, nu, rho)
+
+
+# ---------------------------------------------------------------------------
+# the sparse Christoffel symbols, frame check and spin connection against
+# dense references (the loops over every index that they replaced)
+# ---------------------------------------------------------------------------
+
+def _dense_christoffel(p):
+    n = p.dim
+    g, ginv = p.metric, p.metric_inv
+
+    def dg(m, i, j):
+        return p.partial(g[i][j], m) or Polynomial((), {})
+
+    out = {}
+    half = R(1, 2)
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(n):
+                total = None
+                for l in range(n):
+                    if ginv[k][l].is_zero():
+                        continue
+                    s = dg(i, j, l) + dg(j, i, l) - dg(l, i, j)
+                    if s.is_zero():
+                        continue
+                    term = ginv[k][l] * s
+                    total = term if total is None else total + term
+                if total is not None and not total.is_zero():
+                    out[(k, i, j)] = total * half
+    return out
+
+
+def _dense_check_frame(p, cof, frm, gram):
+    """The frame check's outcome: None or the ValueError message."""
+    n = p.dim
+    for a in range(n):
+        for b in range(n):
+            s = None
+            for mu in range(n):
+                t = cof[a][mu] * frm[b][mu]
+                s = t if s is None else s + t
+            if not (s - S(1 if a == b else 0)).is_zero():
+                return "coframe/frame are not dual"
+    for mu in range(n):
+        for nu in range(n):
+            s = Polynomial((), {})
+            for a in range(n):
+                for b in range(n):
+                    if not gram[a][b].is_zero():
+                        s = s + cof[a][mu] * cof[b][nu] * gram[a][b]
+            if not (s - p.metric[mu][nu]).is_zero():
+                return "coframe does not orthonormalize the metric"
+    return None
+
+
+def _dense_spin_connection(p, cof, frm, gram, ch):
+    """The spin connection from the Christoffel dict ch, or the ValueError
+    message."""
+    n = p.dim
+
+    def gamma(k, i, j):
+        return ch.get((k, i, j) if i <= j else (k, j, i))
+
+    omega = [dict() for _ in range(n)]
+    for mu in range(n):
+        for b in range(n):
+            v = []
+            for nu in range(n):
+                total = p.partial(frm[b][nu], mu)
+                for lam in range(n):
+                    gma = gamma(nu, mu, lam)
+                    if gma is None or frm[b][lam].is_zero():
+                        continue
+                    t = gma * frm[b][lam]
+                    total = t if total is None else total + t
+                v.append(total)
+            for a in range(n):
+                total = None
+                for nu in range(n):
+                    if v[nu] is None or cof[a][nu].is_zero():
+                        continue
+                    t = cof[a][nu] * v[nu]
+                    total = t if total is None else total + t
+                if total is not None and not total.is_zero():
+                    omega[mu][(a, b)] = total
+    lowered = [dict() for _ in range(n)]
+    for mu in range(n):
+        for a in range(n):
+            for b in range(n):
+                total = None
+                for c in range(n):
+                    u = omega[mu].get((c, b))
+                    if gram[a][c].is_zero() or u is None:
+                        continue
+                    t = gram[a][c] * u
+                    total = t if total is None else total + t
+                if total is not None and not total.is_zero():
+                    lowered[mu][(a, b)] = total
+    for mu in range(n):
+        for (a, b), v in lowered[mu].items():
+            w = lowered[mu].get((b, a))
+            if not (v + w if w is not None else v).is_zero():
+                return "spin connection not metric-skew"
+    return lowered
+
+
+def _rotated_cw(rng, m):
+    """A plane-wave chart whose profile O D O^T is a random integer diagonal
+    D turned by a rational Cayley rotation O = (I - K)(I + K)^-1."""
+    K = linalg.zeros(m, m)
+    for i in range(m):
+        for j in range(i + 1, m):
+            K[i][j] = S(rng.randint(-2, 2))
+            K[j][i] = -K[i][j]
+    I = linalg.eye(m)
+    O = linalg.mat_mul(linalg.mat_sub(I, K),
+                       linalg.inverse(linalg.mat_add(I, K)))
+    D = linalg.zeros(m, m)
+    for i in range(m):
+        D[i][i] = S(rng.choice((-4, -1, 1, 2)))
+    return cw_patch(CWData(linalg.mat_mul(O, linalg.mat_mul(
+        D, linalg.transpose(O)))))
+
+
+def _frame_charts():
+    charts = [catalog.get_background(i).geometry
+              for i in ("cw11", "e1_10", "cw10", "e1_9")]
+    rng = random.Random(31)
+    return charts + [_rotated_cw(rng, m) for m in (9, 8, 9, 8)]
+
+
+def _same_entries(got, want):
+    assert list(got) == list(want)
+    for k, v in want.items():
+        assert got[k] == v and repr(got[k]) == repr(v), k
+
+
+def test_sparse_christoffel_matches_the_dense_sum():
+    for p in _frame_charts():
+        _same_entries(christoffel(p), _dense_christoffel(p))
+
+
+def _perturbed_frames(p):
+    """(name, coframe, frame) for the frame of p and three perturbations:
+    a frame entry (not dual), a coframe entry with the frame entry that
+    keeps the pair dual (dual, but not orthonormal), and a scaled frame
+    vector (not metric-skew)."""
+    cof, frm, gram = lightcone_coframe(p)
+    x1 = Polynomial.variable(p.coords[2])
+    out = [("frame", cof, frm)]
+    f = [row[:] for row in frm]
+    f[3][2] = f[3][2] + x1
+    out.append(("not dual", cof, f))
+    c, f = [row[:] for row in cof], [row[:] for row in frm]
+    c[0][1] = c[0][1] + x1
+    f[1][0] = f[1][0] - x1
+    out.append(("not orthonormal", c, f))
+    f = [row[:] for row in frm]
+    f[2][2] = f[2][2] * S(2)
+    out.append(("not skew", cof, f))
+    return gram, out
+
+
+def _frame_check_outcome(p, cof, frm, gram):
+    try:
+        _check_frame(p, cof, frm, gram)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def test_frame_check_and_spin_connection_match_dense_references():
+    for p in _frame_charts():
+        gram, frames = _perturbed_frames(p)
+        for name, cof, frm in frames:
+            assert _frame_check_outcome(p, cof, frm, gram) == \
+                _dense_check_frame(p, cof, frm, gram), name
+            want = _dense_spin_connection(p, cof, frm, gram,
+                                          _dense_christoffel(p))
+            try:
+                got = spin_connection(p, cof, frm, gram)
+            except ValueError as e:
+                got = str(e)
+            if isinstance(want, str):
+                assert got == want, name
+                continue
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                _same_entries(g, w)
+
+
+def test_frame_checks_reject_perturbed_frames():
+    # one negative control per check, on the d=11 plane-wave chart
+    p = cw_patch(cw11_data())
+    gram, frames = _perturbed_frames(p)
+    outcomes = {name: _frame_check_outcome(p, cof, frm, gram)
+                for name, cof, frm in frames}
+    assert outcomes == {
+        "frame": None, "not dual": "coframe/frame are not dual",
+        "not orthonormal": "coframe does not orthonormalize the metric",
+        "not skew": "coframe/frame are not dual"}
+    _, cof, frm = frames[3]
+    with pytest.raises(ValueError, match="spin connection not metric-skew"):
+        spin_connection(p, cof, frm, gram)
+    _, cof, frm = frames[0]
+    spin_connection(p, cof, frm, gram)
