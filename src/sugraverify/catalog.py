@@ -578,62 +578,98 @@ def verify_background(b):
 # background files
 # ---------------------------------------------------------------------------
 
+_FLUX_DEGREE = {"F4": 4, "F5": 5, "G5": 5, "H3": 3}
+
+
+def _file_scalar(text, params, where):
+    """parse_scalar on the background-file entry `where`, naming it on
+    error."""
+    if not isinstance(text, str):
+        raise ValueError(f"{where}: expected an exact scalar string, got "
+                         f"{text!r}")
+    try:
+        return parse_scalar(text, params)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValueError(f"{where}: {e}") from None
+
+
+def _file_fluxes(doc, params, dim, wrap):
+    """flux(space) for the "fluxes" of a background file on a frame of
+    dimension dim.  Every entry must name a known flux and give its degree's
+    increasing indices below dim, once; wrap(Scalar) is the coefficient."""
+    fluxes = doc.get("fluxes", {})
+    if not isinstance(fluxes, dict):
+        raise ValueError("fluxes: expected an object of named fluxes")
+    parsed = {}
+    for fname, entries in fluxes.items():
+        k = _FLUX_DEGREE.get(fname)
+        if k is None:
+            raise ValueError(f"fluxes.{fname}: unknown flux; expected one of "
+                             f"{', '.join(_FLUX_DEGREE)}")
+        if not isinstance(entries, list):
+            raise ValueError(f"fluxes.{fname}: expected a list of entries")
+        comps = parsed[fname] = {}
+        for pos, e in enumerate(entries):
+            where = f"fluxes.{fname}[{pos}]"
+            idx = e.get("indices") if isinstance(e, dict) else None
+            if not (isinstance(idx, list) and len(idx) == k
+                    and all(type(i) is int and 0 <= i < dim for i in idx)
+                    and idx == sorted(set(idx))):
+                raise ValueError(f"{where}: indices {idx!r} are not {k} "
+                                 f"increasing integers in 0..{dim - 1}")
+            if tuple(idx) in comps:
+                raise ValueError(f"{where}: indices {idx} repeat an earlier "
+                                 f"entry")
+            comps[tuple(idx)] = _file_scalar(e.get("coeff"), params,
+                                             f"{where}.coeff")
+
+    def flux(space):
+        return {f: KForm(space, _FLUX_DEGREE[f],
+                         {i: wrap(c) for i, c in comps.items()})
+                for f, comps in parsed.items()}
+
+    return flux
+
+
 def load_background(path):
     """Flat JSON schema for user-supplied backgrounds; exact scalars are
     strings parsed against the parameter bindings.  See README for the
-    schema."""
+    schema.  Malformed entries raise ValueError naming the entry."""
     import json
     with open(path) as fh:
         doc = json.load(fh)
-    params = {k: parse_scalar(v, {}) for k, v in
+    params = {k: _file_scalar(v, {}, f"parameters.{k}") for k, v in
               doc.get("parameters", {}).items()}
     theory = doc["theory"]
     name = doc.get("name", "user-background")
     kind = doc["geometry"]["type"]
     if kind == "cw":
-        A = [[parse_scalar(x, params) for x in row]
-             for row in doc["geometry"]["profile"]]
-        data = CWData(A)
-        flux_entries = doc.get("fluxes", {})
-
-        def flux(space):
-            out = {}
-            for fname, entries in flux_entries.items():
-                comps = {}
-                for e in entries:
-                    idx = tuple(e["indices"])
-                    comps[idx] = Polynomial.constant(
-                        parse_scalar(e["coeff"], params))
-                degree = len(next(iter(comps))) if comps else \
-                    {"F4": 4, "F5": 5, "G5": 5, "H3": 3}[fname]
-                out[fname] = KForm(space, degree, comps)
-            return out
-
-        return BackgroundSpec(theory, name, "cw", cw_data=data,
-                              flux_builder=flux, params=params)
+        rows = doc["geometry"]["profile"]
+        if not (isinstance(rows, list) and all(
+                isinstance(r, list) and len(r) == len(rows) for r in rows)):
+            raise ValueError("geometry.profile: expected a square matrix")
+        data = CWData([[_file_scalar(x, params, f"geometry.profile[{i}][{j}]")
+                        for j, x in enumerate(row)]
+                       for i, row in enumerate(rows)])
+        return BackgroundSpec(theory, name, "cw", cw_data=data, params=params,
+                              flux_builder=_file_fluxes(
+                                  doc, params, data.n, Polynomial.constant))
     if kind == "product":
         blocks = []
-        for blk in doc["geometry"]["blocks"]:
+        for i, blk in enumerate(doc["geometry"]["blocks"]):
+            if not (type(blk["dim"]) is int and blk["dim"] >= 1):
+                raise ValueError(f"geometry.blocks[{i}].dim: expected a "
+                                 f"positive integer, got {blk['dim']!r}")
             blocks.append(ConstCurvBlock(
-                blk["dim"], parse_scalar(blk["scalar_curvature"], params),
+                blk["dim"], _file_scalar(blk["scalar_curvature"], params,
+                                         f"geometry.blocks[{i}]"
+                                         f".scalar_curvature"),
                 lorentzian=blk.get("lorentzian", False),
                 label=blk.get("label", "")))
         prod = ProductGeometry(blocks,
                                doc["geometry"].get("orientation", 1))
-        flux_entries = doc.get("fluxes", {})
-
-        def flux(space):
-            out = {}
-            for fname, entries in flux_entries.items():
-                comps = {}
-                for e in entries:
-                    comps[tuple(e["indices"])] = parse_scalar(e["coeff"],
-                                                              params)
-                degree = len(next(iter(comps))) if comps else \
-                    {"F4": 4, "F5": 5, "G5": 5, "H3": 3}[fname]
-                out[fname] = KForm(space, degree, comps)
-            return out
-
         return BackgroundSpec(theory, name, "product", product=prod,
-                              flux_builder=flux, params=params)
+                              params=params,
+                              flux_builder=_file_fluxes(
+                                  doc, params, prod.dim, lambda c: c))
     raise ValueError(f"unknown geometry type {kind!r}")

@@ -28,7 +28,7 @@ from itertools import combinations
 
 from .exactnum import Scalar, Polynomial
 from .multilinear import QuadraticSpace, KForm, BiSymTensor, sort_sign, \
-    form_component, signature, accumulate
+    form_component, signature, accumulate, kulkarni_nomizu
 from . import linalg
 
 __all__ = ["CoordinatePatch", "cw_patch", "christoffel", "riemann", "ricci",
@@ -656,15 +656,17 @@ class ProductGeometry:
         return KForm(self.space, len(idx), {idx: c})
 
     def riemann(self):
-        """Block-diagonal Riemann: Riem_b = (K_b/2) (g . g) per block."""
-        def component(i, j, k, l):
-            bi = self.block_of(i)
-            if any(self.block_of(x) != bi for x in (j, k, l)):
-                return _Z
-            K = self.blocks[bi].sectional()
-            g = self.space.metric
-            return K * (g[i][l] * g[j][k] - g[i][k] * g[j][l])
-        return BiSymTensor.from_function(self.space, component)
+        """Block-diagonal Riemann: Riem_b = (K_b/2) (g_b . g_b) per block,
+        g_b the metric restricted to the block."""
+        out = BiSymTensor(self.space)
+        for blk, r in zip(self.blocks, self.ranges):
+            if blk.dim < 2:         # no 2-plane, no sectional curvature
+                continue
+            gb = [[x if i in r and j in r else _Z for j, x in enumerate(row)]
+                  for i, row in enumerate(self.space.metric)]
+            out = out + kulkarni_nomizu(gb, gb, self.space).scale(
+                blk.sectional() * Scalar.from_rational(1, 2))
+        return out
 
     def ricci(self):
         n = self.dim

@@ -24,9 +24,10 @@ from .exactnum import Scalar, ZERO, ONE, sqrt_scalar
 from . import linalg
 
 __all__ = ["QuadraticSpace", "KForm", "BiSymTensor", "wedge", "interior",
-           "interior_frame", "hodge", "form_inner", "kulkarni_nomizu",
-           "plucker_check", "lambda_action", "sort_sign", "form_component",
-           "signature", "accumulate"]
+           "interior_frame", "hodge", "form_inner", "contraction_inners",
+           "map_slots", "nonzero_columns", "kulkarni_nomizu", "plucker_check",
+           "lambda_action", "sort_sign", "form_component", "signature",
+           "accumulate"]
 
 _Z = ZERO
 
@@ -123,11 +124,6 @@ class QuadraticSpace:
             m = [[self.metric_inv[i][j] for j in cols] for i in rows]
             self._gram_cache[key] = linalg.det_nodiv(m) if m else Scalar(1)
         return self._gram_cache[key]
-
-    def raise_vector(self, covector):
-        """Components of the metric dual of a coframe covector."""
-        return [sum_nonzero([self.metric_inv[a][b] * covector[b]
-                             for b in range(self.dim)]) for a in range(self.dim)]
 
     def lower_vector(self, vector):
         return [sum_nonzero([self.metric[a][b] * vector[b]
@@ -368,6 +364,60 @@ def interior_frame(space, i, a):
     return interior(v, a)
 
 
+def nonzero_columns(M):
+    """[[(a, M[a][mu]) for the nonzero entries of column mu] for each mu]."""
+    return [[(a, row[mu]) for a, row in enumerate(M) if not row[mu].is_zero()]
+            for mu in range(len(M))]
+
+
+def map_slots(components, cols):
+    """Components of the form whose every slot goes through a matrix M,
+    e^mu -> sum_a M[a][mu] e^a, cols = nonzero_columns(M), expanding each slot
+    over the nonzero entries of its column only.  A frame matrix converts
+    coordinate to frame components; M = metric_inv raises every index."""
+    out = {}
+    for idx, c in components.items():
+        terms = [((), c)]
+        for mu in idx:
+            terms = [(done + (a,), coeff * e) for done, coeff in terms
+                     for a, e in cols[mu] if a not in done]
+        for word, coeff in terms:
+            sign, srt = sort_sign(word)
+            accumulate(out, srt, coeff if sign > 0 else -coeff)
+    return out
+
+
+def contraction_inners(F, depth):
+    """{(A, B): <iota_A F, iota_B F>} over pairs A <= B of increasing frame
+    tuples of one length d <= depth, iota_A F = F(e_a1, ..., e_ad, ...),
+    leaving out zeros.  Each F_I gives iota_A F at J = I - A for every A in
+    I; each iota_B F is raised through the nonzero inverse-Gram entries and
+    paired at J.  det g^{-1}[J, J'] is the antisymmetrised product of the
+    rows of J, so this equals form_inner's Gram-minor sum."""
+    k = F.degree
+    by_tuple = {}                   # A -> {J: (iota_A F)_J}
+    for d in range(min(depth, k) + 1):
+        for pos in combinations(range(k), d):
+            # moving the legs at pos to the front takes this many swaps
+            odd = (sum(pos) - d * (d - 1) // 2) % 2
+            rest = [p for p in range(k) if p not in pos]
+            for I, c in F.components.items():
+                by_tuple.setdefault(tuple(I[p] for p in pos), {})[
+                    tuple(I[p] for p in rest)] = -c if odd else c
+    cols = nonzero_columns(F.space.metric_inv)
+    raised = {}                     # J -> [(B, (iota_B F)^J)]
+    for B, comps in by_tuple.items():
+        for J, u in map_slots(comps, cols).items():
+            raised.setdefault(J, []).append((B, u))
+    out = {}
+    for A, comps in by_tuple.items():
+        for J, v in comps.items():
+            for B, u in raised.get(J, ()):
+                if A <= B:
+                    accumulate(out, (A, B), v * u)
+    return out
+
+
 def form_inner(a, b):
     """<a,b> over increasing index tuples, indices raised with the inverse
     Gram; the general (non-diagonal) case contracts with Gram minors."""
@@ -421,17 +471,24 @@ def hodge(a):
 
 
 def kulkarni_nomizu(h, k, space):
-    """KN product of two symmetric 2-tensors (given as matrices).  A term is
-    multiplied out only when neither factor is zero: a lightcone or diagonal
-    metric has at most two nonzero entries per row."""
-    def prod(a, b, c, d):
-        x, y = h[a][b], k[c][d]
-        return ZERO if x.is_zero() or y.is_zero() else x * y
-
-    return BiSymTensor.from_function(
-        space,
-        lambda x, y, z, w: prod(x, w, y, z) + prod(y, z, x, w)
-        - prod(x, z, y, w) - prod(y, w, x, z))
+    """KN product of two symmetric 2-tensors (given as matrices), as a
+    BiSymTensor.  Its four terms put h[a][b] k[c][d] at the sorted key with
+    (x, y) = {a, c}, (z, w) = {b, d}, with sign + iff a < c and d < b agree;
+    a pair of nonzero entries counts where that key is canonical."""
+    n = space.dim
+    ks = [(c, d, k[c][d]) for c in range(n) for d in range(n)
+          if not k[c][d].is_zero()]
+    comps = {}
+    for a in range(n):
+        for b in range(n):
+            if h[a][b].is_zero():
+                continue
+            for c, d, y in ks:
+                key = (min(a, c), max(a, c), min(b, d), max(b, d))
+                if a != c and b != d and key[:2] <= key[2:]:
+                    p = h[a][b] * y
+                    accumulate(comps, key, p if (a < c) == (d < b) else -p)
+    return BiSymTensor(space, comps)
 
 
 class BiSymTensor:
@@ -453,18 +510,6 @@ class BiSymTensor:
                     if not (i < j and k < l and (i, j) <= (k, l)):
                         raise ValueError(f"non-canonical key {key}")
                     self.components[key] = c
-
-    @staticmethod
-    def from_function(space, f):
-        n = space.dim
-        comps = {}
-        pairs = list(combinations(range(n), 2))
-        for pi, (i, j) in enumerate(pairs):
-            for (k, l) in pairs[pi:]:
-                c = f(i, j, k, l)
-                if not c.is_zero():
-                    comps[(i, j, k, l)] = c
-        return BiSymTensor(space, comps)
 
     def get(self, i, j, k, l):
         """Component with arbitrary index order, via the symmetries."""

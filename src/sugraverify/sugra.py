@@ -14,9 +14,10 @@ from itertools import combinations
 import json
 
 from .exactnum import Scalar, Polynomial
-from .multilinear import (KForm, wedge, interior_frame, hodge, form_inner,
-                          kulkarni_nomizu, plucker_check, lambda_action,
-                          sort_sign)
+from .multilinear import (KForm, BiSymTensor, wedge, interior_frame, hodge,
+                          form_inner, contraction_inners, map_slots,
+                          nonzero_columns, kulkarni_nomizu, plucker_check,
+                          lambda_action, accumulate)
 from .clifford import (ComplexScalar, build_gamma, FrameAlgebra,
                        clifford_action, omega_xf, kernel_dim, chiral_basis,
                        spinor_to_vector)
@@ -214,18 +215,22 @@ def _add_supercovariant_flatness(rep, b, geom):
 def _stress(space, F, trace):
     """T(X,Y) = 1/2 <iota_X F, iota_Y F> - trace g(X,Y) |F|^2
     componentwise."""
-    n = space.dim
+    _, F2, T2 = _contractions(F, 1)
     half = Scalar.from_rational(1, 2)
-    F2 = form_inner(F, F)
-    iotas = [interior_frame(space, i, F) for i in range(n)]
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            t = half * form_inner(iotas[i], iotas[j])
-            if not trace.is_zero():
-                t = t - trace * space.metric[i][j] * F2
-            out[i][j] = out[j][i] = t
-    return out
+    if trace.is_zero() or F2.is_zero():
+        return [[t * half for t in row] for row in T2]
+    return [[t * half - trace * g * F2 for t, g in zip(row, grow)]
+            for row, grow in zip(T2, space.metric)]
+
+
+def _contractions(F, depth):
+    """contraction_inners(F, depth), |F|^2 and <iota_i F, iota_j F>."""
+    table = contraction_inners(F, depth)
+    T2 = [[_Z] * F.space.dim for _ in range(F.space.dim)]
+    for (A, B), v in table.items():
+        if len(A) == 1:
+            T2[A[0]][B[0]] = T2[B[0]][A[0]] = v
+    return table, table.get(((), ()), _Z), T2
 
 
 def _tensor_eq(a, b, n):
@@ -276,38 +281,34 @@ def _trace(A):
     return t
 
 
-def _riemann_flux_identity(space, riem, F):
-    """The maximal-supersymmetry Riemann identity of d=11:
+def _riemann_flux_rhs(space, F):
+    """The right-hand side of the maximal-supersymmetry Riemann identity of
+    d=11, as a BiSymTensor:
     Riem(X,Y,Z,W) = 1/12 <iota_X iota_Y F, iota_W iota_Z F>
                     + 1/36 (g . T2)(X,Y,Z,W) - 1/72 |F|^2 (g . g)(X,Y,Z,W).
-    Returns the first failing component or None."""
-    n = space.dim
-    F2 = form_inner(F, F)
-    iotas = [interior_frame(space, i, F) for i in range(n)]
-    iotas2 = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                iotas2[(i, j)] = interior_frame(space, i, iotas[j])
+    iota_X iota_Y F = -F(e_X, e_Y, ...), so the first term is -1/12 of the
+    depth-2 table at its own canonical key."""
+    table, F2, T2 = _contractions(F, 2)
+    c12 = Scalar.from_rational(-1, 12)
+    t4 = BiSymTensor(space, {A + B: v * c12 for (A, B), v in table.items()
+                             if len(A) == 2})
+    want = t4 + kulkarni_nomizu(space.metric, T2, space) \
+        .scale(Scalar.from_rational(1, 36))
+    if F2.is_zero():
+        return want
+    return want + kulkarni_nomizu(space.metric, space.metric, space) \
+        .scale(Scalar.from_rational(-1, 72) * F2)
 
-    T2 = [[form_inner(iotas[i], iotas[j]) for j in range(n)] for i in range(n)]
-    gT2 = kulkarni_nomizu(space.metric, T2, space)
-    gg = kulkarni_nomizu(space.metric, space.metric, space)
-    c12 = Scalar.from_rational(1, 12)
-    c36 = Scalar.from_rational(1, 36)
-    c72 = Scalar.from_rational(-1, 72)
-    pairs = list(combinations(range(n), 2))
-    for pi, (x, y) in enumerate(pairs):
-        for (z, w) in pairs[pi:]:
-            # T4 term with the slot pairing (X,Y),(W,Z)
-            t4 = form_inner(iotas2[(x, y)], iotas2[(w, z)])
-            want = c12 * t4 + c36 * gT2.get(x, y, z, w) \
-                + c72 * F2 * gg.get(x, y, z, w)
-            got = riem.get(x, y, z, w)
-            d = got - want
-            if not d.is_zero():
-                return (x, y, z, w, str(d))
-    return None
+
+def _add_identity(rep, name, riem, want):
+    """Condition riem = want; the witness is the first failing canonical
+    component and how many of them fail."""
+    diff = riem - want
+    first = diff.first_nonzero()
+    pairs = riem.space.dim * (riem.space.dim - 1) // 2
+    rep.add(name, first is None, witness="" if first is None else
+            f"component {first[0]}: {first[1]}; {len(diff.components)} of "
+            f"{pairs * (pairs + 1) // 2} canonical components fail")
 
 
 def verify_d11_maxsusy(b):
@@ -318,9 +319,8 @@ def verify_d11_maxsusy(b):
     geom = b.geometry
     F = _theory_fluxes(b, geom.space)["F4"]
     _add_vanishing(rep, "nabla F=0", geom.nabla(F), geom.premise)
-    w = _riemann_flux_identity(geom.space, geom.riemann(), F)
-    rep.add("riemann-flux identity", w is None,
-            witness="" if w is None else f"component {w[:4]}: {w[4]}")
+    _add_identity(rep, "riemann-flux identity", geom.riemann(),
+                  _riemann_flux_rhs(geom.space, F))
     status, witness = plucker_check(_scalarize(F))
     rep.add("plucker", status == "decomposable",
             witness="" if status == "decomposable" else str(witness))
@@ -339,36 +339,6 @@ def _scalarize(F):
 # supercovariant flatness on plane-wave charts
 # ---------------------------------------------------------------------------
 
-def _frame_form(F, frm, frame_space):
-    """Convert a coordinate KForm to frame components: F(E_{a1},...)."""
-    n = frame_space.dim
-    comps = {}
-    for idx, c in F.components.items():
-        # expand each coordinate slot over frame vectors
-        terms = [((), c)]
-        for mu in idx:
-            new = []
-            for (done, coeff) in terms:
-                for a in range(n):
-                    e = frm[a][mu]
-                    if e.is_zero():
-                        continue
-                    new.append((done + (a,), coeff * e))
-            terms = new
-        for (word, coeff) in terms:
-            sign, srt = sort_sign(word)
-            if sign == 0:
-                continue
-            val = coeff if sign > 0 else -coeff
-            if srt in comps:
-                val = comps[srt] + val
-            if val.is_zero():
-                comps.pop(srt, None)
-            else:
-                comps[srt] = val
-    return KForm(frame_space, F.degree, comps)
-
-
 def supercovariant_connection(b):
     """Assemble the coordinate components Theta_mu of the supercovariant
     connection on a plane-wave chart.  Returns (patch, alg, [Theta_mu])."""
@@ -380,14 +350,14 @@ def supercovariant_connection(b):
     om = spin_connection(p, cof, frm, gram)
     alg = FrameAlgebra.lightcone(build_gamma((1, n - 1)))
     quarter = Scalar.from_rational(1, 4)
-    fluxes = b.flux_builder(p.space)
+    F = b.flux_builder(p.space)[_FLUX[b.theory]]
+    F_frame = KForm(alg.space, F.degree,
+                    map_slots(F.components, nonzero_columns(frm)))
     if b.theory == "d11":
-        F_frame = _frame_form(fluxes["F4"], frm, alg.space)
-
         def flux_term(X):
             return omega_xf(X, F_frame, alg)
     else:
-        cF = clifford_action(_frame_form(fluxes["F5"], frm, alg.space), alg)
+        cF = clifford_action(F_frame, alg)
         iq = ComplexScalar(_Z, Scalar.from_rational(1, 4))
 
         def flux_term(X):
@@ -498,38 +468,25 @@ def _curv_lookup(curv, mu, nu):
 # IIB (constant axi-dilaton sector)
 # ---------------------------------------------------------------------------
 
-def _riemann_iib_identity(space, riem, F):
+def _riemann_iib_rhs(space, F):
     """R(X,Y,Z,W) = <iota_X iota_W F, iota_Y iota_Z F>
                   - <iota_X iota_Z F, iota_Y iota_W F>   (this module's
-    Riemann sign); returns the first failing component or None."""
-    n = space.dim
-    iotas = [interior_frame(space, i, F) for i in range(n)]
-    cache = {}
-
-    def i2(a, b):
-        if a == b:
-            return None
-        if (a, b) not in cache:
-            cache[(a, b)] = interior_frame(space, a, iotas[b])
-        return cache[(a, b)]
-
-    pairs = list(combinations(range(n), 2))
-    for pi, (x, y) in enumerate(pairs):
-        for (z, w) in pairs[pi:]:
-            t1 = _inner_or_zero(i2(x, w), i2(y, z))
-            t2 = _inner_or_zero(i2(x, z), i2(y, w))
-            want = t1 - t2
-            got = riem.get(x, y, z, w)
-            d = got - want
-            if not d.is_zero():
-                return (x, y, z, w, str(d))
-    return None
-
-
-def _inner_or_zero(a, b):
-    if a is None or b is None:
-        return _Z
-    return form_inner(a, b)
+    Riemann sign), as a BiSymTensor.  With Q(a,b;c,d) = <F(e_a, e_b, ...),
+    F(e_c, e_d, ...)> the right-hand side is Q(W,X;Z,Y) - Q(Z,X;W,Y): each
+    ordering of each depth-2 table entry gives Q(w,x;z,y) at (x, y, z, w),
+    and its negative at (x, y, w, z); the canonical one of the two is kept."""
+    comps = {}
+    for (A, B), v in contraction_inners(F, 2).items():
+        if len(A) < 2:
+            continue
+        for (p, q), (r, t) in ((A, B),) if A == B else ((A, B), (B, A)):
+            for x, w, y, z, s in ((q, p, t, r, v), (p, q, t, r, -v),
+                                  (q, p, r, t, -v), (p, q, r, t, v)):
+                if z > w:
+                    z, w, s = w, z, -s
+                if x < y and z < w and (x, y) <= (z, w):
+                    accumulate(comps, (x, y, z, w), s)
+    return BiSymTensor(space, comps)
 
 
 def verify_iib_maxsusy(b):
@@ -543,9 +500,8 @@ def verify_iib_maxsusy(b):
     _add_vanishing(rep, "self-duality *F=F", hodge(F) - F)
     _add_vanishing(rep, "dF=0", geom.d(F), geom.premise)
     _add_vanishing(rep, "nabla F=0", geom.nabla(F), geom.premise)
-    w = _riemann_iib_identity(geom.space, geom.riemann(), F)
-    rep.add("riemann-flux identity (IIB)", w is None,
-            witness="" if w is None else f"component {w[:4]}: {w[4]}")
+    _add_identity(rep, "riemann-flux identity (IIB)", geom.riemann(),
+                  _riemann_iib_rhs(geom.space, F))
     Fs = _scalarize(F)
     rep.add("plucker-jacobi identity", _plujac_holds(Fs),
             note="lambda(iota^3 F) F = 0 over all frame triples")

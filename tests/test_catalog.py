@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 from sugraverify.exactnum import Scalar
 from sugraverify.liealg import cw_canonicalize
-from sugraverify import catalog
+from sugraverify import catalog, cli
 from sugraverify.catalog import (enumerate_parallelisable, solve_dilaton,
                                  susy_count, builtin_backgrounds,
                                  get_background, verify_background,
@@ -116,8 +117,8 @@ def test_susy_count_annotated_sector():
 # background files
 # ---------------------------------------------------------------------------
 
-def test_background_file_roundtrip(tmp_path):
-    doc = {
+def cw11_document():
+    return {
         "theory": "d11",
         "name": "cw11-from-file",
         "parameters": {"mu": "6"},
@@ -131,11 +132,58 @@ def test_background_file_roundtrip(tmp_path):
             "F4": [{"indices": [1, 2, 3, 4], "coeff": "mu"}],
         },
     }
+
+
+def test_background_file_roundtrip(tmp_path):
     path = tmp_path / "cw11.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(cw11_document()))
     b = load_background(str(path))
     rep = verify_background(b)
     assert rep.passed
+
+
+def _f4(*entries):
+    return [{"indices": list(idx), "coeff": c} for idx, c in entries]
+
+
+# each edit of the passing cw11 file, and the entry its error must name
+BAD_FILE_ENTRIES = {
+    "index-out-of-range": (
+        lambda d: d["fluxes"].update(F4=_f4(((0, 2, 3, 40), "mu"))),
+        "fluxes.F4[0]"),
+    "numeric-coefficient": (
+        lambda d: d["fluxes"].update(F4=_f4(((1, 2, 3, 4), 3))),
+        "fluxes.F4[0].coeff"),
+    "numeric-profile-entry": (
+        lambda d: d["geometry"]["profile"][2].__setitem__(2, 3),
+        "geometry.profile[2][2]"),
+    "repeated-indices": (
+        lambda d: d["fluxes"]["F4"].extend(_f4(((1, 2, 3, 4), "0"))),
+        "fluxes.F4[1]"),
+    "degree-below-the-name": (
+        lambda d: d["fluxes"].update(F4=_f4(((1, 2, 3), "mu"))),
+        "fluxes.F4[0]"),
+    "one-short-entry": (
+        lambda d: d["fluxes"]["F4"].extend(_f4(((1, 2, 3, 5), "mu"),
+                                               ((1, 2, 6), "mu"))),
+        "fluxes.F4[2]"),
+    "unknown-flux": (
+        lambda d: d["fluxes"].update(G7=[]),
+        "fluxes.G7"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILE_ENTRIES))
+def test_cli_verify_names_the_bad_entry_of_a_background_file(
+        tmp_path, capsys, case):
+    edit, entry = BAD_FILE_ENTRIES[case]
+    doc = cw11_document()
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith(f"error: {path}: {entry}: "), err
 
 
 def test_background_file_product(tmp_path):
@@ -487,6 +535,41 @@ def test_installed_console_script():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "E(1,9)" in proc.stdout
+
+
+def declared_dev_requirements():
+    """Distribution names in the `dev` extra of pyproject.toml."""
+    with open(PYPROJECT, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        import tomllib
+    except ModuleNotFoundError:        # Python 3.10: read the one-line array
+        line = next(l for l in text.splitlines()
+                    if l.replace(" ", "").startswith("dev=["))
+        reqs = re.findall(r'"([^"]+)"', line)
+    else:
+        reqs = tomllib.loads(text)["project"]["optional-dependencies"]["dev"]
+    return {re.match(r"[A-Za-z0-9_.-]+", r)[0].lower() for r in reqs}
+
+
+def test_every_third_party_test_import_is_a_dev_dependency():
+    root = os.path.dirname(PYPROJECT)
+    tests = os.path.join(root, "tests")
+    local = set(os.listdir(root)) | set(os.listdir(os.path.join(root, "src")))
+    imported = set()
+    for name in sorted(os.listdir(tests)):
+        if name.endswith(".py"):
+            with open(os.path.join(tests, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            local.add(name[:-3])
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported |= {a.name.split(".")[0] for a in node.names}
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert "numpy" in third_party         # the scan sees nested imports
+    assert third_party <= declared_dev_requirements(), third_party
 
 
 def test_package_has_no_assert_statements():

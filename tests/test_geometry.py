@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -83,6 +83,21 @@ def test_sphere_calibration_via_two_sphere_patch():
                                           label="E(1,0)")])
     riem = blk.riemann()
     assert riem.get(0, 1, 1, 0) == S(1)     # K = S/(n(n-1)) = 1
+
+
+def test_product_riemann_equals_the_block_formula():
+    prod = ProductGeometry([ConstCurvBlock(4, S(-12), lorentzian=True),
+                            ConstCurvBlock(2, S(0), label="E2"),
+                            ConstCurvBlock(3, S(6))])
+    g = prod.space.metric
+    riem = prod.riemann()
+    for i, j, k, l in product(range(prod.dim), repeat=4):
+        b = prod.block_of(i)
+        want = S(0)
+        if all(prod.block_of(x) == b for x in (j, k, l)):
+            want = prod.blocks[b].sectional() \
+                * (g[i][l] * g[j][k] - g[i][k] * g[j][l])
+        assert riem.get(i, j, k, l) == want, (i, j, k, l)
 
 
 def test_cw_christoffel_structure():
@@ -219,7 +234,12 @@ def torsion_expansion(geom, H):
         return base.get(x, y, z, w) + half * (nh(x, y, z, w) - nh(y, x, z, w)) \
             - quarter * (tt(x, w, y, z) - tt(y, w, x, z))
 
-    return BiSymTensor.from_function(geom.space, component)
+    comps = {}
+    pairs = list(combinations(range(n), 2))
+    for pi, (i, j) in enumerate(pairs):
+        for (k, l) in pairs[pi:]:
+            comps[(i, j, k, l)] = component(i, j, k, l)
+    return BiSymTensor(geom.space, comps)
 
 
 def same_components(a, b):

@@ -7,8 +7,10 @@ from sugraverify import linalg
 from sugraverify.exactnum import Scalar, Polynomial, sqrt_scalar
 from sugraverify.multilinear import (
     QuadraticSpace, KForm, BiSymTensor, wedge, interior, interior_frame,
-    hodge, form_inner, kulkarni_nomizu, plucker_check, plucker_rank_oracle,
-    lambda_action)
+    hodge, form_inner, contraction_inners, map_slots, nonzero_columns,
+    kulkarni_nomizu, plucker_check, plucker_rank_oracle, lambda_action)
+from sugraverify.liealg import CWData
+from sugraverify.geometry import cw_patch
 
 
 def S(x):
@@ -125,8 +127,8 @@ def test_interior_adjoint_to_wedge():
         a = _random_form(rng, sp, k)
         b = _random_form(rng, sp, 1)
         c = _random_form(rng, sp, k - 1)
-        bc = [b.components.get((i,), S(0)) for i in range(sp.dim)]
-        bsharp = sp.raise_vector(bc)
+        up = map_slots(b.components, nonzero_columns(sp.metric_inv))
+        bsharp = [up.get((i,), S(0)) for i in range(sp.dim)]
         lhs = form_inner(a, wedge(b, c))
         rhs = form_inner(interior(bsharp, a), c)
         assert lhs == rhs
@@ -232,6 +234,98 @@ def test_hodge_nondiagonal_gram_against_orthonormal():
         rhs = hodge(to_mink(a))
         assert lhs == (rhs if sign == S(1) else -rhs)
         assert form_inner(a, a) == form_inner(to_mink(a), to_mink(a))
+
+
+# ---------------------------------------------------------------------------
+# contractions <iota_A F, iota_B F> in one pass
+# ---------------------------------------------------------------------------
+
+def _contraction_space(name):
+    """Frames of every kind the verifiers use; the cw11 chart's inverse
+    metric has the polynomial entry g^{++} = -A_ij x^i x^j."""
+    if name == "cw11 chart":
+        A = linalg.zeros(9, 9)
+        for i in range(9):
+            A[i][i] = S(-1 - i % 3)
+        A[0][4] = A[4][0] = S(2)
+        return cw_patch(CWData(A)).space
+    return {"euclidean": QuadraticSpace.euclidean(6),
+            "minkowski": QuadraticSpace.minkowski(7),
+            "lightcone": QuadraticSpace.lightcone(4, extra=[-1])}[name]
+
+
+CONTRACTION_SPACES = ["euclidean", "minkowski", "lightcone", "cw11 chart"]
+
+
+def _sparse_random_form(rng, sp, k, terms=6):
+    """k-form with a few random components; on a chart some of them are
+    polynomials in x1."""
+    x1 = Polynomial.variable("x1")
+    comps = {}
+    for idx in rng.sample(list(combinations(range(sp.dim), k)), terms):
+        c = S(rng.choice([-2, -1, 1, 3]))
+        if isinstance(sp.metric[0][0], Polynomial):
+            c = Polynomial.constant(c) + x1 * S(rng.randint(-1, 1))
+        comps[idx] = c
+    return KForm(sp, k, comps)
+
+
+def _iota(F, A):
+    """F(e_a1, ..., e_ad, ...) by explicit interior products."""
+    for a in A:
+        F = interior_frame(F.space, a, F)
+    return F
+
+
+@pytest.mark.parametrize("name", CONTRACTION_SPACES)
+def test_contraction_inners_equal_form_inner_of_explicit_contractions(name):
+    sp = _contraction_space(name)
+    rng = random.Random(name)
+    for k in (2, 3, 4, 5):
+        F = _sparse_random_form(rng, sp, k)
+        table = contraction_inners(F, 2)
+        assert all(len(A) == len(B) <= 2 and A <= B for A, B in table)
+        for d in range(3):
+            tuples = list(combinations(range(sp.dim), d))
+            for A in tuples:
+                for B in tuples:
+                    if A > B:
+                        continue
+                    want = form_inner(_iota(F, A), _iota(F, B))
+                    got = table.get((A, B), S(0))
+                    assert (got - want).is_zero(), (name, k, A, B, got, want)
+
+
+def _kn_dense(h, k, n):
+    """The four-term definition on every canonical key."""
+    out = {}
+    for x, y in combinations(range(n), 2):
+        for z, w in combinations(range(n), 2):
+            if (x, y) <= (z, w):
+                v = h[x][w] * k[y][z] + h[y][z] * k[x][w] \
+                    - h[x][z] * k[y][w] - h[y][w] * k[x][z]
+                if not v.is_zero():
+                    out[(x, y, z, w)] = v
+    return out
+
+
+@pytest.mark.parametrize("name", CONTRACTION_SPACES)
+def test_kulkarni_nomizu_equals_the_four_term_definition(name):
+    sp = _contraction_space(name)
+    n = sp.dim
+    rng = random.Random(name)
+    k = linalg.zeros(n, n)
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.5:
+                k[i][j] = k[j][i] = S(rng.randint(-3, 3))
+    for h, kk in ((sp.metric, sp.metric), (sp.metric, k), (k, sp.metric),
+                  (k, k)):
+        got = kulkarni_nomizu(h, kk, sp)
+        want = _kn_dense(h, kk, n)
+        assert set(got.components) == set(want), name
+        for key, v in want.items():
+            assert (got.components[key] - v).is_zero(), (name, key)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +488,10 @@ def _lambda_float_oracle(om, F, eps=1e-6):
         omega[i][j] = float(c)
         omega[j][i] = -float(c)
     A = ginv @ omega
-    from scipy.linalg import expm
-    Rt = expm(-eps * A.T)
+    # exp(-eps A^T) up to O(eps^3), far below the difference quotient's
+    # tolerance
+    M = -eps * A.T
+    Rt = np.eye(n) + M + M @ M / 2
 
     def transform(idx):
         # e^{i1}^..^e^{i5} with each covector mapped by Rt

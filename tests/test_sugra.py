@@ -1,16 +1,21 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from sugraverify.exactnum import Scalar, Polynomial, sqrt_scalar
-from sugraverify.multilinear import KForm, form_inner, hodge
+from sugraverify.multilinear import (QuadraticSpace, KForm, form_inner, hodge,
+                                     interior_frame)
 from sugraverify.liealg import (CWData, nw6, nw6_family, so12_so3, e15,
                                 canonical_three_form)
-from sugraverify.geometry import ConstCurvBlock, ProductGeometry
+from sugraverify.geometry import ConstCurvBlock, ProductGeometry, cw_patch
 from sugraverify.clifford import build_gamma, FrameAlgebra
 from sugraverify.sugra import (BackgroundSpec, VerificationReport, verify_d11,
                                verify_d11_maxsusy, supercovariant_flatness,
                                verify_iib_maxsusy, verify_d6,
                                verify_typeII_common, dilatino_kernel,
-                               killing_vectors_from_kernel)
+                               killing_vectors_from_kernel, _riemann_flux_rhs,
+                               _riemann_iib_rhs)
 from sugraverify.catalog import (get_background, verify_background,
                                  assemble_parallelisable, typeII_background,
                                  GeometryProduct)
@@ -81,7 +86,7 @@ def test_ads7s4_and_ads4s7_pass():
                                    if not c.passed])
 
 
-def test_freund_rubin_swapped_radii_fails_riemann_identity():
+def _freund_rubin_swapped():
     # AdS7(-8R) x S4(7R)-style mismatch: magnitudes of the two scalar
     # curvatures interchanged
     Rv = S(6)
@@ -93,9 +98,12 @@ def test_freund_rubin_swapped_radii_fails_riemann_identity():
     def flux(space):
         return {"F4": prod.volume_form(1, q)}
 
-    b = BackgroundSpec("d11", "ads7xs4-swapped", "product", product=prod,
-                       flux_builder=flux)
-    rep = verify_d11_maxsusy(b)
+    return BackgroundSpec("d11", "ads7xs4-swapped", "product", product=prod,
+                          flux_builder=flux)
+
+
+def test_freund_rubin_swapped_radii_fails_riemann_identity():
+    rep = verify_d11_maxsusy(_freund_rubin_swapped())
     assert not rep.passed
     cond = {c.name: c for c in rep.conditions}
     assert not cond["riemann-flux identity"].passed
@@ -151,8 +159,8 @@ def test_ads5xs5_passes_iib_conditions():
         assert got[key], key
 
 
-def test_ads5xs5_printed_flux_normalization_fails():
-    # the normalization 2 sqrt(R/5), common in other F conventions, fails here
+def _ads5xs5_printed():
+    # the normalization 2 sqrt(R/5), common in other F conventions
     Rv = S(5)
     ads5 = ConstCurvBlock(5, -Rv, lorentzian=True, label="AdS5")
     s5 = ConstCurvBlock(5, Rv, lorentzian=False, label="S5")
@@ -163,9 +171,12 @@ def test_ads5xs5_printed_flux_normalization_fails():
         G = prod.volume_form(0, c)
         return {"F5": G + prod.volume_form(1, c), "G5": G}
 
-    b = BackgroundSpec("iib", "ads5xs5-printed", "product", product=prod,
-                       flux_builder=flux)
-    rep = verify_iib_maxsusy(b)
+    return BackgroundSpec("iib", "ads5xs5-printed", "product", product=prod,
+                          flux_builder=flux)
+
+
+def test_ads5xs5_printed_flux_normalization_fails():
+    rep = verify_iib_maxsusy(_ads5xs5_printed())
     assert not rep.passed
     assert not names(rep)["riemann-flux identity (IIB)"]
 
@@ -226,6 +237,123 @@ def test_non_self_dual_flux_fails_self_duality_with_witness():
     # the rest of the report is still computed
     assert "riemann-flux identity (IIB)" in cond
     assert "supercovariant curvature R^D = 0 on the Weyl bundle" in cond
+
+
+# ---------------------------------------------------------------------------
+# Riemann-flux identities against the dense loop over canonical keys
+# ---------------------------------------------------------------------------
+
+def _cw10_perturbed(i, j, dv):
+    A = [[S(0)] * 8 for _ in range(8)]
+    for k in range(8):
+        A[k][k] = S(-1)
+    A[i][j] = A[i][j] + dv
+    if i != j:
+        A[j][i] = A[j][i] + dv
+    one = Polynomial.constant(1)
+
+    def flux(space):
+        return {"F5": KForm(space, 5, {(1, 2, 3, 4, 5): one,
+                                       (1, 6, 7, 8, 9): one}),
+                "G5": KForm(space, 5, {(1, 2, 3, 4, 5): one})}
+
+    return BackgroundSpec("iib", "cw10-perturbed", "cw", cw_data=CWData(A),
+                          flux_builder=flux)
+
+
+def _dense_rhs(theory, space, F):
+    """[(key, right-hand side)] of the Riemann-flux identity on every
+    canonical key, visited pair by pair with explicit interior products,
+    form_inner and the four-term Kulkarni-Nomizu definition: the reference
+    the sparse identities are held to."""
+    n = space.dim
+    g = space.metric
+
+    def inner(a, bb, c, d):
+        """<iota_a iota_bb F, iota_c iota_d F>"""
+        if a == bb or c == d:
+            return S(0)
+        return form_inner(interior_frame(space, a, interior_frame(space, bb, F)),
+                          interior_frame(space, c, interior_frame(space, d, F)))
+
+    def kn(h, k, x, y, z, w):
+        return h[x][w] * k[y][z] + h[y][z] * k[x][w] \
+            - h[x][z] * k[y][w] - h[y][w] * k[x][z]
+
+    F2 = form_inner(F, F)
+    T2 = [[form_inner(interior_frame(space, i, F), interior_frame(space, j, F))
+           for j in range(n)] for i in range(n)]
+    out = []
+    pairs = list(combinations(range(n), 2))
+    for pi, (x, y) in enumerate(pairs):
+        for (z, w) in pairs[pi:]:
+            if theory == "d11":
+                want = R_(1, 12) * inner(x, y, w, z) \
+                    + R_(1, 36) * kn(g, T2, x, y, z, w) \
+                    + R_(-1, 72) * F2 * kn(g, g, x, y, z, w)
+            else:
+                want = inner(x, w, y, z) - inner(x, z, y, w)
+            out.append(((x, y, z, w), want))
+    return out
+
+
+def _dense_identity_failures(b):
+    """Every failing component (key, difference) of the background's
+    Riemann-flux identity, in the dense loop's order, and the number of
+    canonical keys."""
+    geom = b.geometry
+    F = b.flux_builder(geom.space)["F4" if b.theory == "d11" else "F5"]
+    riem = geom.riemann()
+    rhs = _dense_rhs(b.theory, geom.space, F)
+    out = [(key, str(riem.get(*key) - want)) for key, want in rhs
+           if not (riem.get(*key) - want).is_zero()]
+    return out, len(rhs)
+
+
+@pytest.mark.parametrize("theory", ["d11", "iib"])
+def test_sparse_riemann_flux_rhs_equals_the_dense_loop(theory):
+    # random fluxes, so that every term and every ordering of the
+    # contraction table enters, on a lightcone frame and on a chart whose
+    # inverse metric has a polynomial entry
+    A = [[S(0)] * 5 for _ in range(5)]
+    for i in range(5):
+        A[i][i] = S(-1 - i % 2)
+    A[1][3] = A[3][1] = S(1)
+    spaces = [QuadraticSpace.lightcone(5), cw_patch(CWData(A)).space]
+    rhs = _riemann_flux_rhs if theory == "d11" else _riemann_iib_rhs
+    k = 4 if theory == "d11" else 5
+    rng = random.Random(theory)
+    for space in spaces:
+        for _ in range(2):
+            F = KForm(space, k, {
+                idx: S(rng.choice([-2, -1, 1, 3])) for idx in
+                rng.sample(list(combinations(range(space.dim), k)), 6)})
+            got = rhs(space, F)
+            want = {key: v for key, v in _dense_rhs(theory, space, F)
+                    if not v.is_zero()}
+            assert set(got.components) == set(want)
+            for key, v in want.items():
+                assert (got.components[key] - v).is_zero(), key
+
+
+@pytest.mark.parametrize("b", [
+    get_background("cw11", perturb={(0, 0): S(1)}),
+    get_background("cw11", perturb={(3, 5): R_(1, 2)}),
+    _cw10_perturbed(0, 4, R_(1, 3)),
+    _cw10_perturbed(7, 7, S(-1)),
+    _freund_rubin_swapped(),
+    _ads5xs5_printed(),
+], ids=["cw11-A11", "cw11-A46", "cw10-A15", "cw10-A88", "fr-swapped",
+        "ads5xs5-printed"])
+def test_riemann_flux_witness_is_the_dense_loops_first_failure(b):
+    name = "riemann-flux identity" + (" (IIB)" if b.theory == "iib" else "")
+    verify = verify_d11_maxsusy if b.theory == "d11" else verify_iib_maxsusy
+    cond = {c.name: c for c in verify(b).conditions}[name]
+    failures, total = _dense_identity_failures(b)
+    assert failures and not cond.passed
+    key, diff = failures[0]
+    assert cond.witness == (f"component {key}: {diff}; {len(failures)} of "
+                            f"{total} canonical components fail")
 
 
 # ---------------------------------------------------------------------------
