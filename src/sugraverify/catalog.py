@@ -243,9 +243,7 @@ def assemble_parallelisable(p, dilaton_kind):
                 raise ValueError("pattern requires |H| > 0")
             dphi_comps[(y,)] = coeff
     dphi = KForm(space, 1, dphi_comps)
-    out = {"space": space, "H": H, "dphi": dphi, "alg": alg,
-           "notes": notes, "pattern": sol.pattern if dilaton_kind != "constant"
-           else "phi = a"}
+    out = {"space": space, "H": H, "dphi": dphi, "alg": alg, "notes": notes}
     if use_null and dilaton_kind != "constant":
         # exact chart for the flat + plane-wave block: the dilaton has no
         # legs on the curved factors and the product metric is block
@@ -284,11 +282,8 @@ def susy_count(p, dilaton_kind):
 def typeII_background(p, dilaton_kind):
     frame_data = assemble_parallelisable(p, dilaton_kind)
     notes = list(frame_data.pop("notes"))
-    pattern = frame_data.pop("pattern")
-    b = BackgroundSpec("typeII-common", p.display(), "parallelisable",
-                       frame_data=frame_data, notes=notes)
-    b.dilaton = {"pattern": pattern, "kind": dilaton_kind}
-    return b
+    return BackgroundSpec("typeII-common", p.display(), "parallelisable",
+                          frame_data=frame_data, notes=notes)
 
 
 def verify_typeII_product(p, dilaton_kind="nonconstant"):
@@ -389,7 +384,7 @@ def _cw11_background(mu=Scalar(6), perturb=None):
                             {(1, 2, 3, 4): Polynomial.constant(m)})}
 
     return BackgroundSpec("d11", "cw11", "cw", cw_data=data,
-                          flux_builder=flux, params={"mu": m})
+                          flux_builder=flux)
 
 
 def _e1_10_background():
@@ -414,7 +409,7 @@ def _ads7_s4_background(Rv=Scalar(6)):
         return {"F4": prod.volume_form(1, q)}
 
     return BackgroundSpec("d11", "ads7xs4", "product", product=prod,
-                          flux_builder=flux, params={"R": Rv})
+                          flux_builder=flux)
 
 
 def _ads4_s7_background(Rv=Scalar(-6)):
@@ -427,7 +422,7 @@ def _ads4_s7_background(Rv=Scalar(-6)):
         return {"F4": prod.volume_form(0, q)}
 
     return BackgroundSpec("d11", "ads4xs7", "product", product=prod,
-                          flux_builder=flux, params={"R": Rv})
+                          flux_builder=flux)
 
 
 def _ads5_s5_background(Rv=Scalar(5)):
@@ -441,7 +436,7 @@ def _ads5_s5_background(Rv=Scalar(5)):
         return {"F5": G + prod.volume_form(1, c), "G5": G}
 
     b = BackgroundSpec("iib", "ads5xs5", "product", product=prod,
-                       flux_builder=flux, params={"R": Rv})
+                       flux_builder=flux)
     b.notes.append(
         "flux normalization sqrt(R/20) per block volume is the value forced "
         "by the Riemann-flux identity and the flatness of the "
@@ -462,8 +457,7 @@ def _cw10_background(mu=Scalar(1)):
         G = KForm(space, 5, {(1, 2, 3, 4, 5): Polynomial.constant(m)})
         return {"F5": F, "G5": G}
 
-    b = BackgroundSpec("iib", "cw10", "cw", cw_data=data, flux_builder=flux,
-                       params={"mu": m})
+    b = BackgroundSpec("iib", "cw10", "cw", cw_data=data, flux_builder=flux)
     b.notes.append(
         "flux normalization mu (not mu/2) per half-volume is the value "
         "forced by supercovariant flatness at A = -mu^2; the coefficient "
@@ -651,7 +645,7 @@ def load_background(path):
         data = CWData([[_file_scalar(x, params, f"geometry.profile[{i}][{j}]")
                         for j, x in enumerate(row)]
                        for i, row in enumerate(rows)])
-        return BackgroundSpec(theory, name, "cw", cw_data=data, params=params,
+        return BackgroundSpec(theory, name, "cw", cw_data=data,
                               flux_builder=_file_fluxes(
                                   doc, params, data.n, Polynomial.constant))
     if kind == "product":
@@ -669,7 +663,6 @@ def load_background(path):
         prod = ProductGeometry(blocks,
                                doc["geometry"].get("orientation", 1))
         return BackgroundSpec(theory, name, "product", product=prod,
-                              params=params,
                               flux_builder=_file_fluxes(
                                   doc, params, prod.dim, lambda c: c))
     raise ValueError(f"unknown geometry type {kind!r}")

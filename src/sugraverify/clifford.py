@@ -28,7 +28,7 @@ built.  realize() builds one only for callers that ask for it.
 
 from .exactnum import Scalar, Polynomial, ZERO, ONE
 from .multilinear import QuadraticSpace, KForm, interior, wedge, \
-    accumulate
+    accumulate, flat, nonzero_columns
 from . import linalg
 
 __all__ = ["ComplexScalar", "CliffordRep", "build_gamma", "FrameAlgebra",
@@ -426,18 +426,21 @@ class FrameAlgebra:
         if frame_map is None:
             frame_map = linalg.eye(n)
         self.frame_map = frame_map
-        eta = linalg.zeros(n, n)
-        for a in range(n):
-            eta[a][a] = rep.eta[a]
-        check = linalg.mat_mul(frame_map, linalg.mat_mul(eta, linalg.transpose(frame_map)))
-        if not linalg.mat_eq_zero(linalg.mat_sub(check, space.metric)):
+        # M eta M^T - G = sum_b eta_b M[., b] M[., b]^T - G, nonzero entries
+        check = {}
+        for b, col in enumerate(nonzero_columns(frame_map)):
+            for a, x in col:
+                for c, y in col:
+                    accumulate(check, (a, c), x * y * rep.eta[b])
+        for c, col in enumerate(space.metric_cols):
+            for a, g in col:
+                accumulate(check, (a, c), -g)
+        if check:
             raise ValueError("frame map does not reproduce the Gram matrix")
         # bit b of _links[a] is set when a != b are linked, G[a][b] != 0;
         # commutator decides pairs without linked legs by parity
-        G = space.metric
-        self._links = [sum(1 << b for b in range(n)
-                           if b != a and not G[a][b].is_zero())
-                       for a in range(n)]
+        self._links = [sum(1 << b for b, _ in row if b != a)
+                       for a, row in enumerate(space.metric_cols)]
         self._bits_cache = {}
         self._square_cache = {}
         self._mono_cache = {}
@@ -617,12 +620,8 @@ class FrameAlgebra:
 
     def raised_gamma(self, a):
         """c(e^a): the frame gamma with index raised by the inverse Gram."""
-        comps = {}
-        for b in range(self.space.dim):
-            g = self.space.metric_inv[a][b]
-            if not g.is_zero():
-                comps[(b,)] = g
-        return CliffordElement(self, comps)
+        return CliffordElement(
+            self, {(b,): g for b, g in self.space.inverse_cols[a]})
 
     def element(self, comps=None):
         return CliffordElement(self, comps or {})
@@ -843,11 +842,7 @@ def _action_basis(alg, idx):
 def omega_xf(X, F, alg):
     """Supercovariant flux term of eleven-dimensional supergravity:
     Omega_X(F) = 1/12 c(X_flat ^ F) - 1/6 c(iota_X F)."""
-    space = alg.space
-    low = space.lower_vector(X)
-    xflat = KForm(space, 1, {(i,): low[i] for i in range(space.dim)
-                             if not low[i].is_zero()})
-    term1 = clifford_action(wedge(xflat, F), alg)
+    term1 = clifford_action(wedge(flat(alg.space, X), F), alg)
     term2 = clifford_action(interior(X, F), alg)
     return term1.scale(Scalar.from_rational(1, 12)) \
         - term2.scale(Scalar.from_rational(1, 6))
@@ -871,8 +866,8 @@ def spinor_to_vector(eps1, eps2, alg):
             if not eps1[p].is_zero():
                 s = s + eps1[p] * _unit_scale(x, u)
         V_low.append(s)
-    return [sum((alg.space.metric_inv[a][b] * V_low[b] for b in range(n)),
-                _Z) for a in range(n)]
+    return [sum((g * V_low[b] for b, g in row), _Z)
+            for row in alg.space.inverse_cols]
 
 
 def _sparse(col):

@@ -28,7 +28,8 @@ from itertools import combinations
 
 from .exactnum import Scalar, Polynomial
 from .multilinear import QuadraticSpace, KForm, BiSymTensor, sort_sign, \
-    form_component, signature, accumulate, kulkarni_nomizu
+    form_component, signature, accumulate, kulkarni_nomizu, flat, \
+    nonzero_columns
 from . import linalg
 
 __all__ = ["CoordinatePatch", "cw_patch", "christoffel", "riemann", "ricci",
@@ -46,7 +47,7 @@ def _pz(vars=()):
 
 class CoordinatePatch:
     """Chart with polynomial metric components and an exact polynomial
-    inverse (verified on construction).  Christoffel symbols, Riemann
+    inverse (verified by its QuadraticSpace).  Christoffel symbols, Riemann
     tensor and lightcone coframe are built once, on first use."""
 
     premise = ""            # d and nabla are computed, not structural
@@ -56,12 +57,6 @@ class CoordinatePatch:
         self.dim = len(coords)
         self.metric = metric
         self.metric_inv = inverse
-        prod = linalg.mat_mul(metric, inverse)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                e = prod[i][j] - Scalar(1 if i == j else 0)
-                if not e.is_zero():
-                    raise ValueError("metric inverse is not exact")
         self.space = QuadraticSpace(metric, orientation, names=self.coords,
                                     inverse=inverse)
         self._christoffel = None
@@ -167,7 +162,7 @@ def christoffel(p):
     if p._christoffel is not None:
         return p._christoffel
     n = p.dim
-    g, ginv = p.metric, p.metric_inv
+    g = p.metric
     dg = {}                     # (m, a, b): d_m g_{ab}, both orders of a, b
     for a in range(n):
         for b in range(a, n):
@@ -188,15 +183,13 @@ def christoffel(p):
             - dg.get((l, i, j), zero)
         if not s.is_zero():
             brackets.setdefault((i, j), []).append((l, s))
-    ginv_col = [[k for k in range(n) if not ginv[k][l].is_zero()]
-                for l in range(n)]
     out = {}
     half = Scalar.from_rational(1, 2)
     for (i, j), terms in brackets.items():
         totals = {}
         for l, s in terms:
-            for k in ginv_col[l]:
-                t = ginv[k][l] * s
+            for k, gkl in p.space.inverse_cols[l]:
+                t = gkl * s
                 totals[k] = totals[k] + t if k in totals else t
         for k in sorted(totals):
             if not totals[k].is_zero():
@@ -218,7 +211,6 @@ def _curvature(geom, gamma):
     BiSymTensor's canonical keys are evaluated, so pair symmetry is assumed;
     for D = nabla + T/2 it follows from dH = 0."""
     n = geom.dim
-    g = geom.space.metric
     # conn[a][k] = {l: G^k_{al}}, the matrix of D_{e_a}, tabulated once
     conn = [{} for _ in range(n)]
     brackets = {}
@@ -239,8 +231,6 @@ def _curvature(geom, gamma):
             c = (_Z if x is None else x) - (_Z if y is None else y)
             if not c.is_zero():
                 brackets.setdefault((a, b), {})[l] = c
-    lower = [[(w, g[k][w]) for w in range(n) if not g[k][w].is_zero()]
-             for k in range(n)]
     comps = {}
     for a, b in combinations(range(n), 2):
         # the matrix R(e_a, e_b) as {(k, c): R^k_{cab}}
@@ -261,7 +251,7 @@ def _curvature(geom, gamma):
                 for c, y in row.items():
                     accumulate(m, (k, c), -(cl * y))
         for (k, c), v in m.items():
-            for w, gkw in lower[k]:
+            for w, gkw in geom.space.metric_cols[k]:
                 if c < w and (a, b) <= (c, w):
                     accumulate(comps, (a, b, c, w), v * gkw)
     return BiSymTensor(geom.space, comps)
@@ -326,24 +316,17 @@ def covariant_derivative_form(F, p):
 # connections with torsion
 # ---------------------------------------------------------------------------
 
-def _torsion_from_h(geom, H):
-    """T^k_{ij} = H_{ijl} g^{lk} as a dense 3-array."""
-    n = geom.dim
-    ginv = geom.space.metric_inv
-    T = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                total = None
-                for l in range(n):
-                    if ginv[l][k].is_zero():
-                        continue
-                    h = form_component(H, (i, j, l))
-                    if h is None:
-                        continue
-                    t = h * ginv[l][k]
-                    total = t if total is None else total + t
-                T[i][j][k] = total
+def _torsion_from_h(H):
+    """T^k_{ij} = H_{ijl} g^{lk} as {(i, j): {k: T^k_{ij}}}, nonzero entries
+    only: each component of H in its six index orders, its last index raised
+    through the nonzero inverse-Gram entries."""
+    T = {}
+    for (a, b, c), h in H.components.items():
+        for i, j, l, x in ((a, b, c, h), (b, c, a, h), (c, a, b, h),
+                           (b, a, c, -h), (a, c, b, -h), (c, b, a, -h)):
+            row = T.setdefault((i, j), {})
+            for k, glk in H.space.inverse_cols[l]:
+                accumulate(row, k, x * glk)
     return T
 
 
@@ -363,11 +346,11 @@ def curvature_with_torsion(geom, H):
                          f"{dH}")
     if not dH.is_zero():
         raise ValueError("torsion 3-form is not closed")
-    T = _torsion_from_h(geom, H)
+    T = _torsion_from_h(H)
     half = Scalar.from_rational(1, 2)
 
     def gamma(k, i, j):
-        lc, t = geom.gamma(k, i, j), T[i][j][k]
+        lc, t = geom.gamma(k, i, j), T.get((i, j), {}).get(k)
         if t is None:
             return lc
         return t * half if lc is None else lc + t * half
@@ -389,24 +372,15 @@ def flat_torsion_consequences(geom, H):
     report["precondition_RD_zero"] = True
     report["nabla_H_zero"] = all(f.is_zero() for f in geom.nabla(H).values())
     # cyclic identity sum T(X, T(Y,Z)) = 0
-    n = geom.dim
-    T = _torsion_from_h(geom, H)
+    T = _torsion_from_h(H)
     ok = True
-    for i, j, k in combinations(range(n), 3):
-        for m in range(n):
-            total = None
-            for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                for l in range(n):
-                    x = T[b][c][l]
-                    if x is None:
-                        continue
-                    y = T[a][l][m]
-                    if y is None:
-                        continue
-                    t = x * y
-                    total = t if total is None else total + t
-            if total is not None and not total.is_zero():
-                ok = False
+    for i, j, k in combinations(range(geom.dim), 3):
+        total = {}                  # m: sum_cyclic T^l_{bc} T^m_{al}
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, x in T.get((b, c), {}).items():
+                for m, y in T.get((a, l), {}).items():
+                    accumulate(total, m, x * y)
+        ok = ok and not total
     report["jacobi_cyclic"] = ok
     return report
 
@@ -444,23 +418,13 @@ def lightcone_coframe(p):
     return cof, frm, gram
 
 
-def _nonzero_rows(m):
-    """A square matrix as [[(column, entry)] per row], nonzero entries only."""
-    return [[(j, x) for j, x in enumerate(row) if not x.is_zero()]
-            for row in m]
-
-
-def _nonzero_cols(m):
-    """A square matrix as [[(row, entry)] per column], nonzero entries only."""
-    return _nonzero_rows([list(col) for col in zip(*m)])
-
-
 def _check_frame(p, cof, frm, gram):
     """Raise ValueError unless the coframe and frame are dual, e^a(E_b) =
     delta^a_b, and the coframe orthonormalizes the metric, g_{mu nu} =
     G_{ab} e^a_mu e^b_nu.  Both sums run over nonzero entries only."""
     n = p.dim
-    cof_rows, frm_cols = _nonzero_rows(cof), _nonzero_cols(frm)
+    cof_rows = nonzero_columns(linalg.transpose(cof))
+    frm_cols = nonzero_columns(frm)
     dual = {}
     for a, row in enumerate(cof_rows):
         for mu, x in row:
@@ -472,7 +436,7 @@ def _check_frame(p, cof, frm, gram):
             if not (dual.get((a, b), _pz()) - want).is_zero():
                 raise ValueError("coframe/frame are not dual")
     metric = {}
-    for a, row in enumerate(_nonzero_rows(gram)):
+    for a, row in enumerate(nonzero_columns(gram)):     # symmetric
         for b, gab in row:
             for mu, x in cof_rows[a]:
                 for nu, y in cof_rows[b]:
@@ -498,8 +462,8 @@ def spin_connection(p, cof, frm, gram):
         conn[i][j].append((k, v))
         if i != j:
             conn[j][i].append((k, v))
-    frm_rows, cof_cols = _nonzero_rows(frm), _nonzero_cols(cof)
-    gram_cols = _nonzero_cols(gram)
+    frm_rows = nonzero_columns(linalg.transpose(frm))
+    cof_cols, gram_cols = nonzero_columns(cof), nonzero_columns(gram)
     lowered = []
     for mu in range(n):
         omega = {}                      # (a, b): omega_mu^a_b, b-major
@@ -543,13 +507,7 @@ def killing_check(p, V):
     """Exact Killing equation nabla_(mu V_nu) = 0 for a vector field with
     polynomial components V^mu; returns (True, None) or (False, (mu, nu))."""
     n = p.dim
-    # V_mu = g_{mu nu} V^nu
-    Vlow = {}
-    for mu in range(n):
-        for nu in range(n):
-            if not p.metric[mu][nu].is_zero():
-                accumulate(Vlow, (mu,), p.metric[mu][nu] * V[nu])
-    nV = p.nabla(KForm(p.space, 1, Vlow))
+    nV = p.nabla(flat(p.space, V))
     for mu in range(n):
         for nu in range(mu, n):
             s = form_component(nV[mu], (nu,))

@@ -108,7 +108,6 @@ class MetricLieAlgebra:
         if self._gamma is None:
             n = self.dim
             half = Scalar.from_rational(1, 2)
-            ginv = self.space.metric_inv
             lower = [[[(self.inner(self.c[i][j], self.basis_vector(l))
                         - self.inner(self.c[j][l], self.basis_vector(i))
                         + self.inner(self.c[l][i], self.basis_vector(j)))
@@ -117,12 +116,11 @@ class MetricLieAlgebra:
             self._gamma = {}
             for i in range(n):
                 for j in range(n):
-                    for kk in range(n):
+                    for kk, row in enumerate(self.space.inverse_cols):
                         s = _Z
-                        for l in range(n):
-                            if not (ginv[kk][l].is_zero()
-                                    or lower[i][j][l].is_zero()):
-                                s = s + ginv[kk][l] * lower[i][j][l]
+                        for l, g in row:
+                            if not lower[i][j][l].is_zero():
+                                s = s + g * lower[i][j][l]
                         if not s.is_zero():
                             self._gamma[(kk, i, j)] = s
         return self._gamma.get((k, i, j))

@@ -25,9 +25,9 @@ from . import linalg
 
 __all__ = ["QuadraticSpace", "KForm", "BiSymTensor", "wedge", "interior",
            "interior_frame", "hodge", "form_inner", "contraction_inners",
-           "map_slots", "nonzero_columns", "kulkarni_nomizu", "plucker_check",
-           "lambda_action", "sort_sign", "form_component", "signature",
-           "accumulate"]
+           "basis_contractions", "flat", "map_slots", "nonzero_columns",
+           "kulkarni_nomizu", "plucker_check", "lambda_action", "sort_sign",
+           "form_component", "signature", "accumulate"]
 
 _Z = ZERO
 
@@ -37,7 +37,9 @@ class QuadraticSpace:
 
     Entries are usually Scalars; a coordinate patch may carry Polynomial
     entries, in which case the exact inverse must be supplied (and is
-    verified)."""
+    verified).  metric_cols and inverse_cols are nonzero_columns of the Gram
+    and inverse-Gram matrices, found once; both are symmetric, so these are
+    their rows too, and every raise, lower and frame check walks them."""
 
     def __init__(self, metric, orientation=1, names=None, inverse=None):
         self.dim = len(metric)
@@ -48,16 +50,19 @@ class QuadraticSpace:
             for j in range(self.dim):
                 if not (self.metric[i][j] - self.metric[j][i]).is_zero():
                     raise ValueError("metric must be symmetric")
-        if inverse is None:
-            self.metric_inv = linalg.inverse(self.metric)
-        else:
-            self.metric_inv = [list(row) for row in inverse]
-            prod = linalg.mat_mul(self.metric, self.metric_inv)
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    want = 1 if i == j else 0
-                    if not (prod[i][j] - want if want else prod[i][j]).is_zero():
-                        raise ValueError("supplied inverse is not exact")
+        self.metric_inv = linalg.inverse(self.metric) if inverse is None \
+            else [list(row) for row in inverse]
+        self.metric_cols = nonzero_columns(self.metric)
+        self.inverse_cols = nonzero_columns(self.metric_inv)
+        if inverse is not None:
+            prod = {}               # g g^{-1} - 1 over the nonzero entries
+            for j, col in enumerate(self.inverse_cols):
+                for k, x in col:
+                    for i, gik in self.metric_cols[k]:
+                        accumulate(prod, (i, j), gik * x)
+                accumulate(prod, (j, j), -ONE)
+            if prod:
+                raise ValueError("supplied inverse is not exact")
         if orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         self.orientation = orientation
@@ -125,10 +130,6 @@ class QuadraticSpace:
             self._gram_cache[key] = linalg.det_nodiv(m) if m else Scalar(1)
         return self._gram_cache[key]
 
-    def lower_vector(self, vector):
-        return [sum_nonzero([self.metric[a][b] * vector[b]
-                             for b in range(self.dim)]) for a in range(self.dim)]
-
     def __repr__(self):
         t, s = self.signature()
         return f"QuadraticSpace(dim={self.dim}, signature=({t},{s}))"
@@ -167,15 +168,6 @@ def signature(metric):
             for k in range(n):
                 g[k][i] = g[k][i] - f * g[k][d]
     return t, s
-
-
-def sum_nonzero(items, zero=_Z):
-    s = None
-    for x in items:
-        if isinstance(x, Scalar) and x.is_zero():
-            continue
-        s = x if s is None else s + x
-    return zero if s is None else s
 
 
 class KForm:
@@ -387,27 +379,41 @@ def map_slots(components, cols):
     return out
 
 
-def contraction_inners(F, depth):
-    """{(A, B): <iota_A F, iota_B F>} over pairs A <= B of increasing frame
-    tuples of one length d <= depth, iota_A F = F(e_a1, ..., e_ad, ...),
-    leaving out zeros.  Each F_I gives iota_A F at J = I - A for every A in
-    I; each iota_B F is raised through the nonzero inverse-Gram entries and
-    paired at J.  det g^{-1}[J, J'] is the antisymmetrised product of the
-    rows of J, so this equals form_inner's Gram-minor sum."""
+def flat(space, X):
+    """The 1-form X_flat = g(X, .) of a vector given by frame components,
+    lowered through the nonzero Gram entries."""
+    return KForm(space, 1, map_slots({(b,): x for b, x in enumerate(X)
+                                      if not x.is_zero()}, space.metric_cols))
+
+
+def basis_contractions(F, depth):
+    """{A: {J: (iota_A F)_J}} over increasing frame tuples A of length
+    d <= depth, iota_A F = F(e_a1, ..., e_ad, ...), leaving out zeros.  Each
+    F_I gives iota_A F at J = I - A for every A in I, with the sign of moving
+    the legs of A to the front; no arithmetic is done."""
     k = F.degree
-    by_tuple = {}                   # A -> {J: (iota_A F)_J}
+    out = {}
     for d in range(min(depth, k) + 1):
         for pos in combinations(range(k), d):
             # moving the legs at pos to the front takes this many swaps
             odd = (sum(pos) - d * (d - 1) // 2) % 2
             rest = [p for p in range(k) if p not in pos]
             for I, c in F.components.items():
-                by_tuple.setdefault(tuple(I[p] for p in pos), {})[
+                out.setdefault(tuple(I[p] for p in pos), {})[
                     tuple(I[p] for p in rest)] = -c if odd else c
-    cols = nonzero_columns(F.space.metric_inv)
+    return out
+
+
+def contraction_inners(F, depth):
+    """{(A, B): <iota_A F, iota_B F>} over pairs A <= B of increasing frame
+    tuples of one length d <= depth, leaving out zeros.  Each iota_B F of
+    basis_contractions is raised through the nonzero inverse-Gram entries
+    and paired with iota_A F at J.  det g^{-1}[J, J'] is the antisymmetrised
+    product of the rows of J, so this equals form_inner's Gram-minor sum."""
+    by_tuple = basis_contractions(F, depth)
     raised = {}                     # J -> [(B, (iota_B F)^J)]
     for B, comps in by_tuple.items():
-        for J, u in map_slots(comps, cols).items():
+        for J, u in map_slots(comps, F.space.inverse_cols).items():
             raised.setdefault(J, []).append((B, u))
     out = {}
     for A, comps in by_tuple.items():
@@ -551,19 +557,16 @@ class BiSymTensor:
     def ricci(self):
         """Ric(Y,Z) = sum_a g^{ab} R(e_a, Y, Z, e_b) (positive on spheres)."""
         n = self.space.dim
-        ginv = self.space.metric_inv
         out = [[Scalar(0)] * n for _ in range(n)]
         for y in range(n):
             for z in range(y, n):
                 total = None
-                for a in range(n):
-                    for b in range(n):
-                        if ginv[a][b].is_zero():
-                            continue
+                for a, row in enumerate(self.space.inverse_cols):
+                    for b, gab in row:
                         c = self.get(a, y, z, b)
                         if c.is_zero():
                             continue
-                        term = ginv[a][b] * c
+                        term = gab * c
                         total = term if total is None else total + term
                 if total is not None:
                     out[y][z] = total
@@ -632,25 +635,20 @@ def lambda_action(omega, F):
     space = omega.space
     if omega.degree != 2:
         raise ValueError("omega must be a 2-form")
-    n = space.dim
-    # A^a_b = g^{ac} omega_{cb}; covector action (A.theta)_b = -theta_a A^a_b
-    A = [[Scalar(0)] * n for _ in range(n)]
+    # A^a_b = g^{ac} omega_{cb} as {a: {b: A^a_b}}, nonzero entries only;
+    # covector action (A.theta)_b = -theta_a A^a_b
+    A = {}
     for (c, b), v in omega.components.items():
-        for a in range(n):
-            gac = space.metric_inv[a][c]
-            gab = space.metric_inv[a][b]
-            if not gac.is_zero():
-                A[a][b] = A[a][b] + gac * v
-            if not gab.is_zero():
-                A[a][c] = A[a][c] - gab * v
+        for a, gac in space.inverse_cols[c]:
+            accumulate(A.setdefault(a, {}), b, gac * v)
+        for a, gab in space.inverse_cols[b]:
+            accumulate(A.setdefault(a, {}), c, -(gab * v))
     comps = {}
     for idx, coeff in F.components.items():
         for pos, i in enumerate(idx):
             # derivation: slot covector e^i -> -A^i_a e^a
-            for a in range(n):
-                if A[i][a].is_zero():
-                    continue
-                c = coeff * (-A[i][a])
+            for a, x in A.get(i, {}).items():
+                c = coeff * (-x)
                 new = idx[:pos] + (a,) + idx[pos + 1:]
                 # re-sort with sign
                 sign, srt = sort_sign(new)

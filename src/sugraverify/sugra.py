@@ -10,14 +10,13 @@ geometry interface described in geometry's docstring.
 """
 
 from collections import namedtuple
-from itertools import combinations
 import json
 
 from .exactnum import Scalar, Polynomial
-from .multilinear import (KForm, BiSymTensor, wedge, interior_frame, hodge,
-                          form_inner, contraction_inners, map_slots,
-                          nonzero_columns, kulkarni_nomizu, plucker_check,
-                          lambda_action, accumulate)
+from .multilinear import (KForm, BiSymTensor, wedge, hodge, form_inner,
+                          contraction_inners, basis_contractions, flat,
+                          map_slots, nonzero_columns, kulkarni_nomizu,
+                          plucker_check, lambda_action, accumulate)
 from .clifford import (ComplexScalar, build_gamma, FrameAlgebra,
                        clifford_action, omega_xf, kernel_dim, chiral_basis,
                        spinor_to_vector)
@@ -109,7 +108,7 @@ class VerificationReport:
 
 
 class BackgroundSpec:
-    """Concrete background: geometry + fluxes + parameter bindings.
+    """Concrete background: geometry + fluxes.
 
     kind selects the geometry payload: "cw" (plane-wave chart from cw_data),
     "product" (constant-curvature blocks), "algebra" (a metric Lie algebra),
@@ -117,8 +116,8 @@ class BackgroundSpec:
     """
 
     def __init__(self, theory, name, kind, cw_data=None, product=None,
-                 algebra=None, flux_builder=None, dilaton=None, params=None,
-                 frame_data=None, notes=None):
+                 algebra=None, flux_builder=None, frame_data=None,
+                 notes=None):
         self.theory = theory
         self.name = name
         self.kind = kind
@@ -126,8 +125,6 @@ class BackgroundSpec:
         self.product = product
         self.algebra = algebra
         self.flux_builder = flux_builder      # space -> dict of named KForms
-        self.dilaton = {} if dilaton is None else dilaton
-        self.params = {} if params is None else params
         self.frame_data = {} if frame_data is None else frame_data
         self.notes = [] if notes is None else notes
         self._geometry = None
@@ -361,11 +358,7 @@ def supercovariant_connection(b):
         iq = ComplexScalar(_Z, Scalar.from_rational(1, 4))
 
         def flux_term(X):
-            low = alg.space.lower_vector(X)
-            xflat = KForm(alg.space, 1,
-                          {(i,): low[i] for i in range(n)
-                           if not low[i].is_zero()})
-            return (cF * clifford_action(xflat, alg)).scale(iq)
+            return (cF * clifford_action(flat(alg.space, X), alg)).scale(iq)
     thetas = []
     for mu in range(n):
         th = alg.element()
@@ -518,14 +511,11 @@ def verify_iib_maxsusy(b):
 
 
 def _plujac_holds(F):
-    space = F.space
-    for tri in combinations(range(space.dim), 3):
-        g = F
-        for i in reversed(tri):
-            g = interior_frame(space, i, g)
-        if g.is_zero():
-            continue
-        if not lambda_action(g, F).is_zero():
+    """lambda(iota^3 F) F = 0 for every nonzero iota_A F over frame triples A,
+    all taken from one basis_contractions pass."""
+    for A, comps in basis_contractions(F, 3).items():
+        if len(A) == 3 and \
+                not lambda_action(KForm(F.space, 2, comps), F).is_zero():
             return False
     return True
 

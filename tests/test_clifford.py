@@ -434,6 +434,18 @@ def test_frame_map_not_reproducing_the_gram_raises():
     assert "ValueError: frame map does not reproduce the Gram" in proc.stdout
 
 
+def test_lightcone_frame_map_with_a_flipped_off_diagonal_entry_raises():
+    # M[1][0] = +1/2 makes gamma_- = (gammahat_9 + gammahat_0)/2, still null
+    # but orthogonal to gamma_+: only the off-diagonal B(e+, e-) = 1 fails
+    rep = build_gamma((1, 9))
+    alg = FrameAlgebra.lightcone(rep)
+    M = [row[:] for row in alg.frame_map]
+    M[1][0] = Scalar.from_rational(1, 2)
+    with pytest.raises(ValueError,
+                       match="frame map does not reproduce the Gram matrix"):
+        FrameAlgebra(alg.space, rep, M)
+
+
 _XY = ("x1", "x2")
 
 

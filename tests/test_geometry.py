@@ -686,3 +686,13 @@ def test_frame_checks_reject_perturbed_frames():
         spin_connection(p, cof, frm, gram)
     _, cof, frm = frames[0]
     spin_connection(p, cof, frm, gram)
+
+
+def test_chart_with_a_wrong_supplied_inverse_rejected():
+    # cw_patch's inverse has g^{++} = -h; +h is wrong in that entry only
+    p = cw_patch(cw11_data())
+    CoordinatePatch(p.coords, p.metric, p.metric_inv)
+    bad = [row[:] for row in p.metric_inv]
+    bad[0][0] = -bad[0][0]
+    with pytest.raises(ValueError, match="supplied inverse is not exact"):
+        CoordinatePatch(p.coords, p.metric, bad)

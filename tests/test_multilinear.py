@@ -8,9 +8,10 @@ from sugraverify.exactnum import Scalar, Polynomial, sqrt_scalar
 from sugraverify.multilinear import (
     QuadraticSpace, KForm, BiSymTensor, wedge, interior, interior_frame,
     hodge, form_inner, contraction_inners, map_slots, nonzero_columns,
-    kulkarni_nomizu, plucker_check, plucker_rank_oracle, lambda_action)
+    kulkarni_nomizu, plucker_check, plucker_rank_oracle, lambda_action, flat,
+    form_component, sort_sign, accumulate)
 from sugraverify.liealg import CWData
-from sugraverify.geometry import cw_patch
+from sugraverify.geometry import cw_patch, _torsion_from_h
 
 
 def S(x):
@@ -257,16 +258,21 @@ def _contraction_space(name):
 CONTRACTION_SPACES = ["euclidean", "minkowski", "lightcone", "cw11 chart"]
 
 
+def _random_coeff(rng, sp):
+    """A nonzero random Scalar; on a chart a polynomial in x1."""
+    c = S(rng.choice([-2, -1, 1, 3]))
+    if isinstance(sp.metric[0][0], Polynomial):
+        c = Polynomial.constant(c) + Polynomial.variable("x1") * \
+            S(rng.randint(-1, 1))
+    return c
+
+
 def _sparse_random_form(rng, sp, k, terms=6):
     """k-form with a few random components; on a chart some of them are
     polynomials in x1."""
-    x1 = Polynomial.variable("x1")
     comps = {}
     for idx in rng.sample(list(combinations(range(sp.dim), k)), terms):
-        c = S(rng.choice([-2, -1, 1, 3]))
-        if isinstance(sp.metric[0][0], Polynomial):
-            c = Polynomial.constant(c) + x1 * S(rng.randint(-1, 1))
-        comps[idx] = c
+        comps[idx] = _random_coeff(rng, sp)
     return KForm(sp, k, comps)
 
 
@@ -326,6 +332,98 @@ def test_kulkarni_nomizu_equals_the_four_term_definition(name):
         assert set(got.components) == set(want), name
         for key, v in want.items():
             assert (got.components[key] - v).is_zero(), (name, key)
+
+
+@pytest.mark.parametrize("name", CONTRACTION_SPACES)
+def test_flat_equals_the_gram_times_the_vector(name):
+    sp = _contraction_space(name)
+    rng = random.Random(name)
+    n = sp.dim
+    for _ in range(5):
+        X = [_random_coeff(rng, sp) if rng.random() < 0.6 else S(0)
+             for _ in range(n)]
+        got = flat(sp, X)
+        for a in range(n):
+            want = sum((sp.metric[a][b] * X[b] for b in range(n)), S(0))
+            assert (got.components.get((a,), S(0)) - want).is_zero(), (name, a)
+
+
+@pytest.mark.parametrize("name", CONTRACTION_SPACES)
+def test_ricci_equals_the_double_sum_over_the_inverse_gram(name):
+    sp = _contraction_space(name)
+    rng = random.Random(name)
+    n = sp.dim
+    keys = [(i, j, k, l) for i, j in combinations(range(n), 2)
+            for k, l in combinations(range(n), 2) if (i, j) <= (k, l)]
+    Rm = BiSymTensor(sp, {key: _random_coeff(rng, sp)
+                          for key in rng.sample(keys, 15)})
+    ric = Rm.ricci()
+    for y in range(n):
+        for z in range(n):
+            want = S(0)
+            for a in range(n):
+                for b in range(n):
+                    want = want + sp.metric_inv[a][b] * Rm.get(a, y, z, b)
+            assert (ric[y][z] - want).is_zero(), (name, y, z)
+
+
+@pytest.mark.parametrize("name", CONTRACTION_SPACES)
+def test_torsion_from_h_equals_h_raised_by_the_inverse_gram(name):
+    sp = _contraction_space(name)
+    rng = random.Random(name)
+    n = sp.dim
+    H = _sparse_random_form(rng, sp, 3)
+    T = _torsion_from_h(H)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                want = S(0)
+                for l in range(n):
+                    h = form_component(H, (i, j, l))
+                    if h is not None:
+                        want = want + h * sp.metric_inv[l][k]
+                got = T.get((i, j), {}).get(k, S(0))
+                assert (got - want).is_zero(), (name, i, j, k)
+
+
+def _lambda_dense(om, F):
+    """lambda_action through the dense matrix A^a_b = g^{ac} omega_{cb}, each
+    slot covector e^i going to -A^i_a e^a."""
+    sp = om.space
+    n = sp.dim
+    A = [[S(0)] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                w = form_component(om, (c, b))
+                if w is not None:
+                    A[a][b] = A[a][b] + sp.metric_inv[a][c] * w
+    comps = {}
+    for idx, coeff in F.components.items():
+        for pos, i in enumerate(idx):
+            for a in range(n):
+                sign, srt = sort_sign(idx[:pos] + (a,) + idx[pos + 1:])
+                if sign:
+                    accumulate(comps, srt, coeff * (-A[i][a]) * sign)
+    return KForm(sp, F.degree, comps)
+
+
+@pytest.mark.parametrize("name", CONTRACTION_SPACES)
+def test_lambda_action_equals_the_dense_matrix_action(name):
+    sp = _contraction_space(name)
+    rng = random.Random(name)
+    for k in (3, 5):
+        for _ in range(3):
+            om = _sparse_random_form(rng, sp, 2, terms=4)
+            F = _sparse_random_form(rng, sp, k)
+            got = lambda_action(om, F)
+            assert not got.is_zero(), (name, k)
+            assert (got - _lambda_dense(om, F)).is_zero(), (name, k)
+
+
+def test_nonsymmetric_metric_rejected():
+    with pytest.raises(ValueError, match="metric must be symmetric"):
+        QuadraticSpace([[S(1), S(2)], [S(0), S(1)]])
 
 
 # ---------------------------------------------------------------------------

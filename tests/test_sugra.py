@@ -5,7 +5,7 @@ import pytest
 
 from sugraverify.exactnum import Scalar, Polynomial, sqrt_scalar
 from sugraverify.multilinear import (QuadraticSpace, KForm, form_inner, hodge,
-                                     interior_frame)
+                                     interior_frame, lambda_action)
 from sugraverify.liealg import (CWData, nw6, nw6_family, so12_so3, e15,
                                 canonical_three_form)
 from sugraverify.geometry import ConstCurvBlock, ProductGeometry, cw_patch
@@ -15,7 +15,7 @@ from sugraverify.sugra import (BackgroundSpec, VerificationReport, verify_d11,
                                verify_iib_maxsusy, verify_d6,
                                verify_typeII_common, dilatino_kernel,
                                killing_vectors_from_kernel, _riemann_flux_rhs,
-                               _riemann_iib_rhs)
+                               _riemann_iib_rhs, _plujac_holds)
 from sugraverify.catalog import (get_background, verify_background,
                                  assemble_parallelisable, typeII_background,
                                  GeometryProduct)
@@ -237,6 +237,52 @@ def test_non_self_dual_flux_fails_self_duality_with_witness():
     # the rest of the report is still computed
     assert "riemann-flux identity (IIB)" in cond
     assert "supercovariant curvature R^D = 0 on the Weyl bundle" in cond
+
+
+def _plujac_reference(F):
+    """lambda(iota^3 F) F = 0 over every frame triple, each iota^3 F taken by
+    three explicit interior products."""
+    space = F.space
+    for tri in combinations(range(space.dim), 3):
+        g = F
+        for i in reversed(tri):
+            g = interior_frame(space, i, g)
+        if not g.is_zero() and not lambda_action(g, F).is_zero():
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["minkowski", "lightcone"])
+def test_plujac_verdict_equals_explicit_contractions(name):
+    space = {"minkowski": QuadraticSpace.minkowski(10),
+             "lightcone": QuadraticSpace.lightcone(8)}[name]
+    rng = random.Random(name)
+    verdicts = []
+    for _ in range(20):
+        idxs = rng.sample(list(combinations(range(10), 5)),
+                          rng.choice([1, 2, 2, 4]))
+        F = KForm(space, 5, {idx: S(rng.choice([-2, -1, 1, 3]))
+                             for idx in idxs})
+        want = _plujac_reference(F)
+        assert _plujac_holds(F) == want, F
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
+def test_plujac_negative_control_on_the_cw10_chart():
+    # a third component (1,2,3,6,7) joining the two blocks of the cw10 flux
+    data = CWData.diagonal([S(-1)] * 8)
+    one = Polynomial.constant(1)
+
+    def flux(space):
+        return {"F5": KForm(space, 5, {(1, 2, 3, 4, 5): one,
+                                       (1, 6, 7, 8, 9): one,
+                                       (1, 2, 3, 6, 7): one})}
+
+    rep = verify_iib_maxsusy(BackgroundSpec("iib", "cw10-plujac", "cw",
+                                            cw_data=data, flux_builder=flux))
+    assert names(rep)["plucker-jacobi identity"] is False
+    assert not rep.passed
 
 
 # ---------------------------------------------------------------------------
