@@ -573,6 +573,8 @@ def verify_background(b):
 # ---------------------------------------------------------------------------
 
 _FLUX_DEGREE = {"F4": 4, "F5": 5, "G5": 5, "H3": 3}
+# the theories whose verifiers need no frame data beyond the file's
+_FILE_THEORIES = ("d11", "iib", "d6-(1,0)")
 
 
 def _file_scalar(text, params, where):
@@ -632,13 +634,25 @@ def load_background(path):
     import json
     with open(path) as fh:
         doc = json.load(fh)
-    params = {k: _file_scalar(v, {}, f"parameters.{k}") for k, v in
-              doc.get("parameters", {}).items()}
-    theory = doc["theory"]
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object at the top level, got "
+                         f"{type(doc).__name__}")
+    params = doc.get("parameters", {})
+    if not isinstance(params, dict):
+        raise ValueError("parameters: expected an object of scalar strings")
+    params = {k: _file_scalar(v, {}, f"parameters.{k}")
+              for k, v in params.items()}
+    theory = doc.get("theory")
+    if theory not in _FILE_THEORIES:
+        raise ValueError(f"theory: expected one of "
+                         f"{', '.join(_FILE_THEORIES)}, got {theory!r}")
     name = doc.get("name", "user-background")
-    kind = doc["geometry"]["type"]
+    geom = doc.get("geometry")
+    if not isinstance(geom, dict):
+        raise ValueError("geometry: expected an object with a type")
+    kind = geom["type"]
     if kind == "cw":
-        rows = doc["geometry"]["profile"]
+        rows = geom["profile"]
         if not (isinstance(rows, list) and all(
                 isinstance(r, list) and len(r) == len(rows) for r in rows)):
             raise ValueError("geometry.profile: expected a square matrix")
@@ -650,18 +664,24 @@ def load_background(path):
                                   doc, params, data.n, Polynomial.constant))
     if kind == "product":
         blocks = []
-        for i, blk in enumerate(doc["geometry"]["blocks"]):
+        if not isinstance(geom["blocks"], list):
+            raise ValueError("geometry.blocks: expected a list of blocks")
+        for i, blk in enumerate(geom["blocks"]):
+            where = f"geometry.blocks[{i}]"
+            if not isinstance(blk, dict):
+                raise ValueError(f"{where}: expected an object, got {blk!r}")
             if not (type(blk["dim"]) is int and blk["dim"] >= 1):
-                raise ValueError(f"geometry.blocks[{i}].dim: expected a "
-                                 f"positive integer, got {blk['dim']!r}")
+                raise ValueError(f"{where}.dim: expected a positive integer, "
+                                 f"got {blk['dim']!r}")
+            lorentzian = blk.get("lorentzian", False)
+            if type(lorentzian) is not bool:
+                raise ValueError(f"{where}.lorentzian: expected true or "
+                                 f"false, got {lorentzian!r}")
             blocks.append(ConstCurvBlock(
                 blk["dim"], _file_scalar(blk["scalar_curvature"], params,
-                                         f"geometry.blocks[{i}]"
-                                         f".scalar_curvature"),
-                lorentzian=blk.get("lorentzian", False),
-                label=blk.get("label", "")))
-        prod = ProductGeometry(blocks,
-                               doc["geometry"].get("orientation", 1))
+                                         f"{where}.scalar_curvature"),
+                lorentzian=lorentzian, label=blk.get("label", "")))
+        prod = ProductGeometry(blocks, geom.get("orientation", 1))
         return BackgroundSpec(theory, name, "product", product=prod,
                               flux_builder=_file_fluxes(
                                   doc, params, prod.dim, lambda c: c))

@@ -6,17 +6,20 @@ left-multiplication matrices, so every entry is 0 or +-1 (or a fourth root
 of unity in the complex (1,5) case).  They are stored as signed
 permutations.
 
-Computations with spinor endomorphisms happen in a sparse monomial basis
-{gamma_S} indexed by sorted tuples of frame indices, with multiplication
-driven by the frame Gram matrix (which may pair lightcone legs
-off-diagonally).  This keeps connection/curvature algebra exact and fast.
-Two monomials without linked legs (legs s != t across them with G[s][t]
-!= 0) commute or anticommute up to one contracted monomial, so commutators
-decide them by parity (docs/conventions.md).
+Computations with spinor endomorphisms happen in a sparse basis of
+antisymmetrized frame monomials gamma_[S] = gamma_[s1...sk], indexed by
+sorted tuples of frame indices, over the frame Gram matrix (which may pair
+lightcone legs off-diagonally).  In this basis the Clifford action of a
+form raises its indices, c(e^S) = gamma^[S], and a product is Wick's rule:
+one term per set of contractions G[s][t] between the two monomials
+(docs/conventions.md).  The same terms with a parity rule give the
+bracket.
 
 A frame is tied to the orthonormal gammas by a rational frame map; the
 lightcone one sends gamma_+ to gammahat_{n-1} + gammahat_0 and gamma_- to
-half their difference, so no square root enters a coefficient.
+half their difference, so no square root enters a coefficient.  Distinct
+orthonormal gammas anticommute, so gamma_[S] maps slot by slot to
+orthonormal words.
 
 Elements act on sparse spinors ({index: component}) through their
 orthonormal words, each a coefficient times a signed permutation, with the
@@ -27,8 +30,8 @@ built.  realize() builds one only for callers that ask for it.
 """
 
 from .exactnum import Scalar, Polynomial, ZERO, ONE
-from .multilinear import QuadraticSpace, KForm, interior, wedge, \
-    accumulate, flat, nonzero_columns
+from .multilinear import QuadraticSpace, interior, wedge, accumulate, flat, \
+    map_slots, nonzero_columns, _merge_sign
 from . import linalg
 
 __all__ = ["ComplexScalar", "CliffordRep", "build_gamma", "FrameAlgebra",
@@ -37,6 +40,7 @@ __all__ = ["ComplexScalar", "CliffordRep", "build_gamma", "FrameAlgebra",
 
 _Z = ZERO
 _ONE = ONE
+_TWO = Scalar(2)
 
 
 def coeff_partial(c, var):
@@ -437,17 +441,18 @@ class FrameAlgebra:
                 accumulate(check, (a, c), -g)
         if check:
             raise ValueError("frame map does not reproduce the Gram matrix")
-        # bit b of _links[a] is set when a != b are linked, G[a][b] != 0;
-        # commutator decides pairs without linked legs by parity
-        self._links = [sum(1 << b for b, _ in row if b != a)
-                       for a, row in enumerate(space.metric_cols)]
+        # bit b of _partners[a] is set when G[a][b] != 0
+        self._partners = [sum(1 << b for b, _ in row)
+                          for row in space.metric_cols]
+        # contractions G[s][t] != 0 of each leg s, with None for a unit entry
+        self._contractions = [[(t, None if g == 1 else g) for t, g in row]
+                              for row in space.metric_cols]
+        self._frame_rows = nonzero_columns(linalg.transpose(frame_map))
         self._bits_cache = {}
-        self._square_cache = {}
         self._mono_cache = {}
         self._bracket_cache = {}
         self._word_cache = {}
         self._matrix_cache = {}
-        self._action_cache = {}
 
     @staticmethod
     def orthonormal(rep, orientation=1):
@@ -480,132 +485,90 @@ class FrameAlgebra:
     # -- monomial product over the Gram matrix ------------------------------
 
     def mono_mul(self, S, T):
-        """gamma_S gamma_T as {monomial: Scalar} (cached)."""
+        """gamma_[S] gamma_[T] as {monomial: Scalar}, by Wick's rule
+        (cached)."""
         key = (S, T)
         out = self._mono_cache.get(key)
-        if out is not None:
-            return out
-        acc = {S: _ONE}
-        for b in T:
-            nxt = {}
-            for mono, c in acc.items():
-                for m2, c2 in self._insert(mono, b).items():
-                    cc = c * c2
-                    if m2 in nxt:
-                        cc = nxt[m2] + cc
-                    if cc.is_zero():
-                        nxt.pop(m2, None)
-                    else:
-                        nxt[m2] = cc
-            acc = nxt
-        self._mono_cache[key] = acc
-        return acc
+        if out is None:
+            out = self._mono_cache[key] = self._wick(S, T)
+        return out
 
     def mono_bracket(self, S, T):
-        """gamma_S gamma_T - gamma_T gamma_S as {monomial: Scalar} (cached;
-        empty when the monomials commute)."""
+        """gamma_[S] gamma_[T] - gamma_[T] gamma_[S] as {monomial: Scalar}
+        (cached; empty when the monomials commute).  gamma_[T] gamma_[S] is
+        Wick's sum for gamma_[S] gamma_[T] with its j-contraction terms
+        times (-1)^(|S||T| - j), so the bracket is twice the terms with
+        |S||T| - j odd."""
         key = (S, T)
         out = self._bracket_cache.get(key)
         if out is None:
-            out = dict(self.mono_mul(S, T))
-            for mono, c in self.mono_mul(T, S).items():
-                accumulate(out, mono, -c)
-            self._bracket_cache[key] = out
+            out = self._bracket_cache[key] = \
+                self._wick(S, T, (len(S) * len(T) + 1) & 1)
+        return out
+
+    def _wick(self, S, T, parity=None):
+        """Wick's rule for gamma_[S] gamma_[T], as {monomial: Scalar}.
+
+        Each set of j contractions, a leg s of S paired with a leg t of T
+        and weighted G[s][t], whose remaining legs are distinct gives one
+        term: the product of the weights times gamma_[remaining legs], with
+        the sign that brings every contracted pair together and then the
+        remaining legs into order.  The legs of S are walked in order; one
+        also in T whose only partner is itself must be contracted, or the
+        term is zero.  With a parity, only the terms whose j has it are
+        kept, doubled (mono_bracket)."""
+        rows, partners = self._contractions, self._partners
+        states = [(T, (), 1, None, 0)]   # (rest of T, kept legs of S, ...)
+        for i, s in enumerate(S):
+            passed = len(S) - 1 - i      # legs of S that s moves past
+            nxt = []
+            for rest, kept, sign, factor, j in states:
+                if not (partners[s] == 1 << s and s in rest):
+                    nxt.append((rest, kept + (s,), sign, factor, j))
+                for t, g in rows[s]:
+                    if t not in rest:
+                        continue
+                    q = rest.index(t)    # legs of T that t moves past
+                    nxt.append((rest[:q] + rest[q + 1:], kept,
+                                -sign if (passed + q) & 1 else sign,
+                                factor if g is None else
+                                g if factor is None else factor * g, j + 1))
+            states = nxt
+        out = {}
+        for rest, kept, sign, factor, j in states:
+            if parity is not None:
+                if (j ^ parity) & 1:
+                    continue
+                sign *= 2
+            merge, mono = _merge_sign(kept, rest)
+            if merge:
+                c = Scalar(sign * merge)
+                accumulate(out, mono, c if factor is None else c * factor)
         return out
 
     def _mono_bits(self, S):
-        """(legs of S, legs linked to a leg of S) as bit masks (cached)."""
+        """(legs of S, partners of the legs of S) as bit masks (cached)."""
         bits = self._bits_cache.get(S)
         if bits is None:
-            legs = links = 0
+            legs = partners = 0
             for s in S:
                 legs |= 1 << s
-                links |= self._links[s]
-            bits = self._bits_cache[S] = (legs, links)
+                partners |= self._partners[s]
+            bits = self._bits_cache[S] = (legs, partners)
         return bits
-
-    def _unlinked_bracket(self, S, T, legs_s, legs_t):
-        """gamma_S gamma_T - gamma_T gamma_S for monomials with no linked
-        legs s != t, whose exponent |S||T| - |S & T| is odd: the one
-        monomial 2 (merge sign) prod_{i in S & T} G_ii gamma_{S ^ T}, or
-        nothing when a shared leg is null."""
-        shared = legs_s & legs_t
-        f = self._square_cache.get(shared)
-        if f is None:
-            f = Scalar(2)
-            for i in S:
-                if shared >> i & 1:
-                    f = f * self.space.metric[i][i]
-            self._square_cache[shared] = f
-        if f.is_zero():
-            return {}
-        # each leg t of T passes the legs of S above it
-        if sum((legs_s >> (t + 1)).bit_count() for t in T) & 1:
-            f = -f
-        return {tuple(sorted(set(S).symmetric_difference(T))): f}
-
-    def _insert(self, S, b):
-        """gamma_S gamma_b expanded over monomials."""
-        G = self.space.metric
-        out = {}
-        lst = list(S)
-        # move b leftwards from the end until sorted position
-        sign = 1
-        for pos in range(len(lst), 0, -1):
-            s = lst[pos - 1]
-            if s < b:
-                mono = tuple(lst[:pos] + [b] + lst[pos:])
-                accumulate(out, mono, Scalar(sign))
-                return out
-            # contraction 2 G(s,b), with current sign
-            g = G[s][b]
-            if not g.is_zero():
-                mono = tuple(lst[:pos - 1] + lst[pos:])
-                accumulate(out, mono, Scalar(2 * sign) * g)
-            if s == b:
-                # gamma_b gamma_b handled via contraction minus recursion:
-                # gamma_s gamma_b = 2G - gamma_b gamma_s kills the repeated leg
-                rest = tuple(lst[:pos - 1] + lst[pos:])
-                accumulate(out, rest, Scalar(-sign) * G[b][b])
-                return out
-            sign = -sign
-        mono = tuple([b] + lst)
-        accumulate(out, mono, Scalar(sign))
-        return out
 
     # -- realization --------------------------------------------------------
 
     def mono_words(self, S):
-        """gamma_S (frame monomial) expanded over orthonormal words, as
-        {word: coefficient} (cached)."""
+        """gamma_[S] over orthonormal words, as {word: coefficient}
+        (cached): each leg maps through its row of the frame map, and
+        distinct orthonormal gammas anticommute, so gammahat_[B] is the
+        signed word of sorted B."""
         words = self._word_cache.get(S)
-        if words is not None:
-            return words
-        n = self.rep.n
-        # expand each frame generator into orthonormal ones and reduce
-        terms = {(): _ONE}
-        eta = self.rep.eta
-        for a in S:
-            nxt = {}
-            row = self.frame_map[a]
-            for word, c in terms.items():
-                for b in range(n):
-                    if row[b].is_zero():
-                        continue
-                    w2, sgn, contract = _reduce_word(word, b, eta)
-                    if w2 is None:
-                        continue
-                    cc = c * (row[b] * sgn if contract is None
-                              else row[b] * sgn * contract)
-                    if w2 in nxt:
-                        cc = nxt[w2] + cc
-                    if cc.is_zero():
-                        nxt.pop(w2, None)
-                    else:
-                        nxt[w2] = cc
-            terms = nxt
-        self._word_cache[S] = terms
-        return terms
+        if words is None:
+            words = self._word_cache[S] = map_slots({S: _ONE},
+                                                    self._frame_rows)
+        return words
 
     def word_matrix(self, word):
         """The orthonormal word gammahat_{b1}...gammahat_{bk} as an SPMat
@@ -630,26 +593,9 @@ class FrameAlgebra:
         return CliffordElement(self, {(): _ONE})
 
 
-def _reduce_word(word, b, eta):
-    """Multiply the reduced orthonormal word by gammahat_b on the right.
-
-    Orthonormal words are strictly increasing tuples; eta is diagonal, so
-    the reduction yields a single word with a sign and possibly an eta
-    contraction factor.  Returns (word, sign, contraction|None)."""
-    lst = list(word)
-    sign = 1
-    for pos in range(len(lst), 0, -1):
-        s = lst[pos - 1]
-        if s == b:
-            return tuple(lst[:pos - 1] + lst[pos:]), sign, eta[b]
-        if s < b:
-            return tuple(lst[:pos] + [b] + lst[pos:]), sign, None
-        sign = -sign
-    return tuple([b] + lst), sign, None
-
-
 class CliffordElement:
-    """Sparse sum of frame gamma monomials with exact coefficients."""
+    """Sparse sum of antisymmetrized frame monomials gamma_[S] with exact
+    coefficients, comps = {sorted S: coefficient}."""
 
     __slots__ = ("alg", "comps")
 
@@ -696,31 +642,29 @@ class CliffordElement:
 
     def commutator(self, other):
         """[self, other], one coefficient product per non-commuting pair of
-        monomials.
-
-        A pair gamma_S, gamma_T with no linked legs s != t (G[s][t] = 0)
-        obeys gamma_S gamma_T = (-1)^(|S||T| - |S & T|) gamma_T gamma_S: an
-        even exponent commutes and is skipped, an odd one brackets to a
-        single monomial (FrameAlgebra._unlinked_bracket).  Only a linked
-        pair, in a lightcone frame one with e+ on one side and e- on the
-        other, expands through the cached mono_bracket."""
+        monomials: twice the Wick terms with |S||T| - j odd
+        (FrameAlgebra.mono_bracket).  A pair with no contractible leg (no
+        s in S and t in T with G[s][t] != 0) has only the j = 0 term, so it
+        brackets to 2 gamma_[S u T] when |S||T| is odd and the legs are
+        disjoint, and to nothing otherwise."""
         alg = self.alg
         right = [(t, ct, alg._mono_bits(t)[0])
                  for t, ct in other.comps.items()]
         comps = {}
         for s, cs in self.comps.items():
-            legs_s, links_s = alg._mono_bits(s)
+            legs_s, partners_s = alg._mono_bits(s)
             for t, ct, legs_t in right:
-                if links_s & legs_t:
-                    br = alg.mono_bracket(s, t)
-                elif (len(s) * len(t) - (legs_s & legs_t).bit_count()) & 1:
-                    br = alg._unlinked_bracket(s, t, legs_s, legs_t)
+                if partners_s & legs_t:
+                    terms = alg.mono_bracket(s, t).items()
+                    if not terms:
+                        continue
+                elif len(s) * len(t) & 1 and not legs_s & legs_t:
+                    sign, mono = _merge_sign(s, t)
+                    terms = ((mono, _TWO if sign > 0 else -_TWO),)
                 else:
                     continue
-                if not br:
-                    continue
                 c = cs * ct
-                for mono, f in br.items():
+                for mono, f in terms:
                     accumulate(comps, mono, c * f)
         return CliffordElement(self.alg, comps)
 
@@ -809,34 +753,13 @@ def _units(alg):
 
 def clifford_action(omega, alg):
     """c: exterior algebra -> End(S) with c(e^{a1}^...^e^{ak}) the
-    antisymmetrized product of raised gammas; on orthogonal products this is
-    the plain matrix product.  Accepts a KForm on alg.space."""
+    antisymmetrized product of raised gammas, gamma^[a1...ak]: the
+    components of omega with every index raised through the nonzero
+    inverse-Gram entries.  Accepts a KForm on alg.space."""
     if omega.space is not alg.space:
         raise ValueError("form lives on a different frame")
-    out = alg.element()
-    for idx, c in omega.components.items():
-        out = out + _action_basis(alg, idx).scale(c)
-    return out
-
-
-def _action_basis(alg, idx):
-    """c(e^{idx}) via the recursion c(a ^ beta) = c(a) c(beta) - c(iota_{a#} beta)."""
-    cached = alg._action_cache.get(idx)
-    if cached is not None:
-        return cached
-    if len(idx) == 0:
-        out = alg.identity()
-    elif len(idx) == 1:
-        out = alg.raised_gamma(idx[0])
-    else:
-        a, rest = idx[0], idx[1:]
-        beta = KForm.basis(alg.space, *rest)
-        sharp = alg.space.metric_inv[a]
-        inner = interior(list(sharp), beta)
-        out = alg.raised_gamma(a) * _action_basis(alg, rest) \
-            - clifford_action(inner, alg)
-    alg._action_cache[idx] = out
-    return out
+    return CliffordElement(alg, map_slots(omega.components,
+                                          alg.space.inverse_cols))
 
 
 def omega_xf(X, F, alg):

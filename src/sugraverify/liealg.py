@@ -81,12 +81,12 @@ class MetricLieAlgebra:
 
     def inner(self, x, y):
         out = _Z
-        for i in range(self.dim):
-            if x[i].is_zero():
+        for j, col in enumerate(self.space.metric_cols):
+            if y[j].is_zero():
                 continue
-            for j in range(self.dim):
-                if not (y[j].is_zero() or self.metric[i][j].is_zero()):
-                    out = out + x[i] * y[j] * self.metric[i][j]
+            for i, g in col:
+                if not x[i].is_zero():
+                    out = out + x[i] * y[j] * g
         return out
 
     @property

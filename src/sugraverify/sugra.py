@@ -346,7 +346,7 @@ def supercovariant_connection(b):
     cof, frm, gram = p.coframe()
     om = spin_connection(p, cof, frm, gram)
     alg = FrameAlgebra.lightcone(build_gamma((1, n - 1)))
-    quarter = Scalar.from_rational(1, 4)
+    half = Scalar.from_rational(1, 2)
     F = b.flux_builder(p.space)[_FLUX[b.theory]]
     F_frame = KForm(alg.space, F.degree,
                     map_slots(F.components, nonzero_columns(frm)))
@@ -361,10 +361,10 @@ def supercovariant_connection(b):
             return (cF * clifford_action(flat(alg.space, X), alg)).scale(iq)
     thetas = []
     for mu in range(n):
-        th = alg.element()
-        for (a, bb), w in om[mu].items():
-            th = th + (alg.raised_gamma(a) * alg.raised_gamma(bb)) \
-                .scale(w * quarter)
+        # omega_mu is skew: 1/4 omega_ab gamma^a gamma^b = 1/2 c(omega_mu)
+        om_mu = KForm(alg.space, 2, {k: w for k, w in om[mu].items()
+                                     if k[0] < k[1]})
+        th = clifford_action(om_mu, alg).scale(half)
         X = [cof[a][mu] for a in range(n)]       # d_mu in frame comps
         thetas.append(th + flux_term(X))
     return p, alg, thetas

@@ -170,6 +170,26 @@ BAD_FILE_ENTRIES = {
     "unknown-flux": (
         lambda d: d["fluxes"].update(G7=[]),
         "fluxes.G7"),
+    "parameters-as-a-list": (
+        lambda d: d.update(parameters=[]),
+        "parameters"),
+    "geometry-as-a-string": (
+        lambda d: d.update(geometry="cw"),
+        "geometry"),
+    "block-as-a-number": (
+        lambda d: d.update(geometry={"type": "product", "blocks": [3]}),
+        "geometry.blocks[0]"),
+    "lorentzian-as-a-string": (
+        lambda d: d.update(geometry={"type": "product", "blocks": [
+            {"dim": 11, "scalar_curvature": "0", "lorentzian": "no"}]}),
+        "geometry.blocks[0].lorentzian"),
+    # a file cannot supply the frame data these theories' verifiers need
+    "theory-typeII-common": (
+        lambda d: d.update(theory="typeII-common"),
+        "theory"),
+    "theory-iia": (
+        lambda d: d.update(theory="iia"),
+        "theory"),
 }
 
 
@@ -184,6 +204,16 @@ def test_cli_verify_names_the_bad_entry_of_a_background_file(
     assert cli.main(["verify", str(path)]) == 2
     out, err = capsys.readouterr()
     assert not out and err.startswith(f"error: {path}: {entry}: "), err
+
+
+def test_cli_verify_rejects_a_background_file_that_is_not_an_object(
+        tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps([cw11_document()]))
+    assert cli.main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith(
+        f"error: {path}: expected a JSON object at the top level"), err
 
 
 def test_background_file_product(tmp_path):

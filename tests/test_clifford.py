@@ -465,12 +465,15 @@ def _random_coeff(rng):
     return ComplexScalar(_random_poly(rng), _random_poly(rng))
 
 
-def _random_element(alg, rng, terms=3, degree=3):
+def _random_rational(rng):
+    return Scalar.from_rational(rng.choice((-3, -1, 1, 2)), rng.randint(1, 2))
+
+
+def _random_element(alg, rng, terms=3, degree=3, coeff=_random_coeff):
     comps = {}
     for _ in range(terms):
         k = rng.randint(0, degree)
-        comps[tuple(sorted(rng.sample(range(alg.space.dim), k)))] = \
-            _random_coeff(rng)
+        comps[tuple(sorted(rng.sample(range(alg.space.dim), k)))] = coeff(rng)
     return alg.element(comps)
 
 
@@ -562,7 +565,8 @@ def _linked_frame_algebra(rep, rng):
                                        ("orthonormal", (1, 10)),
                                        ("linked", (1, 10))])
 def test_commutator_matches_difference_of_products_on_every_frame(frame, sig):
-    # the parity rule on unlinked pairs and mono_bracket on linked ones
+    # the j = 0 term alone on pairs with no contractible leg, and the odd
+    # terms of Wick's rule (mono_bracket) on the others
     rng = random.Random(23)
     rep = build_gamma(sig)
     if frame == "linked":
@@ -577,12 +581,116 @@ def test_commutator_matches_difference_of_products_on_every_frame(frame, sig):
         assert (got - (x * y - y * x)).is_zero()
         nonzero += not got.is_zero()
     assert nonzero >= 5
-    # a pair sharing leg 0, which is null in a lightcone frame, with an odd
-    # exponent |S||T| - |S & T| = 3
+    # a pair sharing leg 0, which in a lightcone frame is null and
+    # contracts only with e-: its one Wick term repeats a leg
     x, y = alg.element({(0, 2): S(1)}), alg.element({(0, 3): S(1)})
     got = x.commutator(y)
     assert (got - (x * y - y * x)).is_zero()
     assert got.is_zero() == (frame == "lightcone")
+
+
+# ---------------------------------------------------------------------------
+# Wick's rule on antisymmetrized monomials, against the orthonormal words
+# ---------------------------------------------------------------------------
+
+_FRAMES = [("lightcone", (1, 9)), ("lightcone", (1, 10)),
+           ("orthonormal", (1, 10)), ("linked", (1, 10))]
+
+
+def _frame_algebra(frame, sig, rng):
+    rep = build_gamma(sig)
+    if frame == "linked":
+        return _linked_frame_algebra(rep, rng)
+    return getattr(FrameAlgebra, frame)(rep)
+
+
+@pytest.mark.parametrize("frame,sig", _FRAMES)
+def test_product_matches_the_product_of_realized_matrices(frame, sig):
+    # realize() goes through the orthonormal words of each monomial, not
+    # through mono_mul, so this checks Wick's rule and its signs
+    rng = random.Random(41)
+    alg = _frame_algebra(frame, sig, rng)
+    # a random frame map has dense rows, so its words grow fast with degree;
+    # rational coefficients keep the realized matrices cheap
+    degree = 2 if frame == "linked" else 3
+    pairs = [tuple(_random_element(alg, rng, rng.randint(1, 3), degree,
+                                   coeff=_random_rational) for _ in range(2))
+             for _ in range(6)]
+    # lightcone legs on both sides: gamma_[+-] gamma_[+-] and gamma_[+]
+    # gamma_[+-] need contractions with both e+ and e-
+    pairs.append((alg.element({(0, 1): S(1)}), alg.element({(0, 1, 2): S(1)})))
+    pairs.append((alg.element({(0,): S(1)}), alg.element({(0, 1): S(1)})))
+    for x, y in pairs:
+        want = linalg.mat_mul(x.realize(), y.realize())
+        assert linalg.mat_eq_zero(linalg.mat_sub((x * y).realize(), want)), \
+            (x, y)
+
+
+def _action_by_recursion(alg, idx, cache):
+    """c(e^idx) by c(e^a ^ beta) = c(e^a) c(beta) - c(iota_{a#} beta), with
+    a the first leg: the Clifford action built from products, as a
+    reference for index raising."""
+    out = cache.get(idx)
+    if out is not None:
+        return out
+    if len(idx) <= 1:
+        out = alg.raised_gamma(idx[0]) if idx else alg.identity()
+    else:
+        a, rest = idx[0], idx[1:]
+        inner = interior(list(alg.space.metric_inv[a]),
+                         KForm.basis(alg.space, *rest))
+        out = alg.raised_gamma(a) * _action_by_recursion(alg, rest, cache)
+        for j, c in inner.components.items():
+            out = out - _action_by_recursion(alg, j, cache).scale(c)
+    cache[idx] = out
+    return out
+
+
+@pytest.mark.parametrize("frame,sig", _FRAMES)
+def test_clifford_action_matches_the_product_recursion(frame, sig):
+    rng = random.Random(43)
+    alg = _frame_algebra(frame, sig, rng)
+    n = alg.space.dim
+    cache = {}
+    # on the linked frame every leg contracts with every other, so the
+    # reference products grow fast: one component per degree there
+    terms = 1 if frame == "linked" else 2
+    for k in range(6):
+        comps = {tuple(sorted(rng.sample(range(n), k))):
+                 _random_rational(rng) for _ in range(terms)}
+        form = KForm(alg.space, k, comps)
+        want = alg.element()
+        for idx, c in form.components.items():
+            want = want + _action_by_recursion(alg, idx, cache).scale(c)
+        got = clifford_action(form, alg)
+        assert (got - want).is_zero(), (k, comps)
+
+
+def test_spin_term_is_half_the_action_of_the_connection_form():
+    # 1/4 omega_ab gamma^a gamma^b = 1/2 c(sum_{a<b} omega_ab e^a ^ e^b)
+    # for skew omega: the symmetric part G^ab of gamma^a gamma^b drops out
+    rng = random.Random(47)
+    alg = FrameAlgebra.lightcone(build_gamma((1, 10)))
+    n = alg.space.dim
+    quarter, half = Scalar.from_rational(1, 4), Scalar.from_rational(1, 2)
+    for _ in range(4):
+        omega = {}
+        for _ in range(8):
+            a, b = sorted(rng.sample(range(n), 2))
+            w = _random_poly(rng)
+            if not w.is_zero():
+                omega[(a, b)], omega[(b, a)] = w, -w
+        # e+ and e- are always paired: their G^ab is the off-diagonal one
+        w = Polynomial(_XY, {(1, 0): S(1)})
+        omega[(0, 1)], omega[(1, 0)] = w, -w
+        want = alg.element()
+        for (a, b), w in omega.items():
+            want = want + (alg.raised_gamma(a) * alg.raised_gamma(b)) \
+                .scale(w * quarter)
+        form = KForm(alg.space, 2, {k: w for k, w in omega.items()
+                                    if k[0] < k[1]})
+        got = clifford_action(form, alg).scale(half)
+        assert (got - want).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -656,13 +764,16 @@ def test_rational_lightcone_map_keeps_traces_and_the_volume_element(rep_1_10):
     rng = random.Random(31)
     elements = [_random_element(alg, rng, terms=rng.randint(1, 5))
                 for _ in range(12)]
-    elements.append(alg.element({tuple(range(11)): S(3), (0, 1): S(1)}))
+    plus_minus = alg.element({(0,): S(1)}) * alg.element({(1,): S(1)})
+    elements.append(alg.element({tuple(range(11)): S(3)}) + plus_minus)
     for x in elements:
         t, t_old = x.trace(), CliffordElement(old, x.comps).trace()
         assert (t - t_old).is_zero(), x
     # gamma_+ gamma_- = 1 + gammahat_0 gammahat_10, and gammahat_0 gammahat_10
     # gammahat_1..gammahat_9 = -vol = +1 in (1,10): trace 32 + 3 * 32
     assert elements[-1].trace() == S(128)
+    # gamma_[+-] = gammahat_0 gammahat_10 alone is traceless
+    assert alg.element({(0, 1): S(1)}).trace() == S(0)
     vol = clifford_action(alg.space.volume_form(), alg)
     assert linalg.mat_eq_zero(linalg.mat_sub(
         vol.realize(), CliffordElement(old, vol.comps).realize()))

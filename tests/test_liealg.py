@@ -71,6 +71,24 @@ def test_invariance_checks():
     assert invariance_check(g)[0] == "witness"
 
 
+@pytest.mark.parametrize("make", [so12_so3, su3, nw6])
+def test_inner_matches_the_dense_double_sum(make):
+    # inner walks the nonzero metric entries only
+    g = make()
+    n = g.dim
+    rng = random.Random(11)
+    vecs = [g.basis_vector(i) for i in range(n)] + \
+        [[R(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+         for _ in range(4)]
+    for x in vecs:
+        for y in vecs:
+            want = S(0)
+            for i in range(n):
+                for j in range(n):
+                    want = want + x[i] * y[j] * g.metric[i][j]
+            assert g.inner(x, y) == want
+
+
 # ---------------------------------------------------------------------------
 # double extension
 # ---------------------------------------------------------------------------
