@@ -11,16 +11,22 @@ The elementary factors and their torsion/dilaton classes:
     S7        7    dH != 0, |H|^2 > 0       constant
     SU(3)     8    dH = 0, |H|^2 > 0        constant
     CW2n      2n   dH = 0, |H|^2 = 0        phi(x-)
+
+A catalog background is plain data (sugra.BackgroundSpec): its geometry and
+its fluxes on that geometry's space, built once by its builder.  _BUILDERS
+is the one table of catalog ids, in catalog order; each builder holds its
+id's default parameters, and only the background asked for is built.
 """
 
 from collections import namedtuple
 
 from .exactnum import Scalar, Polynomial, sqrt_scalar, parse_scalar
-from .multilinear import KForm
+from .multilinear import KForm, form_inner
 from .clifford import build_gamma, FrameAlgebra
-from .liealg import CWData, nw6, so12_so3, e15, _SU3_TRIPLES
+from .liealg import (CWData, nw6, so12_so3, e15, canonical_three_form,
+                     SU3_STRUCTURE)
 from .geometry import ConstCurvBlock, ProductGeometry, cw_patch
-from .sugra import (BackgroundSpec, VerificationReport,
+from .sugra import (BackgroundSpec, VerificationReport, theory_geometry,
                     verify_d11_maxsusy, verify_iib_maxsusy, verify_d6,
                     verify_typeII_common, dilatino_kernel)
 from . import linalg
@@ -157,16 +163,11 @@ def solve_dilaton(p):
 _CW_WEIGHTS = {4: [1], 6: [1, 2], 8: [1, 2, 4], 10: [1, 2, 4, 8]}
 
 
-def _su3_three_form(space, offset, scale=None):
-    r3h = sqrt_scalar(Scalar(3)) * R_(1, 2)
-    comps = {}
-    triples = {key: (f if isinstance(f, Scalar) else Scalar(f))
-               for key, f in _SU3_TRIPLES}
-    triples[(3, 4, 7)] = r3h
-    triples[(5, 6, 7)] = r3h
-    for (i, j, k), f in triples.items():
-        comps[(offset + i, offset + j, offset + k)] = f
-    return KForm(space, 3, comps)
+def _null_frame(p):
+    """Whether p is assembled on a lightcone frame: its lorentzian block is a
+    plane wave, or flat with no curved factor beside it."""
+    return p.lorentz.startswith("CW") or \
+        (p.lorentz == "E(1,0)" and not (p.spheres or p.su3))
 
 
 def assemble_parallelisable(p, dilaton_kind):
@@ -177,19 +178,16 @@ def assemble_parallelisable(p, dilaton_kind):
     if not sol.accepted:
         raise ValueError(f"{p.display()}: {sol.reason}")
     rep = build_gamma((1, 9))
-    use_null = p.lorentz.startswith("CW") or \
-        (p.lorentz == "E(1,0)" and not (p.spheres or p.su3))
     notes = []
-    if use_null:
+    if _null_frame(p):
         alg = FrameAlgebra.lightcone(rep)
-        space = alg.space
         next_slot = 2
     else:
         alg = FrameAlgebra.orthonormal(rep)
-        space = alg.space
         # slot 0 is timelike: AdS3 owns it, otherwise it belongs to the
         # flat block and curved factors start at slot 1
         next_slot = 0 if p.lorentz == "AdS3" else 1
+    space = alg.space
     Hcomps = {}
     dphi_comps = {}
     # lorentzian block
@@ -214,19 +212,14 @@ def assemble_parallelisable(p, dilaton_kind):
         next_slot += 2 * len(weights)
         notes.append(f"{p.lorentz} block with generic weights {weights}")
     # spheres (unit 1/R^2 = 1 each)
-    sphere_slots = []
     for _ in range(p.spheres):
-        a, b, c = next_slot, next_slot + 1, next_slot + 2
-        Hcomps[(a, b, c)] = Scalar(-2)
-        sphere_slots.append((a, b, c))
+        Hcomps[(next_slot, next_slot + 1, next_slot + 2)] = Scalar(-2)
         next_slot += 3
     if p.su3:
-        su3f = _su3_three_form(space, next_slot)
-        for k, v in su3f.components.items():
-            Hcomps[k] = v
+        for (i, j, k), f in SU3_STRUCTURE.items():
+            Hcomps[(next_slot + i, next_slot + j, next_slot + k)] = f
         next_slot += 8
     H = KForm(space, 3, Hcomps)
-    from .multilinear import form_inner
     H2 = form_inner(H, H)
     # dilaton
     if dilaton_kind == "constant":
@@ -243,29 +236,7 @@ def assemble_parallelisable(p, dilaton_kind):
                 raise ValueError("pattern requires |H| > 0")
             dphi_comps[(y,)] = coeff
     dphi = KForm(space, 1, dphi_comps)
-    out = {"space": space, "H": H, "dphi": dphi, "alg": alg, "notes": notes}
-    if use_null and dilaton_kind != "constant":
-        # exact chart for the flat + plane-wave block: the dilaton has no
-        # legs on the curved factors and the product metric is block
-        # diagonal, so nabla dphi is verified on this chart and vanishes
-        # structurally elsewhere
-        weights = _CW_WEIGHTS.get(FACTORS[p.lorentz].dim, []) \
-            if p.lorentz.startswith("CW") else []
-        m = 8 - 3 * p.spheres - 8 * p.su3   # transverse legs on the chart
-        diag = []
-        for w in weights:
-            lam = Scalar(w) * Scalar(w) * R_(-1, 4)
-            diag.extend([lam, lam])
-        while len(diag) < m:
-            diag.append(Scalar(0))
-        chart = cw_patch(CWData.diagonal(diag))
-        phi = Polynomial.variable(chart.coords[1])        # b = 1 along x-
-        ycoeff = dphi_comps.get((space.dim - 1,))
-        if ycoeff is not None:
-            phi = phi + ycoeff * Polynomial.variable(chart.coords[-1])
-        out["cw_patch"] = chart
-        out["phi_poly"] = phi
-    return out
+    return {"space": space, "H": H, "dphi": dphi, "alg": alg, "notes": notes}
 
 
 def susy_count(p, dilaton_kind):
@@ -273,17 +244,44 @@ def susy_count(p, dilaton_kind):
     {"iia": n, "iib": n, "sector": "frame-constant"}; enhanced counts are
     out of scope and reported as such by the CLI."""
     frame_data = assemble_parallelisable(p, dilaton_kind)
-    b = BackgroundSpec("typeII-common", p.display(), "parallelisable",
-                       frame_data=frame_data)
-    iia, iib = dilatino_kernel(b)
+    iia, iib = dilatino_kernel(BackgroundSpec(
+        "typeII-common", p.display(), None, {}, frame_data=frame_data))
     return {"iia": iia, "iib": iib, "sector": "frame-constant"}
 
 
+def _dilaton_chart(p, dphi):
+    """(chart, phi): the exact plane-wave chart of p's flat and plane-wave
+    block and the dilaton on it (b = 1 along x-, plus dphi's last flat leg).
+    The dilaton has no legs on the curved factors and the product metric is
+    block diagonal, so nabla dphi is verified on this chart and vanishes
+    structurally elsewhere."""
+    weights = _CW_WEIGHTS[FACTORS[p.lorentz].dim] \
+        if p.lorentz.startswith("CW") else []
+    m = 8 - 3 * p.spheres - 8 * p.su3   # transverse legs on the chart
+    diag = []
+    for w in weights:
+        lam = Scalar(w) * Scalar(w) * R_(-1, 4)
+        diag.extend([lam, lam])
+    diag.extend([Scalar(0)] * (m - len(diag)))
+    chart = cw_patch(CWData.diagonal(diag))
+    phi = Polynomial.variable(chart.coords[1])
+    ycoeff = dphi.components.get((dphi.space.dim - 1,))
+    if ycoeff is not None:
+        phi = phi + ycoeff * Polynomial.variable(chart.coords[-1])
+    return chart, phi
+
+
 def typeII_background(p, dilaton_kind):
+    """The typeII-common record of a geometry product: its assembled frame
+    data, with the dilaton's chart where the dilaton varies on a lightcone
+    frame."""
     frame_data = assemble_parallelisable(p, dilaton_kind)
-    notes = list(frame_data.pop("notes"))
-    return BackgroundSpec("typeII-common", p.display(), "parallelisable",
-                          frame_data=frame_data, notes=notes)
+    notes = frame_data.pop("notes")
+    if _null_frame(p) and dilaton_kind != "constant":
+        frame_data["cw_patch"], frame_data["phi_poly"] = \
+            _dilaton_chart(p, frame_data["dphi"])
+    return BackgroundSpec("typeII-common", p.display(), None, {}, notes,
+                          frame_data=frame_data)
 
 
 def verify_typeII_product(p, dilaton_kind="nonconstant"):
@@ -365,8 +363,17 @@ def table4_lines():
 # builtin backgrounds
 # ---------------------------------------------------------------------------
 
-def _cw11_background(mu=Scalar(6), perturb=None):
-    m = mu if isinstance(mu, Scalar) else Scalar(mu)
+def _plane_wave(theory, name, data, fluxes, notes=()):
+    """The background on the plane-wave chart of the profile `data`, with
+    the fluxes {name: {indices: Scalar}} on the chart's coordinates."""
+    p = cw_patch(data)
+    return BackgroundSpec(theory, name, p,
+                          _forms(p.space, fluxes, Polynomial.constant),
+                          notes, data)
+
+
+def _cw11_background(mu=6, perturb=None):
+    m = Scalar(mu)
     vals = [m * m * R_(-1, 36) * Scalar(k)
             for k in [4, 4, 4, 1, 1, 1, 1, 1, 1]]
     A = linalg.zeros(9, 9)
@@ -377,170 +384,119 @@ def _cw11_background(mu=Scalar(6), perturb=None):
             A[i][j] = A[i][j] + dv
             if i != j:
                 A[j][i] = A[j][i] + dv
-    data = CWData(A)
-
-    def flux(space):
-        return {"F4": KForm(space, 4,
-                            {(1, 2, 3, 4): Polynomial.constant(m)})}
-
-    return BackgroundSpec("d11", "cw11", "cw", cw_data=data,
-                          flux_builder=flux)
+    return _plane_wave("d11", "cw11", CWData(A), {"F4": {(1, 2, 3, 4): m}})
 
 
-def _e1_10_background():
-    data = CWData.diagonal([0] * 9)
-
-    def flux(space):
-        return {"F4": KForm(space, 4, {})}
-
-    b = BackgroundSpec("d11", "e1_10", "cw", cw_data=data, flux_builder=flux)
-    b.notes.append("mu = 0 member of the plane-wave family: flat space, "
-                   "zero flux")
-    return b
-
-
-def _ads7_s4_background(Rv=Scalar(6)):
-    ads7 = ConstCurvBlock(7, Scalar(-7) * Rv, lorentzian=True, label="AdS7")
-    s4 = ConstCurvBlock(4, Scalar(8) * Rv, lorentzian=False, label="S4")
+def _ads7_s4_background(R=6):
+    R = Scalar(R)
+    ads7 = ConstCurvBlock(7, Scalar(-7) * R, lorentzian=True, label="AdS7")
+    s4 = ConstCurvBlock(4, Scalar(8) * R, lorentzian=False, label="S4")
     prod = ProductGeometry([ads7, s4])
-    q = sqrt_scalar(Scalar(6) * Rv)
-
-    def flux(space):
-        return {"F4": prod.volume_form(1, q)}
-
-    return BackgroundSpec("d11", "ads7xs4", "product", product=prod,
-                          flux_builder=flux)
+    return BackgroundSpec("d11", "ads7xs4", prod, {
+        "F4": prod.volume_form(1, sqrt_scalar(Scalar(6) * R))})
 
 
-def _ads4_s7_background(Rv=Scalar(-6)):
-    ads4 = ConstCurvBlock(4, Scalar(8) * Rv, lorentzian=True, label="AdS4")
-    s7 = ConstCurvBlock(7, Scalar(-7) * Rv, lorentzian=False, label="S7")
+def _ads4_s7_background(R=-6):
+    R = Scalar(R)
+    ads4 = ConstCurvBlock(4, Scalar(8) * R, lorentzian=True, label="AdS4")
+    s7 = ConstCurvBlock(7, Scalar(-7) * R, lorentzian=False, label="S7")
     prod = ProductGeometry([ads4, s7])
-    q = sqrt_scalar(Scalar(-6) * Rv)
-
-    def flux(space):
-        return {"F4": prod.volume_form(0, q)}
-
-    return BackgroundSpec("d11", "ads4xs7", "product", product=prod,
-                          flux_builder=flux)
+    return BackgroundSpec("d11", "ads4xs7", prod, {
+        "F4": prod.volume_form(0, sqrt_scalar(Scalar(-6) * R))})
 
 
-def _ads5_s5_background(Rv=Scalar(5)):
-    ads5 = ConstCurvBlock(5, -Rv, lorentzian=True, label="AdS5")
-    s5 = ConstCurvBlock(5, Rv, lorentzian=False, label="S5")
+def _ads5_s5_background(R=5):
+    R = Scalar(R)
+    ads5 = ConstCurvBlock(5, -R, lorentzian=True, label="AdS5")
+    s5 = ConstCurvBlock(5, R, lorentzian=False, label="S5")
     prod = ProductGeometry([ads5, s5], orientation=-1)
-    c = sqrt_scalar(Rv * R_(1, 20))
-
-    def flux(space):
-        G = prod.volume_form(0, c)
-        return {"F5": G + prod.volume_form(1, c), "G5": G}
-
-    b = BackgroundSpec("iib", "ads5xs5", "product", product=prod,
-                       flux_builder=flux)
-    b.notes.append(
+    c = sqrt_scalar(R * R_(1, 20))
+    G = prod.volume_form(0, c)
+    return BackgroundSpec("iib", "ads5xs5", prod, {
+        "F5": G + prod.volume_form(1, c), "G5": G}, [
         "flux normalization sqrt(R/20) per block volume is the value forced "
         "by the Riemann-flux identity and the flatness of the "
         "supercovariant connection (the often-quoted 2 sqrt(R/5) belongs "
-        "to a different normalization of F and fails both here)")
-    b.notes.append("orientation -1 of the ordered (AdS5, S5) frame realizes "
-                   "the self-duality *F = F (recorded)")
-    return b
+        "to a different normalization of F and fails both here)",
+        "orientation -1 of the ordered (AdS5, S5) frame realizes "
+        "the self-duality *F = F (recorded)"])
 
 
-def _cw10_background(mu=Scalar(1)):
-    m = mu if isinstance(mu, Scalar) else Scalar(mu)
-    data = CWData.diagonal([-(m * m)] * 8)
-
-    def flux(space):
-        F = KForm(space, 5, {(1, 2, 3, 4, 5): Polynomial.constant(m),
-                             (1, 6, 7, 8, 9): Polynomial.constant(m)})
-        G = KForm(space, 5, {(1, 2, 3, 4, 5): Polynomial.constant(m)})
-        return {"F5": F, "G5": G}
-
-    b = BackgroundSpec("iib", "cw10", "cw", cw_data=data, flux_builder=flux)
-    b.notes.append(
-        "flux normalization mu (not mu/2) per half-volume is the value "
-        "forced by supercovariant flatness at A = -mu^2; the coefficient "
-        "mu/2 leaves a 16-dimensional kernel only")
-    return b
-
-
-def _e1_9_background():
-    data = CWData.diagonal([0] * 8)
-
-    def flux(space):
-        return {"F5": KForm(space, 5, {}), "G5": KForm(space, 5, {})}
-
-    b = BackgroundSpec("iib", "e1_9", "cw", cw_data=data, flux_builder=flux)
-    b.notes.append("mu = 0 member of the plane-wave family: flat space, "
-                   "zero fluxes")
-    return b
+def _cw10_background(mu=1):
+    m = Scalar(mu)
+    return _plane_wave(
+        "iib", "cw10", CWData.diagonal([-(m * m)] * 8),
+        {"F5": {(1, 2, 3, 4, 5): m, (1, 6, 7, 8, 9): m},
+         "G5": {(1, 2, 3, 4, 5): m}},
+        ["flux normalization mu (not mu/2) per half-volume is the value "
+         "forced by supercovariant flatness at A = -mu^2; the coefficient "
+         "mu/2 leaves a 16-dimensional kernel only"])
 
 
 def _e1_9_iia_background():
-    b = BackgroundSpec("iia", "e1_9_iia", "flat")
-    b.frame_data["direction"] = {"type": "translation",
-                                 "components": [Scalar(0)] * 10 + [Scalar(1)]}
-    b.notes.append("obtained by reducing the flat eleven-dimensional vacuum "
-                   "along a spacelike translation")
-    return b
+    return BackgroundSpec(
+        "iia", "e1_9_iia", None, {},
+        ["obtained by reducing the flat eleven-dimensional vacuum along a "
+         "spacelike translation"],
+        frame_data={"direction": {
+            "type": "translation",
+            "components": [Scalar(0)] * 10 + [Scalar(1)]}})
 
 
-def _d6_backgrounds():
-    out = []
-    b = BackgroundSpec("d6-(1,0)", "ads3xs3", "algebra",
-                       algebra=so12_so3(1, 1))
-    b.notes.append("equal radii Freund-Rubin family member (beta = alpha)")
-    out.append(b)
-    out.append(BackgroundSpec("d6-(1,0)", "nw6", "algebra", algebra=nw6()))
-    out.append(BackgroundSpec("d6-(1,0)", "e1_5", "algebra", algebra=e15()))
-    return out
+def _d6_background(name, algebra, notes=()):
+    """A d=6 background on a metric Lie algebra, its torsion the canonical
+    three-form."""
+    return BackgroundSpec("d6-(1,0)", name, algebra,
+                          {"H3": canonical_three_form(algebra)}, notes)
 
 
-def builtin_backgrounds():
-    """The full catalog: 4 (d=11) + 3 (IIB) + 1 (IIA) + 3 (d=6)."""
-    out = [_ads7_s4_background(), _ads4_s7_background(), _cw11_background(),
-           _e1_10_background(), _ads5_s5_background(), _cw10_background(),
-           _e1_9_background(), _e1_9_iia_background()]
-    out.extend(_d6_backgrounds())
-    return out
+# every catalog id and its builder, in catalog order: 4 (d=11), 3 (IIB),
+# 1 (IIA) and 3 (d=6); a builder takes the parameters _PARAMETERS gives its
+# id, as keywords with their default values
+_BUILDERS = {
+    "ads7xs4": _ads7_s4_background,
+    "ads4xs7": _ads4_s7_background,
+    "cw11": _cw11_background,
+    "e1_10": lambda: _plane_wave(
+        "d11", "e1_10", CWData.diagonal([0] * 9), {"F4": {}},
+        ["mu = 0 member of the plane-wave family: flat space, zero flux"]),
+    "ads5xs5": _ads5_s5_background,
+    "cw10": _cw10_background,
+    "e1_9": lambda: _plane_wave(
+        "iib", "e1_9", CWData.diagonal([0] * 8), {"F5": {}, "G5": {}},
+        ["mu = 0 member of the plane-wave family: flat space, zero fluxes"]),
+    "e1_9_iia": _e1_9_iia_background,
+    "ads3xs3": lambda: _d6_background(
+        "ads3xs3", so12_so3(1, 1),
+        ["equal radii Freund-Rubin family member (beta = alpha)"]),
+    "nw6": lambda: _d6_background("nw6", nw6()),
+    "e1_5": lambda: _d6_background("e1_5", e15()),
+}
 
-
-def background_ids():
-    return [b.name for b in builtin_backgrounds()]
-
-
-# the parameters each builtin id takes; any other is an error
 _PARAMETERS = {"cw11": ("mu", "perturb"), "cw10": ("mu",),
                "ads7xs4": ("R",), "ads4xs7": ("R",), "ads5xs5": ("R",)}
 
 
+def builtin_backgrounds():
+    """The full catalog, each background built once, in catalog order."""
+    return [build() for build in _BUILDERS.values()]
+
+
+def background_ids():
+    return list(_BUILDERS)
+
+
 def get_background(name, mu=None, Rv=None, perturb=None):
-    given = {"mu": mu, "R": Rv, "perturb": perturb}
-    extra = [k for k, v in given.items()
-             if v is not None and k not in _PARAMETERS.get(name, ())]
-    builders = {
-        "cw11": lambda: _cw11_background(Scalar(mu) if mu is not None
-                                         else Scalar(6),
-                                         perturb=perturb),
-        "e1_10": _e1_10_background,
-        "ads7xs4": lambda: _ads7_s4_background(Scalar(Rv) if Rv is not None
-                                               else Scalar(6)),
-        "ads4xs7": lambda: _ads4_s7_background(Scalar(Rv) if Rv is not None
-                                               else Scalar(-6)),
-        "ads5xs5": lambda: _ads5_s5_background(Scalar(Rv) if Rv is not None
-                                               else Scalar(5)),
-        "cw10": lambda: _cw10_background(Scalar(mu) if mu is not None
-                                         else Scalar(1)),
-        "e1_9": _e1_9_background,
-        "e1_9_iia": _e1_9_iia_background,
-    }
-    d6 = {} if name in builders else {b.name: b for b in _d6_backgrounds()}
-    if name not in builders and name not in d6:
+    """The catalog background `name`, built with the parameters given; an
+    id rejects every parameter _PARAMETERS does not list for it."""
+    if name not in _BUILDERS:
         raise KeyError(f"unknown background id {name!r}")
+    given = {k: v for k, v in {"mu": mu, "R": Rv, "perturb": perturb}.items()
+             if v is not None}
+    extra = [k for k in given if k not in _PARAMETERS.get(name, ())]
     if extra:
         raise ValueError(f"{name} takes no parameter {', '.join(extra)}")
-    return builders[name]() if name in builders else d6[name]
+    return _BUILDERS[name](**given)
 
 
 def verify_background(b):
@@ -589,10 +545,10 @@ def _file_scalar(text, params, where):
         raise ValueError(f"{where}: {e}") from None
 
 
-def _file_fluxes(doc, params, dim, wrap):
-    """flux(space) for the "fluxes" of a background file on a frame of
-    dimension dim.  Every entry must name a known flux and give its degree's
-    increasing indices below dim, once; wrap(Scalar) is the coefficient."""
+def _file_fluxes(doc, params, dim):
+    """{name: {indices: Scalar}} for the "fluxes" of a background file on a
+    frame of dimension dim.  Every entry must name a known flux and give its
+    degree's increasing indices below dim, once."""
     fluxes = doc.get("fluxes", {})
     if not isinstance(fluxes, dict):
         raise ValueError("fluxes: expected an object of named fluxes")
@@ -618,13 +574,15 @@ def _file_fluxes(doc, params, dim, wrap):
                                  f"entry")
             comps[tuple(idx)] = _file_scalar(e.get("coeff"), params,
                                              f"{where}.coeff")
+    return parsed
 
-    def flux(space):
-        return {f: KForm(space, _FLUX_DEGREE[f],
-                         {i: wrap(c) for i, c in comps.items()})
-                for f, comps in parsed.items()}
 
-    return flux
+def _forms(space, fluxes, wrap):
+    """{name: KForm on space} for {name: {indices: Scalar}}, each of its
+    name's degree; wrap(Scalar) is the coefficient."""
+    return {f: KForm(space, _FLUX_DEGREE[f],
+                     {i: wrap(c) for i, c in comps.items()})
+            for f, comps in fluxes.items()}
 
 
 def load_background(path):
@@ -647,42 +605,53 @@ def load_background(path):
         raise ValueError(f"theory: expected one of "
                          f"{', '.join(_FILE_THEORIES)}, got {theory!r}")
     name = doc.get("name", "user-background")
+    if not isinstance(name, str):
+        raise ValueError(f"name: expected a string, got {name!r}")
     geom = doc.get("geometry")
     if not isinstance(geom, dict):
         raise ValueError("geometry: expected an object with a type")
-    kind = geom["type"]
+    kind = geom.get("type")
+    data = None
     if kind == "cw":
-        rows = geom["profile"]
+        rows = geom.get("profile")
         if not (isinstance(rows, list) and all(
                 isinstance(r, list) and len(r) == len(rows) for r in rows)):
             raise ValueError("geometry.profile: expected a square matrix")
         data = CWData([[_file_scalar(x, params, f"geometry.profile[{i}][{j}]")
                         for j, x in enumerate(row)]
                        for i, row in enumerate(rows)])
-        return BackgroundSpec(theory, name, "cw", cw_data=data,
-                              flux_builder=_file_fluxes(
-                                  doc, params, data.n, Polynomial.constant))
-    if kind == "product":
-        blocks = []
-        if not isinstance(geom["blocks"], list):
+        geometry = cw_patch(data)
+    elif kind == "product":
+        entries = geom.get("blocks")
+        if not isinstance(entries, list):
             raise ValueError("geometry.blocks: expected a list of blocks")
-        for i, blk in enumerate(geom["blocks"]):
+        blocks = []
+        for i, blk in enumerate(entries):
             where = f"geometry.blocks[{i}]"
             if not isinstance(blk, dict):
                 raise ValueError(f"{where}: expected an object, got {blk!r}")
-            if not (type(blk["dim"]) is int and blk["dim"] >= 1):
+            dim = blk.get("dim")
+            if not (type(dim) is int and dim >= 1):
                 raise ValueError(f"{where}.dim: expected a positive integer, "
-                                 f"got {blk['dim']!r}")
+                                 f"got {dim!r}")
             lorentzian = blk.get("lorentzian", False)
             if type(lorentzian) is not bool:
                 raise ValueError(f"{where}.lorentzian: expected true or "
                                  f"false, got {lorentzian!r}")
             blocks.append(ConstCurvBlock(
-                blk["dim"], _file_scalar(blk["scalar_curvature"], params,
-                                         f"{where}.scalar_curvature"),
+                dim, _file_scalar(blk.get("scalar_curvature"), params,
+                                  f"{where}.scalar_curvature"),
                 lorentzian=lorentzian, label=blk.get("label", "")))
-        prod = ProductGeometry(blocks, geom.get("orientation", 1))
-        return BackgroundSpec(theory, name, "product", product=prod,
-                              flux_builder=_file_fluxes(
-                                  doc, params, prod.dim, lambda c: c))
-    raise ValueError(f"unknown geometry type {kind!r}")
+        geometry = ProductGeometry(blocks, geom.get("orientation", 1))
+    elif kind is None:
+        raise ValueError("geometry.type: expected cw or product, got None")
+    else:
+        raise ValueError(f"unknown geometry type {kind!r}")
+    fluxes = _file_fluxes(doc, params, geometry.dim)
+    # a geometry of the wrong dimension may be too small for a flux's
+    # degree, so the theory's dimension is checked before the forms are built
+    theory_geometry(theory, name, geometry)
+    # chart components are polynomials, frame components scalars
+    wrap = Polynomial.constant if kind == "cw" else Scalar
+    return BackgroundSpec(theory, name, geometry,
+                          _forms(geometry.space, fluxes, wrap), cw_data=data)

@@ -18,7 +18,7 @@ from . import linalg
 __all__ = ["MetricLieAlgebra", "CWData", "jacobi_check", "invariance_check",
            "double_extension", "cw_algebra", "cw_canonicalize",
            "canonical_three_form", "ce_differential", "biinvariant_ricci",
-           "d6_catalog", "so3", "so12", "su3"]
+           "d6_catalog", "so3", "so12", "su3", "SU3_STRUCTURE"]
 
 _Z = ZERO
 
@@ -577,31 +577,24 @@ def so12(scale=1):
     return MetricLieAlgebra(3, brackets, m, 1, "so12")
 
 
-_SU3_TRIPLES = [((0, 1, 2), 1), ((0, 3, 6), Scalar.from_rational(1, 2)),
-                ((0, 4, 5), Scalar.from_rational(-1, 2)),
-                ((1, 3, 5), Scalar.from_rational(1, 2)),
-                ((1, 4, 6), Scalar.from_rational(1, 2)),
-                ((2, 3, 4), Scalar.from_rational(1, 2)),
-                ((2, 5, 6), Scalar.from_rational(-1, 2))]
+_HALF = Scalar.from_rational(1, 2)
+_R3H = sqrt_scalar(Scalar(3)) * _HALF
+# the structure constants f_ijk (i < j < k) of su(3) in the Gell-Mann basis,
+# numbered from 0: f_123 = 1, six of magnitude 1/2, f_458 = f_678 = sqrt(3)/2
+SU3_STRUCTURE = {(0, 1, 2): Scalar(1), (0, 3, 6): _HALF, (0, 4, 5): -_HALF,
+                 (1, 3, 5): _HALF, (1, 4, 6): _HALF, (2, 3, 4): _HALF,
+                 (2, 5, 6): -_HALF, (3, 4, 7): _R3H, (5, 6, 7): _R3H}
 
 
 def su3(scale=1):
-    """su(3) in the Gell-Mann basis: f_123 = 1, six structure constants 1/2,
-    f_458 = f_678 = sqrt(3)/2, with metric scale*delta (ad-invariant since
-    the f are totally antisymmetric)."""
+    """su(3) in the Gell-Mann basis (SU3_STRUCTURE), with metric
+    scale*delta (ad-invariant since the f are totally antisymmetric)."""
     s = scale if isinstance(scale, Scalar) else Scalar(scale)
-    r3h = sqrt_scalar(Scalar(3)) * Scalar.from_rational(1, 2)
-    triples = {key: (f if isinstance(f, Scalar) else Scalar(f))
-               for key, f in _SU3_TRIPLES}
-    triples[(3, 4, 7)] = r3h
-    triples[(5, 6, 7)] = r3h
     brackets = {}
-    for (i, j, k), f in triples.items():
+    for (i, j, k), f in SU3_STRUCTURE.items():
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            brackets.setdefault(tuple(sorted((a, b))), {})
-            sign = 1 if a < b else -1
-            key = tuple(sorted((a, b)))
-            brackets[key][c] = f * Scalar(sign)
+            sign = Scalar(1 if a < b else -1)
+            brackets.setdefault((min(a, b), max(a, b)), {})[c] = f * sign
     return MetricLieAlgebra(8, brackets, linalg.mat_scale(linalg.eye(8), s),
                             1, "su3")
 

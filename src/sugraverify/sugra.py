@@ -20,12 +20,11 @@ from .multilinear import (KForm, BiSymTensor, wedge, hodge, form_inner,
 from .clifford import (ComplexScalar, build_gamma, FrameAlgebra,
                        clifford_action, omega_xf, kernel_dim, chiral_basis,
                        spinor_to_vector)
-from .liealg import canonical_three_form
-from .geometry import (CoordinatePatch, cw_patch, curvature_with_torsion,
+from .geometry import (CoordinatePatch, curvature_with_torsion,
                        spin_connection, killing_check)
 
-__all__ = ["BackgroundSpec", "VerificationReport", "verify_d11",
-           "verify_d11_maxsusy", "supercovariant_flatness",
+__all__ = ["BackgroundSpec", "VerificationReport", "theory_geometry",
+           "verify_d11", "verify_d11_maxsusy", "supercovariant_flatness",
            "verify_iib_maxsusy", "verify_d6", "verify_typeII_common",
            "dilatino_kernel", "OUT_OF_SCOPE"]
 
@@ -107,57 +106,32 @@ class VerificationReport:
             self.to_json() == other.to_json()
 
 
-class BackgroundSpec:
-    """Concrete background: geometry + fluxes.
+class BackgroundSpec(namedtuple("BackgroundSpec", "theory name geometry "
+                                "fluxes notes cw_data frame_data",
+                                defaults=((), None, None))):
+    """A background as data, built once.
 
-    kind selects the geometry payload: "cw" (plane-wave chart from cw_data),
-    "product" (constant-curvature blocks), "algebra" (a metric Lie algebra),
-    or "parallelisable" (type-II frame data assembled by the catalog).
+    geometry is a CoordinatePatch, ProductGeometry or MetricLieAlgebra (the
+    interface in geometry's docstring) and fluxes a dict of named KForms on
+    geometry.space; notes go into the report.  cw_data keeps a plane wave's
+    profile, which the tr A invariant reads.  The typeII-common and iia
+    records have no geometry: their verifiers read the frame_data that the
+    catalog assembles by hand.
     """
 
-    def __init__(self, theory, name, kind, cw_data=None, product=None,
-                 algebra=None, flux_builder=None, frame_data=None,
-                 notes=None):
-        self.theory = theory
-        self.name = name
-        self.kind = kind
-        self.cw_data = cw_data
-        self.product = product
-        self.algebra = algebra
-        self.flux_builder = flux_builder      # space -> dict of named KForms
-        self.frame_data = {} if frame_data is None else frame_data
-        self.notes = [] if notes is None else notes
-        self._geometry = None
-
-    @property
-    def geometry(self):
-        """The geometry the verifiers work on, built once (see the
-        interface in geometry's docstring)."""
-        if self._geometry is None:
-            if self.kind == "cw":
-                self._geometry = cw_patch(
-                    self.cw_data,
-                    orientation=self.frame_data.get("orientation", 1))
-            else:
-                self._geometry = {"product": self.product,
-                                  "algebra": self.algebra}.get(self.kind)
-            if self._geometry is None:
-                raise ValueError(f"{self.name}: no geometry of kind "
-                                 f"{self.kind!r}")
-        return self._geometry
+    __slots__ = ()
 
 
 _DIMENSION = {"d11": 11, "iib": 10, "d6-(1,0)": 6}
 
 
-def _theory_geometry(b, theory):
-    """b's geometry, rejected unless it has the theory's dimension n and
-    lorentzian signature (1, n-1)."""
-    geom = b.geometry
+def theory_geometry(theory, name, geom):
+    """geom, rejected unless it has the theory's dimension n and lorentzian
+    signature (1, n-1)."""
     n = _DIMENSION[theory]
     sig = geom.signature()
     if geom.dim != n or sig != (1, n - 1):
-        raise ValueError(f"{b.name}: {theory} needs dimension {n} and "
+        raise ValueError(f"{name}: {theory} needs dimension {n} and "
                          f"signature (1, {n - 1}), got dimension {geom.dim} "
                          f"and signature {sig}")
     return geom
@@ -166,14 +140,13 @@ def _theory_geometry(b, theory):
 _FLUX = {"d11": "F4", "iib": "F5", "d6-(1,0)": "H3"}
 
 
-def _theory_fluxes(b, space):
-    """b's fluxes on `space`, rejected unless they include its theory's."""
-    fluxes = b.flux_builder(space)
+def _theory_fluxes(b):
+    """b's fluxes, rejected unless they include its theory's."""
     need = _FLUX[b.theory]
-    if need not in fluxes:
+    if need not in b.fluxes:
         raise ValueError(f"{b.name}: {b.theory} needs the flux {need}, "
                          f"which the background does not give")
-    return fluxes
+    return b.fluxes
 
 
 def _add_vanishing(rep, name, value, note=""):
@@ -250,8 +223,8 @@ def verify_d11(b):
     """Closedness dF = 0, the nonlinear Maxwell equation
     d*F = -1/2 F ^ F, and the Einstein equation, all exact."""
     rep = VerificationReport(b.name, "d11")
-    geom = _theory_geometry(b, "d11")
-    F = _theory_fluxes(b, geom.space)["F4"]
+    geom = theory_geometry("d11", b.name, b.geometry)
+    F = _theory_fluxes(b)["F4"]
     _add_vanishing(rep, "dF=0", geom.d(F), geom.premise)
     rhs = wedge(F, F) * Scalar.from_rational(-1, 2)
     _add_vanishing(rep, "maxwell d*F=-1/2 F^F", geom.d(hodge(F)) - rhs,
@@ -314,7 +287,7 @@ def verify_d11_maxsusy(b):
     first (no silent skips)."""
     rep = verify_d11(b)
     geom = b.geometry
-    F = _theory_fluxes(b, geom.space)["F4"]
+    F = b.fluxes["F4"]
     _add_vanishing(rep, "nabla F=0", geom.nabla(F), geom.premise)
     _add_identity(rep, "riemann-flux identity", geom.riemann(),
                   _riemann_flux_rhs(geom.space, F))
@@ -347,7 +320,7 @@ def supercovariant_connection(b):
     om = spin_connection(p, cof, frm, gram)
     alg = FrameAlgebra.lightcone(build_gamma((1, n - 1)))
     half = Scalar.from_rational(1, 2)
-    F = b.flux_builder(p.space)[_FLUX[b.theory]]
+    F = b.fluxes[_FLUX[b.theory]]
     F_frame = KForm(alg.space, F.degree,
                     map_slots(F.components, nonzero_columns(frm)))
     if b.theory == "d11":
@@ -487,8 +460,8 @@ def verify_iib_maxsusy(b):
     2-form/5-form identity, the decomposition F = G + *G with G
     decomposable, and supercovariant flatness."""
     rep = VerificationReport(b.name, "iib")
-    geom = _theory_geometry(b, "iib")
-    fluxes = _theory_fluxes(b, geom.space)
+    geom = theory_geometry("iib", b.name, b.geometry)
+    fluxes = _theory_fluxes(b)
     F = fluxes["F5"]
     _add_vanishing(rep, "self-duality *F=F", hodge(F) - F)
     _add_vanishing(rep, "dF=0", geom.d(F), geom.premise)
@@ -530,9 +503,8 @@ def verify_d6(b):
     of the parallelising connection.  Geometry may be a metric Lie algebra
     or a plane-wave chart."""
     rep = VerificationReport(b.name, "d6-(1,0)")
-    geom = _theory_geometry(b, "d6-(1,0)")
-    H = _theory_fluxes(b, geom.space)["H3"] if b.flux_builder \
-        else canonical_three_form(geom)
+    geom = theory_geometry("d6-(1,0)", b.name, b.geometry)
+    H = _theory_fluxes(b)["H3"]
     _add_vanishing(rep, "dH=0", geom.d(H), geom.premise)
     _add_vanishing(rep, "*H=-H", hodge(H) + H)
     _add_einstein(rep, "einstein Ric = 1/2 <iH,iH>", geom,

@@ -255,15 +255,16 @@ def test_criterion_9_negative_controls():
         ConstCurvBlock(7, S(-8) * Rv, lorentzian=True, label="AdS7"),
         ConstCurvBlock(4, S(7) * Rv, lorentzian=False, label="S4")])
     q = sqrt_scalar(S(6) * Rv)
-    bb = BackgroundSpec("d11", "fr-swapped", "product", product=prod,
-                        flux_builder=lambda sp: {"F4": prod.volume_form(1, q)})
+    bb = BackgroundSpec("d11", "fr-swapped", prod,
+                        {"F4": prod.volume_form(1, q)})
     rep2 = verify_d11_maxsusy(bb)
     c2 = {c.name: c for c in rep2.conditions}
     ok = ok and not rep2.passed and c2["riemann-flux identity"].witness
     details.append("swapped FR radii: riemann witness")
     # beta = 2 alpha in d six
-    bad = BackgroundSpec("d6-(1,0)", "ads3xs3(1,2)", "algebra",
-                         algebra=so12_so3(1, 2))
+    g12 = so12_so3(1, 2)
+    bad = BackgroundSpec("d6-(1,0)", "ads3xs3(1,2)", g12,
+                         {"H3": canonical_three_form(g12)})
     rep3 = verify_d6(bad)
     c3 = {c.name: c for c in rep3.conditions}
     ok = ok and not rep3.passed and c3["*H=-H"].witness

@@ -99,6 +99,38 @@ def test_builtin_catalog_size_and_verification():
         assert json.loads(rep.to_json()) == reports[b.name], b.name
 
 
+CATALOG_IDS = ["ads7xs4", "ads4xs7", "cw11", "e1_10", "ads5xs5", "cw10",
+               "e1_9", "e1_9_iia", "ads3xs3", "nw6", "e1_5"]
+
+
+def test_background_ids_build_no_background(monkeypatch):
+    def refuse(**_):
+        raise AssertionError("a background was built")
+
+    for bid in CATALOG_IDS:
+        monkeypatch.setitem(catalog._BUILDERS, bid, refuse)
+    assert catalog.background_ids() == CATALOG_IDS
+    # get_background builds only the id asked for
+    monkeypatch.setitem(catalog._BUILDERS, "nw6", lambda: "nw6 built")
+    assert get_background("nw6") == "nw6 built"
+
+
+def test_every_background_holds_its_fluxes_on_its_geometrys_space(tmp_path):
+    specs = builtin_backgrounds()
+    for fname, doc in (("cw.json", cw11_document()),
+                       ("product.json", ads4xs7_document([0, 1, 2, 3]))):
+        path = tmp_path / fname
+        path.write_text(json.dumps(doc))
+        specs.append(load_background(str(path)))
+    assert [b.name for b in specs] == CATALOG_IDS + ["cw11-from-file",
+                                                     "ads4xs7-legs"]
+    for b in specs:
+        assert all(F.space is b.geometry.space for F in b.fluxes.values()), \
+            b.name
+    # only the IIA entry, reduced from d = 11, has no fluxes of its own
+    assert [b.name for b in specs if not b.fluxes] == ["e1_9_iia"]
+
+
 def test_builtin_cw_profiles_nondegenerate():
     for name in ("cw11", "cw10"):
         b = get_background(name)
@@ -179,6 +211,26 @@ BAD_FILE_ENTRIES = {
     "block-as-a-number": (
         lambda d: d.update(geometry={"type": "product", "blocks": [3]}),
         "geometry.blocks[0]"),
+    "type-missing": (
+        lambda d: d["geometry"].pop("type"),
+        "geometry.type"),
+    "profile-missing": (
+        lambda d: d["geometry"].pop("profile"),
+        "geometry.profile"),
+    "blocks-missing": (
+        lambda d: d.update(geometry={"type": "product"}),
+        "geometry.blocks"),
+    "dim-missing": (
+        lambda d: d.update(geometry={"type": "product", "blocks": [
+            {"scalar_curvature": "0", "lorentzian": True}]}),
+        "geometry.blocks[0].dim"),
+    "scalar-curvature-missing": (
+        lambda d: d.update(geometry={"type": "product", "blocks": [
+            {"dim": 11, "lorentzian": True}]}),
+        "geometry.blocks[0].scalar_curvature"),
+    "name-as-a-number": (
+        lambda d: d.update(name=5),
+        "name"),
     "lorentzian-as-a-string": (
         lambda d: d.update(geometry={"type": "product", "blocks": [
             {"dim": 11, "scalar_curvature": "0", "lorentzian": "no"}]}),

@@ -54,7 +54,7 @@ def test_cw11_flux_reduction_along_transverse_direction():
     from sugraverify.catalog import get_background
     b = get_background("cw11")
     p = b.geometry
-    F = b.flux_builder(p.space)["F4"]
+    F = b.fluxes["F4"]
     xi = [None] * 11
     from sugraverify.exactnum import Polynomial
     xi = [Polynomial.constant(0)] * 11

@@ -28,6 +28,13 @@ def names(rep):
     return {c.name: c.passed for c in rep.conditions}
 
 
+def chart_spec(theory, name, data, flux, orientation=1):
+    """The background on the plane-wave chart of data, with the fluxes
+    flux(space) on the chart's space."""
+    p = cw_patch(data, orientation=orientation)
+    return BackgroundSpec(theory, name, p, flux(p.space), cw_data=data)
+
+
 # ---------------------------------------------------------------------------
 # d = 11
 # ---------------------------------------------------------------------------
@@ -70,8 +77,7 @@ def test_cw11_wrong_profile_not_flat_kernel_reported():
     def flux(space):
         return {"F4": KForm(space, 4, {(1, 2, 3, 4): Polynomial.constant(mu)})}
 
-    b = BackgroundSpec("d11", "cw11-wrong", "cw", cw_data=data,
-                       flux_builder=flux)
+    b = chart_spec("d11", "cw11-wrong", data, flux)
     rep, dim, basis, alg = supercovariant_flatness(b)
     assert not rep.passed
     assert dim < 32
@@ -98,8 +104,7 @@ def _freund_rubin_swapped():
     def flux(space):
         return {"F4": prod.volume_form(1, q)}
 
-    return BackgroundSpec("d11", "ads7xs4-swapped", "product", product=prod,
-                          flux_builder=flux)
+    return BackgroundSpec("d11", "ads7xs4-swapped", prod, flux(prod.space))
 
 
 def test_freund_rubin_swapped_radii_fails_riemann_identity():
@@ -171,8 +176,7 @@ def _ads5xs5_printed():
         G = prod.volume_form(0, c)
         return {"F5": G + prod.volume_form(1, c), "G5": G}
 
-    return BackgroundSpec("iib", "ads5xs5-printed", "product", product=prod,
-                          flux_builder=flux)
+    return BackgroundSpec("iib", "ads5xs5-printed", prod, flux(prod.space))
 
 
 def test_ads5xs5_printed_flux_normalization_fails():
@@ -200,8 +204,7 @@ def test_cw10_printed_half_flux_fails_flatness():
         G = KForm(space, 5, {(1, 2, 3, 4, 5): Polynomial.constant(half * mu)})
         return {"F5": F, "G5": G}
 
-    b = BackgroundSpec("iib", "cw10-half", "cw", cw_data=data,
-                       flux_builder=flux)
+    b = chart_spec("iib", "cw10-half", data, flux)
     rep = verify_iib_maxsusy(b)
     assert not rep.passed
     assert rep.invariants["nu"] == "16/32"
@@ -222,8 +225,7 @@ def test_non_self_dual_flux_fails_self_duality_with_witness():
         return {"F5": KForm(space, 5,
                             {(1, 2, 3, 4, 5): Polynomial.constant(mu)})}
 
-    b = BackgroundSpec("iib", "cw10-nonsd", "cw", cw_data=data,
-                       flux_builder=flux)
+    b = chart_spec("iib", "cw10-nonsd", data, flux)
     rep = verify_iib_maxsusy(b)
     assert not rep.passed
     cond = {c.name: c for c in rep.conditions}
@@ -231,7 +233,7 @@ def test_non_self_dual_flux_fails_self_duality_with_witness():
     assert not sd.passed
     # the witness is *F - F: the missing block with its coefficient and F
     # itself with the opposite sign
-    F = flux(b.geometry.space)["F5"]
+    F = b.fluxes["F5"]
     assert sd.witness == str(hodge(F) - F)
     assert "xm^x5^x6^x7^x8" in sd.witness and "xm^x1^x2^x3^x4" in sd.witness
     # the rest of the report is still computed
@@ -279,8 +281,7 @@ def test_plujac_negative_control_on_the_cw10_chart():
                                        (1, 6, 7, 8, 9): one,
                                        (1, 2, 3, 6, 7): one})}
 
-    rep = verify_iib_maxsusy(BackgroundSpec("iib", "cw10-plujac", "cw",
-                                            cw_data=data, flux_builder=flux))
+    rep = verify_iib_maxsusy(chart_spec("iib", "cw10-plujac", data, flux))
     assert names(rep)["plucker-jacobi identity"] is False
     assert not rep.passed
 
@@ -303,8 +304,7 @@ def _cw10_perturbed(i, j, dv):
                                        (1, 6, 7, 8, 9): one}),
                 "G5": KForm(space, 5, {(1, 2, 3, 4, 5): one})}
 
-    return BackgroundSpec("iib", "cw10-perturbed", "cw", cw_data=CWData(A),
-                          flux_builder=flux)
+    return chart_spec("iib", "cw10-perturbed", CWData(A), flux)
 
 
 def _dense_rhs(theory, space, F):
@@ -348,7 +348,7 @@ def _dense_identity_failures(b):
     Riemann-flux identity, in the dense loop's order, and the number of
     canonical keys."""
     geom = b.geometry
-    F = b.flux_builder(geom.space)["F4" if b.theory == "d11" else "F5"]
+    F = b.fluxes["F4" if b.theory == "d11" else "F5"]
     riem = geom.riemann()
     rhs = _dense_rhs(b.theory, geom.space, F)
     out = [(key, str(riem.get(*key) - want)) for key, want in rhs
@@ -423,8 +423,9 @@ def test_nw6_passes_d6_checks():
 def test_ads3xs3_passes_and_unequal_weights_fail():
     rep = verify_background(get_background("ads3xs3"))
     assert rep.passed
-    bad = BackgroundSpec("d6-(1,0)", "ads3xs3(1,2)", "algebra",
-                         algebra=so12_so3(1, 2))
+    g = so12_so3(1, 2)
+    bad = BackgroundSpec("d6-(1,0)", "ads3xs3(1,2)", g,
+                         {"H3": canonical_three_form(g)})
     rep2 = verify_d6(bad)
     assert not rep2.passed
     cond = {c.name: c for c in rep2.conditions}
@@ -433,8 +434,9 @@ def test_ads3xs3_passes_and_unequal_weights_fail():
 
 
 def test_nw6_unequal_weights_fail_antiselfduality():
-    bad = BackgroundSpec("d6-(1,0)", "d(E4,R)(1,2)", "algebra",
-                         algebra=nw6_family(1, 2))
+    g = nw6_family(1, 2)
+    bad = BackgroundSpec("d6-(1,0)", "d(E4,R)(1,2)", g,
+                         {"H3": canonical_three_form(g)})
     rep = verify_d6(bad)
     assert not rep.passed
 
@@ -444,19 +446,19 @@ def test_theory_gate_rejects_dimension_and_signature():
     from sugraverify import linalg
     # a ten-dimensional plane wave is not a d=11 background
     with pytest.raises(ValueError, match="d11 needs dimension 11"):
-        verify_d11(BackgroundSpec("d11", "cw10-as-d11", "cw",
-                                  cw_data=get_background("cw10").cw_data,
-                                  flux_builder=lambda sp: {
-                                      "F4": KForm(sp, 4, {})}))
+        verify_d11(chart_spec("d11", "cw10-as-d11",
+                              get_background("cw10").cw_data,
+                              lambda sp: {"F4": KForm(sp, 4, {})}))
     # nor an eleven-dimensional one a IIB background
     with pytest.raises(ValueError, match="iib needs dimension 10"):
-        verify_iib_maxsusy(BackgroundSpec(
-            "iib", "cw11-as-iib", "cw", cw_data=get_background("cw11").cw_data,
-            flux_builder=lambda sp: {"F5": KForm(sp, 5, {})}))
+        verify_iib_maxsusy(chart_spec(
+            "iib", "cw11-as-iib", get_background("cw11").cw_data,
+            lambda sp: {"F5": KForm(sp, 5, {})}))
     # a euclidean six-dimensional algebra has the right dimension only
     e6 = MetricLieAlgebra(6, {}, linalg.eye(6), name="E6")
     with pytest.raises(ValueError, match=r"signature \(0, 6\)"):
-        verify_d6(BackgroundSpec("d6-(1,0)", "e6", "algebra", algebra=e6))
+        verify_d6(BackgroundSpec("d6-(1,0)", "e6", e6,
+                                 {"H3": canonical_three_form(e6)}))
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +604,7 @@ def test_spin_curvature_matches_riemann_on_chart():
     def flux(space):
         return {"F4": KForm(space, 4, {})}
 
-    b = BackgroundSpec("d11", "cw11-noflux", "cw", cw_data=data,
-                       flux_builder=flux)
+    b = chart_spec("d11", "cw11-noflux", data, flux)
     p, alg, thetas = supercovariant_connection(b)
     riem = riemann(p)
     cof, frm, gram = lightcone_coframe(p)
@@ -649,9 +650,7 @@ def test_nw6_chart_as_d6_background():
         one = Polynomial.constant(1)
         return {"H3": KForm(space, 3, {(1, 2, 3): one, (1, 4, 5): one})}
 
-    b = BackgroundSpec("d6-(1,0)", "nw6-chart", "cw", cw_data=data,
-                       flux_builder=flux,
-                       frame_data={"orientation": -1})
+    b = chart_spec("d6-(1,0)", "nw6-chart", data, flux, orientation=-1)
     rep = verify_d6(b)
     assert rep.passed, [c.name for c in rep.conditions if not c.passed]
     # the printed coefficient 2/3 fails Einstein and flatness on the chart
@@ -659,9 +658,8 @@ def test_nw6_chart_as_d6_background():
         c = Polynomial.constant(R_(2, 3))
         return {"H3": KForm(space, 3, {(1, 2, 3): c, (1, 4, 5): c})}
 
-    b2 = BackgroundSpec("d6-(1,0)", "nw6-chart-printed", "cw", cw_data=data,
-                        flux_builder=flux_bad,
-                        frame_data={"orientation": -1})
+    b2 = chart_spec("d6-(1,0)", "nw6-chart-printed", data, flux_bad,
+                    orientation=-1)
     rep2 = verify_d6(b2)
     assert not rep2.passed
 
