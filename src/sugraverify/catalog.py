@@ -638,11 +638,19 @@ def load_background(path):
             if type(lorentzian) is not bool:
                 raise ValueError(f"{where}.lorentzian: expected true or "
                                  f"false, got {lorentzian!r}")
+            label = blk.get("label", "")
+            if not isinstance(label, str):
+                raise ValueError(f"{where}.label: expected a string, got "
+                                 f"{label!r}")
             blocks.append(ConstCurvBlock(
                 dim, _file_scalar(blk.get("scalar_curvature"), params,
                                   f"{where}.scalar_curvature"),
-                lorentzian=lorentzian, label=blk.get("label", "")))
-        geometry = ProductGeometry(blocks, geom.get("orientation", 1))
+                lorentzian=lorentzian, label=label))
+        orientation = geom.get("orientation", 1)
+        if type(orientation) is not int or orientation not in (1, -1):
+            raise ValueError(f"geometry.orientation: expected 1 or -1, got "
+                             f"{orientation!r}")
+        geometry = ProductGeometry(blocks, orientation)
     elif kind is None:
         raise ValueError("geometry.type: expected cw or product, got None")
     else:

@@ -548,16 +548,13 @@ class ConstCurvBlock:
 class Unverified:
     """A derivative that a product of constant-curvature blocks cannot
     compute, because the form fails the premise of the structural pass.
-    It is never zero, stays unverified under subtraction, and prints why."""
+    It is never zero and prints why."""
 
     def __init__(self, why):
         self.why = why
 
     def is_zero(self):
         return False
-
-    def __sub__(self, other):
-        return self
 
     def __str__(self):
         return self.why

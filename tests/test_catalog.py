@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import checkout_env
 from sugraverify.exactnum import Scalar
 from sugraverify.liealg import cw_canonicalize
 from sugraverify import catalog, cli
@@ -235,6 +236,18 @@ BAD_FILE_ENTRIES = {
         lambda d: d.update(geometry={"type": "product", "blocks": [
             {"dim": 11, "scalar_curvature": "0", "lorentzian": "no"}]}),
         "geometry.blocks[0].lorentzian"),
+    "label-as-a-number": (
+        lambda d: d.update(geometry={"type": "product", "blocks": [
+            {"dim": 11, "scalar_curvature": "0", "lorentzian": True,
+             "label": 7}]}),
+        "geometry.blocks[0].label"),
+    # a JSON true is not the orientation +1, though Python's True == 1
+    **{f"orientation-{tag}": (
+        lambda d, value=value: d.update(geometry={
+            "type": "product", "orientation": value, "blocks": [
+                {"dim": 11, "scalar_curvature": "0", "lorentzian": True}]}),
+        "geometry.orientation")
+       for tag, value in (("as-a-string", "x"), ("two", 2), ("true", True))},
     # a file cannot supply the frame data these theories' verifiers need
     "theory-typeII-common": (
         lambda d: d.update(theory="typeII-common"),
@@ -316,7 +329,7 @@ def test_product_flux_across_blocks_fails_closure_and_parallelism(tmp_path):
     path.write_text(json.dumps(ads4xs7_document([0, 1, 2, 4])))
     rep = verify_background(load_background(str(path)))
     cond = {c.name: c for c in rep.conditions}
-    for name in ("dF=0", "nabla F=0"):
+    for name in ("dF=0", "maxwell d*F=-1/2 F^F", "nabla F=0"):
         assert not cond[name].passed, name
         assert "(0, 1, 2, 4)" in cond[name].witness, name
         assert "AdS4" in cond[name].witness, name
@@ -362,7 +375,7 @@ def test_background_of_the_wrong_dimension_or_signature_is_rejected(tmp_path):
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "sugraverify.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=checkout_env())
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -460,7 +473,7 @@ def test_cli_canonicalize_large_primes_exactly_without_numpy(tmp_path):
               f"main(['canonicalize-cw', {str(path)!r}, '--format', 'json']); "
               "print(json.dumps('numpy' in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=60)
+                          text=True, timeout=60, env=checkout_env())
     assert proc.returncode == 0, proc.stderr
     doc, numpy_loaded = proc.stdout.rstrip().rsplit("\n", 1)
     assert numpy_loaded == "false"
@@ -520,8 +533,7 @@ def test_cli_verify_all_parallel():
 
 
 def test_report_directory_env_var(tmp_path):
-    env = dict(os.environ)
-    env["SUGRAVERIFY_REPORT_DIR"] = str(tmp_path)
+    env = checkout_env(SUGRAVERIFY_REPORT_DIR=str(tmp_path))
     proc = subprocess.run(
         [sys.executable, "-m", "sugraverify.cli", "verify", "nw6"],
         capture_output=True, text=True, env=env)
@@ -547,8 +559,7 @@ def test_reports_identical_across_rational_backends():
     # the two arithmetic backends must produce byte-identical reports
     outs = {}
     for backend in ("gmpy2", "fractions"):
-        env = dict(os.environ)
-        env["SUGRAVERIFY_RATIONAL_BACKEND"] = backend
+        env = checkout_env(SUGRAVERIFY_RATIONAL_BACKEND=backend)
         proc = subprocess.run(
             [sys.executable, "-m", "sugraverify.cli", "verify", "cw11",
              "--format", "json"],
@@ -561,8 +572,7 @@ def test_reports_identical_across_rational_backends():
 def test_forced_missing_backend_names_the_variable():
     # forcing gmpy2 where it cannot be imported must fail, and say how to
     # recover; blocking the module makes this independent of the install
-    env = dict(os.environ)
-    env["SUGRAVERIFY_RATIONAL_BACKEND"] = "gmpy2"
+    env = checkout_env(SUGRAVERIFY_RATIONAL_BACKEND="gmpy2")
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; sys.modules['gmpy2'] = None; "
@@ -605,7 +615,7 @@ def test_console_entry_point():
     code = (f"import sys; from {module} import {attr.split('.')[0]}; "
             f"sys.argv[0] = 'sugraverify'; sys.exit({attr}())")
     proc = subprocess.run([sys.executable, "-c", code, "enumerate"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=checkout_env())
     assert proc.returncode == 0, proc.stderr
     assert "E(1,9)" in proc.stdout
 

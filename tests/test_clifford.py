@@ -414,11 +414,9 @@ def test_frame_map_not_reproducing_the_gram_raises():
     with pytest.raises(ValueError, match="Gram"):
         FrameAlgebra(space, rep)
     # the check is an exception, so python -O keeps it
-    import os
     import subprocess
     import sys
-    import sugraverify
-    src = os.path.dirname(os.path.dirname(sugraverify.__file__))
+    from conftest import checkout_env
     code = ("from sugraverify import linalg\n"
             "from sugraverify.clifford import build_gamma, FrameAlgebra\n"
             "from sugraverify.multilinear import QuadraticSpace\n"
@@ -427,8 +425,8 @@ def test_frame_map_not_reproducing_the_gram_raises():
             "build_gamma((1, 2)))\n"
             "except ValueError as e:\n"
             "    print('ValueError:', e)\n")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=checkout_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "ValueError: frame map does not reproduce the Gram" in proc.stdout

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import checkout_env
 from sugraverify import cli, exactnum
 from sugraverify.exactnum import Scalar, Polynomial, parse_scalar, sqrt_scalar
 
@@ -361,7 +362,7 @@ def test_cli_refuses_a_background_with_an_unfactorable_radicand(tmp_path):
     path.write_text(json.dumps(doc))
     proc = subprocess.run([sys.executable, "-m", "sugraverify.cli", "verify",
                            str(path)], capture_output=True, text=True,
-                          timeout=60)
+                          timeout=60, env=checkout_env())
     assert proc.returncode == 2, (proc.stdout, proc.stderr)
     assert "too large to factor exactly" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -399,7 +400,7 @@ def test_cli_refuses_a_scalar_with_too_many_radicands(tmp_path):
     def verify(*args):
         proc = subprocess.run([sys.executable, "-m", "sugraverify.cli",
                                "verify", *args], capture_output=True,
-                              text=True, timeout=30)
+                              text=True, timeout=30, env=checkout_env())
         assert proc.returncode == 2, (proc.stdout, proc.stderr)
         assert "distinct square roots" in proc.stderr
         assert "Traceback" not in proc.stderr

@@ -5,17 +5,19 @@ import pytest
 
 from sugraverify.exactnum import Scalar, Polynomial, sqrt_scalar
 from sugraverify.multilinear import (QuadraticSpace, KForm, form_inner, hodge,
-                                     interior_frame, lambda_action)
+                                     interior_frame, lambda_action, wedge)
 from sugraverify.liealg import (CWData, nw6, nw6_family, so12_so3, e15,
                                 canonical_three_form)
-from sugraverify.geometry import ConstCurvBlock, ProductGeometry, cw_patch
+from sugraverify.geometry import (ConstCurvBlock, ProductGeometry, cw_patch,
+                                  flat_patch)
 from sugraverify.clifford import build_gamma, FrameAlgebra
 from sugraverify.sugra import (BackgroundSpec, VerificationReport, verify_d11,
                                verify_d11_maxsusy, supercovariant_flatness,
                                verify_iib_maxsusy, verify_d6,
                                verify_typeII_common, dilatino_kernel,
                                killing_vectors_from_kernel, _riemann_flux_rhs,
-                               _riemann_iib_rhs, _plujac_holds)
+                               _riemann_iib_rhs, _plujac_holds,
+                               _maxwell_residual)
 from sugraverify.catalog import (get_background, verify_background,
                                  assemble_parallelisable, typeII_background,
                                  GeometryProduct)
@@ -126,6 +128,60 @@ def test_maxsusy_implies_field_equations_cross_check():
         assert base.passed
 
 
+def _random_chart_flux(p, rng):
+    """A 4-form on the chart p with three components of degree <= 2 in the
+    coordinates; half the draws put two components on disjoint legs, so
+    that F ^ F != 0."""
+    xs = [Polynomial.variable(c) for c in p.coords]
+    legs = rng.sample(range(p.dim), 8)
+    idxs = [legs[:4], legs[4:] if rng.random() < 0.5 else legs[2:6],
+            rng.sample(range(p.dim), 4)]
+    comps = {}
+    for idx in idxs:
+        c = Polynomial.constant(rng.randint(-3, 3))
+        for _ in range(3):
+            c = c + xs[rng.randrange(p.dim)] * xs[rng.randrange(p.dim)] \
+                * S(rng.randint(-2, 2)) + xs[rng.randrange(p.dim)]
+        comps[tuple(sorted(idx))] = c
+    return KForm(p.space, 4, comps)
+
+
+@pytest.mark.parametrize("chart", ["cw11", "flat"])
+def test_maxwell_residual_is_the_hodge_dual_of_d_star_F(chart):
+    # div F + 1/2 *(F ^ F) from nabla F equals *(d*F + 1/2 F ^ F) through
+    # two Hodge duals on the chart, F ^ F != 0 included
+    p = get_background("cw11").geometry if chart == "cw11" else \
+        flat_patch(11)
+    rng = random.Random(f"maxwell-{chart}")
+    wedged = 0
+    for _ in range(6):
+        F = _random_chart_flux(p, rng)
+        FF = wedge(F, F)
+        want = hodge(p.d(hodge(F)) + FF * R_(1, 2))
+        got = _maxwell_residual(p.space, F, p.nabla(F))
+        assert not want.is_zero()
+        assert (got - want).is_zero()
+        wedged += not FF.is_zero()
+    assert wedged >= 2
+
+
+def test_chart_flux_violating_maxwell_fails_with_a_witness():
+    # F = x1 dx1 ^ dx5 ^ dx6 ^ dx7 added to the cw11 flux is closed but not
+    # co-closed: div F = dx5 ^ dx6 ^ dx7, one of the C(11, 3) components
+    b = get_background("cw11")
+    p = b.geometry
+    F = b.fluxes["F4"] + KForm(p.space, 4, {
+        (2, 6, 7, 8): Polynomial.variable("x1")})
+    rep = verify_d11(BackgroundSpec("d11", "cw11-not-coclosed", p,
+                                    {"F4": F}, cw_data=b.cw_data))
+    cond = {c.name: c for c in rep.conditions}
+    assert cond["dF=0"].passed
+    maxwell = cond["maxwell d*F=-1/2 F^F"]
+    assert not maxwell.passed
+    assert maxwell.witness == "(1) x5^x6^x7; 1 of 165 components fail"
+    assert maxwell.witness.split(";")[0] == str(hodge(p.d(hodge(F))))
+
+
 def test_killing_vectors_from_cw11_kernel():
     b = get_background("cw11")
     rep, dim, basis, alg = supercovariant_flatness(b)
@@ -232,9 +288,10 @@ def test_non_self_dual_flux_fails_self_duality_with_witness():
     sd = cond["self-duality *F=F"]
     assert not sd.passed
     # the witness is *F - F: the missing block with its coefficient and F
-    # itself with the opposite sign
+    # itself with the opposite sign, and how many of the C(10, 5) components
+    # of a 5-form fail
     F = b.fluxes["F5"]
-    assert sd.witness == str(hodge(F) - F)
+    assert sd.witness == f"{hodge(F) - F}; 2 of 252 components fail"
     assert "xm^x5^x6^x7^x8" in sd.witness and "xm^x1^x2^x3^x4" in sd.witness
     # the rest of the report is still computed
     assert "riemann-flux identity (IIB)" in cond
