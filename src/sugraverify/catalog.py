@@ -27,6 +27,7 @@ from .liealg import (CWData, nw6, so12_so3, e15, canonical_three_form,
                      SU3_STRUCTURE)
 from .geometry import ConstCurvBlock, ProductGeometry, cw_patch
 from .sugra import (BackgroundSpec, VerificationReport, theory_geometry,
+                    _DIMENSION,
                     verify_d11_maxsusy, verify_iib_maxsusy, verify_d6,
                     verify_typeII_common, dilatino_kernel)
 from . import linalg
@@ -585,6 +586,14 @@ def _forms(space, fluxes, wrap):
             for f, comps in fluxes.items()}
 
 
+def _file_dimension(theory, dim, where, what):
+    """Reject a geometry entry whose dimension is not its theory's, before
+    any matrix of that size is built."""
+    if dim != _DIMENSION[theory]:
+        raise ValueError(f"{where}: {theory} needs dimension "
+                         f"{_DIMENSION[theory]}, {what} dimension {dim}")
+
+
 def load_background(path):
     """Flat JSON schema for user-supplied backgrounds; exact scalars are
     strings parsed against the parameter bindings.  See README for the
@@ -611,16 +620,22 @@ def load_background(path):
     if not isinstance(geom, dict):
         raise ValueError("geometry: expected an object with a type")
     kind = geom.get("type")
+    orientation = geom.get("orientation", 1)
+    if type(orientation) is not int or orientation not in (1, -1):
+        raise ValueError(f"geometry.orientation: expected 1 or -1, got "
+                         f"{orientation!r}")
     data = None
     if kind == "cw":
         rows = geom.get("profile")
         if not (isinstance(rows, list) and all(
                 isinstance(r, list) and len(r) == len(rows) for r in rows)):
             raise ValueError("geometry.profile: expected a square matrix")
+        _file_dimension(theory, len(rows) + 2, "geometry.profile",
+                        f"a {len(rows)}x{len(rows)} profile gives")
         data = CWData([[_file_scalar(x, params, f"geometry.profile[{i}][{j}]")
                         for j, x in enumerate(row)]
                        for i, row in enumerate(rows)])
-        geometry = cw_patch(data)
+        geometry = cw_patch(data, orientation=orientation)
     elif kind == "product":
         entries = geom.get("blocks")
         if not isinstance(entries, list):
@@ -646,18 +661,15 @@ def load_background(path):
                 dim, _file_scalar(blk.get("scalar_curvature"), params,
                                   f"{where}.scalar_curvature"),
                 lorentzian=lorentzian, label=label))
-        orientation = geom.get("orientation", 1)
-        if type(orientation) is not int or orientation not in (1, -1):
-            raise ValueError(f"geometry.orientation: expected 1 or -1, got "
-                             f"{orientation!r}")
+        _file_dimension(theory, sum(b.dim for b in blocks), "geometry.blocks",
+                        "the blocks give")
         geometry = ProductGeometry(blocks, orientation)
     elif kind is None:
         raise ValueError("geometry.type: expected cw or product, got None")
     else:
         raise ValueError(f"unknown geometry type {kind!r}")
     fluxes = _file_fluxes(doc, params, geometry.dim)
-    # a geometry of the wrong dimension may be too small for a flux's
-    # degree, so the theory's dimension is checked before the forms are built
+    # the signature is checked before the forms are built
     theory_geometry(theory, name, geometry)
     # chart components are polynomials, frame components scalars
     wrap = Polynomial.constant if kind == "cw" else Scalar

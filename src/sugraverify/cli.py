@@ -36,11 +36,6 @@ def _emit_report(rep):
             fh.write(rep.to_json())
 
 
-def _verify_one(name):
-    rep = catalog.verify_background(catalog.get_background(name))
-    return name, rep.passed, rep
-
-
 def _parse_perturb(text):
     """'A11=+1,A23=1/2' -> {(0, 0): 1, (1, 2): 1/2}; profile entries are
     numbered from 1."""
@@ -66,22 +61,16 @@ def cmd_verify(args):
                   f"only to a catalog id", file=sys.stderr)
             return 2
     if args.background == "all":
-        # every catalog entry, verified in parallel, reported sorted by id
-        import concurrent.futures
-        names = sorted(catalog.background_ids())
-        results = {}
-        with concurrent.futures.ProcessPoolExecutor() as ex:
-            for name, passed, rep in ex.map(_verify_one, names):
-                results[name] = (passed, rep)
+        # every catalog entry, verified and reported in id order
         all_ok = True
-        for name in names:
-            passed, rep = results[name]
-            all_ok = all_ok and passed
+        for name in sorted(catalog.background_ids()):
+            rep = catalog.verify_background(catalog.get_background(name))
+            all_ok = all_ok and rep.passed
             _emit_report(rep)
             if args.format == "json":
                 print(rep.to_json())
             else:
-                print(f"{'PASS' if passed else 'FAIL'}  {name}")
+                print(f"{'PASS' if rep.passed else 'FAIL'}  {name}")
         return 0 if all_ok else 1
     try:
         if from_file:

@@ -29,7 +29,7 @@ over the nonzero entries only; no dense spinor_dim x spinor_dim matrix is
 built.  realize() builds one only for callers that ask for it.
 """
 
-from .exactnum import Scalar, Polynomial, ZERO, ONE
+from .exactnum import Scalar, ZERO, ONE
 from .multilinear import QuadraticSpace, interior, wedge, accumulate, flat, \
     map_slots, nonzero_columns, _merge_sign
 from . import linalg
@@ -43,15 +43,7 @@ _ONE = ONE
 _TWO = Scalar(2)
 
 
-def coeff_partial(c, var):
-    if isinstance(c, Polynomial):
-        return c.partial(var) if var in c.vars else Polynomial(c.vars, {})
-    if isinstance(c, ComplexScalar):
-        return ComplexScalar(coeff_partial(c.re, var), coeff_partial(c.im, var))
-    return _Z
-
-
-_REAL = (int, Scalar, Polynomial)
+_REAL = (int, Scalar)
 
 
 def _from_int(n):
@@ -59,7 +51,7 @@ def _from_int(n):
 
 
 class ComplexScalar:
-    """a + b*i with exact real/imaginary parts (Scalar or Polynomial)."""
+    """a + b*i with exact real and imaginary parts."""
 
     __slots__ = ("re", "im")
 
@@ -80,7 +72,7 @@ class ComplexScalar:
     def conj(self):
         return ComplexScalar(self.re, -self.im)
 
-    # a real operand (int, Scalar or Polynomial) acts on re and im directly
+    # a real operand (int or Scalar) acts on re and im directly
 
     def __add__(self, other):
         if isinstance(other, ComplexScalar):
@@ -127,7 +119,7 @@ class ComplexScalar:
         return self * other.inverse()
 
     def __eq__(self, other):
-        if not isinstance(other, (ComplexScalar, int, Scalar, Polynomial)):
+        if not isinstance(other, (ComplexScalar,) + _REAL):
             return NotImplemented
         return (self - other).is_zero()
 
@@ -668,20 +660,6 @@ class CliffordElement:
                     accumulate(comps, mono, c * f)
         return CliffordElement(self.alg, comps)
 
-    def partial(self, var):
-        return CliffordElement(self.alg, {k: coeff_partial(c, var)
-                                          for k, c in self.comps.items()})
-
-    def subs(self, values):
-        def sub(c):
-            if isinstance(c, Polynomial):
-                out = c.subs(values)
-                return out.constant_value() if out.is_constant() else out
-            if isinstance(c, ComplexScalar):
-                return ComplexScalar(sub(c.re), sub(c.im))
-            return c
-        return CliffordElement(self.alg, {k: sub(c) for k, c in self.comps.items()})
-
     def words(self):
         """The element over orthonormal words, as a list of (coefficient,
         SPMat) with one entry per word whose coefficient is nonzero."""
@@ -799,16 +777,15 @@ def _sparse(col):
 
 
 def kernel_dim(ops, alg, columns=None):
-    """Joint kernel of a list of CliffordElements.  Polynomial coefficients
-    are handled by demanding that every coordinate-monomial part of each
-    operator annihilates the spinor.  Returns (dimension, basis_vectors).
+    """Joint kernel of a list of CliffordElements with exact (rational or
+    complex rational) coefficients.  Returns (dimension, basis_vectors).
     `columns` restricts to the subspace spanned by the given dense column
     vectors (e.g. a chiral half); basis vectors are then coordinates on
     those columns.
 
-    Each part's rows come from one pass over its orthonormal words and stay
-    sparse until the elimination; a row that repeats an earlier one up to a
-    factor adds nothing to the row space and is dropped."""
+    Each operator's rows come from one pass over its orthonormal words and
+    stay sparse until the elimination; a row that repeats an earlier one up
+    to a factor adds nothing to the row space and is dropped."""
     N = alg.rep.spinor_dim
     one, zero = _units(alg)
     if columns is None:
@@ -818,19 +795,17 @@ def kernel_dim(ops, alg, columns=None):
     ncols = len(cols)
     rows, seen = [], {}
     for op in ops:
-        for part in _coordinate_parts(op):
-            block = {}
-            for c, sp in part.words():
-                perm, vals = sp.perm, sp.vals
-                for k, col in enumerate(cols):
-                    for j, x in col.items():
-                        accumulate(block.setdefault(perm[j], {}), k,
-                                   _unit_scale(c if x is one else c * x,
-                                               vals[j]))
-            for row in block.values():
-                if row and _new_direction(
-                        row, seen.setdefault(frozenset(row), [])):
-                    rows.append([row.get(k, zero) for k in range(ncols)])
+        block = {}
+        for c, sp in op.words():
+            perm, vals = sp.perm, sp.vals
+            for k, col in enumerate(cols):
+                for j, x in col.items():
+                    accumulate(block.setdefault(perm[j], {}), k,
+                               _unit_scale(c if x is one else c * x, vals[j]))
+        for row in block.values():
+            if row and _new_direction(row,
+                                      seen.setdefault(frozenset(row), [])):
+                rows.append([row.get(k, zero) for k in range(ncols)])
     basis = linalg.nullspace(rows, ncols=ncols, one=one, zero=zero)
     return len(basis), basis
 
@@ -853,30 +828,6 @@ def _new_direction(row, same_support):
             return False
     same_support.append(row)
     return True
-
-
-def _coordinate_parts(op):
-    """The constant elements E_m with op = sum_m x^m E_m, one per coordinate
-    monomial x^m of the coefficients."""
-    parts = {}
-    for mono, c in op.comps.items():
-        for key, k in _coeff_terms(c).items():
-            accumulate(parts.setdefault(key, {}), mono, k)
-    return [CliffordElement(op.alg, p) for p in parts.values()]
-
-
-def _coeff_terms(c):
-    """{coordinate monomial: constant} of a Scalar, Polynomial or
-    ComplexScalar coefficient; a monomial is its sorted ((var, exp), ...)
-    with the zero exponents left out."""
-    if isinstance(c, Polynomial):
-        return {tuple((v, e) for v, e in zip(c.vars, exp) if e): k
-                for exp, k in c.terms.items()}
-    if isinstance(c, ComplexScalar):
-        re, im = _coeff_terms(c.re), _coeff_terms(c.im)
-        return {key: ComplexScalar(re.get(key, _Z), im.get(key, _Z))
-                for key in {**re, **im}}
-    return {} if c.is_zero() else {(): c}
 
 
 def chiral_basis(alg, sign):

@@ -35,7 +35,7 @@ from . import linalg
 __all__ = ["CoordinatePatch", "cw_patch", "christoffel", "riemann", "ricci",
            "exterior_derivative", "covariant_derivative_form",
            "curvature_with_torsion", "flat_torsion_consequences",
-           "lightcone_coframe", "spin_connection", "killing_check",
+           "lightcone_coframe", "killing_check",
            "ConstCurvBlock", "ProductGeometry"]
 
 _Z = Scalar(0)
@@ -47,8 +47,8 @@ def _pz(vars=()):
 
 class CoordinatePatch:
     """Chart with polynomial metric components and an exact polynomial
-    inverse (verified by its QuadraticSpace).  Christoffel symbols, Riemann
-    tensor and lightcone coframe are built once, on first use."""
+    inverse (verified by its QuadraticSpace).  Christoffel symbols and the
+    Riemann tensor are built once, on first use."""
 
     premise = ""            # d and nabla are computed, not structural
 
@@ -61,7 +61,6 @@ class CoordinatePatch:
                                     inverse=inverse)
         self._christoffel = None
         self._riemann = None
-        self._coframe = None
 
     def metric_at_origin(self):
         vals = {v: Scalar(0) for v in self.coords}
@@ -98,12 +97,6 @@ class CoordinatePatch:
 
     def nabla(self, F):
         return covariant_derivative_form(F, self)
-
-    def coframe(self):
-        """lightcone_coframe of a plane-wave chart."""
-        if self._coframe is None:
-            self._coframe = lightcone_coframe(self)
-        return self._coframe
 
     def __repr__(self):
         return f"CoordinatePatch({', '.join(self.coords)})"

@@ -10,22 +10,24 @@ geometry interface described in geometry's docstring.
 """
 
 from collections import namedtuple
+from itertools import combinations
 from math import comb
 import json
 
-from .exactnum import Scalar, Polynomial
+from .exactnum import Scalar, Polynomial, ONE as _ONE
 from .multilinear import (KForm, BiSymTensor, wedge, hodge, interior,
                           form_inner, contraction_inners, basis_contractions,
-                          flat, map_slots, nonzero_columns, kulkarni_nomizu,
-                          plucker_check, lambda_action, accumulate)
+                          kulkarni_nomizu, plucker_check, lambda_action,
+                          accumulate)
 from .clifford import (ComplexScalar, build_gamma, FrameAlgebra,
                        clifford_action, omega_xf, kernel_dim, chiral_basis,
                        spinor_to_vector)
-from .geometry import (CoordinatePatch, Unverified, curvature_with_torsion,
-                       spin_connection, killing_check)
+from .geometry import (Unverified, curvature_with_torsion, killing_check,
+                       lightcone_coframe)
 
 __all__ = ["BackgroundSpec", "VerificationReport", "theory_geometry",
-           "verify_d11", "verify_d11_maxsusy", "supercovariant_flatness",
+           "verify_d11", "verify_d11_maxsusy", "supercovariant_connection",
+           "supercovariant_curvature", "supercovariant_flatness",
            "verify_iib_maxsusy", "verify_d6", "verify_typeII_common",
            "dilatino_kernel", "OUT_OF_SCOPE"]
 
@@ -175,13 +177,14 @@ FREUND_RUBIN = ("supercovariant flatness on the Freund-Rubin product is "
                 "above; it is not recomputed in trigonometric coordinates")
 
 
-def _add_supercovariant_flatness(rep, b, geom):
-    """Supercovariant flatness: computed where there is a chart, cited on a
-    product (its blocks carry no coordinates here)."""
-    if not isinstance(geom, CoordinatePatch):
+def _add_supercovariant_flatness(rep, b, nabla_F):
+    """Supercovariant flatness: computed on a plane wave, whose constant
+    profile (b.cw_data) gives nabla R = 0, from R^D at one point with nabla F
+    = 0 as its premise; cited on a product."""
+    if b.cw_data is None:
         rep.notes.append(FREUND_RUBIN)
         return
-    fl = supercovariant_flatness(b)[0]
+    fl = supercovariant_flatness(b, nabla_F)[0]
     for c in fl.conditions:
         rep.add(c.name, c.passed, c.witness, c.note)
     rep.invariants.update(fl.invariants)
@@ -323,140 +326,143 @@ def verify_d11_maxsusy(b):
     status, witness = plucker_check(_scalarize(F))
     rep.add("plucker", status == "decomposable",
             witness="" if status == "decomposable" else str(witness))
-    _add_supercovariant_flatness(rep, b, geom)
+    _add_supercovariant_flatness(rep, b, nabla_F)
     return rep
 
 
+def _constant(c):
+    """A constant chart component as a Scalar."""
+    return c.constant_value() if isinstance(c, Polynomial) else c
+
+
 def _scalarize(F):
-    comps = {}
-    for idx, c in F.components.items():
-        comps[idx] = c.constant_value() if isinstance(c, Polynomial) else c
-    return KForm(F.space, F.degree, comps)
+    return KForm(F.space, F.degree,
+                 {idx: _constant(c) for idx, c in F.components.items()})
 
 
 # ---------------------------------------------------------------------------
-# supercovariant flatness on plane-wave charts
+# supercovariant flatness on plane waves, at one point
 # ---------------------------------------------------------------------------
 
 def supercovariant_connection(b):
-    """Assemble the coordinate components Theta_mu of the supercovariant
-    connection on a plane-wave chart.  Returns (patch, alg, [Theta_mu])."""
-    if b.theory not in ("d11", "iib"):
-        raise ValueError("supercovariant connection only for d11/iib")
+    """The flux terms Omega_a of the supercovariant derivative D_a = nabla_a
+    + Omega_a of a plane wave at its chart origin, where the chart metric is
+    the lightcone Gram and e_a = d_a: omega_xf(e_a, F) for d11 and
+    i/4 c(F) c(e_a^flat) for IIB.  Returns (alg, [Omega_a]) on the lightcone
+    frame algebra."""
+    if b.theory not in ("d11", "iib") or b.cw_data is None:
+        raise ValueError("supercovariant connection only for d11/iib plane "
+                         "waves")
     p = b.geometry
     n = p.dim
-    cof, frm, gram = p.coframe()
-    om = spin_connection(p, cof, frm, gram)
     alg = FrameAlgebra.lightcone(build_gamma((1, n - 1)))
-    half = Scalar.from_rational(1, 2)
-    F = b.fluxes[_FLUX[b.theory]]
-    F_frame = KForm(alg.space, F.degree,
-                    map_slots(F.components, nonzero_columns(frm)))
+    if p.metric_at_origin() != alg.space.metric:
+        raise ValueError(f"{b.name}: the chart metric at the origin is not "
+                         f"the lightcone Gram")
+    F = _scalarize(b.fluxes[_FLUX[b.theory]])
+    F = KForm(alg.space, F.degree, F.components)
     if b.theory == "d11":
-        def flux_term(X):
-            return omega_xf(X, F_frame, alg)
-    else:
-        cF = clifford_action(F_frame, alg)
-        iq = ComplexScalar(_Z, Scalar.from_rational(1, 4))
-
-        def flux_term(X):
-            return (cF * clifford_action(flat(alg.space, X), alg)).scale(iq)
-    thetas = []
-    for mu in range(n):
-        # omega_mu is skew: 1/4 omega_ab gamma^a gamma^b = 1/2 c(omega_mu)
-        om_mu = KForm(alg.space, 2, {k: w for k, w in om[mu].items()
-                                     if k[0] < k[1]})
-        th = clifford_action(om_mu, alg).scale(half)
-        X = [cof[a][mu] for a in range(n)]       # d_mu in frame comps
-        thetas.append(th + flux_term(X))
-    return p, alg, thetas
+        return alg, [omega_xf([_ONE if i == a else _Z for i in range(n)],
+                              F, alg) for a in range(n)]
+    iq = ComplexScalar(_Z, Scalar.from_rational(1, 4))
+    cF = clifford_action(F, alg).scale(iq)
+    return alg, [cF * alg.element({(a,): _ONE}) for a in range(n)]
 
 
-def supercovariant_flatness(b):
-    """Curvature of the supercovariant connection on a plane-wave chart,
-    its joint kernel, and the supersymmetry fraction nu.
-
-    Also asserts (for d11) that every curvature value is traceless (the
-    sl(32) property) and that the Clifford-trace field-equation identity
-    sum_a c(e^a) R_{X, E_a} = 0 holds."""
-    p, alg, thetas = supercovariant_connection(b)
-    n = p.dim
+def supercovariant_curvature(b):
+    """R^D_ab = -1/2 c(R_ab) + [Omega_a, Omega_b] for a < b, with R_ab the
+    2-form R(e_a, e_b, ., .), at the chart origin of a plane wave.  It is the
+    curvature of D there when nabla F = 0 (docs/conventions.md).  Returns
+    (alg, {(a, b): R^D_ab})."""
+    alg, omegas = supercovariant_connection(b)
+    spin = {}                   # (a, b): {(c, d): R(e_a, e_b, e_c, e_d)}
+    for (i, j, k, l), v in b.geometry.riemann().components.items():
+        v = _constant(v)
+        spin.setdefault((i, j), {})[(k, l)] = v
+        spin.setdefault((k, l), {})[(i, j)] = v
+    minus_half = Scalar.from_rational(-1, 2)
     curv = {}
-    for mu in range(n):
-        for nu in range(mu + 1, n):
-            r = thetas[nu].partial(p.coords[mu]) \
-                - thetas[mu].partial(p.coords[nu]) \
-                + thetas[mu].commutator(thetas[nu])
-            curv[(mu, nu)] = r
+    for a, c in combinations(range(alg.space.dim), 2):
+        r = clifford_action(KForm(alg.space, 2, spin.get((a, c), {})), alg)
+        curv[(a, c)] = r.scale(minus_half) + omegas[a].commutator(omegas[c])
+    return alg, curv
+
+
+# the conditions supercovariant_flatness adds, per theory
+_FLATNESS_CONDITIONS = {
+    "d11": ("supercovariant curvature R^D = 0", "sl(32) tracelessness",
+            "clifford-trace field equation identity", "nu = 1"),
+    "iib": ("supercovariant curvature R^D = 0 on the Weyl bundle", "nu = 1")}
+
+
+def supercovariant_flatness(b, nabla_F=None):
+    """Curvature of the supercovariant connection of a plane wave, its joint
+    kernel, and the supersymmetry fraction nu.  Returns (report, kernel
+    dimension, kernel basis, alg).
+
+    R^D is taken at the chart origin (supercovariant_curvature).  A plane
+    wave's profile is constant, so nabla R = 0; with nabla F = 0 as well,
+    R^D is parallel and vanishes everywhere iff it vanishes there.  nabla F
+    (computed here unless given) is therefore the premise of every
+    condition: where it fails, they fail naming it, and nothing else is
+    computed.  Also checks (for d11) that every curvature value is
+    traceless (the sl(32) property) and the Clifford-trace field-equation
+    identity sum_a c(e^a) R^D_{b a} = 0."""
     rep = VerificationReport(b.name, b.theory)
+    if nabla_F is None:
+        nabla_F = b.geometry.nabla(b.fluxes[_FLUX[b.theory]])
+    bad = next((e for e, G in sorted(nabla_F.items()) if not G.is_zero()),
+               None)
+    if bad is not None:
+        why = (f"premise nabla F = 0 fails (direction {bad}), so R^D at one "
+               f"point does not decide flatness")
+        for name in _FLATNESS_CONDITIONS[b.theory]:
+            rep.add(name, False, witness=why)
+        return rep, None, [], None
+    alg, curv = supercovariant_curvature(b)
     N = alg.rep.spinor_dim
     if b.theory == "d11":
-        flat = all(r.is_zero() for r in curv.values())
-        rep.add("supercovariant curvature R^D = 0", flat,
-                witness="" if flat else str(_first_nonzero_curv(curv)))
-        # sl(32): tracelessness of every curvature value
+        fails = [(k, r) for k, r in sorted(curv.items()) if not r.is_zero()]
+        rep.add("supercovariant curvature R^D = 0", not fails,
+                witness="" if not fails else
+                f"{(fails[0][0], str(fails[0][1])[:120])}; {len(fails)} of "
+                f"{len(curv)} values fail")
         rep.add("sl(32) tracelessness",
                 all(r.trace().is_zero() for r in curv.values()))
-        # field-equation identity: sum_a c(e^a) R_{d_mu, E_a} = 0
-        frm = p.coframe()[1]
+        n = alg.space.dim
         ok = True
-        for mu in range(n):
+        for c in range(n):
             total = alg.element()
             for a in range(n):
-                acc = alg.element()
-                for nu in range(n):
-                    if frm[a][nu].is_zero():
-                        continue
-                    r = _curv_lookup(curv, mu, nu)
-                    if r is None:
-                        continue
-                    acc = acc + r.scale(frm[a][nu])
-                total = total + alg.raised_gamma(a) * acc
-            if not total.is_zero():
-                ok = False
+                if a != c:
+                    r = curv[(c, a)] if c < a else -curv[(a, c)]
+                    total = total + alg.raised_gamma(a) * r
+            ok = ok and total.is_zero()
         rep.add("clifford-trace field equation identity", ok)
-        ops = list(curv.values())
-        dim, basis = kernel_dim(ops, alg)
+        dim, basis = kernel_dim(list(curv.values()), alg)
         rep.invariants["kernel dimension"] = str(dim)
         rep.invariants["nu"] = f"{dim}/{N}"
         rep.add("nu = 1", dim == N)
         return rep, dim, basis, alg
-    else:
-        # IIB: complex Weyl spinors; the curvature must annihilate the
-        # chiral half carrying the supersymmetry.  Both halves are tried
-        # and the realized chirality is recorded.
-        results = {}
-        for sign in (1, -1):
-            cols = chiral_basis(alg, sign)
-            dim, basis = kernel_dim(list(curv.values()), alg, columns=cols)
-            results[sign] = (dim, basis)
-        best = max(results, key=lambda s: results[s][0])
-        dim, basis = results[best]
-        rep.add("supercovariant curvature R^D = 0 on the Weyl bundle",
-                2 * dim == N,
-                witness="" if 2 * dim == N else
-                f"chiral kernel only {dim}-dimensional (complex)")
-        rep.invariants["kernel dimension (complex)"] = str(dim)
-        rep.invariants["chirality"] = f"{best:+d}"
-        rep.invariants["nu"] = f"{2 * dim}/{N}"
-        rep.add("nu = 1", 2 * dim == N,
-                note=f"complex Weyl kernel on the chirality {best:+d} half")
-        return rep, dim, basis, alg
-
-
-def _first_nonzero_curv(curv):
-    for key in sorted(curv):
-        if not curv[key].is_zero():
-            return (key, str(curv[key])[:120])
-    return None
-
-
-def _curv_lookup(curv, mu, nu):
-    if mu == nu:
-        return None
-    if mu < nu:
-        return curv[(mu, nu)]
-    return curv[(nu, mu)].scale(Scalar(-1))
+    # IIB: complex Weyl spinors; the curvature must annihilate the chiral
+    # half carrying the supersymmetry.  Both halves are tried and the
+    # realized chirality is recorded.
+    results = {}
+    for sign in (1, -1):
+        results[sign] = kernel_dim(list(curv.values()), alg,
+                                   columns=chiral_basis(alg, sign))
+    best = max(results, key=lambda s: results[s][0])
+    dim, basis = results[best]
+    rep.add("supercovariant curvature R^D = 0 on the Weyl bundle",
+            2 * dim == N,
+            witness="" if 2 * dim == N else
+            f"chiral kernel only {dim}-dimensional (complex)")
+    rep.invariants["kernel dimension (complex)"] = str(dim)
+    rep.invariants["chirality"] = f"{best:+d}"
+    rep.invariants["nu"] = f"{2 * dim}/{N}"
+    rep.add("nu = 1", 2 * dim == N,
+            note=f"complex Weyl kernel on the chirality {best:+d} half")
+    return rep, dim, basis, alg
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +500,8 @@ def verify_iib_maxsusy(b):
     F = fluxes["F5"]
     _add_vanishing(rep, "self-duality *F=F", hodge(F) - F)
     _add_vanishing(rep, "dF=0", geom.d(F), geom.premise)
-    _add_vanishing(rep, "nabla F=0", geom.nabla(F), geom.premise)
+    nabla_F = geom.nabla(F)
+    _add_vanishing(rep, "nabla F=0", nabla_F, geom.premise)
     _add_identity(rep, "riemann-flux identity (IIB)", geom.riemann(),
                   _riemann_iib_rhs(geom.space, F))
     Fs = _scalarize(F)
@@ -508,7 +515,7 @@ def verify_iib_maxsusy(b):
         rep.add("G decomposable", status == "decomposable",
                 witness="" if status == "decomposable" else str(witness))
     rep.notes.extend(b.notes)
-    _add_supercovariant_flatness(rep, b, geom)
+    _add_supercovariant_flatness(rep, b, nabla_F)
     return rep
 
 
@@ -626,7 +633,7 @@ def killing_vectors_from_kernel(b, basis, alg):
     Lightcone-annihilated constant spinors give vectors along d+ only."""
     p = b.geometry
     n = p.dim
-    frm = p.coframe()[1]
+    frm = lightcone_coframe(p)[1]
     out = []
     for i in range(min(4, len(basis))):
         for j in range(min(4, len(basis))):

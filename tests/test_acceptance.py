@@ -57,8 +57,9 @@ def test_criterion_1_d11_catalog():
 
 
 def test_criterion_2_cw11_supercovariant_flatness():
-    """R^D = 0 as a polynomial identity in 32x32 matrices; nu = 1; all
-    values traceless; the Clifford-trace field equation; under 60 s."""
+    """R^D = 0 in 32x32 matrices at one point, which nabla F = 0 and the
+    constant profile make enough; nu = 1; all values traceless; the
+    Clifford-trace field equation; under 60 s."""
     t0 = time.time()
     rep, dim, basis, alg = supercovariant_flatness(get_background("cw11"))
     dt = time.time() - t0

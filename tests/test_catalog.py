@@ -248,6 +248,16 @@ BAD_FILE_ENTRIES = {
                 {"dim": 11, "scalar_curvature": "0", "lorentzian": True}]}),
         "geometry.orientation")
        for tag, value in (("as-a-string", "x"), ("two", 2), ("true", True))},
+    # a cw geometry reads its orientation the same way
+    **{f"cw-orientation-{tag}": (
+        lambda d, value=value: d["geometry"].update(orientation=value),
+        "geometry.orientation")
+       for tag, value in (("as-a-string", "x"), ("two", 2), ("true", True))},
+    # the block dimensions are summed before any matrix is built
+    "block-of-dimension-4000": (
+        lambda d: d.update(geometry={"type": "product", "blocks": [
+            {"dim": 4000, "scalar_curvature": "0", "lorentzian": True}]}),
+        "geometry.blocks"),
     # a file cannot supply the frame data these theories' verifiers need
     "theory-typeII-common": (
         lambda d: d.update(theory="typeII-common"),
@@ -269,6 +279,56 @@ def test_cli_verify_names_the_bad_entry_of_a_background_file(
     assert cli.main(["verify", str(path)]) == 2
     out, err = capsys.readouterr()
     assert not out and err.startswith(f"error: {path}: {entry}: "), err
+
+
+def test_background_file_dimensions_are_checked_before_building(
+        tmp_path, monkeypatch):
+    # a block of dimension 4000 or a 4000x4000 profile is refused from its
+    # declared size, naming the entry and both dimensions; no
+    # ProductGeometry, CWData or chart is constructed
+    doc = cw11_document()
+    doc["geometry"] = {"type": "product", "blocks": [
+        {"dim": 4000, "scalar_curvature": "0", "lorentzian": True}]}
+    short = cw11_document()
+    short["geometry"]["profile"] = [["0"] * 7 for _ in range(7)]
+    cases = ((doc, "geometry.blocks: d11 needs dimension 11, the blocks "
+                   "give dimension 4000"),
+             (short, "geometry.profile: d11 needs dimension 11, a 7x7 "
+                     "profile gives dimension 9"))
+    for name in ("ProductGeometry", "CWData", "cw_patch"):
+        monkeypatch.setattr(catalog, name, None)
+    for d, message in cases:
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError) as e:
+            load_background(str(path))
+        assert str(e.value) == message
+
+
+def test_cw_file_orientation_fixes_iib_self_duality(tmp_path):
+    # the cw10 profile and flux with orientation -1 is the same chart with
+    # the opposite Hodge dual: F is anti-selfdual there
+    b = get_background("cw10")
+    doc = {
+        "theory": "iib",
+        "name": "cw10-reversed",
+        "geometry": {"type": "cw", "orientation": -1, "profile": [
+            [str(x) for x in row] for row in b.cw_data.A]},
+        "fluxes": {name: [{"indices": list(idx), "coeff": str(c)}
+                          for idx, c in sorted(F.components.items())]
+                   for name, F in b.fluxes.items()},
+    }
+    path = tmp_path / "cw10.json"
+    path.write_text(json.dumps(doc))
+    loaded = load_background(str(path))
+    assert loaded.geometry.space.orientation == -1
+    cond = {c.name: c.passed for c in verify_background(loaded).conditions}
+    assert not cond["self-duality *F=F"]
+    assert not cond["F = G + *G"]
+    assert cli.main(["verify", str(path)]) == 1
+    doc["geometry"]["orientation"] = 1
+    path.write_text(json.dumps(doc))
+    assert verify_background(load_background(str(path))).passed
 
 
 def test_cli_verify_rejects_a_background_file_that_is_not_an_object(

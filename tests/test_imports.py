@@ -1,4 +1,6 @@
-"""Every module-level import in the package is used or re-exported."""
+"""Every module-level import in the package is used or re-exported, and
+every module-level function is called from the package, exported, or named
+in ORPHANS with the reason it stays."""
 
 import ast
 import os
@@ -60,3 +62,67 @@ def test_unused_import_check_catches_them():
            "try:\n    import json\nexcept ImportError:\n    json = None\n"
            "__all__ = ['wedge']\n\ndef f():\n    return os.sep\n")
     assert unused_imports(src) == [(2, "KForm"), (4, "json")]
+
+
+# module:function for the module-level functions that no module of the
+# package reads and no __all__ exports, each with the reason it stays
+ORPHANS = {
+    "catalog:verify_typeII_product":
+        "tests; its caller comes with the type-II row reports (ROADMAP 4)",
+    "geometry:flat_patch":
+        "tests: the flat chart of the Maxwell and torsion-curvature "
+        "checks (ROADMAP 9)",
+    "geometry:spin_connection":
+        "tests: the chart calibration of the pointwise R^D; the benchmark "
+        "tracer's geometry.spin_connection target (ROADMAP 9)",
+    "liealg:antiselfdual_filter":
+        "tests: the d=6 acceptance criterion (ROADMAP 9)",
+    "multilinear:plucker_rank_oracle":
+        "the forms benchmark workload and the Plucker tests (ROADMAP 1)",
+    "sugra:killing_vectors_from_kernel":
+        "tests: Killing vectors from the cw11 kernel (ROADMAP 9)",
+}
+
+
+def orphaned_functions(sources):
+    """Sorted module:function names of the module-level functions in
+    sources ({module: source}) that no module reads by name or attribute,
+    outside the function's own body, and no __all__ exports."""
+    defined, read, exported = [], set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        exported |= _exported(tree)
+        for node in tree.body:
+            own = node.name if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            if own:
+                defined.append((module, own))
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    name = n.id
+                elif isinstance(n, ast.Attribute):
+                    name = n.attr
+                else:
+                    continue
+                if name != own:
+                    read.add(name)
+    return sorted(f"{m}:{f}" for m, f in defined
+                  if f not in read and f not in exported)
+
+
+def test_every_orphaned_function_is_named_with_its_reason():
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(PACKAGE, module)) as fh:
+            sources[module[:-3]] = fh.read()
+    assert orphaned_functions(sources) == sorted(ORPHANS)
+
+
+def test_orphan_check_catches_them():
+    # f calls only itself, g is called from another module, h is exported,
+    # k is read as an attribute
+    sources = {"a": "def f():\n    return f()\n\ndef g():\n    pass\n"
+                    "__all__ = ['h']\n\ndef h():\n    pass\n",
+               "b": "from .a import g\n\ndef k():\n    return g()\n\n"
+                    "def m(x):\n    return x.k\n"}
+    assert orphaned_functions(sources) == ["a:f", "b:m"]

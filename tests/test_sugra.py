@@ -5,14 +5,19 @@ import pytest
 
 from sugraverify.exactnum import Scalar, Polynomial, sqrt_scalar
 from sugraverify.multilinear import (QuadraticSpace, KForm, form_inner, hodge,
-                                     interior_frame, lambda_action, wedge)
+                                     interior_frame, lambda_action, wedge,
+                                     flat, map_slots, nonzero_columns)
 from sugraverify.liealg import (CWData, nw6, nw6_family, so12_so3, e15,
                                 canonical_three_form)
-from sugraverify.geometry import (ConstCurvBlock, ProductGeometry, cw_patch,
-                                  flat_patch)
-from sugraverify.clifford import build_gamma, FrameAlgebra
+from sugraverify.geometry import (ConstCurvBlock, CoordinatePatch,
+                                  ProductGeometry, cw_patch, flat_patch,
+                                  lightcone_coframe, spin_connection)
+from sugraverify.clifford import (ComplexScalar, build_gamma, FrameAlgebra,
+                                  clifford_action, omega_xf)
 from sugraverify.sugra import (BackgroundSpec, VerificationReport, verify_d11,
-                               verify_d11_maxsusy, supercovariant_flatness,
+                               verify_d11_maxsusy, supercovariant_connection,
+                               supercovariant_curvature,
+                               supercovariant_flatness,
                                verify_iib_maxsusy, verify_d6,
                                verify_typeII_common, dilatino_kernel,
                                killing_vectors_from_kernel, _riemann_flux_rhs,
@@ -647,13 +652,131 @@ def test_structural_nabla_dphi_checks_its_premise():
     assert "leg 1" in cond["nabla d phi = 0"].witness
 
 
+# ---------------------------------------------------------------------------
+# supercovariant curvature: the chart calibration of the pointwise formula
+# ---------------------------------------------------------------------------
+
+def _coeff_map(el, f):
+    return el.alg.element({k: f(c) for k, c in el.comps.items()})
+
+
+def _d(c, var):
+    """d/dvar of a Scalar, Polynomial or ComplexScalar coefficient."""
+    if isinstance(c, ComplexScalar):
+        return ComplexScalar(_d(c.re, var), _d(c.im, var))
+    if isinstance(c, Polynomial) and var in c.vars:
+        return c.partial(var)
+    return S(0)
+
+
+def _at_origin(c):
+    if isinstance(c, ComplexScalar):
+        return ComplexScalar(_at_origin(c.re), _at_origin(c.im))
+    if isinstance(c, Polynomial):
+        return c.subs({v: S(0) for v in c.vars}).constant_value()
+    return c
+
+
+def _chart_thetas(b):
+    """(chart, alg, [Theta_mu]): the coordinate components Theta_mu =
+    1/2 c(omega_mu) + Omega(d_mu) of the supercovariant connection, from the
+    chart's lightcone coframe and spin connection, with polynomial
+    coefficients (complex ones for IIB)."""
+    p = b.geometry
+    n = p.dim
+    cof, frm, gram = lightcone_coframe(p)
+    om = spin_connection(p, cof, frm, gram)
+    alg = FrameAlgebra.lightcone(build_gamma((1, n - 1)))
+    F = b.fluxes["F4" if b.theory == "d11" else "F5"]
+    F = KForm(alg.space, F.degree, map_slots(F.components,
+                                             nonzero_columns(frm)))
+    thetas = []
+    for mu in range(n):
+        # omega_mu is skew: 1/4 omega_ab gamma^a gamma^b = 1/2 c(omega_mu)
+        spin = clifford_action(KForm(alg.space, 2, {
+            k: w for k, w in om[mu].items() if k[0] < k[1]}), alg)
+        spin = spin.scale(R_(1, 2))
+        X = [cof[a][mu] for a in range(n)]      # d_mu in frame components
+        if b.theory == "d11":
+            thetas.append(spin + omega_xf(X, F, alg))
+            continue
+        flux = clifford_action(F, alg) * \
+            clifford_action(flat(alg.space, X), alg)
+        thetas.append(_coeff_map(spin, lambda c: ComplexScalar(c, 0))
+                      + _coeff_map(flux, lambda c: ComplexScalar(
+                          0, c * R_(1, 4))))
+    return p, alg, thetas
+
+
+def _chart_curvature(b):
+    """{(mu, nu): d_mu Theta_nu - d_nu Theta_mu + [Theta_mu, Theta_nu]} for
+    mu < nu, as polynomial identities on the chart, and the chart."""
+    p, alg, th = _chart_thetas(b)
+    out = {}
+    for mm, nn in combinations(range(p.dim), 2):
+        out[(mm, nn)] = _coeff_map(th[nn], lambda c: _d(c, p.coords[mm])) \
+            - _coeff_map(th[mm], lambda c: _d(c, p.coords[nn])) \
+            + th[mm].commutator(th[nn])
+    return out, p
+
+
+def _rotated_cw11(perturb=None):
+    """cw11 at mu = 6 in coordinates rotated by (3/5, 4/5) in the (x1, x4)
+    plane, so that the profile has an off-diagonal entry and F4 two
+    components; perturb adds to one profile entry."""
+    c, s = R_(3, 5), R_(4, 5)
+    A = [[S(0)] * 9 for _ in range(9)]
+    for i, k in enumerate([4, 4, 4, 1, 1, 1, 1, 1, 1]):
+        A[i][i] = S(-k)
+    d0, d3 = A[0][0], A[3][3]
+    A[0][0], A[3][3] = c * c * d0 + s * s * d3, s * s * d0 + c * c * d3
+    A[0][3] = A[3][0] = c * s * (d0 - d3)
+    for (i, j), dv in (perturb or {}).items():
+        A[i][j] = A[i][j] + dv
+        if i != j:
+            A[j][i] = A[j][i] + dv
+
+    def flux(space):
+        # dx1 = c dy1 + s dy4, and dx- ^ dy4 ^ dy2 ^ dy3 equals
+        # dx- ^ dy2 ^ dy3 ^ dy4
+        return {"F4": KForm(space, 4, {
+            (1, 2, 3, 4): Polynomial.constant(S(6) * c),
+            (1, 3, 4, 5): Polynomial.constant(S(6) * s)})}
+
+    return chart_spec("d11", "cw11-rotated", CWData(A), flux)
+
+
+_CALIBRATION = {"cw11": lambda: get_background("cw11"),
+                "cw10": lambda: get_background("cw10"),
+                "cw11-rotated": _rotated_cw11,
+                "cw11-rotated-perturbed": lambda: _rotated_cw11(
+                    {(1, 1): S(1), (0, 5): R_(1, 2)})}
+
+
+@pytest.mark.parametrize("case", sorted(_CALIBRATION))
+def test_pointwise_curvature_equals_the_chart_curvature_at_the_origin(case):
+    # the sign calibration of R^D_ab = -1/2 c(R_ab) + [Omega_a, Omega_b]:
+    # the chart's d Theta + [Theta, Theta], built from its spin connection,
+    # evaluated at the origin, where e_a = d_a, for every pair (a, b)
+    b = _CALIBRATION[case]()
+    chart, _ = _chart_curvature(b)
+    alg, curv = supercovariant_curvature(b)
+    assert sorted(chart) == sorted(curv)
+    nonzero = 0
+    for key, r in chart.items():
+        assert (_coeff_map(r, _at_origin) - curv[key]).is_zero(), key
+        nonzero += not curv[key].is_zero()
+    # the d=11 solutions are flat and the perturbed wave is not; the cw10
+    # values vanish only on one Weyl half
+    assert (nonzero > 0) == (case in ("cw10", "cw11-rotated-perturbed"))
+    assert curv[(0, 1)].alg is alg
+
+
 def test_spin_curvature_matches_riemann_on_chart():
     # with zero flux the supercovariant curvature is the spin-connection
     # curvature; it must equal -1/4 R_{mu nu a b} gamma^a gamma^b with the
-    # geometry module's Riemann tensor (sign convention pinned by test)
-    from sugraverify.sugra import supercovariant_connection
-    from sugraverify.geometry import riemann, lightcone_coframe
-    from sugraverify.liealg import CWData
+    # geometry module's Riemann tensor (sign convention pinned by test): on
+    # the chart as a polynomial identity, and pointwise at the origin
     mu = S(3)
     vals = [mu * mu * R_(-1, 36) * S(k) for k in [4, 4, 4, 1, 1, 1, 1, 1, 1]]
     data = CWData.diagonal(vals)
@@ -662,17 +785,18 @@ def test_spin_curvature_matches_riemann_on_chart():
         return {"F4": KForm(space, 4, {})}
 
     b = chart_spec("d11", "cw11-noflux", data, flux)
-    p, alg, thetas = supercovariant_connection(b)
-    riem = riemann(p)
+    alg, omegas = supercovariant_connection(b)
+    assert all(om.is_zero() for om in omegas)
+    chart, p = _chart_curvature(b)
+    _, pointwise = supercovariant_curvature(b)
+    riem = p.riemann()
     cof, frm, gram = lightcone_coframe(p)
     n = p.dim
     quarter = Scalar.from_rational(-1, 4)
     for mm in range(n):
         for nn in range(mm + 1, n):
-            got = thetas[nn].partial(p.coords[mm]) \
-                - thetas[mm].partial(p.coords[nn]) \
-                + thetas[mm].commutator(thetas[nn])
             want = alg.element()
+            at_origin = alg.element()
             for a in range(n):
                 for bb in range(n):
                     # frame components of R(d_mu, d_nu, E_a, E_b)
@@ -690,10 +814,58 @@ def test_spin_curvature_matches_riemann_on_chart():
                             comp = t if comp is None else comp + t
                     if comp is None:
                         continue
-                    term = (alg.raised_gamma(a) * alg.raised_gamma(bb)) \
-                        .scale(comp * quarter)
-                    want = want + term
-            assert (got - want).is_zero(), (mm, nn)
+                    gg = alg.raised_gamma(a) * alg.raised_gamma(bb)
+                    want = want + gg.scale(comp * quarter)
+                    at_origin = at_origin + gg.scale(
+                        _at_origin(comp) * quarter)
+            assert (chart[(mm, nn)] - want).is_zero(), (mm, nn)
+            assert (pointwise[(mm, nn)] - at_origin).is_zero(), (mm, nn)
+
+
+def test_cw11_doubled_flux_fails_supercovariant_flatness():
+    b = get_background("cw11")
+    F = b.fluxes["F4"] * S(2)
+    rep = verify_d11_maxsusy(b._replace(name="cw11-2F", fluxes={"F4": F}))
+    cond = {c.name: c for c in rep.conditions}
+    assert cond["nabla F=0"].passed
+    rd = cond["supercovariant curvature R^D = 0"]
+    assert not rd.passed and "values fail" in rd.witness
+    assert not cond["nu = 1"].passed
+    assert rep.invariants["nu"] != "32/32"
+
+
+def test_transverse_flux_fails_flatness_on_the_nabla_F_premise():
+    # mu dx1 ^ dx2 ^ dx3 ^ dx4 on the cw11 profile is not parallel, so R^D
+    # at the origin certifies nothing: every flatness condition fails and
+    # names the premise, and no kernel is reported
+    b = get_background("cw11")
+    F = KForm(b.geometry.space, 4, {(2, 3, 4, 5): Polynomial.constant(S(6))})
+    rep = verify_d11_maxsusy(b._replace(name="cw11-transverse",
+                                        fluxes={"F4": F}))
+    cond = {c.name: c for c in rep.conditions}
+    assert not cond["nabla F=0"].passed
+    for name in ("supercovariant curvature R^D = 0", "sl(32) tracelessness",
+                 "clifford-trace field equation identity", "nu = 1"):
+        assert not cond[name].passed, name
+        assert cond[name].witness.startswith("premise nabla F = 0 fails"), \
+            name
+    assert "nu" not in rep.invariants
+    rep2, dim, basis, alg = supercovariant_flatness(
+        b._replace(fluxes={"F4": F}))
+    assert not rep2.passed and dim is None and alg is None
+
+
+def test_chart_metric_at_the_origin_must_be_the_lightcone_gram():
+    # the pointwise formula reads frame components off the chart origin;
+    # a chart whose metric there is not the lightcone Gram is refused
+    b = get_background("cw11")
+    p = b.geometry
+    g = [row[:] for row in p.metric]
+    ginv = [row[:] for row in p.metric_inv]
+    g[2][2] = ginv[2][2] = Polynomial.constant(S(-1))
+    q = CoordinatePatch(p.coords, g, ginv)
+    with pytest.raises(ValueError, match="lightcone Gram"):
+        supercovariant_connection(b._replace(geometry=q))
 
 
 def test_nw6_chart_as_d6_background():
@@ -722,16 +894,19 @@ def test_nw6_chart_as_d6_background():
 
 
 def test_cw10_connection_commutators_equal_difference_of_products():
-    from sugraverify.sugra import supercovariant_connection
-    p, alg, thetas = supercovariant_connection(get_background("cw10"))
-    n = p.dim
+    # the flux terms Omega_a (complex coefficients) and the curvature values
+    # (real spin part plus complex brackets)
+    alg, omegas = supercovariant_connection(get_background("cw10"))
+    _, curv = supercovariant_curvature(get_background("cw10"))
+    n = alg.space.dim
     nonzero = 0
     for mm in range(n):
         for nn in range(mm + 1, n):
-            x, y = thetas[mm], thetas[nn]
-            got = x.commutator(y)
-            assert (got - (x * y - y * x)).is_zero(), (mm, nn)
-            nonzero += not got.is_zero()
+            for x, y in ((omegas[mm], omegas[nn]),
+                         (curv[(0, 1)] + omegas[mm], omegas[nn])):
+                got = x.commutator(y)
+                assert (got - (x * y - y * x)).is_zero(), (mm, nn)
+                nonzero += not got.is_zero()
     assert nonzero
 
 
