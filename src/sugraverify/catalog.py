@@ -20,12 +20,12 @@ id's default parameters, and only the background asked for is built.
 
 from collections import namedtuple
 
-from .exactnum import Scalar, Polynomial, sqrt_scalar, parse_scalar
+from .exactnum import Scalar, sqrt_scalar, parse_scalar
 from .multilinear import KForm, form_inner
 from .clifford import build_gamma, FrameAlgebra
-from .liealg import (CWData, nw6, so12_so3, e15, canonical_three_form,
-                     SU3_STRUCTURE)
-from .geometry import ConstCurvBlock, ProductGeometry, cw_patch
+from .liealg import (CWData, cw_algebra, nw6, so12_so3, e15,
+                     canonical_three_form, SU3_STRUCTURE)
+from .geometry import ConstCurvBlock, ProductGeometry
 from .sugra import (BackgroundSpec, VerificationReport, theory_geometry,
                     _DIMENSION,
                     verify_d11_maxsusy, verify_iib_maxsusy, verify_d6,
@@ -250,37 +250,37 @@ def susy_count(p, dilaton_kind):
     return {"iia": iia, "iib": iib, "sector": "frame-constant"}
 
 
-def _dilaton_chart(p, dphi):
-    """(chart, phi): the exact plane-wave chart of p's flat and plane-wave
-    block and the dilaton on it (b = 1 along x-, plus dphi's last flat leg).
-    The dilaton has no legs on the curved factors and the product metric is
-    block diagonal, so nabla dphi is verified on this chart and vanishes
-    structurally elsewhere."""
+def _dilaton_pair(p, dphi):
+    """(pair, dphi): the transvection pair of p's flat and plane-wave block
+    and the dilaton gradient on it at the base point (1 along e-, plus
+    dphi's last flat leg).  The dilaton has no legs on the curved factors
+    and the product metric is block diagonal, so nabla dphi is computed on
+    this pair and vanishes structurally elsewhere."""
     weights = _CW_WEIGHTS[FACTORS[p.lorentz].dim] \
         if p.lorentz.startswith("CW") else []
-    m = 8 - 3 * p.spheres - 8 * p.su3   # transverse legs on the chart
+    m = 8 - 3 * p.spheres - 8 * p.su3   # transverse legs of the pair
     diag = []
     for w in weights:
         lam = Scalar(w) * Scalar(w) * R_(-1, 4)
         diag.extend([lam, lam])
     diag.extend([Scalar(0)] * (m - len(diag)))
-    chart = cw_patch(CWData.diagonal(diag))
-    phi = Polynomial.variable(chart.coords[1])
+    pair = cw_algebra(CWData.diagonal(diag))
+    comps = {(1,): Scalar(1)}
     ycoeff = dphi.components.get((dphi.space.dim - 1,))
     if ycoeff is not None:
-        phi = phi + ycoeff * Polynomial.variable(chart.coords[-1])
-    return chart, phi
+        comps[(pair.dim - 1,)] = ycoeff
+    return pair, KForm(pair.space, 1, comps)
 
 
 def typeII_background(p, dilaton_kind):
     """The typeII-common record of a geometry product: its assembled frame
-    data, with the dilaton's chart where the dilaton varies on a lightcone
-    frame."""
+    data, with the dilaton's plane-wave pair where the dilaton varies on a
+    lightcone frame."""
     frame_data = assemble_parallelisable(p, dilaton_kind)
     notes = frame_data.pop("notes")
     if _null_frame(p) and dilaton_kind != "constant":
-        frame_data["cw_patch"], frame_data["phi_poly"] = \
-            _dilaton_chart(p, frame_data["dphi"])
+        frame_data["pair"], frame_data["dphi_pair"] = \
+            _dilaton_pair(p, frame_data["dphi"])
     return BackgroundSpec("typeII-common", p.display(), None, {}, notes,
                           frame_data=frame_data)
 
@@ -365,12 +365,11 @@ def table4_lines():
 # ---------------------------------------------------------------------------
 
 def _plane_wave(theory, name, data, fluxes, notes=()):
-    """The background on the plane-wave chart of the profile `data`, with
-    the fluxes {name: {indices: Scalar}} on the chart's coordinates."""
-    p = cw_patch(data)
-    return BackgroundSpec(theory, name, p,
-                          _forms(p.space, fluxes, Polynomial.constant),
-                          notes, data)
+    """The plane wave of the profile `data` at its base point, with the
+    fluxes {name: {indices: Scalar}} on the frame (xp, xm, x1..)."""
+    p = cw_algebra(data)
+    return BackgroundSpec(theory, name, p, _forms(p.space, fluxes), notes,
+                          data)
 
 
 def _cw11_background(mu=6, perturb=None):
@@ -546,6 +545,27 @@ def _file_scalar(text, params, where):
         raise ValueError(f"{where}: {e}") from None
 
 
+def _known_keys(obj, where, known):
+    """Reject the first key of the file object obj (at the entry path
+    prefix where) that the format does not define, naming its path."""
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"{where}{key}: unknown key; expected "
+                             f"{', '.join(known)}")
+
+
+class _Bindings(dict):
+    """A file's parameter bindings, remembering the names a scalar read."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return dict.__getitem__(self, name)
+
+
 def _file_fluxes(doc, params, dim):
     """{name: {indices: Scalar}} for the "fluxes" of a background file on a
     frame of dimension dim.  Every entry must name a known flux and give its
@@ -564,6 +584,8 @@ def _file_fluxes(doc, params, dim):
         comps = parsed[fname] = {}
         for pos, e in enumerate(entries):
             where = f"fluxes.{fname}[{pos}]"
+            if isinstance(e, dict):
+                _known_keys(e, f"{where}.", ("indices", "coeff"))
             idx = e.get("indices") if isinstance(e, dict) else None
             if not (isinstance(idx, list) and len(idx) == k
                     and all(type(i) is int and 0 <= i < dim for i in idx)
@@ -578,11 +600,10 @@ def _file_fluxes(doc, params, dim):
     return parsed
 
 
-def _forms(space, fluxes, wrap):
+def _forms(space, fluxes):
     """{name: KForm on space} for {name: {indices: Scalar}}, each of its
-    name's degree; wrap(Scalar) is the coefficient."""
-    return {f: KForm(space, _FLUX_DEGREE[f],
-                     {i: wrap(c) for i, c in comps.items()})
+    name's degree."""
+    return {f: KForm(space, _FLUX_DEGREE[f], comps)
             for f, comps in fluxes.items()}
 
 
@@ -604,11 +625,13 @@ def load_background(path):
     if not isinstance(doc, dict):
         raise ValueError(f"expected a JSON object at the top level, got "
                          f"{type(doc).__name__}")
+    _known_keys(doc, "", ("theory", "name", "parameters", "geometry",
+                          "fluxes"))
     params = doc.get("parameters", {})
     if not isinstance(params, dict):
         raise ValueError("parameters: expected an object of scalar strings")
-    params = {k: _file_scalar(v, {}, f"parameters.{k}")
-              for k, v in params.items()}
+    params = _Bindings((k, _file_scalar(v, {}, f"parameters.{k}"))
+                       for k, v in params.items())
     theory = doc.get("theory")
     if theory not in _FILE_THEORIES:
         raise ValueError(f"theory: expected one of "
@@ -626,6 +649,7 @@ def load_background(path):
                          f"{orientation!r}")
     data = None
     if kind == "cw":
+        _known_keys(geom, "geometry.", ("type", "orientation", "profile"))
         rows = geom.get("profile")
         if not (isinstance(rows, list) and all(
                 isinstance(r, list) and len(r) == len(rows) for r in rows)):
@@ -635,8 +659,9 @@ def load_background(path):
         data = CWData([[_file_scalar(x, params, f"geometry.profile[{i}][{j}]")
                         for j, x in enumerate(row)]
                        for i, row in enumerate(rows)])
-        geometry = cw_patch(data, orientation=orientation)
+        geometry = cw_algebra(data, orientation)
     elif kind == "product":
+        _known_keys(geom, "geometry.", ("type", "orientation", "blocks"))
         entries = geom.get("blocks")
         if not isinstance(entries, list):
             raise ValueError("geometry.blocks: expected a list of blocks")
@@ -645,6 +670,8 @@ def load_background(path):
             where = f"geometry.blocks[{i}]"
             if not isinstance(blk, dict):
                 raise ValueError(f"{where}: expected an object, got {blk!r}")
+            _known_keys(blk, f"{where}.", ("dim", "scalar_curvature",
+                                           "lorentzian", "label"))
             dim = blk.get("dim")
             if not (type(dim) is int and dim >= 1):
                 raise ValueError(f"{where}.dim: expected a positive integer, "
@@ -669,9 +696,11 @@ def load_background(path):
     else:
         raise ValueError(f"unknown geometry type {kind!r}")
     fluxes = _file_fluxes(doc, params, geometry.dim)
+    unread = [k for k in params if k not in params.read]
+    if unread:
+        raise ValueError(f"parameters.{unread[0]}: unknown key; no scalar "
+                         f"of the file reads it")
     # the signature is checked before the forms are built
     theory_geometry(theory, name, geometry)
-    # chart components are polynomials, frame components scalars
-    wrap = Polynomial.constant if kind == "cw" else Scalar
     return BackgroundSpec(theory, name, geometry,
-                          _forms(geometry.space, fluxes, wrap), cw_data=data)
+                          _forms(geometry.space, fluxes), cw_data=data)

@@ -433,9 +433,6 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return all(all(e == 0 for e in exp) for exp in self.terms)
-
     def constant_value(self):
         """The value as a Scalar; raises if genuinely coordinate-dependent."""
         val = ZERO
@@ -548,10 +545,6 @@ class Polynomial:
             if not coef.is_zero():
                 out = out + term
         return out
-
-    def eval(self, values):
-        """Full evaluation to a Scalar."""
-        return self.subs(values).constant_value()
 
     def __str__(self):
         if not self.terms:

@@ -1,13 +1,16 @@
 """Exact tensor calculus on polynomial-metric coordinate patches and on
 algebraic products of constant-curvature blocks.
 
-Every geometry a verifier sees -- a CoordinatePatch, a ProductGeometry or a
-liealg.MetricLieAlgebra -- offers one interface: ``space`` and ``dim``,
-``signature()``, ``riemann()`` and ``ricci()``, the exterior derivative
-``d(F)``, the covariant derivative ``nabla(F)`` as {direction: form}, the
-``premise`` a report cites for d and nabla (empty where they are computed),
-and (chart and algebra) the connection coefficients ``gamma(k, i, j)`` and
-coordinate partials ``partial(x, mu)``, None where they vanish.
+Every geometry a verifier sees -- a liealg.CWAlgebra (a plane wave at one
+point), a ProductGeometry or a liealg.MetricLieAlgebra -- offers one
+interface: ``space`` and ``dim``, ``signature()``, ``riemann()`` and
+``ricci()``, the exterior derivative ``d(F)``, the covariant derivative
+``nabla(F)`` as {direction: form}, the ``premise`` a report cites for d and
+nabla (empty where they are computed), and (algebra and chart) the
+connection coefficients ``gamma(k, i, j)`` and coordinate partials
+``partial(x, mu)``, None where they vanish.  A CoordinatePatch offers the
+same interface on polynomial components; the package builds none for a
+verifier, and the tests hold the plane-wave pair to its chart.
 
 Curvature is one formula over ``gamma`` and ``partial`` (``_curvature``):
 ``riemann()`` of a chart or an algebra applies it to the Levi-Civita
@@ -28,14 +31,13 @@ from itertools import combinations
 
 from .exactnum import Scalar, Polynomial
 from .multilinear import QuadraticSpace, KForm, BiSymTensor, sort_sign, \
-    form_component, signature, accumulate, kulkarni_nomizu, flat, \
-    nonzero_columns
+    signature, accumulate, kulkarni_nomizu, crossed_inners, nonzero_columns
 from . import linalg
 
 __all__ = ["CoordinatePatch", "cw_patch", "christoffel", "riemann", "ricci",
            "exterior_derivative", "covariant_derivative_form",
            "curvature_with_torsion", "flat_torsion_consequences",
-           "lightcone_coframe", "killing_check",
+           "lightcone_coframe",
            "ConstCurvBlock", "ProductGeometry"]
 
 _Z = Scalar(0)
@@ -132,15 +134,6 @@ def cw_patch(data, names=None, orientation=1):
         g[2 + i][2 + i] = one
         ginv[2 + i][2 + i] = one
     return CoordinatePatch(coords, g, ginv, orientation)
-
-
-def flat_patch(dim, lorentzian=True, names=None):
-    """Minkowski/euclidean chart, mostly-plus."""
-    coords = tuple(names) if names else tuple(f"x{i}" for i in range(dim))
-    g = [[_pz() for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        g[i][i] = Polynomial.constant(-1 if (lorentzian and i == 0) else 1)
-    return CoordinatePatch(coords, g, [row[:] for row in g])
 
 
 def christoffel(p):
@@ -332,13 +325,20 @@ def curvature_with_torsion(geom, H):
                    - 1/4 g(T(X,W),T(Y,Z)) + 1/4 g(T(Y,W),T(X,Z)),
 
     which the tests check.  On a metric Lie algebra with its canonical
-    3-form this vanishes identically (the parallelising connection)."""
+    3-form this vanishes identically (the parallelising connection).  A
+    plane wave at one point (liealg.CWAlgebra) has no connection
+    coefficients: there dH = 0 only for a parallel H, so nabla T = 0 and
+    the expansion is taken as it stands, its last two terms being -1/4
+    crossed_inners(H)."""
     dH = geom.d(H)
     if isinstance(dH, Unverified):
         raise ValueError(f"closure of the torsion 3-form was not computed: "
                          f"{dH}")
     if not dH.is_zero():
         raise ValueError("torsion 3-form is not closed")
+    if not hasattr(geom, "gamma"):
+        return geom.riemann() + crossed_inners(geom.space, H).scale(
+            Scalar.from_rational(-1, 4))
     T = _torsion_from_h(H)
     half = Scalar.from_rational(1, 2)
 
@@ -496,24 +496,6 @@ def spin_connection(p, cof, frm, gram):
     return lowered
 
 
-def killing_check(p, V):
-    """Exact Killing equation nabla_(mu V_nu) = 0 for a vector field with
-    polynomial components V^mu; returns (True, None) or (False, (mu, nu))."""
-    n = p.dim
-    nV = p.nabla(flat(p.space, V))
-    for mu in range(n):
-        for nu in range(mu, n):
-            s = form_component(nV[mu], (nu,))
-            t = form_component(nV[nu], (mu,))
-            if s is None:
-                s = t
-            elif t is not None:
-                s = s + t
-            if s is not None and not s.is_zero():
-                return False, (mu, nu)
-    return True, None
-
-
 # ---------------------------------------------------------------------------
 # products of constant-curvature blocks
 # ---------------------------------------------------------------------------
@@ -649,7 +631,7 @@ class ProductGeometry:
 
     def gamma(self, *args):
         raise ValueError("a product of constant-curvature blocks has no "
-                         "frame connection; torsion needs a chart or a "
+                         "frame connection; torsion needs a plane wave or a "
                          "metric Lie algebra")
 
     partial = gamma

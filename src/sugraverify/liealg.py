@@ -11,8 +11,10 @@ catalog entry so the stated duality properties hold).
 from itertools import combinations
 
 from .exactnum import Scalar, ZERO, ONE, sqrt_scalar
-from .multilinear import QuadraticSpace, KForm, hodge, form_component
-from .geometry import covariant_derivative_form, riemann
+from .multilinear import (QuadraticSpace, KForm, BiSymTensor, hodge,
+                          form_component, lambda_action, sort_sign,
+                          accumulate)
+from .geometry import covariant_derivative_form, riemann, Unverified
 from . import linalg
 
 __all__ = ["MetricLieAlgebra", "CWData", "jacobi_check", "invariance_check",
@@ -65,6 +67,14 @@ class MetricLieAlgebra:
 
     def basis_bracket(self, i, j):
         return self.c[i][j]
+
+    def bracket_table(self):
+        """{(i, j): {k: c_ij^k}}, nonzero brackets and entries only."""
+        n = self.dim
+        return {(i, j): {k: v for k, v in enumerate(self.c[i][j])
+                         if not v.is_zero()}
+                for i in range(n) for j in range(n)
+                if any(not v.is_zero() for v in self.c[i][j])}
 
     def ad(self, x):
         """Matrix of ad_x."""
@@ -184,18 +194,27 @@ class MetricLieAlgebra:
 
 
 def jacobi_check(g):
-    """Cyclic Jacobi identity over all basis triples; returns 'pass' or a
-    witness triple."""
-    n = g.dim
-    for i, j, k in combinations(range(n), 3):
-        acc = [_Z] * n
-        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = g.basis_bracket(b, c)
-            term = g.bracket(g.basis_vector(a), inner)
-            acc = [x + y for x, y in zip(acc, term)]
-        if any(not x.is_zero() for x in acc):
-            return ("witness", (i, j, k))
-    return ("pass", None)
+    """Cyclic Jacobi identity over the nonzero brackets of g (a
+    MetricLieAlgebra or a CWAlgebra): each term [e_i, [e_j, e_k]] (j < k)
+    enters the Jacobiator of the sorted triple with the sign of its sorting
+    permutation.  Returns ("pass", None) or ("witness", the first failing
+    triple)."""
+    br = g.bracket_table()
+    outer = sorted({i for i, _ in br})
+    jac = {}
+    for (j, k), inner in br.items():
+        if j > k:
+            continue
+        for l, x in inner.items():
+            for i in outer:
+                sign, key = sort_sign((i, j, k))
+                if not sign:
+                    continue
+                for t, y in br.get((i, l), {}).items():
+                    accumulate(jac.setdefault(key, {}), t,
+                               x * y if sign > 0 else -(x * y))
+    bad = sorted(key for key, vec in jac.items() if vec)
+    return ("witness", bad[0]) if bad else ("pass", None)
 
 
 def invariance_check(g):
@@ -329,16 +348,23 @@ class CWData:
 
 
 class CWAlgebra:
-    """The transvection algebra of a Cahen-Wallach space, with its symmetric
-    split.  Basis ordering: (e+, e-, v_1..v_m, a_1..a_m) where the v span
-    the flat directions and the a span V*.  The invariant product B lives on
-    p = span(e+, e-, v) only (it is k-invariant, not a full metric)."""
+    """The transvection pair g = k + p of a Cahen-Wallach space, which is
+    also the space at its base point as a geometry (the interface in
+    geometry's docstring).  Basis of g: (e+, e-, v_1..v_m, a_1..a_m), with
+    [e-, v_i] = a_i, [e-, a_i] = A v_i and [a_i, v_j] = A_ij e+.  p =
+    span(e+, e-, v), with the lightcone product B, is the tangent space at
+    the point, the chart's frame (d+, d-, d_i) at x = 0, and its legs are
+    named like the chart's coordinates.  The space is symmetric, so its
+    curvature is R(X,Y)Z = -[[X,Y],Z], and a form given at the point
+    extends to a parallel form iff k = span(a) leaves it invariant
+    (docs/conventions.md)."""
 
-    def __init__(self, data):
-        self.data = data
+    premise = ""            # nabla is computed; d follows from it
+
+    def __init__(self, data, orientation=1):
         m = data.n - 2
-        self.dim = 2 + 2 * m
         self.m = m
+        self.dim = data.n
         A = data.A
         brackets = {}
         for i in range(m):
@@ -350,96 +376,111 @@ class CWAlgebra:
                 if not A[i][j].is_zero():
                     brackets[(2 + m + i, 2 + j)] = {0: A[i][j]}  # [a, v] = A(v,a) e+
         self.brackets = brackets
-        alg = MetricLieAlgebra(self.dim, brackets, linalg.eye(self.dim),
-                               name=f"gA(n={data.n})")
-        self.c = alg.c
-        self._alg = alg
-        # B on p = (e+, e-, v): lightcone pairing + euclidean block
-        self.B_p = linalg.zeros(2 + m, 2 + m)
-        self.B_p[0][1] = self.B_p[1][0] = Scalar(1)
-        for i in range(m):
-            self.B_p[2 + i][2 + i] = Scalar(1)
+        self._br = {}           # (i, j): [e_i, e_j], both orders, nonzero only
+        for (i, j), vec in brackets.items():
+            self._br[(i, j)] = vec
+            self._br[(j, i)] = {k: -v for k, v in vec.items()}
+        B = linalg.eye(self.dim)        # the lightcone B, its own inverse
+        B[0][0], B[1][1], B[0][1], B[1][0] = _Z, _Z, ONE, ONE
+        self.space = QuadraticSpace(B, orientation, ("xp", "xm") + tuple(
+            f"x{i + 1}" for i in range(m)), inverse=B)
+        self._holonomy = None
+        self._riemann = None
 
-    def p_indices(self):
-        return list(range(2 + self.m))
-
-    def k_indices(self):
-        return list(range(2 + self.m, self.dim))
-
-    def jacobi(self):
-        return jacobi_check(self._alg)
+    def bracket_table(self):
+        return self._br
 
     def symmetric_split_check(self):
-        """[k,p] in p and [p,p] in k, verified from the structure constants."""
-        p = set(self.p_indices())
-        k = set(self.k_indices())
-        for i in k:
-            for j in p:
-                for l in range(self.dim):
-                    if not self.c[i][j][l].is_zero() and l not in p:
-                        return False
-        for i in p:
-            for j in p:
-                for l in range(self.dim):
-                    if not self.c[i][j][l].is_zero() and l not in k:
-                        return False
-        return True
+        """[k,k] in k, [k,p] in p and [p,p] in k, over the nonzero brackets
+        (p is the first dim basis vectors)."""
+        p = self.dim
+        return all((l < p) == ((i < p) != (j < p))
+                   for (i, j), vec in self._br.items() for l in vec)
+
+    def _ad_matrices(self):
+        """{xi: {(x, y): B(e_x, [xi, e_y])}} for xi in k and x, y in p,
+        nonzero entries only (the split puts [xi, e_y] in p)."""
+        out = {}
+        for xi in range(self.dim, self.dim + self.m):
+            mat = out[xi] = {}
+            for y in range(self.dim):
+                for l, v in self._br.get((xi, y), {}).items():
+                    for x, g in self.space.metric_cols[l]:
+                        accumulate(mat, (x, y), g * v)
+        return out
 
     def k_invariance_check(self):
-        """B([xi, x], y) + B(x, [xi, y]) = 0 for xi in k and x, y in p."""
-        p = self.p_indices()
-        for xi in self.k_indices():
-            for a in p:
-                for b in p:
-                    br1 = self.c[xi][a]
-                    br2 = self.c[xi][b]
-                    s = _Z
-                    for l in p:
-                        s = s + br1[l] * self.B_p[p.index(l)][p.index(b)] \
-                              + self.B_p[p.index(a)][p.index(l)] * br2[l]
-                    if not s.is_zero():
-                        return False
+        """B([xi, x], y) + B(x, [xi, y]) = 0 for xi in k and x, y in p: each
+        matrix of _ad_matrices is skew."""
+        for mat in self._ad_matrices().values():
+            for (x, y), v in mat.items():
+                w = mat.get((y, x))
+                if w is None or not (v + w).is_zero():
+                    return False
         return True
 
-    def solvable(self):
-        dims = self._alg.derived_series()
-        return dims[-1] == 0
+    # -- the space at the base point --------------------------------------
 
-    def second_derived_central(self):
-        """The second derived ideal lies in the center (three-step solvable)."""
-        n = self.dim
-        alg = self._alg
-        span = linalg.eye(n)
-        for _ in range(2):
-            rows = []
-            for a in range(len(span)):
-                for b in range(a + 1, len(span)):
-                    rows.append(alg.bracket(span[a], span[b]))
-            rows = [r for r in rows if any(not x.is_zero() for x in r)]
-            if not rows:
-                return True
-            red, piv = linalg.rref(rows)
-            span = red[:len(piv)]
-        center = alg.center()
-        if not span:
-            return True
-        aug = [list(v) for v in center]
-        for v in span:
-            if linalg.rank(aug + [list(v)]) != linalg.rank(aug):
-                return False
-        return True
+    def signature(self):
+        return self.space.signature()
+
+    def riemann(self):
+        """R(a,b,c,w) = -B([[e_a,e_b],e_c], e_w) on the canonical keys, over
+        the nonzero brackets."""
+        if self._riemann is None:
+            comps = {}
+            cols = self.space.metric_cols
+            for a, b in combinations(range(self.dim), 2):
+                for xi, x in self._br.get((a, b), {}).items():
+                    for c in range(self.dim):
+                        for t, y in self._br.get((xi, c), {}).items():
+                            for w, g in cols[t]:
+                                if c < w and (a, b) <= (c, w):
+                                    accumulate(comps, (a, b, c, w),
+                                               -(x * y * g))
+            self._riemann = BiSymTensor(self.space, comps)
+        return self._riemann
+
+    def ricci(self):
+        return self.riemann().ricci()
+
+    def nabla(self, F):
+        """{} when F is k-invariant, that is parallel; otherwise {xi:
+        Unverified} for the first generator xi of k that moves F, naming
+        lambda(ad xi) F.  ad xi acts on p as the 2-form B(., [xi, .])."""
+        if self._holonomy is None:
+            self._holonomy = [
+                (f"a{xi - self.dim + 1}", KForm(self.space, 2, {
+                    k: v for k, v in mat.items() if k[0] < k[1]}))
+                for xi, mat in sorted(self._ad_matrices().items())]
+        for name, omega in self._holonomy:
+            moved = lambda_action(omega, F)
+            if not moved.is_zero():
+                return {name: Unverified(
+                    f"the form is not k-invariant, hence not parallel: "
+                    f"ad {name} takes it to {moved}")}
+        return {}
+
+    def d(self, F):
+        """dF = Alt nabla F for the Levi-Civita connection: zero when F is
+        parallel, otherwise nabla's Unverified."""
+        moved = self.nabla(F)
+        return next(iter(moved.values())) if moved else \
+            KForm.zero(self.space, min(F.degree + 1, self.dim))
 
 
-def cw_algebra(data):
-    """Transvection algebra of a Cahen-Wallach space (symmetric split and
-    invariance facts checked on construction)."""
-    out = CWAlgebra(data)
-    status, witness = out.jacobi()
+def cw_algebra(data, orientation=1):
+    """The transvection pair of a Cahen-Wallach space, with orientation the
+    sign of its frame (xp, xm, x1..); the symmetric split, the Jacobi
+    identity and k-invariance are checked on construction."""
+    out = CWAlgebra(data, orientation)
+    if not out.symmetric_split_check():
+        raise RuntimeError("CW algebra: symmetric split fails")
+    status, witness = jacobi_check(out)
     if status != "pass":
         raise RuntimeError(f"CW Jacobi identity fails at {witness}")
-    if not (out.symmetric_split_check() and out.k_invariance_check()):
-        raise RuntimeError("CW algebra: symmetric split or k-invariance "
-                           "fails")
+    if not out.k_invariance_check():
+        raise RuntimeError("CW algebra: k-invariance fails")
     return out
 
 

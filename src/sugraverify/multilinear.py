@@ -26,7 +26,8 @@ from . import linalg
 __all__ = ["QuadraticSpace", "KForm", "BiSymTensor", "wedge", "interior",
            "interior_frame", "hodge", "form_inner", "contraction_inners",
            "basis_contractions", "flat", "map_slots", "nonzero_columns",
-           "kulkarni_nomizu", "plucker_check", "lambda_action", "sort_sign",
+           "kulkarni_nomizu", "crossed_inners", "plucker_check",
+           "lambda_action", "sort_sign",
            "form_component", "signature", "accumulate"]
 
 _Z = ZERO
@@ -497,6 +498,28 @@ def kulkarni_nomizu(h, k, space):
     return BiSymTensor(space, comps)
 
 
+def crossed_inners(space, F):
+    """The BiSymTensor (X,Y,Z,W) -> <iota_X iota_W F, iota_Y iota_Z F>
+    - <iota_X iota_Z F, iota_Y iota_W F>: the right-hand side of the IIB
+    Riemann identity, and -4 times the torsion-square terms of a connection
+    with skew torsion F = H.  With Q(a,b;c,d) = <F(e_a, e_b, ...),
+    F(e_c, e_d, ...)> it is Q(W,X;Z,Y) - Q(Z,X;W,Y): each ordering of each
+    depth-2 table entry gives Q(w,x;z,y) at (x, y, z, w), and its negative
+    at (x, y, w, z); the canonical one of the two is kept."""
+    comps = {}
+    for (A, B), v in contraction_inners(F, 2).items():
+        if len(A) < 2:
+            continue
+        for (p, q), (r, t) in ((A, B),) if A == B else ((A, B), (B, A)):
+            for x, w, y, z, s in ((q, p, t, r, v), (p, q, t, r, -v),
+                                  (q, p, r, t, -v), (p, q, r, t, v)):
+                if z > w:
+                    z, w, s = w, z, -s
+                if x < y and z < w and (x, y) <= (z, w):
+                    accumulate(comps, (x, y, z, w), s)
+    return BiSymTensor(space, comps)
+
+
 class BiSymTensor:
     """4-tensor skew in (1,2) and (3,4), symmetric under pair exchange.
 
@@ -572,20 +595,6 @@ class BiSymTensor:
                     out[y][z] = total
                     out[z][y] = total
         return out
-
-    def cyclic_violation(self):
-        """First witness of a first Bianchi identity failure (cyclic sum over
-        the first three slots, every choice of fourth slot), or None."""
-        n = self.space.dim
-        for quad in combinations(range(n), 4):
-            for w in range(4):
-                l = quad[w]
-                i, j, k = (quad[x] for x in range(4) if x != w)
-                s = self.get(i, j, k, l) + self.get(j, k, i, l) \
-                    + self.get(k, i, j, l)
-                if not s.is_zero():
-                    return (i, j, k, l), s
-        return None
 
 
 def plucker_check(F):

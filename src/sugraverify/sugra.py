@@ -14,16 +14,14 @@ from itertools import combinations
 from math import comb
 import json
 
-from .exactnum import Scalar, Polynomial, ONE as _ONE
+from .exactnum import Scalar, ONE as _ONE
 from .multilinear import (KForm, BiSymTensor, wedge, hodge, interior,
                           form_inner, contraction_inners, basis_contractions,
                           kulkarni_nomizu, plucker_check, lambda_action,
-                          accumulate)
+                          crossed_inners)
 from .clifford import (ComplexScalar, build_gamma, FrameAlgebra,
-                       clifford_action, omega_xf, kernel_dim, chiral_basis,
-                       spinor_to_vector)
-from .geometry import (Unverified, curvature_with_torsion, killing_check,
-                       lightcone_coframe)
+                       clifford_action, omega_xf, kernel_dim, chiral_basis)
+from .geometry import Unverified, curvature_with_torsion
 
 __all__ = ["BackgroundSpec", "VerificationReport", "theory_geometry",
            "verify_d11", "verify_d11_maxsusy", "supercovariant_connection",
@@ -114,12 +112,12 @@ class BackgroundSpec(namedtuple("BackgroundSpec", "theory name geometry "
                                 defaults=((), None, None))):
     """A background as data, built once.
 
-    geometry is a CoordinatePatch, ProductGeometry or MetricLieAlgebra (the
-    interface in geometry's docstring) and fluxes a dict of named KForms on
-    geometry.space; notes go into the report.  cw_data keeps a plane wave's
-    profile, which the tr A invariant reads.  The typeII-common and iia
-    records have no geometry: their verifiers read the frame_data that the
-    catalog assembles by hand.
+    geometry is a CWAlgebra (a plane wave at one point), ProductGeometry or
+    MetricLieAlgebra (the interface in geometry's docstring) and fluxes a
+    dict of named KForms on geometry.space; notes go into the report.
+    cw_data keeps a plane wave's profile, which the tr A invariant reads.
+    The typeII-common and iia records have no geometry: their verifiers
+    read the frame_data that the catalog assembles by hand.
     """
 
     __slots__ = ()
@@ -250,7 +248,7 @@ def _d11_field_equations(b):
                    _maxwell_residual(geom.space, F, nabla_F), geom.premise)
     _add_einstein(rep, "einstein Ric=T(g,F)", geom,
                   _stress(geom.space, F, Scalar.from_rational(1, 6)))
-    rep.invariants["|F|^2"] = str(_poly_str(form_inner(F, F)))
+    rep.invariants["|F|^2"] = str(form_inner(F, F))
     if b.cw_data is not None:
         rep.invariants["tr A"] = str(_trace(b.cw_data.A))
     rep.notes.extend(b.notes)
@@ -270,12 +268,6 @@ def _maxwell_residual(space, F, nabla_F):
     FF = wedge(F, F)
     return div if FF.is_zero() else \
         div + hodge(FF) * Scalar.from_rational(1, 2)
-
-
-def _poly_str(x):
-    if isinstance(x, Polynomial):
-        return x.constant_value() if x.is_constant() else x
-    return x
 
 
 def _trace(A):
@@ -323,21 +315,11 @@ def verify_d11_maxsusy(b):
     _add_vanishing(rep, "nabla F=0", nabla_F, geom.premise)
     _add_identity(rep, "riemann-flux identity", geom.riemann(),
                   _riemann_flux_rhs(geom.space, F))
-    status, witness = plucker_check(_scalarize(F))
+    status, witness = plucker_check(F)
     rep.add("plucker", status == "decomposable",
             witness="" if status == "decomposable" else str(witness))
     _add_supercovariant_flatness(rep, b, nabla_F)
     return rep
-
-
-def _constant(c):
-    """A constant chart component as a Scalar."""
-    return c.constant_value() if isinstance(c, Polynomial) else c
-
-
-def _scalarize(F):
-    return KForm(F.space, F.degree,
-                 {idx: _constant(c) for idx, c in F.components.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -346,20 +328,19 @@ def _scalarize(F):
 
 def supercovariant_connection(b):
     """The flux terms Omega_a of the supercovariant derivative D_a = nabla_a
-    + Omega_a of a plane wave at its chart origin, where the chart metric is
-    the lightcone Gram and e_a = d_a: omega_xf(e_a, F) for d11 and
-    i/4 c(F) c(e_a^flat) for IIB.  Returns (alg, [Omega_a]) on the lightcone
-    frame algebra."""
+    + Omega_a of a plane wave at its base point, whose frame has the
+    lightcone Gram: omega_xf(e_a, F) for d11 and i/4 c(F) c(e_a^flat) for
+    IIB.  Returns (alg, [Omega_a]) on the lightcone frame algebra."""
     if b.theory not in ("d11", "iib") or b.cw_data is None:
         raise ValueError("supercovariant connection only for d11/iib plane "
                          "waves")
     p = b.geometry
     n = p.dim
     alg = FrameAlgebra.lightcone(build_gamma((1, n - 1)))
-    if p.metric_at_origin() != alg.space.metric:
-        raise ValueError(f"{b.name}: the chart metric at the origin is not "
+    if p.space.metric != alg.space.metric:
+        raise ValueError(f"{b.name}: the frame at the point does not have "
                          f"the lightcone Gram")
-    F = _scalarize(b.fluxes[_FLUX[b.theory]])
+    F = b.fluxes[_FLUX[b.theory]]
     F = KForm(alg.space, F.degree, F.components)
     if b.theory == "d11":
         return alg, [omega_xf([_ONE if i == a else _Z for i in range(n)],
@@ -371,13 +352,12 @@ def supercovariant_connection(b):
 
 def supercovariant_curvature(b):
     """R^D_ab = -1/2 c(R_ab) + [Omega_a, Omega_b] for a < b, with R_ab the
-    2-form R(e_a, e_b, ., .), at the chart origin of a plane wave.  It is the
+    2-form R(e_a, e_b, ., .), at the base point of a plane wave.  It is the
     curvature of D there when nabla F = 0 (docs/conventions.md).  Returns
     (alg, {(a, b): R^D_ab})."""
     alg, omegas = supercovariant_connection(b)
     spin = {}                   # (a, b): {(c, d): R(e_a, e_b, e_c, e_d)}
     for (i, j, k, l), v in b.geometry.riemann().components.items():
-        v = _constant(v)
         spin.setdefault((i, j), {})[(k, l)] = v
         spin.setdefault((k, l), {})[(i, j)] = v
     minus_half = Scalar.from_rational(-1, 2)
@@ -400,7 +380,7 @@ def supercovariant_flatness(b, nabla_F=None):
     kernel, and the supersymmetry fraction nu.  Returns (report, kernel
     dimension, kernel basis, alg).
 
-    R^D is taken at the chart origin (supercovariant_curvature).  A plane
+    R^D is taken at the base point (supercovariant_curvature).  A plane
     wave's profile is constant, so nabla R = 0; with nabla F = 0 as well,
     R^D is parallel and vanishes everywhere iff it vanishes there.  nabla F
     (computed here unless given) is therefore the premise of every
@@ -469,27 +449,6 @@ def supercovariant_flatness(b, nabla_F=None):
 # IIB (constant axi-dilaton sector)
 # ---------------------------------------------------------------------------
 
-def _riemann_iib_rhs(space, F):
-    """R(X,Y,Z,W) = <iota_X iota_W F, iota_Y iota_Z F>
-                  - <iota_X iota_Z F, iota_Y iota_W F>   (this module's
-    Riemann sign), as a BiSymTensor.  With Q(a,b;c,d) = <F(e_a, e_b, ...),
-    F(e_c, e_d, ...)> the right-hand side is Q(W,X;Z,Y) - Q(Z,X;W,Y): each
-    ordering of each depth-2 table entry gives Q(w,x;z,y) at (x, y, z, w),
-    and its negative at (x, y, w, z); the canonical one of the two is kept."""
-    comps = {}
-    for (A, B), v in contraction_inners(F, 2).items():
-        if len(A) < 2:
-            continue
-        for (p, q), (r, t) in ((A, B),) if A == B else ((A, B), (B, A)):
-            for x, w, y, z, s in ((q, p, t, r, v), (p, q, t, r, -v),
-                                  (q, p, r, t, -v), (p, q, r, t, v)):
-                if z > w:
-                    z, w, s = w, z, -s
-                if x < y and z < w and (x, y) <= (z, w):
-                    accumulate(comps, (x, y, z, w), s)
-    return BiSymTensor(space, comps)
-
-
 def verify_iib_maxsusy(b):
     """Self-duality, closedness, nabla F = 0, the IIB Riemann identity, the
     2-form/5-form identity, the decomposition F = G + *G with G
@@ -503,15 +462,13 @@ def verify_iib_maxsusy(b):
     nabla_F = geom.nabla(F)
     _add_vanishing(rep, "nabla F=0", nabla_F, geom.premise)
     _add_identity(rep, "riemann-flux identity (IIB)", geom.riemann(),
-                  _riemann_iib_rhs(geom.space, F))
-    Fs = _scalarize(F)
-    rep.add("plucker-jacobi identity", _plujac_holds(Fs),
+                  crossed_inners(geom.space, F))
+    rep.add("plucker-jacobi identity", _plujac_holds(F),
             note="lambda(iota^3 F) F = 0 over all frame triples")
     G = fluxes.get("G5")
     if G is not None:
-        Gs = _scalarize(G)
-        rep.add("F = G + *G", (Fs - (Gs + hodge(Gs))).is_zero())
-        status, witness = plucker_check(Gs)
+        rep.add("F = G + *G", (F - (G + hodge(G))).is_zero())
+        status, witness = plucker_check(G)
         rep.add("G decomposable", status == "decomposable",
                 witness="" if status == "decomposable" else str(witness))
     rep.notes.extend(b.notes)
@@ -537,21 +494,26 @@ def verify_d6(b):
     """dH = 0, anti-selfduality *H = -H, the Einstein equation
     Ric = 1/2 <iota_X H, iota_Y H> (this module's Ricci sign), and flatness
     of the parallelising connection.  Geometry may be a metric Lie algebra
-    or a plane-wave chart."""
+    or a plane wave at one point."""
     rep = VerificationReport(b.name, "d6-(1,0)")
     geom = theory_geometry("d6-(1,0)", b.name, b.geometry)
     H = _theory_fluxes(b)["H3"]
-    _add_vanishing(rep, "dH=0", geom.d(H), geom.premise)
+    dH = geom.d(H)
+    _add_vanishing(rep, "dH=0", dH, geom.premise)
     _add_vanishing(rep, "*H=-H", hodge(H) + H)
     _add_einstein(rep, "einstein Ric = 1/2 <iH,iH>", geom,
                   _stress(geom.space, H, _Z))
-    rd = curvature_with_torsion(geom, H)
-    rep.add("parallelising connection flat (R^D = 0)", rd.is_zero(),
-            witness="" if rd.is_zero() else str(rd.first_nonzero()))
-    rep.add("maximally supersymmetric", rd.is_zero(),
+    if isinstance(dH, Unverified):      # e.g. an H a plane wave's k moves
+        flat, witness = False, f"premise dH = 0 is undecided: {dH}"
+    else:
+        rd = curvature_with_torsion(geom, H)
+        flat = rd.is_zero()
+        witness = "" if flat else str(rd.first_nonzero())
+    rep.add("parallelising connection flat (R^D = 0)", flat, witness=witness)
+    rep.add("maximally supersymmetric", flat,
             note="flat D with anti-selfdual closed torsion carries the full "
                  "spinor space")
-    rep.invariants["|H|^2"] = str(_poly_str(form_inner(H, H)))
+    rep.invariants["|H|^2"] = str(form_inner(H, H))
     rep.notes.extend(b.notes)
     return rep
 
@@ -568,16 +530,18 @@ def verify_typeII_common(b):
     H = b.frame_data["H"]
     dphi = b.frame_data["dphi"]          # 1-form on the frame
     n = space.dim
-    # nabla d phi: computed on the chart when a plane-wave factor is present.
-    # Otherwise the frame is left-invariant on a group with a bi-invariant
-    # metric, so (nabla_X dphi)(Y) = -1/2 dphi([X,Y]); the brackets span the
-    # legs that H touches (those of AdS3, S3 and SU(3)), and a frame-constant
-    # dphi without such legs is parallel.
-    if b.frame_data.get("cw_patch") is not None:
-        p = b.frame_data["cw_patch"]
-        phi_poly = b.frame_data["phi_poly"]
-        ok = _nabla_dphi_zero(p, phi_poly)
-        rep.add("nabla d phi = 0", ok, note="verified on the plane-wave chart")
+    # nabla d phi: computed on the plane-wave pair when a lightcone frame
+    # carries the dilaton (dphi_pair).  Otherwise the frame is left-invariant
+    # on a group with a bi-invariant metric, so (nabla_X dphi)(Y) =
+    # -1/2 dphi([X,Y]); the brackets span the legs that H touches (those of
+    # AdS3, S3 and SU(3)), and a frame-constant dphi without such legs is
+    # parallel.
+    pair_dphi = b.frame_data.get("dphi_pair")
+    if pair_dphi is not None:
+        _add_vanishing(rep, "nabla d phi = 0",
+                       b.frame_data["pair"].nabla(pair_dphi),
+                       note="computed on the plane-wave transvection pair, "
+                            "where dphi is parallel iff k-invariant (checked)")
     else:
         legs = {i for idx in H.components for i in idx}
         bad = [i for (i,) in sorted(dphi.components) if i in legs]
@@ -596,13 +560,6 @@ def verify_typeII_common(b):
     for nnote in b.notes:
         rep.notes.append(nnote)
     return rep
-
-
-def _nabla_dphi_zero(p, phi_poly):
-    dphi = KForm(p.space, 1, {(mu,): p.partial(phi_poly, mu)
-                              for mu in range(p.dim)
-                              if p.partial(phi_poly, mu) is not None})
-    return all(f.is_zero() for f in p.nabla(dphi).values())
 
 
 def dilatino_kernel(b):
@@ -625,29 +582,3 @@ def dilatino_kernel(b):
         raise RuntimeError(f"dilatino kernel: chiral halves {dim_plus} + "
                            f"{dim_minus} != full kernel {dim_full}")
     return dim_full, 2 * dim_plus
-
-
-def killing_vectors_from_kernel(b, basis, alg):
-    """Spinor bilinears of kernel spinors, with the exact coordinate Killing
-    check on the chart.  Returns the list of (vector components, is_killing).
-    Lightcone-annihilated constant spinors give vectors along d+ only."""
-    p = b.geometry
-    n = p.dim
-    frm = lightcone_coframe(p)[1]
-    out = []
-    for i in range(min(4, len(basis))):
-        for j in range(min(4, len(basis))):
-            V = spinor_to_vector(basis[i], basis[j], alg)
-            # frame components -> coordinate components via E_a
-            Vc = []
-            for mu in range(n):
-                s = None
-                for a in range(n):
-                    if V[a].is_zero() or frm[a][mu].is_zero():
-                        continue
-                    t = frm[a][mu] * V[a]
-                    s = t if s is None else s + t
-                Vc.append(Polynomial.constant(0) if s is None else s)
-            ok, _ = killing_check(p, Vc)
-            out.append((V, ok))
-    return out

@@ -1,13 +1,18 @@
 import ast
+import contextlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import checkout_env
 from sugraverify.exactnum import Scalar
@@ -258,6 +263,28 @@ BAD_FILE_ENTRIES = {
         lambda d: d.update(geometry={"type": "product", "blocks": [
             {"dim": 4000, "scalar_curvature": "0", "lorentzian": True}]}),
         "geometry.blocks"),
+    # every key the format does not define is refused, naming its path
+    "unknown-top-level-key": (
+        lambda d: d.update(bogus_top=1),
+        "bogus_top"),
+    "unused-parameter": (
+        lambda d: d["parameters"].update(bogus="1"),
+        "parameters.bogus"),
+    "blocks-under-a-cw-geometry": (
+        lambda d: d["geometry"].update(blocks=5),
+        "geometry.blocks"),
+    "profile-under-a-product-geometry": (
+        lambda d: d.update(geometry={"type": "product", "profile": [],
+                                     "blocks": []}),
+        "geometry.profile"),
+    "unknown-block-key": (
+        lambda d: d.update(geometry={"type": "product", "blocks": [
+            {"dim": 11, "scalar_curvature": "0", "lorentzian": True,
+             "bogus": 1}]}),
+        "geometry.blocks[0].bogus"),
+    "unknown-flux-entry-key": (
+        lambda d: d["fluxes"]["F4"][0].update(extra=3),
+        "fluxes.F4[0].extra"),
     # a file cannot supply the frame data these theories' verifiers need
     "theory-typeII-common": (
         lambda d: d.update(theory="typeII-common"),
@@ -285,7 +312,7 @@ def test_background_file_dimensions_are_checked_before_building(
         tmp_path, monkeypatch):
     # a block of dimension 4000 or a 4000x4000 profile is refused from its
     # declared size, naming the entry and both dimensions; no
-    # ProductGeometry, CWData or chart is constructed
+    # ProductGeometry, CWData or transvection pair is constructed
     doc = cw11_document()
     doc["geometry"] = {"type": "product", "blocks": [
         {"dim": 4000, "scalar_curvature": "0", "lorentzian": True}]}
@@ -295,7 +322,7 @@ def test_background_file_dimensions_are_checked_before_building(
                    "give dimension 4000"),
              (short, "geometry.profile: d11 needs dimension 11, a 7x7 "
                      "profile gives dimension 9"))
-    for name in ("ProductGeometry", "CWData", "cw_patch"):
+    for name in ("ProductGeometry", "CWData", "cw_algebra"):
         monkeypatch.setattr(catalog, name, None)
     for d, message in cases:
         path = tmp_path / "big.json"
@@ -329,6 +356,89 @@ def test_cw_file_orientation_fixes_iib_self_duality(tmp_path):
     doc["geometry"]["orientation"] = 1
     path.write_text(json.dumps(doc))
     assert verify_background(load_background(str(path))).passed
+
+
+def catalog_document(bid):
+    """The background file of the catalog plane wave or product bid."""
+    b = get_background(bid)
+    g = b.geometry
+    if b.cw_data is not None:
+        geometry = {"type": "cw", "profile": [[str(x) for x in row]
+                                              for row in b.cw_data.A]}
+    else:
+        geometry = {"type": "product", "blocks": [
+            {"dim": blk.dim, "scalar_curvature": str(blk.S),
+             "lorentzian": blk.lorentzian, "label": blk.label}
+            for blk in g.blocks]}
+    geometry["orientation"] = g.space.orientation
+    return {"theory": b.theory, "name": bid, "parameters": {},
+            "geometry": geometry,
+            "fluxes": {name: [{"indices": list(idx), "coeff": str(c)}
+                              for idx, c in sorted(F.components.items())]
+                       for name, F in b.fluxes.items()}}
+
+
+FUZZ_IDS = ("cw11", "e1_10", "cw10", "e1_9", "ads7xs4", "ads4xs7", "ads5xs5")
+FUZZ_DOCUMENTS = {bid: catalog_document(bid) for bid in FUZZ_IDS}
+JSON_VALUES = (None, True, 7, -1.5, "x", [], {}, [1, "2"], {"k": 0})
+
+
+def _json_paths(node, path=()):
+    """Every path (tuple of keys and list positions) below node."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def test_catalog_documents_verify_as_their_catalog_ids(tmp_path):
+    # the documents the fuzz mutates pass, and report as the catalog does
+    for bid, doc in FUZZ_DOCUMENTS.items():
+        path = tmp_path / f"{bid}.json"
+        path.write_text(json.dumps(doc))
+        rep = verify_background(load_background(str(path)))
+        want = verify_background(get_background(bid))
+        assert rep.passed and rep.conditions == want.conditions, bid
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_single_key_mutations_of_catalog_documents_exit_0_1_or_2(data):
+    # delete a key or list entry, add an unknown key to an object, or give
+    # a value another JSON type: verify exits 0, 1 or 2, raises nothing,
+    # and takes less than the per-document bound
+    bid = data.draw(st.sampled_from(FUZZ_IDS))
+    doc = json.loads(json.dumps(FUZZ_DOCUMENTS[bid]))
+    path = data.draw(st.sampled_from([()] + list(_json_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    node = parent[path[-1]] if path else doc
+    action = data.draw(st.sampled_from(
+        ("add",) if not path else ("delete", "add", "retype")))
+    if action == "add" and not isinstance(node, dict):
+        action = "retype"
+    if action == "delete":
+        del parent[path[-1]]
+    elif action == "add":
+        node["zz_unknown"] = data.draw(st.sampled_from(JSON_VALUES))
+    else:
+        parent[path[-1]] = data.draw(st.sampled_from(
+            [v for v in JSON_VALUES if type(v) is not type(node)]))
+    with tempfile.TemporaryDirectory() as d:
+        fname = os.path.join(d, "mutant.json")
+        with open(fname, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", fname])
+        elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2), (bid, path, action, err.getvalue())
+    assert (code == 2) == err.getvalue().startswith("error: "), err.getvalue()
+    assert elapsed < 10, (bid, path, action, elapsed)
 
 
 def test_cli_verify_rejects_a_background_file_that_is_not_an_object(

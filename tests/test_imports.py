@@ -69,9 +69,6 @@ def test_unused_import_check_catches_them():
 ORPHANS = {
     "catalog:verify_typeII_product":
         "tests; its caller comes with the type-II row reports (ROADMAP 4)",
-    "geometry:flat_patch":
-        "tests: the flat chart of the Maxwell and torsion-curvature "
-        "checks (ROADMAP 9)",
     "geometry:spin_connection":
         "tests: the chart calibration of the pointwise R^D; the benchmark "
         "tracer's geometry.spin_connection target (ROADMAP 9)",
@@ -79,8 +76,6 @@ ORPHANS = {
         "tests: the d=6 acceptance criterion (ROADMAP 9)",
     "multilinear:plucker_rank_oracle":
         "the forms benchmark workload and the Plucker tests (ROADMAP 1)",
-    "sugra:killing_vectors_from_kernel":
-        "tests: Killing vectors from the cw11 kernel (ROADMAP 9)",
 }
 
 
@@ -110,12 +105,16 @@ def orphaned_functions(sources):
                   if f not in read and f not in exported)
 
 
-def test_every_orphaned_function_is_named_with_its_reason():
+def _sources():
     sources = {}
     for module in MODULES:
         with open(os.path.join(PACKAGE, module)) as fh:
             sources[module[:-3]] = fh.read()
-    assert orphaned_functions(sources) == sorted(ORPHANS)
+    return sources
+
+
+def test_every_orphaned_function_is_named_with_its_reason():
+    assert orphaned_functions(_sources()) == sorted(ORPHANS)
 
 
 def test_orphan_check_catches_them():
@@ -126,3 +125,42 @@ def test_orphan_check_catches_them():
                "b": "from .a import g\n\ndef k():\n    return g()\n\n"
                     "def m(x):\n    return x.k\n"}
     assert orphaned_functions(sources) == ["a:f", "b:m"]
+
+
+# the polynomial chart is the reference the tests hold the plane-wave pair
+# to; only the modules that define it may read it
+CHART_NAMES = ("Polynomial", "CoordinatePatch", "cw_patch")
+CHART_MODULES = ("exactnum", "geometry")
+
+
+def chart_readers(sources):
+    """Sorted module:name for each module outside CHART_MODULES that
+    imports, reads or reads as an attribute a name of CHART_NAMES."""
+    out = set()
+    for module, source in sources.items():
+        if module in CHART_MODULES:
+            continue
+        for n in ast.walk(ast.parse(source)):
+            name = n.id if isinstance(n, ast.Name) else \
+                n.attr if isinstance(n, ast.Attribute) else \
+                n.name if isinstance(n, ast.alias) else None
+            if name in CHART_NAMES:
+                out.add(f"{module}:{name}")
+    return sorted(out)
+
+
+def test_no_verifier_module_reads_the_chart():
+    assert chart_readers(_sources()) == []
+
+
+def test_chart_reader_check_catches_them():
+    # an import, an attribute and a call count; a docstring and the
+    # defining module do not
+    sources = {"sugra": "from .exactnum import Polynomial as P\n",
+               "catalog": "def f(geometry):\n    return geometry.cw_patch\n",
+               "cli": "'the cw_patch chart'\n",
+               "liealg": "x = CoordinatePatch(1)\n",
+               "geometry": "def cw_patch():\n    return Polynomial()\n"}
+    assert chart_readers(sources) == ["catalog:cw_patch",
+                                      "liealg:CoordinatePatch",
+                                      "sugra:Polynomial"]

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import cw_lie_algebra
 from sugraverify import linalg
 from sugraverify.exactnum import Scalar
 from sugraverify.multilinear import KForm, hodge, form_inner, interior
@@ -44,7 +45,7 @@ def test_jacobi_cw_symmetric_vs_perturbed():
             for j in range(i, m):
                 A[i][j] = A[j][i] = S(rng.randint(-3, 3))
         cw = cw_algebra(CWData(A))           # construction asserts Jacobi
-        assert cw.solvable()
+        assert cw_lie_algebra(cw).derived_series()[-1] == 0   # solvable
     # non-symmetric profile breaks Jacobi: build raw brackets by hand
     m = 2
     A = [[S(1), S(2)], [S(0), S(1)]]         # not symmetric
@@ -185,8 +186,27 @@ def phi_col(phi, j):
 
 def test_cw_algebra_zero_profile_decouples():
     cw = cw_algebra(CWData.diagonal([0, 0, 0]))
-    # [e-, a] = 0 and [a, v] = 0: the dual directions are central
-    assert all(x.is_zero() for x in cw.c[1][2 + 3])
+    # [e-, a] = 0 and [a, v] = 0: the dual directions are central, and
+    # [e-, v] = a is the only bracket left
+    assert sorted(cw.brackets) == [(1, 2), (1, 3), (1, 4)]
+
+
+def second_derived_central(alg):
+    """The second derived ideal of alg lies in its center."""
+    span = linalg.eye(alg.dim)
+    for _ in range(2):
+        rows = []
+        for a in range(len(span)):
+            for b in range(a + 1, len(span)):
+                rows.append(alg.bracket(span[a], span[b]))
+        rows = [r for r in rows if any(not x.is_zero() for x in r)]
+        if not rows:
+            return True
+        red, piv = linalg.rref(rows)
+        span = red[:len(piv)]
+    aug = [list(v) for v in alg.center()]
+    return all(linalg.rank(aug + [list(v)]) == linalg.rank(aug)
+               for v in span)
 
 
 def test_cw11_profile_matches_theorem_data():
@@ -194,8 +214,9 @@ def test_cw11_profile_matches_theorem_data():
     vals = [mu * mu * R(-1, 36) * S(k) for k in [4, 4, 4, 1, 1, 1, 1, 1, 1]]
     data = CWData.diagonal(vals)
     cw = cw_algebra(data)
-    assert cw.dim == 2 + 2 * 9
-    assert cw.second_derived_central()       # three-step solvable
+    assert cw.dim == 11                     # the space; g = k + p has 20
+    assert cw_lie_algebra(cw).dim == 2 + 2 * 9
+    assert second_derived_central(cw_lie_algebra(cw))   # 3-step solvable
     assert not data.is_degenerate()
 
 

@@ -6,11 +6,12 @@ import pytest
 from sugraverify.exactnum import Scalar, Polynomial, sqrt_scalar
 from sugraverify.multilinear import (QuadraticSpace, KForm, form_inner, hodge,
                                      interior_frame, lambda_action, wedge,
-                                     flat, map_slots, nonzero_columns)
-from sugraverify.liealg import (CWData, nw6, nw6_family, so12_so3, e15,
-                                canonical_three_form)
+                                     flat, map_slots, nonzero_columns,
+                                     crossed_inners)
+from sugraverify.liealg import (CWData, cw_algebra, nw6, nw6_family,
+                                so12_so3, e15, canonical_three_form)
 from sugraverify.geometry import (ConstCurvBlock, CoordinatePatch,
-                                  ProductGeometry, cw_patch, flat_patch,
+                                  ProductGeometry, cw_patch,
                                   lightcone_coframe, spin_connection)
 from sugraverify.clifford import (ComplexScalar, build_gamma, FrameAlgebra,
                                   clifford_action, omega_xf)
@@ -20,9 +21,10 @@ from sugraverify.sugra import (BackgroundSpec, VerificationReport, verify_d11,
                                supercovariant_flatness,
                                verify_iib_maxsusy, verify_d6,
                                verify_typeII_common, dilatino_kernel,
-                               killing_vectors_from_kernel, _riemann_flux_rhs,
-                               _riemann_iib_rhs, _plujac_holds,
+                               _riemann_flux_rhs,
+                               _plujac_holds,
                                _maxwell_residual)
+from conftest import flat_patch
 from sugraverify.catalog import (get_background, verify_background,
                                  assemble_parallelisable, typeII_background,
                                  GeometryProduct)
@@ -36,10 +38,21 @@ def names(rep):
 
 
 def chart_spec(theory, name, data, flux, orientation=1):
-    """The background on the plane-wave chart of data, with the fluxes
-    flux(space) on the chart's space."""
-    p = cw_patch(data, orientation=orientation)
+    """The plane wave of data at its base point, as the package builds it,
+    with the fluxes flux(space) on its frame."""
+    p = cw_algebra(data, orientation)
     return BackgroundSpec(theory, name, p, flux(p.space), cw_data=data)
+
+
+def as_chart(b):
+    """b on the plane-wave chart of its profile, its constant fluxes
+    carried over to the chart's coordinates: the reference the pair at the
+    base point is held to."""
+    p = cw_patch(b.cw_data, orientation=b.geometry.space.orientation)
+    return b._replace(geometry=p, fluxes={
+        name: KForm(p.space, F.degree, {
+            idx: Polynomial.constant(c) for idx, c in F.components.items()})
+        for name, F in b.fluxes.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +95,7 @@ def test_cw11_wrong_profile_not_flat_kernel_reported():
     data = CWData.diagonal(vals)
 
     def flux(space):
-        return {"F4": KForm(space, 4, {(1, 2, 3, 4): Polynomial.constant(mu)})}
+        return {"F4": KForm(space, 4, {(1, 2, 3, 4): mu})}
 
     b = chart_spec("d11", "cw11-wrong", data, flux)
     rep, dim, basis, alg = supercovariant_flatness(b)
@@ -155,7 +168,7 @@ def _random_chart_flux(p, rng):
 def test_maxwell_residual_is_the_hodge_dual_of_d_star_F(chart):
     # div F + 1/2 *(F ^ F) from nabla F equals *(d*F + 1/2 F ^ F) through
     # two Hodge duals on the chart, F ^ F != 0 included
-    p = get_background("cw11").geometry if chart == "cw11" else \
+    p = cw_patch(get_background("cw11").cw_data) if chart == "cw11" else \
         flat_patch(11)
     rng = random.Random(f"maxwell-{chart}")
     wedged = 0
@@ -173,7 +186,7 @@ def test_maxwell_residual_is_the_hodge_dual_of_d_star_F(chart):
 def test_chart_flux_violating_maxwell_fails_with_a_witness():
     # F = x1 dx1 ^ dx5 ^ dx6 ^ dx7 added to the cw11 flux is closed but not
     # co-closed: div F = dx5 ^ dx6 ^ dx7, one of the C(11, 3) components
-    b = get_background("cw11")
+    b = as_chart(get_background("cw11"))
     p = b.geometry
     F = b.fluxes["F4"] + KForm(p.space, 4, {
         (2, 6, 7, 8): Polynomial.variable("x1")})
@@ -185,31 +198,6 @@ def test_chart_flux_violating_maxwell_fails_with_a_witness():
     assert not maxwell.passed
     assert maxwell.witness == "(1) x5^x6^x7; 1 of 165 components fail"
     assert maxwell.witness.split(";")[0] == str(hodge(p.d(hodge(F))))
-
-
-def test_killing_vectors_from_cw11_kernel():
-    b = get_background("cw11")
-    rep, dim, basis, alg = supercovariant_flatness(b)
-    assert dim == 32
-    # lightcone-annihilated constant spinors: gamma(e-) eps = 0; their
-    # bilinears point along d+ only, and satisfy Killing's equation exactly
-    from sugraverify.clifford import clifford_action, kernel_dim
-    ann = clifford_action(KForm.basis(alg.space, 1), alg)
-    k, sub = kernel_dim([ann], alg)
-    assert k == 16
-    fd = {"space": alg.space}
-    from sugraverify.clifford import spinor_to_vector
-    found_nonzero = False
-    for i in range(3):
-        V = spinor_to_vector(sub[i], sub[i], alg)
-        # only the e+ frame component may survive
-        for a in range(1, 11):
-            assert V[a].is_zero()
-        if not V[0].is_zero():
-            found_nonzero = True
-    assert found_nonzero
-    pairs = killing_vectors_from_kernel(b, sub, alg)
-    assert pairs and all(ok for _, ok in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +247,9 @@ def test_cw10_printed_half_flux_fails_flatness():
     half = R_(1, 2)
 
     def flux(space):
-        F = KForm(space, 5,
-                  {(1, 2, 3, 4, 5): Polynomial.constant(half * mu),
-                   (1, 6, 7, 8, 9): Polynomial.constant(half * mu)})
-        G = KForm(space, 5, {(1, 2, 3, 4, 5): Polynomial.constant(half * mu)})
+        F = KForm(space, 5, {(1, 2, 3, 4, 5): half * mu,
+                             (1, 6, 7, 8, 9): half * mu})
+        G = KForm(space, 5, {(1, 2, 3, 4, 5): half * mu})
         return {"F5": F, "G5": G}
 
     b = chart_spec("iib", "cw10-half", data, flux)
@@ -283,8 +270,7 @@ def test_non_self_dual_flux_fails_self_duality_with_witness():
 
     def flux(space):
         # single block: *F has the other block, so F is not self-dual
-        return {"F5": KForm(space, 5,
-                            {(1, 2, 3, 4, 5): Polynomial.constant(mu)})}
+        return {"F5": KForm(space, 5, {(1, 2, 3, 4, 5): mu})}
 
     b = chart_spec("iib", "cw10-nonsd", data, flux)
     rep = verify_iib_maxsusy(b)
@@ -336,7 +322,7 @@ def test_plujac_verdict_equals_explicit_contractions(name):
 def test_plujac_negative_control_on_the_cw10_chart():
     # a third component (1,2,3,6,7) joining the two blocks of the cw10 flux
     data = CWData.diagonal([S(-1)] * 8)
-    one = Polynomial.constant(1)
+    one = S(1)
 
     def flux(space):
         return {"F5": KForm(space, 5, {(1, 2, 3, 4, 5): one,
@@ -359,7 +345,7 @@ def _cw10_perturbed(i, j, dv):
     A[i][j] = A[i][j] + dv
     if i != j:
         A[j][i] = A[j][i] + dv
-    one = Polynomial.constant(1)
+    one = S(1)
 
     def flux(space):
         return {"F5": KForm(space, 5, {(1, 2, 3, 4, 5): one,
@@ -428,7 +414,7 @@ def test_sparse_riemann_flux_rhs_equals_the_dense_loop(theory):
         A[i][i] = S(-1 - i % 2)
     A[1][3] = A[3][1] = S(1)
     spaces = [QuadraticSpace.lightcone(5), cw_patch(CWData(A)).space]
-    rhs = _riemann_flux_rhs if theory == "d11" else _riemann_iib_rhs
+    rhs = _riemann_flux_rhs if theory == "d11" else crossed_inners
     k = 4 if theory == "d11" else 5
     rng = random.Random(theory)
     for space in spaces:
@@ -682,7 +668,7 @@ def _chart_thetas(b):
     1/2 c(omega_mu) + Omega(d_mu) of the supercovariant connection, from the
     chart's lightcone coframe and spin connection, with polynomial
     coefficients (complex ones for IIB)."""
-    p = b.geometry
+    p = as_chart(b).geometry
     n = p.dim
     cof, frm, gram = lightcone_coframe(p)
     om = spin_connection(p, cof, frm, gram)
@@ -740,8 +726,7 @@ def _rotated_cw11(perturb=None):
         # dx1 = c dy1 + s dy4, and dx- ^ dy4 ^ dy2 ^ dy3 equals
         # dx- ^ dy2 ^ dy3 ^ dy4
         return {"F4": KForm(space, 4, {
-            (1, 2, 3, 4): Polynomial.constant(S(6) * c),
-            (1, 3, 4, 5): Polynomial.constant(S(6) * s)})}
+            (1, 2, 3, 4): S(6) * c, (1, 3, 4, 5): S(6) * s})}
 
     return chart_spec("d11", "cw11-rotated", CWData(A), flux)
 
@@ -839,7 +824,7 @@ def test_transverse_flux_fails_flatness_on_the_nabla_F_premise():
     # at the origin certifies nothing: every flatness condition fails and
     # names the premise, and no kernel is reported
     b = get_background("cw11")
-    F = KForm(b.geometry.space, 4, {(2, 3, 4, 5): Polynomial.constant(S(6))})
+    F = KForm(b.geometry.space, 4, {(2, 3, 4, 5): S(6)})
     rep = verify_d11_maxsusy(b._replace(name="cw11-transverse",
                                         fluxes={"F4": F}))
     cond = {c.name: c for c in rep.conditions}
@@ -856,10 +841,10 @@ def test_transverse_flux_fails_flatness_on_the_nabla_F_premise():
 
 
 def test_chart_metric_at_the_origin_must_be_the_lightcone_gram():
-    # the pointwise formula reads frame components off the chart origin;
-    # a chart whose metric there is not the lightcone Gram is refused
+    # the pointwise formula reads frame components at the base point; a
+    # geometry whose Gram there is not the lightcone Gram is refused
     b = get_background("cw11")
-    p = b.geometry
+    p = cw_patch(b.cw_data)
     g = [row[:] for row in p.metric]
     ginv = [row[:] for row in p.metric_inv]
     g[2][2] = ginv[2][2] = Polynomial.constant(S(-1))
@@ -876,7 +861,7 @@ def test_nw6_chart_as_d6_background():
     data = _CWData.diagonal([R_(-1, 4)] * 4)
 
     def flux(space):
-        one = Polynomial.constant(1)
+        one = S(1)
         return {"H3": KForm(space, 3, {(1, 2, 3): one, (1, 4, 5): one})}
 
     b = chart_spec("d6-(1,0)", "nw6-chart", data, flux, orientation=-1)
@@ -884,7 +869,7 @@ def test_nw6_chart_as_d6_background():
     assert rep.passed, [c.name for c in rep.conditions if not c.passed]
     # the printed coefficient 2/3 fails Einstein and flatness on the chart
     def flux_bad(space):
-        c = Polynomial.constant(R_(2, 3))
+        c = R_(2, 3)
         return {"H3": KForm(space, 3, {(1, 2, 3): c, (1, 4, 5): c})}
 
     b2 = chart_spec("d6-(1,0)", "nw6-chart-printed", data, flux_bad,
