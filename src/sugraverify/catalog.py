@@ -23,9 +23,9 @@ from collections import namedtuple
 from .exactnum import Scalar, sqrt_scalar, parse_scalar
 from .multilinear import KForm, form_inner
 from .clifford import build_gamma, FrameAlgebra
-from .liealg import (CWData, cw_algebra, nw6, so12_so3, e15,
-                     canonical_three_form, SU3_STRUCTURE)
-from .geometry import ConstCurvBlock, ProductGeometry
+from .liealg import (CWData, nw6, so12_so3, e15, canonical_three_form,
+                     SU3_STRUCTURE)
+from .geometry import SymmetricSpace
 from .sugra import (BackgroundSpec, VerificationReport, theory_geometry,
                     _DIMENSION,
                     verify_d11_maxsusy, verify_iib_maxsusy, verify_d6,
@@ -251,11 +251,11 @@ def susy_count(p, dilaton_kind):
 
 
 def _dilaton_pair(p, dphi):
-    """(pair, dphi): the transvection pair of p's flat and plane-wave block
-    and the dilaton gradient on it at the base point (1 along e-, plus
+    """(pair, dphi): the plane wave of p's flat and plane-wave block at its
+    base point, and the dilaton gradient on it there (1 along e-, plus
     dphi's last flat leg).  The dilaton has no legs on the curved factors
     and the product metric is block diagonal, so nabla dphi is computed on
-    this pair and vanishes structurally elsewhere."""
+    this plane wave and vanishes structurally elsewhere."""
     weights = _CW_WEIGHTS[FACTORS[p.lorentz].dim] \
         if p.lorentz.startswith("CW") else []
     m = 8 - 3 * p.spheres - 8 * p.su3   # transverse legs of the pair
@@ -264,7 +264,7 @@ def _dilaton_pair(p, dphi):
         lam = Scalar(w) * Scalar(w) * R_(-1, 4)
         diag.extend([lam, lam])
     diag.extend([Scalar(0)] * (m - len(diag)))
-    pair = cw_algebra(CWData.diagonal(diag))
+    pair = SymmetricSpace.plane_wave(CWData.diagonal(diag))
     comps = {(1,): Scalar(1)}
     ycoeff = dphi.components.get((dphi.space.dim - 1,))
     if ycoeff is not None:
@@ -274,7 +274,7 @@ def _dilaton_pair(p, dphi):
 
 def typeII_background(p, dilaton_kind):
     """The typeII-common record of a geometry product: its assembled frame
-    data, with the dilaton's plane-wave pair where the dilaton varies on a
+    data, with the dilaton's plane wave where the dilaton varies on a
     lightcone frame."""
     frame_data = assemble_parallelisable(p, dilaton_kind)
     notes = frame_data.pop("notes")
@@ -367,7 +367,7 @@ def table4_lines():
 def _plane_wave(theory, name, data, fluxes, notes=()):
     """The plane wave of the profile `data` at its base point, with the
     fluxes {name: {indices: Scalar}} on the frame (xp, xm, x1..)."""
-    p = cw_algebra(data)
+    p = SymmetricSpace.plane_wave(data)
     return BackgroundSpec(theory, name, p, _forms(p.space, fluxes), notes,
                           data)
 
@@ -389,31 +389,28 @@ def _cw11_background(mu=6, perturb=None):
 
 def _ads7_s4_background(R=6):
     R = Scalar(R)
-    ads7 = ConstCurvBlock(7, Scalar(-7) * R, lorentzian=True, label="AdS7")
-    s4 = ConstCurvBlock(4, Scalar(8) * R, lorentzian=False, label="S4")
-    prod = ProductGeometry([ads7, s4])
-    return BackgroundSpec("d11", "ads7xs4", prod, {
-        "F4": prod.volume_form(1, sqrt_scalar(Scalar(6) * R))})
+    prod = SymmetricSpace.product([(7, Scalar(-7) * R, True, "AdS7"),
+                                   (4, Scalar(8) * R, False, "S4")])
+    return BackgroundSpec("d11", "ads7xs4", prod, _forms(prod.space, {
+        "F4": {(7, 8, 9, 10): sqrt_scalar(Scalar(6) * R)}}))
 
 
 def _ads4_s7_background(R=-6):
     R = Scalar(R)
-    ads4 = ConstCurvBlock(4, Scalar(8) * R, lorentzian=True, label="AdS4")
-    s7 = ConstCurvBlock(7, Scalar(-7) * R, lorentzian=False, label="S7")
-    prod = ProductGeometry([ads4, s7])
-    return BackgroundSpec("d11", "ads4xs7", prod, {
-        "F4": prod.volume_form(0, sqrt_scalar(Scalar(-6) * R))})
+    prod = SymmetricSpace.product([(4, Scalar(8) * R, True, "AdS4"),
+                                   (7, Scalar(-7) * R, False, "S7")])
+    return BackgroundSpec("d11", "ads4xs7", prod, _forms(prod.space, {
+        "F4": {(0, 1, 2, 3): sqrt_scalar(Scalar(-6) * R)}}))
 
 
 def _ads5_s5_background(R=5):
     R = Scalar(R)
-    ads5 = ConstCurvBlock(5, -R, lorentzian=True, label="AdS5")
-    s5 = ConstCurvBlock(5, R, lorentzian=False, label="S5")
-    prod = ProductGeometry([ads5, s5], orientation=-1)
+    prod = SymmetricSpace.product([(5, -R, True, "AdS5"),
+                                   (5, R, False, "S5")], orientation=-1)
     c = sqrt_scalar(R * R_(1, 20))
-    G = prod.volume_form(0, c)
-    return BackgroundSpec("iib", "ads5xs5", prod, {
-        "F5": G + prod.volume_form(1, c), "G5": G}, [
+    return BackgroundSpec("iib", "ads5xs5", prod, _forms(prod.space, {
+        "F5": {(0, 1, 2, 3, 4): c, (5, 6, 7, 8, 9): c},
+        "G5": {(0, 1, 2, 3, 4): c}}), [
         "flux normalization sqrt(R/20) per block volume is the value forced "
         "by the Riemann-flux identity and the flatness of the "
         "supercovariant connection (the often-quoted 2 sqrt(R/5) belongs "
@@ -659,7 +656,7 @@ def load_background(path):
         data = CWData([[_file_scalar(x, params, f"geometry.profile[{i}][{j}]")
                         for j, x in enumerate(row)]
                        for i, row in enumerate(rows)])
-        geometry = cw_algebra(data, orientation)
+        geometry = SymmetricSpace.plane_wave(data, orientation)
     elif kind == "product":
         _known_keys(geom, "geometry.", ("type", "orientation", "blocks"))
         entries = geom.get("blocks")
@@ -684,13 +681,15 @@ def load_background(path):
             if not isinstance(label, str):
                 raise ValueError(f"{where}.label: expected a string, got "
                                  f"{label!r}")
-            blocks.append(ConstCurvBlock(
-                dim, _file_scalar(blk.get("scalar_curvature"), params,
-                                  f"{where}.scalar_curvature"),
-                lorentzian=lorentzian, label=label))
-        _file_dimension(theory, sum(b.dim for b in blocks), "geometry.blocks",
+            blocks.append((dim, _file_scalar(
+                blk.get("scalar_curvature"), params,
+                f"{where}.scalar_curvature"), lorentzian, label))
+        _file_dimension(theory, sum(b[0] for b in blocks), "geometry.blocks",
                         "the blocks give")
-        geometry = ProductGeometry(blocks, orientation)
+        try:
+            geometry = SymmetricSpace.product(blocks, orientation)
+        except ValueError as e:     # it names the block entry
+            raise ValueError(f"geometry.{e}") from None
     elif kind is None:
         raise ValueError("geometry.type: expected cw or product, got None")
     else:

@@ -1,21 +1,22 @@
-"""Exact tensor calculus on polynomial-metric coordinate patches and on
-algebraic products of constant-curvature blocks.
+"""Exact tensor calculus on polynomial-metric coordinate patches, and
+symmetric spaces at one point.
 
-Every geometry a verifier sees -- a liealg.CWAlgebra (a plane wave at one
-point), a ProductGeometry or a liealg.MetricLieAlgebra -- offers one
-interface: ``space`` and ``dim``, ``signature()``, ``riemann()`` and
-``ricci()``, the exterior derivative ``d(F)``, the covariant derivative
-``nabla(F)`` as {direction: form}, the ``premise`` a report cites for d and
-nabla (empty where they are computed), and (algebra and chart) the
-connection coefficients ``gamma(k, i, j)`` and coordinate partials
-``partial(x, mu)``, None where they vanish.  A CoordinatePatch offers the
-same interface on polynomial components; the package builds none for a
-verifier, and the tests hold the plane-wave pair to its chart.
+Every geometry a verifier sees -- a SymmetricSpace (a plane wave or a
+product of constant-curvature blocks, at its base point) or a
+liealg.MetricLieAlgebra -- offers one interface: ``space`` and ``dim``,
+``signature()``, ``riemann()`` and ``ricci()``, the exterior derivative
+``d(F)``, the covariant derivative ``nabla(F)`` as {direction: form}, and
+(algebra and chart) the connection coefficients ``gamma(k, i, j)`` and
+coordinate partials ``partial(x, mu)``, None where they vanish.  Every one
+computes d and nabla.  A CoordinatePatch offers the same interface on
+polynomial components; the package builds none for a verifier, and the
+tests hold the plane wave at one point to its chart.
 
 Curvature is one formula over ``gamma`` and ``partial`` (``_curvature``):
 ``riemann()`` of a chart or an algebra applies it to the Levi-Civita
 coefficients, ``curvature_with_torsion`` to Gamma + T/2.  Only
-``CoordinatePatch.gamma`` reads the Christoffel symbols.
+``CoordinatePatch.gamma`` reads the Christoffel symbols.  A SymmetricSpace
+holds its Riemann tensor as data.
 
 Sign conventions (calibrated once, see docs/conventions.md):
   * Riemann  R(X,Y)Z = [nabla_X, nabla_Y]Z - nabla_[X,Y] Z,
@@ -29,16 +30,16 @@ Sign conventions (calibrated once, see docs/conventions.md):
 
 from itertools import combinations
 
-from .exactnum import Scalar, Polynomial
+from .exactnum import Scalar, Polynomial, ONE
 from .multilinear import QuadraticSpace, KForm, BiSymTensor, sort_sign, \
-    signature, accumulate, kulkarni_nomizu, crossed_inners, nonzero_columns
+    signature, accumulate, crossed_inners, nonzero_columns, \
+    covector_action, derivation_action
 from . import linalg
 
 __all__ = ["CoordinatePatch", "cw_patch", "christoffel", "riemann", "ricci",
            "exterior_derivative", "covariant_derivative_form",
            "curvature_with_torsion", "flat_torsion_consequences",
-           "lightcone_coframe",
-           "ConstCurvBlock", "ProductGeometry"]
+           "lightcone_coframe", "SymmetricSpace"]
 
 _Z = Scalar(0)
 
@@ -51,8 +52,6 @@ class CoordinatePatch:
     """Chart with polynomial metric components and an exact polynomial
     inverse (verified by its QuadraticSpace).  Christoffel symbols and the
     Riemann tensor are built once, on first use."""
-
-    premise = ""            # d and nabla are computed, not structural
 
     def __init__(self, coords, metric, inverse, orientation=1):
         self.coords = tuple(coords)
@@ -326,10 +325,10 @@ def curvature_with_torsion(geom, H):
 
     which the tests check.  On a metric Lie algebra with its canonical
     3-form this vanishes identically (the parallelising connection).  A
-    plane wave at one point (liealg.CWAlgebra) has no connection
-    coefficients: there dH = 0 only for a parallel H, so nabla T = 0 and
-    the expansion is taken as it stands, its last two terms being -1/4
-    crossed_inners(H)."""
+    SymmetricSpace (a plane wave or a product, at one point) has no
+    connection coefficients: there dH = 0 only for a parallel H, so
+    nabla T = 0 and the expansion is taken as it stands, its last two
+    terms being -1/4 crossed_inners(H)."""
     dH = geom.d(H)
     if isinstance(dH, Unverified):
         raise ValueError(f"closure of the torsion 3-form was not computed: "
@@ -497,33 +496,13 @@ def spin_connection(p, cof, frm, gram):
 
 
 # ---------------------------------------------------------------------------
-# products of constant-curvature blocks
+# symmetric spaces at one point
 # ---------------------------------------------------------------------------
 
-class ConstCurvBlock:
-    """Constant-curvature factor described by its scalar curvature."""
-
-    def __init__(self, dim, scalar_curvature, lorentzian=False, label=""):
-        self.dim = dim
-        self.S = scalar_curvature if isinstance(scalar_curvature, Scalar) \
-            else Scalar(scalar_curvature)
-        self.lorentzian = lorentzian
-        self.label = label or ("AdS%d" % dim if lorentzian else "S%d" % dim)
-
-    def sectional(self):
-        return self.S * Scalar.from_rational(1, self.dim * (self.dim - 1))
-
-    def ricci_factor(self):
-        return self.S * Scalar.from_rational(1, self.dim)
-
-    def __repr__(self):
-        return f"{self.label}({self.S})"
-
-
 class Unverified:
-    """A derivative that a product of constant-curvature blocks cannot
-    compute, because the form fails the premise of the structural pass.
-    It is never zero and prints why."""
+    """A derivative that a symmetric space at one point cannot compute,
+    because the form is not parallel there.  It is never zero and prints
+    why."""
 
     def __init__(self, why):
         self.why = why
@@ -535,103 +514,144 @@ class Unverified:
         return self.why
 
 
-class ProductGeometry:
-    """Ordered product of constant-curvature blocks with the concatenated
-    orthonormal frame (exactly one lorentzian block, timelike leg first).
+def _symmetric_check(space, R, holonomy):
+    """Raise ValueError unless R meets the first Bianchi identity and every
+    generator R_ab of holonomy ([((a, b), covector action)]) annihilates R
+    as a derivation, over R's nonzero components: the Jacobi identity of
+    hol + p, hence nabla R = 0 (docs/conventions.md).  With R's symmetries
+    the Bianchi sum is the 4-form (x,y,z,w) - (x,z,y,w) + (x,w,y,z).
+    R_ab . R, up to a factor 2 where a key repeats its pair, moves one slot
+    of one canonical component at a time to its canonical key; slots 2 and
+    3 of a key that repeats its pair give what slots 0 and 1 give."""
+    bianchi = {}        # x < y < z < w: the Bianchi 4-form
+    slots = {}          # index i: [(key, slot of i, (-R, R) at key)]
+    for key, v in R.components.items():
+        if len(set(key)) == 4:
+            accumulate(bianchi, tuple(sorted(key)),
+                       -v if key[2] < key[1] < key[3] else v)
+        vs = (-v, v)
+        for s in range(2 if key[:2] == key[2:] else 4):
+            slots.setdefault(key[s], []).append((key, s, vs))
+    if bianchi:
+        raise ValueError(f"R fails the first Bianchi identity at "
+                         f"{min(bianchi)}")
+    for (a, b), act in holonomy:
+        moved = {}
+        for i, images in act.items():
+            for key, s, vs in slots.get(i, ()):
+                for t, x in images.items():
+                    sign, p = BiSymTensor.canonical(
+                        *key[:s], t, *key[s + 1:])
+                    if sign:
+                        accumulate(moved, p, vs[sign > 0] * x)
+        if moved:
+            raise ValueError(f"R_ab . R != 0 at (a, b) = {(a, b)}, "
+                             f"R({space.names[a]},{space.names[b]}), so R "
+                             f"is not parallel")
 
-    Forms on it are frame-constant.  d and nabla are structural: such a form
-    is parallel, hence closed, when each component meets every curved block
-    in none or all of its legs (on S^n and AdS_n the only parallel forms are
-    1 and the volume form; flat blocks accept any legs).  That premise is
-    checked; where it fails the derivative is Unverified."""
 
-    premise = ("structural: every component meets each curved block in none "
-               "or all of its legs (checked), so the frame-constant form is "
-               "parallel, hence closed")
+class SymmetricSpace:
+    """A locally symmetric space at its base point, held as its tangent
+    space (Gram B and orientation) and its curvature tensor R there
+    (docs/conventions.md).  By Cartan these data fix the space up to local
+    isometry.  Its holonomy algebra is span{R(X,Y)}, so a form given at the
+    point extends to a parallel form iff every 2-form R_ab = R(e_a, e_b,
+    ., .) of R's support annihilates it; nabla decides that, and d follows.
+    Construction checks the first Bianchi identity and R_ab . R = 0, which
+    make hol + p a Lie algebra and R parallel."""
 
-    def __init__(self, blocks, orientation=1):
-        lorentzian = sum(1 for b in blocks if b.lorentzian)
+    def __init__(self, space, R):
+        self.space = space
+        self.dim = space.dim
+        self._riemann = R
+        rows = {}           # (a, b): {(c, d): R(a, b, c, d)}
+        for (i, j, k, l), v in R.components.items():
+            rows.setdefault((i, j), {})[(k, l)] = v
+            rows.setdefault((k, l), {})[(i, j)] = v
+        self._holonomy = [(ab, covector_action(KForm(space, 2, rows[ab])))
+                          for ab in sorted(rows)]
+        _symmetric_check(space, R, self._holonomy)
+
+    @staticmethod
+    def plane_wave(data, orientation=1):
+        """The plane wave of the profile data.A at its base point: the frame
+        (xp, xm, x1..) with the lightcone Gram, the chart's coordinate
+        frame at its origin, and R(xm, x_i, xm, x_j) = A_ij."""
+        m = data.n - 2
+        B = linalg.eye(data.n)          # the lightcone Gram, its own inverse
+        B[0][0], B[1][1], B[0][1], B[1][0] = _Z, _Z, ONE, ONE
+        space = QuadraticSpace(B, orientation, ("xp", "xm") + tuple(
+            f"x{i + 1}" for i in range(m)), inverse=B)
+        return SymmetricSpace(space, BiSymTensor(space, {
+            (1, 2 + i, 1, 2 + j): data.A[i][j]
+            for i in range(m) for j in range(i, m)}))
+
+    @staticmethod
+    def product(blocks, orientation=1):
+        """The ordered product of constant-curvature blocks (dim, scalar
+        curvature as a Scalar, lorentzian, label) in the concatenated
+        orthonormal frame, with exactly one lorentzian block, its timelike
+        leg first, and legs named label:i.  A block of sectional curvature
+        K has R(a, b, a, b) = -K g_aa g_bb."""
+        lorentzian = sum(1 for blk in blocks if blk[2])
         if lorentzian != 1:
-            raise ValueError(f"a product needs exactly one lorentzian block, "
-                             f"got {lorentzian}")
-        self.blocks = blocks
-        self.dim = sum(b.dim for b in blocks)
-        g = linalg.eye(self.dim)
-        names = []
-        ranges = []
-        ofs = 0
-        for b in blocks:
-            ranges.append(range(ofs, ofs + b.dim))
-            for i in range(b.dim):
-                names.append(f"{b.label}:{i}")
-            if b.lorentzian:
-                g[ofs][ofs] = Scalar(-1)
-            ofs += b.dim
-        self.ranges = ranges
-        self.space = QuadraticSpace(g, orientation, names)
+            raise ValueError(f"blocks: a product needs exactly one "
+                             f"lorentzian block, got {lorentzian}")
+        g = linalg.eye(sum(blk[0] for blk in blocks))
+        names, comps, ofs = [], {}, 0
+        for pos, (dim, S, timelike, label) in enumerate(blocks):
+            if dim == 1 and not S.is_zero():
+                raise ValueError(f"blocks[{pos}].scalar_curvature: a "
+                                 f"1-dimensional block is flat, got {S}")
+            label = label or ("AdS%d" % dim if timelike else "S%d" % dim)
+            names += [f"{label}:{i}" for i in range(dim)]
+            if timelike:
+                g[ofs][ofs] = -ONE
+            if dim > 1:
+                K = S * Scalar.from_rational(1, dim * (dim - 1))
+                for a, b in combinations(range(ofs, ofs + dim), 2):
+                    comps[(a, b, a, b)] = -(K * g[a][a] * g[b][b])
+            ofs += dim
+        space = QuadraticSpace(g, orientation, names, inverse=g)
+        return SymmetricSpace(space, BiSymTensor(space, comps))
 
     def signature(self):
         return self.space.signature()
 
-    def block_of(self, index):
-        for bi, r in enumerate(self.ranges):
-            if index in r:
-                return bi
-        raise IndexError(index)
-
-    def volume_form(self, block_index, coeff=None):
-        """coeff * dvol(block) as a KForm on the product frame."""
-        c = Scalar(1) if coeff is None else coeff
-        idx = tuple(self.ranges[block_index])
-        return KForm(self.space, len(idx), {idx: c})
-
     def riemann(self):
-        """Block-diagonal Riemann: Riem_b = (K_b/2) (g_b . g_b) per block,
-        g_b the metric restricted to the block."""
-        out = BiSymTensor(self.space)
-        for blk, r in zip(self.blocks, self.ranges):
-            if blk.dim < 2:         # no 2-plane, no sectional curvature
-                continue
-            gb = [[x if i in r and j in r else _Z for j, x in enumerate(row)]
-                  for i, row in enumerate(self.space.metric)]
-            out = out + kulkarni_nomizu(gb, gb, self.space).scale(
-                blk.sectional() * Scalar.from_rational(1, 2))
-        return out
+        return self._riemann
 
     def ricci(self):
-        n = self.dim
-        out = linalg.zeros(n, n)
-        for bi, r in enumerate(self.ranges):
-            f = self.blocks[bi].ricci_factor()
-            for i in r:
-                out[i][i] = f * self.space.metric[i][i]
+        """Ric(y, z) = sum_a R_ya^a_z, the trace of R read off the covector
+        actions -R_ab^i_t of the generators (a < b), which hold R with an
+        index raised: additions only."""
+        ric = {}
+        for (a, b), act in self._holonomy:
+            for y, i, sign in ((b, a, 1), (a, b, -1)):
+                for z, x in act.get(i, {}).items():
+                    if y <= z:
+                        accumulate(ric, (y, z), x if sign > 0 else -x)
+        out = linalg.zeros(self.dim, self.dim)
+        for (y, z), x in ric.items():
+            out[y][z] = out[z][y] = x
         return out
 
-    def _premise_failure(self, F):
-        """(first leg of the block, Unverified) for the first component that
-        meets a curved block in some but not all of its legs, or None."""
-        for idx in sorted(F.components):
-            for blk, r in zip(self.blocks, self.ranges):
-                k = sum(1 for i in idx if i in r)
-                if 0 < k < blk.dim and not blk.S.is_zero():
-                    return r[0], Unverified(
-                        f"component {idx} meets the curved block "
-                        f"{blk.label} in {k} of its {blk.dim} legs")
-        return None
+    def nabla(self, F):
+        """{} when every holonomy generator annihilates F, that is when F is
+        parallel; otherwise {R(e_a,e_b): Unverified} for the first one that
+        moves F, naming lambda(R_ab) F."""
+        for (a, b), act in self._holonomy:
+            moved = derivation_action(act, F)
+            if not moved.is_zero():
+                name = f"R({self.space.names[a]},{self.space.names[b]})"
+                return {name: Unverified(
+                    f"the form is not invariant under the holonomy, hence "
+                    f"not parallel: {name} takes it to {moved}")}
+        return {}
 
     def d(self, F):
-        bad = self._premise_failure(F)
-        if bad is None:
-            return KForm.zero(self.space, min(F.degree + 1, self.dim))
-        return bad[1]
-
-    def nabla(self, F):
-        bad = self._premise_failure(F)
-        return {} if bad is None else {bad[0]: bad[1]}
-
-    def gamma(self, *args):
-        raise ValueError("a product of constant-curvature blocks has no "
-                         "frame connection; torsion needs a plane wave or a "
-                         "metric Lie algebra")
-
-    partial = gamma
+        """dF = Alt nabla F for the Levi-Civita connection: zero when F is
+        parallel, otherwise nabla's Unverified."""
+        moved = self.nabla(F)
+        return next(iter(moved.values())) if moved else \
+            KForm.zero(self.space, min(F.degree + 1, self.dim))

@@ -1,5 +1,5 @@
 """Metric Lie algebras: verification primitives, double extensions,
-plane-wave (Cahen-Wallach) algebras and their moduli, canonical 3-forms,
+plane-wave (Cahen-Wallach) profiles and their moduli, canonical 3-forms,
 the Chevalley-Eilenberg differential, and bi-invariant Ricci curvature.
 
 Structure constants are stored as a dense 3-index array of Scalars with
@@ -11,14 +11,13 @@ catalog entry so the stated duality properties hold).
 from itertools import combinations
 
 from .exactnum import Scalar, ZERO, ONE, sqrt_scalar
-from .multilinear import (QuadraticSpace, KForm, BiSymTensor, hodge,
-                          form_component, lambda_action, sort_sign,
-                          accumulate)
-from .geometry import covariant_derivative_form, riemann, Unverified
+from .multilinear import (QuadraticSpace, KForm, hodge, form_component,
+                          sort_sign, accumulate)
+from .geometry import covariant_derivative_form, riemann
 from . import linalg
 
 __all__ = ["MetricLieAlgebra", "CWData", "jacobi_check", "invariance_check",
-           "double_extension", "cw_algebra", "cw_canonicalize",
+           "double_extension", "cw_canonicalize",
            "canonical_three_form", "ce_differential", "biinvariant_ricci",
            "d6_catalog", "so3", "so12", "su3", "SU3_STRUCTURE"]
 
@@ -29,8 +28,6 @@ class MetricLieAlgebra:
     """Lie algebra with an invariant scalar product and an orientation.
     It is also the geometry of its group with the left-invariant metric, in
     the invariant frame (the interface in geometry's docstring)."""
-
-    premise = ""            # d and nabla are computed, not structural
 
     def __init__(self, dim, brackets, metric, orientation=1, name=""):
         self.dim = dim
@@ -194,8 +191,8 @@ class MetricLieAlgebra:
 
 
 def jacobi_check(g):
-    """Cyclic Jacobi identity over the nonzero brackets of g (a
-    MetricLieAlgebra or a CWAlgebra): each term [e_i, [e_j, e_k]] (j < k)
+    """Cyclic Jacobi identity over the nonzero brackets of a
+    MetricLieAlgebra g: each term [e_i, [e_j, e_k]] (j < k)
     enters the Jacobiator of the sorted triple with the sign of its sorting
     permutation.  Returns ("pass", None) or ("witness", the first failing
     triple)."""
@@ -345,143 +342,6 @@ class CWData:
 
     def is_degenerate(self):
         return linalg.det(self.A).is_zero()
-
-
-class CWAlgebra:
-    """The transvection pair g = k + p of a Cahen-Wallach space, which is
-    also the space at its base point as a geometry (the interface in
-    geometry's docstring).  Basis of g: (e+, e-, v_1..v_m, a_1..a_m), with
-    [e-, v_i] = a_i, [e-, a_i] = A v_i and [a_i, v_j] = A_ij e+.  p =
-    span(e+, e-, v), with the lightcone product B, is the tangent space at
-    the point, the chart's frame (d+, d-, d_i) at x = 0, and its legs are
-    named like the chart's coordinates.  The space is symmetric, so its
-    curvature is R(X,Y)Z = -[[X,Y],Z], and a form given at the point
-    extends to a parallel form iff k = span(a) leaves it invariant
-    (docs/conventions.md)."""
-
-    premise = ""            # nabla is computed; d follows from it
-
-    def __init__(self, data, orientation=1):
-        m = data.n - 2
-        self.m = m
-        self.dim = data.n
-        A = data.A
-        brackets = {}
-        for i in range(m):
-            brackets[(1, 2 + i)] = {2 + m + i: Scalar(1)}       # [e-, v] = v^flat
-            col = {2 + j: A[j][i] for j in range(m) if not A[j][i].is_zero()}
-            if col:
-                brackets[(1, 2 + m + i)] = col                  # [e-, a] = A(a^sharp)
-            for j in range(m):
-                if not A[i][j].is_zero():
-                    brackets[(2 + m + i, 2 + j)] = {0: A[i][j]}  # [a, v] = A(v,a) e+
-        self.brackets = brackets
-        self._br = {}           # (i, j): [e_i, e_j], both orders, nonzero only
-        for (i, j), vec in brackets.items():
-            self._br[(i, j)] = vec
-            self._br[(j, i)] = {k: -v for k, v in vec.items()}
-        B = linalg.eye(self.dim)        # the lightcone B, its own inverse
-        B[0][0], B[1][1], B[0][1], B[1][0] = _Z, _Z, ONE, ONE
-        self.space = QuadraticSpace(B, orientation, ("xp", "xm") + tuple(
-            f"x{i + 1}" for i in range(m)), inverse=B)
-        self._holonomy = None
-        self._riemann = None
-
-    def bracket_table(self):
-        return self._br
-
-    def symmetric_split_check(self):
-        """[k,k] in k, [k,p] in p and [p,p] in k, over the nonzero brackets
-        (p is the first dim basis vectors)."""
-        p = self.dim
-        return all((l < p) == ((i < p) != (j < p))
-                   for (i, j), vec in self._br.items() for l in vec)
-
-    def _ad_matrices(self):
-        """{xi: {(x, y): B(e_x, [xi, e_y])}} for xi in k and x, y in p,
-        nonzero entries only (the split puts [xi, e_y] in p)."""
-        out = {}
-        for xi in range(self.dim, self.dim + self.m):
-            mat = out[xi] = {}
-            for y in range(self.dim):
-                for l, v in self._br.get((xi, y), {}).items():
-                    for x, g in self.space.metric_cols[l]:
-                        accumulate(mat, (x, y), g * v)
-        return out
-
-    def k_invariance_check(self):
-        """B([xi, x], y) + B(x, [xi, y]) = 0 for xi in k and x, y in p: each
-        matrix of _ad_matrices is skew."""
-        for mat in self._ad_matrices().values():
-            for (x, y), v in mat.items():
-                w = mat.get((y, x))
-                if w is None or not (v + w).is_zero():
-                    return False
-        return True
-
-    # -- the space at the base point --------------------------------------
-
-    def signature(self):
-        return self.space.signature()
-
-    def riemann(self):
-        """R(a,b,c,w) = -B([[e_a,e_b],e_c], e_w) on the canonical keys, over
-        the nonzero brackets."""
-        if self._riemann is None:
-            comps = {}
-            cols = self.space.metric_cols
-            for a, b in combinations(range(self.dim), 2):
-                for xi, x in self._br.get((a, b), {}).items():
-                    for c in range(self.dim):
-                        for t, y in self._br.get((xi, c), {}).items():
-                            for w, g in cols[t]:
-                                if c < w and (a, b) <= (c, w):
-                                    accumulate(comps, (a, b, c, w),
-                                               -(x * y * g))
-            self._riemann = BiSymTensor(self.space, comps)
-        return self._riemann
-
-    def ricci(self):
-        return self.riemann().ricci()
-
-    def nabla(self, F):
-        """{} when F is k-invariant, that is parallel; otherwise {xi:
-        Unverified} for the first generator xi of k that moves F, naming
-        lambda(ad xi) F.  ad xi acts on p as the 2-form B(., [xi, .])."""
-        if self._holonomy is None:
-            self._holonomy = [
-                (f"a{xi - self.dim + 1}", KForm(self.space, 2, {
-                    k: v for k, v in mat.items() if k[0] < k[1]}))
-                for xi, mat in sorted(self._ad_matrices().items())]
-        for name, omega in self._holonomy:
-            moved = lambda_action(omega, F)
-            if not moved.is_zero():
-                return {name: Unverified(
-                    f"the form is not k-invariant, hence not parallel: "
-                    f"ad {name} takes it to {moved}")}
-        return {}
-
-    def d(self, F):
-        """dF = Alt nabla F for the Levi-Civita connection: zero when F is
-        parallel, otherwise nabla's Unverified."""
-        moved = self.nabla(F)
-        return next(iter(moved.values())) if moved else \
-            KForm.zero(self.space, min(F.degree + 1, self.dim))
-
-
-def cw_algebra(data, orientation=1):
-    """The transvection pair of a Cahen-Wallach space, with orientation the
-    sign of its frame (xp, xm, x1..); the symmetric split, the Jacobi
-    identity and k-invariance are checked on construction."""
-    out = CWAlgebra(data, orientation)
-    if not out.symmetric_split_check():
-        raise RuntimeError("CW algebra: symmetric split fails")
-    status, witness = jacobi_check(out)
-    if status != "pass":
-        raise RuntimeError(f"CW Jacobi identity fails at {witness}")
-    if not out.k_invariance_check():
-        raise RuntimeError("CW algebra: k-invariance fails")
-    return out
 
 
 # ---------------------------------------------------------------------------

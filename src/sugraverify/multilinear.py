@@ -27,7 +27,8 @@ __all__ = ["QuadraticSpace", "KForm", "BiSymTensor", "wedge", "interior",
            "interior_frame", "hodge", "form_inner", "contraction_inners",
            "basis_contractions", "flat", "map_slots", "nonzero_columns",
            "kulkarni_nomizu", "crossed_inners", "plucker_check",
-           "lambda_action", "sort_sign",
+           "covector_action", "derivation_action", "lambda_action",
+           "sort_sign",
            "form_component", "signature", "accumulate"]
 
 _Z = ZERO
@@ -540,18 +541,23 @@ class BiSymTensor:
                         raise ValueError(f"non-canonical key {key}")
                     self.components[key] = c
 
-    def get(self, i, j, k, l):
-        """Component with arbitrary index order, via the symmetries."""
+    @staticmethod
+    def canonical(i, j, k, l):
+        """(sign, canonical key) of the index order (i, j, k, l) under the
+        symmetries, or (0, None) where they make it vanish."""
         if i == j or k == l:
-            return ZERO
+            return 0, None
         sign = 1
         if i > j:
             i, j, sign = j, i, -sign
         if k > l:
             k, l, sign = l, k, -sign
-        if (i, j) > (k, l):
-            i, j, k, l = k, l, i, j
-        c = self.components.get((i, j, k, l))
+        return sign, (i, j, k, l) if (i, j) <= (k, l) else (k, l, i, j)
+
+    def get(self, i, j, k, l):
+        """Component with arbitrary index order, via the symmetries."""
+        sign, key = self.canonical(i, j, k, l)
+        c = self.components.get(key) if sign else None
         if c is None:
             return ZERO
         return c if sign > 0 else -c
@@ -638,32 +644,37 @@ def plucker_rank_oracle(F):
     return linalg.rank(rows) <= k
 
 
-def lambda_action(omega, F):
-    """Action on F of the skew endomorphism associated to the 2-form omega,
-    extended to forms as a derivation (acting on covectors by -A^T)."""
+def covector_action(omega):
+    """The skew endomorphism A^a_b = g^{ac} omega_{cb} of the 2-form omega,
+    acting on covectors: {i: {a: -A^i_a}}, e^i -> -A^i_a e^a, nonzero
+    entries only."""
     space = omega.space
     if omega.degree != 2:
         raise ValueError("omega must be a 2-form")
-    # A^a_b = g^{ac} omega_{cb} as {a: {b: A^a_b}}, nonzero entries only;
-    # covector action (A.theta)_b = -theta_a A^a_b
     A = {}
     for (c, b), v in omega.components.items():
         for a, gac in space.inverse_cols[c]:
-            accumulate(A.setdefault(a, {}), b, gac * v)
+            accumulate(A.setdefault(a, {}), b, -(gac * v))
         for a, gab in space.inverse_cols[b]:
-            accumulate(A.setdefault(a, {}), c, -(gab * v))
+            accumulate(A.setdefault(a, {}), c, gab * v)
+    return A
+
+
+def derivation_action(act, F):
+    """F moved by the covector action act ({i: {a: c}}, e^i -> c e^a, as
+    covector_action gives it), extended to forms as a derivation."""
     comps = {}
     for idx, coeff in F.components.items():
         for pos, i in enumerate(idx):
-            # derivation: slot covector e^i -> -A^i_a e^a
-            for a, x in A.get(i, {}).items():
-                c = coeff * (-x)
-                new = idx[:pos] + (a,) + idx[pos + 1:]
-                # re-sort with sign
-                sign, srt = sort_sign(new)
-                if sign == 0:
-                    continue
-                if sign < 0:
-                    c = -c
-                accumulate(comps, srt, c)
-    return KForm(space, F.degree, comps)
+            for a, x in act.get(i, {}).items():
+                sign, srt = sort_sign(idx[:pos] + (a,) + idx[pos + 1:])
+                if sign:
+                    accumulate(comps, srt, coeff * x if sign > 0
+                               else -(coeff * x))
+    return KForm(F.space, F.degree, comps)
+
+
+def lambda_action(omega, F):
+    """Action on F of the skew endomorphism associated to the 2-form omega,
+    extended to forms as a derivation."""
+    return derivation_action(covector_action(omega), F)

@@ -3,10 +3,10 @@
 Covers d=11, the constant axi-dilaton sector of IIB, d=6 (1,0), and the
 type-II common sector.  Every check is exact; each verifier emits a
 VerificationReport listing all conditions it owes (passes, failures with
-witnesses, and structural facts on symmetric products, reported as such
-with the premise that was checked rather than silently skipped).  Each
-verifier has one body for every geometry kind: it works through the
-geometry interface described in geometry's docstring.
+witnesses, and cited facts, reported as such rather than silently
+skipped).  Each verifier has one body for every geometry kind: it works
+through the geometry interface described in geometry's docstring, which
+computes every d and nabla.
 """
 
 from collections import namedtuple
@@ -112,9 +112,10 @@ class BackgroundSpec(namedtuple("BackgroundSpec", "theory name geometry "
                                 defaults=((), None, None))):
     """A background as data, built once.
 
-    geometry is a CWAlgebra (a plane wave at one point), ProductGeometry or
-    MetricLieAlgebra (the interface in geometry's docstring) and fluxes a
-    dict of named KForms on geometry.space; notes go into the report.
+    geometry is a SymmetricSpace (a plane wave or a product of
+    constant-curvature blocks, at one point) or a MetricLieAlgebra (the
+    interface in geometry's docstring), and fluxes a dict of named KForms
+    on geometry.space; notes go into the report.
     cw_data keeps a plane wave's profile, which the tr A invariant reads.
     The typeII-common and iia records have no geometry: their verifiers
     read the frame_data that the catalog assembles by hand.
@@ -176,9 +177,9 @@ FREUND_RUBIN = ("supercovariant flatness on the Freund-Rubin product is "
 
 
 def _add_supercovariant_flatness(rep, b, nabla_F):
-    """Supercovariant flatness: computed on a plane wave, whose constant
-    profile (b.cw_data) gives nabla R = 0, from R^D at one point with nabla F
-    = 0 as its premise; cited on a product."""
+    """Supercovariant flatness: computed on a plane wave (b.cw_data), from
+    R^D at one point with nabla F = 0 as its premise; cited on a
+    product."""
     if b.cw_data is None:
         rep.notes.append(FREUND_RUBIN)
         return
@@ -243,9 +244,9 @@ def _d11_field_equations(b):
     geom = theory_geometry("d11", b.name, b.geometry)
     F = _theory_fluxes(b)["F4"]
     nabla_F = geom.nabla(F)
-    _add_vanishing(rep, "dF=0", geom.d(F), geom.premise)
+    _add_vanishing(rep, "dF=0", geom.d(F))
     _add_vanishing(rep, "maxwell d*F=-1/2 F^F",
-                   _maxwell_residual(geom.space, F, nabla_F), geom.premise)
+                   _maxwell_residual(geom.space, F, nabla_F))
     _add_einstein(rep, "einstein Ric=T(g,F)", geom,
                   _stress(geom.space, F, Scalar.from_rational(1, 6)))
     rep.invariants["|F|^2"] = str(form_inner(F, F))
@@ -258,8 +259,8 @@ def _d11_field_equations(b):
 def _maxwell_residual(space, F, nabla_F):
     """div F + 1/2 *(F ^ F), the Hodge dual of d*F + 1/2 F ^ F, with
     div F = g^{ae} iota_{e_a} nabla_e F = *d*F taken from nabla F as
-    {direction e: form}.  An Unverified derivative (the structural pass of
-    a product) is returned as it is."""
+    {direction e: form}.  An Unverified derivative (a form that is not
+    parallel at the point of a symmetric space) is returned as it is."""
     div = KForm.zero(space, F.degree - 1)
     for e, G in nabla_F.items():
         if isinstance(G, Unverified):
@@ -312,7 +313,7 @@ def verify_d11_maxsusy(b):
     supercovariant flatness; the underlying field equations are re-verified
     first (no silent skips)."""
     rep, geom, F, nabla_F = _d11_field_equations(b)
-    _add_vanishing(rep, "nabla F=0", nabla_F, geom.premise)
+    _add_vanishing(rep, "nabla F=0", nabla_F)
     _add_identity(rep, "riemann-flux identity", geom.riemann(),
                   _riemann_flux_rhs(geom.space, F))
     status, witness = plucker_check(F)
@@ -380,14 +381,15 @@ def supercovariant_flatness(b, nabla_F=None):
     kernel, and the supersymmetry fraction nu.  Returns (report, kernel
     dimension, kernel basis, alg).
 
-    R^D is taken at the base point (supercovariant_curvature).  A plane
-    wave's profile is constant, so nabla R = 0; with nabla F = 0 as well,
-    R^D is parallel and vanishes everywhere iff it vanishes there.  nabla F
-    (computed here unless given) is therefore the premise of every
+    R^D is taken at the base point (supercovariant_curvature).  The
+    geometry checked nabla R = 0 when it was built; with nabla F = 0 as
+    well, R^D is parallel and vanishes everywhere iff it vanishes there.
+    nabla F (computed here unless given) is therefore the premise of every
     condition: where it fails, they fail naming it, and nothing else is
     computed.  Also checks (for d11) that every curvature value is
     traceless (the sl(32) property) and the Clifford-trace field-equation
-    identity sum_a c(e^a) R^D_{b a} = 0."""
+    identity sum_a c(e^a) R^D_{b a} = 0.  The IIB chirality is recorded
+    relative to the frame's orientation."""
     rep = VerificationReport(b.name, b.theory)
     if nabla_F is None:
         nabla_F = b.geometry.nabla(b.fluxes[_FLUX[b.theory]])
@@ -425,8 +427,9 @@ def supercovariant_flatness(b, nabla_F=None):
         rep.add("nu = 1", dim == N)
         return rep, dim, basis, alg
     # IIB: complex Weyl spinors; the curvature must annihilate the chiral
-    # half carrying the supersymmetry.  Both halves are tried and the
-    # realized chirality is recorded.
+    # half carrying the supersymmetry.  Both halves are tried, and the
+    # realized one is recorded relative to the frame's orientation: c(vol)
+    # is Gamma_11 times the orientation.
     results = {}
     for sign in (1, -1):
         results[sign] = kernel_dim(list(curv.values()), alg,
@@ -438,10 +441,11 @@ def supercovariant_flatness(b, nabla_F=None):
             witness="" if 2 * dim == N else
             f"chiral kernel only {dim}-dimensional (complex)")
     rep.invariants["kernel dimension (complex)"] = str(dim)
-    rep.invariants["chirality"] = f"{best:+d}"
+    chirality = best * b.geometry.space.orientation
+    rep.invariants["chirality"] = f"{chirality:+d}"
     rep.invariants["nu"] = f"{2 * dim}/{N}"
     rep.add("nu = 1", 2 * dim == N,
-            note=f"complex Weyl kernel on the chirality {best:+d} half")
+            note=f"complex Weyl kernel on the chirality {chirality:+d} half")
     return rep, dim, basis, alg
 
 
@@ -458,9 +462,9 @@ def verify_iib_maxsusy(b):
     fluxes = _theory_fluxes(b)
     F = fluxes["F5"]
     _add_vanishing(rep, "self-duality *F=F", hodge(F) - F)
-    _add_vanishing(rep, "dF=0", geom.d(F), geom.premise)
+    _add_vanishing(rep, "dF=0", geom.d(F))
     nabla_F = geom.nabla(F)
-    _add_vanishing(rep, "nabla F=0", nabla_F, geom.premise)
+    _add_vanishing(rep, "nabla F=0", nabla_F)
     _add_identity(rep, "riemann-flux identity (IIB)", geom.riemann(),
                   crossed_inners(geom.space, F))
     rep.add("plucker-jacobi identity", _plujac_holds(F),
@@ -494,16 +498,16 @@ def verify_d6(b):
     """dH = 0, anti-selfduality *H = -H, the Einstein equation
     Ric = 1/2 <iota_X H, iota_Y H> (this module's Ricci sign), and flatness
     of the parallelising connection.  Geometry may be a metric Lie algebra
-    or a plane wave at one point."""
+    or a symmetric space at one point."""
     rep = VerificationReport(b.name, "d6-(1,0)")
     geom = theory_geometry("d6-(1,0)", b.name, b.geometry)
     H = _theory_fluxes(b)["H3"]
     dH = geom.d(H)
-    _add_vanishing(rep, "dH=0", dH, geom.premise)
+    _add_vanishing(rep, "dH=0", dH)
     _add_vanishing(rep, "*H=-H", hodge(H) + H)
     _add_einstein(rep, "einstein Ric = 1/2 <iH,iH>", geom,
                   _stress(geom.space, H, _Z))
-    if isinstance(dH, Unverified):      # e.g. an H a plane wave's k moves
+    if isinstance(dH, Unverified):      # an H that the holonomy moves
         flat, witness = False, f"premise dH = 0 is undecided: {dH}"
     else:
         rd = curvature_with_torsion(geom, H)
@@ -530,12 +534,13 @@ def verify_typeII_common(b):
     H = b.frame_data["H"]
     dphi = b.frame_data["dphi"]          # 1-form on the frame
     n = space.dim
-    # nabla d phi: computed on the plane-wave pair when a lightcone frame
-    # carries the dilaton (dphi_pair).  Otherwise the frame is left-invariant
-    # on a group with a bi-invariant metric, so (nabla_X dphi)(Y) =
-    # -1/2 dphi([X,Y]); the brackets span the legs that H touches (those of
-    # AdS3, S3 and SU(3)), and a frame-constant dphi without such legs is
-    # parallel.
+    # nabla d phi: computed on the plane wave at one point when a lightcone
+    # frame carries the dilaton (dphi_pair); k of its transvection pair acts
+    # on the frame as the holonomy that nabla tests.  Otherwise the frame is
+    # left-invariant on a group with a bi-invariant metric, so
+    # (nabla_X dphi)(Y) = -1/2 dphi([X,Y]); the brackets span the legs that
+    # H touches (those of AdS3, S3 and SU(3)), and a frame-constant dphi
+    # without such legs is parallel.
     pair_dphi = b.frame_data.get("dphi_pair")
     if pair_dphi is not None:
         _add_vanishing(rep, "nabla d phi = 0",

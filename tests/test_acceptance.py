@@ -248,16 +248,15 @@ def test_criterion_9_negative_controls():
     ok = ok and not rep.passed and cond["einstein Ric=T(g,F)"].witness
     details.append("cw11 A11+1: einstein witness")
     # swapped Freund-Rubin radii
-    from sugraverify.geometry import ConstCurvBlock, ProductGeometry
+    from sugraverify.geometry import SymmetricSpace
     from sugraverify.exactnum import sqrt_scalar
     from sugraverify.sugra import verify_d11_maxsusy
     Rv = S(6)
-    prod = ProductGeometry([
-        ConstCurvBlock(7, S(-8) * Rv, lorentzian=True, label="AdS7"),
-        ConstCurvBlock(4, S(7) * Rv, lorentzian=False, label="S4")])
+    prod = SymmetricSpace.product([(7, S(-8) * Rv, True, "AdS7"),
+                                   (4, S(7) * Rv, False, "S4")])
     q = sqrt_scalar(S(6) * Rv)
     bb = BackgroundSpec("d11", "fr-swapped", prod,
-                        {"F4": prod.volume_form(1, q)})
+                        {"F4": KForm(prod.space, 4, {(7, 8, 9, 10): q})})
     rep2 = verify_d11_maxsusy(bb)
     c2 = {c.name: c for c in rep2.conditions}
     ok = ok and not rep2.passed and c2["riemann-flux identity"].witness

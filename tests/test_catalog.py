@@ -258,6 +258,12 @@ BAD_FILE_ENTRIES = {
         lambda d, value=value: d["geometry"].update(orientation=value),
         "geometry.orientation")
        for tag, value in (("as-a-string", "x"), ("two", 2), ("true", True))},
+    # a 1-dimensional block has no 2-plane, so no curvature to hold
+    "one-dimensional-block-with-curvature": (
+        lambda d: d.update(geometry={"type": "product", "blocks": [
+            {"dim": 1, "scalar_curvature": "7", "lorentzian": True},
+            {"dim": 10, "scalar_curvature": "0"}]}),
+        "geometry.blocks[0].scalar_curvature"),
     # the block dimensions are summed before any matrix is built
     "block-of-dimension-4000": (
         lambda d: d.update(geometry={"type": "product", "blocks": [
@@ -312,7 +318,7 @@ def test_background_file_dimensions_are_checked_before_building(
         tmp_path, monkeypatch):
     # a block of dimension 4000 or a 4000x4000 profile is refused from its
     # declared size, naming the entry and both dimensions; no
-    # ProductGeometry, CWData or transvection pair is constructed
+    # SymmetricSpace or CWData is constructed
     doc = cw11_document()
     doc["geometry"] = {"type": "product", "blocks": [
         {"dim": 4000, "scalar_curvature": "0", "lorentzian": True}]}
@@ -322,7 +328,7 @@ def test_background_file_dimensions_are_checked_before_building(
                    "give dimension 4000"),
              (short, "geometry.profile: d11 needs dimension 11, a 7x7 "
                      "profile gives dimension 9"))
-    for name in ("ProductGeometry", "CWData", "cw_algebra"):
+    for name in ("SymmetricSpace", "CWData"):
         monkeypatch.setattr(catalog, name, None)
     for d, message in cases:
         path = tmp_path / "big.json"
@@ -358,6 +364,63 @@ def test_cw_file_orientation_fixes_iib_self_duality(tmp_path):
     assert verify_background(load_background(str(path))).passed
 
 
+@pytest.mark.parametrize("orientation,sign,chirality,passed", [
+    (1, 1, "+1", True), (-1, -1, "+1", True),
+    (-1, 1, "-1", False), (1, -1, "-1", False)])
+def test_iib_chirality_is_relative_to_the_frame_orientation(
+        tmp_path, orientation, sign, chirality, passed):
+    # F5 = mu e^{-1234} + sign mu e^{-5678} is self-dual for the orientation
+    # sign.  R^D = 0 holds on one Weyl half either way; c(vol) flips with the
+    # orientation, so the recorded chirality is +1 exactly where F is
+    # self-dual, and -1 where self-duality fails
+    b = get_background("cw10")
+    doc = {"theory": "iib", "name": "cw10-oriented", "geometry": {
+        "type": "cw", "orientation": orientation,
+        "profile": [[str(x) for x in row] for row in b.cw_data.A]},
+        "fluxes": {"F5": [{"indices": [1, 2, 3, 4, 5], "coeff": "1"},
+                          {"indices": [1, 6, 7, 8, 9], "coeff": str(sign)}],
+                   "G5": [{"indices": [1, 2, 3, 4, 5], "coeff": "1"}]}}
+    path = tmp_path / "cw10.json"
+    path.write_text(json.dumps(doc))
+    rep = verify_background(load_background(str(path)))
+    cond = {c.name: c for c in rep.conditions}
+    assert rep.invariants["chirality"] == chirality
+    assert rep.invariants["nu"] == "32/32"
+    assert cond["supercovariant curvature R^D = 0 on the Weyl bundle"].passed
+    assert cond["nu = 1"].note == \
+        f"complex Weyl kernel on the chirality {chirality} half"
+    assert cond["self-duality *F=F"].passed == passed
+    assert rep.passed == passed
+
+
+def d6_product_document(a, b):
+    """AdS3(-6) x S3(6) with H3 = a dvol(AdS3) + b dvol(S3)."""
+    return {"theory": "d6-(1,0)", "name": "ads3xs3-file", "geometry": {
+        "type": "product", "blocks": [
+            {"dim": 3, "scalar_curvature": "-6", "lorentzian": True},
+            {"dim": 3, "scalar_curvature": "6"}]},
+        "fluxes": {"H3": [{"indices": [0, 1, 2], "coeff": str(a)},
+                          {"indices": [3, 4, 5], "coeff": str(b)}]}}
+
+
+def test_d6_product_file_gets_a_report(tmp_path):
+    # the torsion curvature of a product is R - 1/4 crossed_inners(H) at one
+    # point: 2 dvol on each block passes all five conditions, dvol fails
+    # Einstein and flatness, and the signs (2, -2) fail anti-selfduality
+    path = tmp_path / "d6.json"
+    failing = {(2, 2): set(), (1, 1): {
+        "einstein Ric = 1/2 <iH,iH>",
+        "parallelising connection flat (R^D = 0)",
+        "maximally supersymmetric"}, (2, -2): {"*H=-H"}}
+    for (a, b), fails in failing.items():
+        path.write_text(json.dumps(d6_product_document(a, b)))
+        rep = verify_background(load_background(str(path)))
+        assert len(rep.conditions) == 5
+        assert {c.name for c in rep.conditions if not c.passed} == fails, \
+            (a, b)
+        assert cli.main(["verify", str(path)]) == (1 if fails else 0)
+
+
 def catalog_document(bid):
     """The background file of the catalog plane wave or product bid."""
     b = get_background(bid)
@@ -366,10 +429,18 @@ def catalog_document(bid):
         geometry = {"type": "cw", "profile": [[str(x) for x in row]
                                               for row in b.cw_data.A]}
     else:
+        # the blocks, read back from the legs label:i and the Ricci trace
+        ric, blocks = g.ricci(), {}
+        for i, name in enumerate(g.space.names):
+            blk = blocks.setdefault(name.split(":")[0], {
+                "dim": 0, "scalar_curvature": Scalar(0),
+                "lorentzian": False})
+            blk["dim"] += 1
+            blk["scalar_curvature"] += ric[i][i] * g.space.metric[i][i]
+            blk["lorentzian"] |= g.space.metric[i][i].sign() < 0
         geometry = {"type": "product", "blocks": [
-            {"dim": blk.dim, "scalar_curvature": str(blk.S),
-             "lorentzian": blk.lorentzian, "label": blk.label}
-            for blk in g.blocks]}
+            dict(blk, label=label, scalar_curvature=str(
+                blk["scalar_curvature"])) for label, blk in blocks.items()]}
     geometry["orientation"] = g.space.orientation
     return {"theory": b.theory, "name": bid, "parameters": {},
             "geometry": geometry,
@@ -493,22 +564,26 @@ def ads4xs7_document(legs):
 
 
 def test_product_flux_across_blocks_fails_closure_and_parallelism(tmp_path):
-    # F4 on three AdS4 legs and one S7 leg is not parallel: the structural
-    # pass must check its premise and fail with the component and block
+    # F4 on three AdS4 legs and one S7 leg is not parallel: the holonomy
+    # generator R(AdS4:0,AdS4:3) moves it, and the three conditions fail
+    # naming that generator and the moved form
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps(ads4xs7_document([0, 1, 2, 4])))
     rep = verify_background(load_background(str(path)))
     cond = {c.name: c for c in rep.conditions}
+    why = ("the form is not invariant under the holonomy, hence not "
+           "parallel: R(AdS4:0,AdS4:3) takes it to (-24) "
+           "AdS4:1^AdS4:2^AdS4:3^S7:0")
     for name in ("dF=0", "maxwell d*F=-1/2 F^F", "nabla F=0"):
         assert not cond[name].passed, name
-        assert "(0, 1, 2, 4)" in cond[name].witness, name
-        assert "AdS4" in cond[name].witness, name
-        assert "checked" in cond[name].note, name
-    # on the AdS4 volume the same document passes, premise included
+        assert cond[name].witness.endswith(why), name
+        assert not cond[name].note, name
+    assert cond["nabla F=0"].witness == f"direction R(AdS4:0,AdS4:3): {why}"
+    # on the AdS4 volume the same document passes, computed, not cited
     path.write_text(json.dumps(ads4xs7_document([0, 1, 2, 3])))
     rep = verify_background(load_background(str(path)))
     assert rep.passed
-    assert "checked" in {c.name: c for c in rep.conditions}["dF=0"].note
+    assert not {c.name: c for c in rep.conditions}["dF=0"].note
 
 
 def test_background_of_the_wrong_dimension_or_signature_is_rejected(tmp_path):

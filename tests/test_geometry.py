@@ -5,7 +5,8 @@ import pytest
 
 from sugraverify import catalog, linalg
 from sugraverify.exactnum import Scalar, Polynomial
-from sugraverify.multilinear import KForm, BiSymTensor, form_component
+from sugraverify.multilinear import (KForm, BiSymTensor, form_component,
+                                     kulkarni_nomizu)
 from sugraverify.liealg import (CWData, abelian, double_extension,
                                 rotation_block_derivation, nw6, d6_catalog,
                                 canonical_three_form, su3, so12_so3,
@@ -14,7 +15,7 @@ from sugraverify.geometry import (
     CoordinatePatch, cw_patch, christoffel, riemann, ricci,
     exterior_derivative, covariant_derivative_form, curvature_with_torsion,
     flat_torsion_consequences, lightcone_coframe, spin_connection,
-    ConstCurvBlock, ProductGeometry, _check_frame)
+    SymmetricSpace, Unverified, _check_frame)
 
 from conftest import flat_patch
 
@@ -56,31 +57,128 @@ def test_signature_of_every_geometry_kind():
     # a chart's metric is polynomial: its signature is read at the origin
     assert cw_patch(cw11_data()).signature() == (1, 10)
     assert nw6().signature() == (1, 5)
-    prod = ProductGeometry([ConstCurvBlock(5, S(-5), lorentzian=True),
-                            ConstCurvBlock(5, S(5))])
+    prod = SymmetricSpace.product([(5, S(-5), True, ""), (5, S(5), False, "")])
     assert prod.signature() == (1, 9)
-    with pytest.raises(ValueError):
-        ProductGeometry([ConstCurvBlock(5, S(-5), lorentzian=True),
-                         ConstCurvBlock(5, S(-5), lorentzian=True)])
-    with pytest.raises(ValueError):
-        ProductGeometry([ConstCurvBlock(5, S(5))])
+    assert prod.space.names[::5] == ("AdS5:0", "S5:0")
+    for blocks in ([(5, S(-5), True, ""), (5, S(-5), True, "")],
+                   [(5, S(5), False, "")]):
+        with pytest.raises(ValueError, match="exactly one lorentzian block"):
+            SymmetricSpace.product(blocks)
+
+
+# AdS4 x E2 x S3, its blocks as (dim, scalar curvature, lorentzian, label)
+BLOCKS = [(4, S(-12), True, "AdS4"), (2, S(0), False, "E2"),
+          (3, S(6), False, "S3")]
 
 
 def test_product_derivatives_check_the_block_premise():
-    prod = ProductGeometry([ConstCurvBlock(4, S(-12), lorentzian=True),
-                            ConstCurvBlock(2, S(0), label="E2"),
-                            ConstCurvBlock(3, S(6))])
+    prod = SymmetricSpace.product(BLOCKS)
     sp = prod.space
     # whole curved blocks, with any flat legs: parallel and closed
     for idx in [(0, 1, 2, 3), (6, 7, 8), (0, 1, 2, 3, 4), (5,), (6, 7, 8, 5)]:
         F = KForm(sp, len(idx), {tuple(sorted(idx)): S(2)})
         assert prod.d(F).is_zero() and prod.nabla(F) == {}, idx
-    # part of a curved block: neither is verified, and the text says where
+    # part of a curved block: neither is verified, and the text names the
+    # first holonomy generator that moves the form
     F = KForm(sp, 2, {(6, 7): S(1)})
     assert not prod.d(F).is_zero()
-    assert "S3 in 2 of its 3 legs" in str(prod.d(F))
+    assert "R(S3:0,S3:2) takes it to (-1) S3:1^S3:2" in str(prod.d(F))
     (direction, nF), = prod.nabla(F).items()
-    assert direction == 6 and not nF.is_zero()
+    assert direction == "R(S3:0,S3:2)" and isinstance(nF, Unverified)
+
+
+def leg_rule_parallel(blocks, F):
+    """The structural oracle for a frame-constant form on a product of
+    constant-curvature blocks: it is parallel iff each component meets
+    every curved block of dimension >= 2 in none or all of its legs (on
+    S^n and AdS_n the parallel forms are 1 and the volume form)."""
+    ranges, ofs = [], 0
+    for n, S_b, _, _ in blocks:
+        if n > 1 and not S_b.is_zero():
+            ranges.append(range(ofs, ofs + n))
+        ofs += n
+    return all(sum(1 for i in idx if i in r) in (0, len(r))
+               for idx in F.components for r in ranges)
+
+
+# products whose first and last curved blocks are 2-dimensional, so that a
+# single holonomy generator decides some forms
+PRODUCTS = {
+    "ads7xs4": [(7, S(-42), True, "AdS7"), (4, S(48), False, "S4")],
+    "ads4xe2xs3": BLOCKS,
+    "txs2xs2xe4": [(1, S(0), True, "T"), (2, S(2), False, "S2"),
+                   (2, S(6), False, "S2b"), (4, S(0), False, "E4")],
+    "ads2xs3xe1": [(2, S(-2), True, "AdS2"), (3, S(6), False, "S3"),
+                   (1, S(0), False, "E1")],
+    "ads5xs5": [(5, S(-5), True, "AdS5"), (5, S(5), False, "S5")],
+}
+
+
+def test_holonomy_verdict_equals_the_leg_rule_on_random_product_forms():
+    # nabla F = {} exactly when the leg rule calls F parallel, on 320
+    # random forms; half the draws join whole blocks, so both verdicts
+    # occur.  A moved form is named by a generator of a block it splits
+    rng = random.Random(19)
+    verdicts = []
+    for name, blocks in PRODUCTS.items():
+        prod = SymmetricSpace.product(blocks)
+        ranges, ofs = [], 0
+        for n, _, _, label in blocks:
+            ranges.append((label, list(range(ofs, ofs + n))))
+            ofs += n
+        for _ in range(64):
+            comps = {}
+            for _ in range(rng.choice((1, 2, 3))):
+                if rng.random() < 0.5:
+                    legs = [i for _, r in rng.sample(ranges, rng.randint(
+                        1, len(ranges))) for i in r]
+                    legs = sorted(rng.sample(legs, max(1, len(legs) - 1))
+                                  if rng.random() < 0.3 else legs)
+                else:
+                    legs = sorted(rng.sample(range(prod.dim),
+                                             rng.randint(1, 5)))
+                comps[tuple(legs)] = S(rng.choice((-2, -1, 1, 3)))
+            k = len(next(iter(comps)))
+            F = KForm(prod.space, k, {i: c for i, c in comps.items()
+                                      if len(i) == k})
+            want = leg_rule_parallel(blocks, F)
+            nabla = prod.nabla(F)
+            assert (nabla == {}) == want, (name, F)
+            assert prod.d(F).is_zero() == want
+            if not want:
+                (direction, why), = nabla.items()
+                label = direction[2:].split(":")[0]
+                assert f"{direction} takes it to " in str(why)
+                r = dict(ranges)[label]
+                assert any(0 < sum(1 for i in idx if i in r) < len(r)
+                           for idx in F.components), (direction, F)
+            verdicts.append(want)
+    assert len(verdicts) == 320
+    assert 60 < sum(verdicts) < 260
+
+
+def test_construction_rejects_a_curvature_that_is_not_parallel():
+    # R = g . h with h = diag((i + 1) g_ii) on ads7xs4 meets the first
+    # Bianchi identity (every Kulkarni-Nomizu product does), but its
+    # holonomy does not preserve it; cw11's R plus a (2,3,2,3) component
+    # neither.  Each is named by the first generator that moves R
+    prod = SymmetricSpace.product(PRODUCTS["ads7xs4"])
+    sp, g = prod.space, prod.space.metric
+    h = [[S(i + 1) * g[i][j] if i == j else S(0) for j in range(sp.dim)]
+         for i in range(sp.dim)]
+    with pytest.raises(ValueError, match=r"R_ab \. R != 0 at .* "
+                       r"R\(AdS7:0,AdS7:1\)"):
+        SymmetricSpace(sp, kulkarni_nomizu(g, h, sp))
+    SymmetricSpace(sp, kulkarni_nomizu(g, g, sp))      # constant curvature
+    cw = SymmetricSpace.plane_wave(catalog.get_background("cw11").cw_data)
+    bad = cw.riemann() + BiSymTensor(cw.space, {(2, 3, 2, 3): S(1)})
+    with pytest.raises(ValueError, match=r"at \(a, b\) = \(1, 2\), "
+                       r"R\(xm,x1\)"):
+        SymmetricSpace(cw.space, bad)
+    # a component that breaks the first Bianchi identity
+    with pytest.raises(ValueError, match=r"Bianchi identity at "
+                       r"\(0, 1, 2, 3\)"):
+        SymmetricSpace(sp, BiSymTensor(sp, {(0, 1, 2, 3): S(1)}))
 
 
 def test_flat_patch_is_flat():
@@ -95,24 +193,35 @@ def test_sphere_calibration_via_two_sphere_patch():
     # the coordinate-side calibration uses the CW patch below.  Here: the
     # constant-curvature block with S = 2 in dim 2 must have Gaussian
     # curvature +1 and Riem = (K/2) g . g.
-    blk = ProductGeometry([ConstCurvBlock(2, 2, lorentzian=False),
-                           ConstCurvBlock(1, 0, lorentzian=True,
-                                          label="E(1,0)")])
+    blk = SymmetricSpace.product([(2, S(2), False, ""),
+                                  (1, S(0), True, "E(1,0)")])
     riem = blk.riemann()
     assert riem.get(0, 1, 1, 0) == S(1)     # K = S/(n(n-1)) = 1
 
 
 def test_product_riemann_equals_the_block_formula():
-    prod = ProductGeometry([ConstCurvBlock(4, S(-12), lorentzian=True),
-                            ConstCurvBlock(2, S(0), label="E2"),
-                            ConstCurvBlock(3, S(6))])
+    # R(i,j,k,l) = K (g_il g_jk - g_ik g_jl) within a block of sectional
+    # curvature K = S / (n (n - 1)), zero across blocks; the sum of the
+    # blocks' (K/2) g_b . g_b gives the same tensor
+    prod = SymmetricSpace.product(BLOCKS)
     g = prod.space.metric
+    block = [b for b, blk in enumerate(BLOCKS) for _ in range(blk[0])]
     riem = prod.riemann()
+    want_kn = BiSymTensor(prod.space)
+    for b, (n, S_b, _, _) in enumerate(BLOCKS):
+        K = S_b * R(1, n * (n - 1))
+        gb = [[x if block[i] == block[j] == b else S(0)
+               for j, x in enumerate(row)] for i, row in enumerate(g)]
+        want_kn = want_kn + kulkarni_nomizu(gb, gb, prod.space).scale(
+            K * R(1, 2))
+    assert riem.components == want_kn.components
+    assert prod.ricci() == riem.ricci()     # the trace, two ways
     for i, j, k, l in product(range(prod.dim), repeat=4):
-        b = prod.block_of(i)
+        b = block[i]
         want = S(0)
-        if all(prod.block_of(x) == b for x in (j, k, l)):
-            want = prod.blocks[b].sectional() \
+        if all(block[x] == b for x in (j, k, l)):
+            n = BLOCKS[b][0]
+            want = BLOCKS[b][1] * R(1, n * (n - 1)) \
                 * (g[i][l] * g[j][k] - g[i][k] * g[j][l])
         assert riem.get(i, j, k, l) == want, (i, j, k, l)
 
@@ -273,25 +382,35 @@ def test_torsion_curvature_equals_its_expansion_on_a_chart():
                            torsion_expansion(q, H))
 
 
-def test_torsion_curvature_needs_a_connection():
-    prod = ProductGeometry([ConstCurvBlock(3, S(-6), lorentzian=True),
-                            ConstCurvBlock(3, S(6))])
-    H = prod.volume_form(1)
-    with pytest.raises(ValueError, match="no frame connection"):
-        curvature_with_torsion(prod, H)
+def test_torsion_curvature_on_a_product_at_one_point():
+    # AdS3 x S3 with the curvatures of so(1,2) + so(3) is that group: the
+    # product's R equals the algebra's, and its torsion curvature R - 1/4
+    # crossed_inners(H) vanishes for the canonical 3-form, as on the algebra
+    alg = so12_so3(1, 1)
+    prod = SymmetricSpace.product([(3, R(-3, 2), True, ""),
+                                   (3, R(3, 2), False, "")])
+    assert prod.riemann().components == alg.riemann().components
+    H = canonical_three_form(alg)
+    assert curvature_with_torsion(alg, H).is_zero()
+    assert curvature_with_torsion(
+        prod, KForm(prod.space, 3, H.components)).is_zero()
+    # AdS3(-6) x S3(6): H = 2 dvol on each block is flat, dvol is not
+    prod = SymmetricSpace.product([(3, S(-6), True, ""), (3, S(6), False, "")])
+    for c, flat in ((2, True), (1, False)):
+        H = KForm(prod.space, 3, {(0, 1, 2): S(c), (3, 4, 5): S(c)})
+        assert curvature_with_torsion(prod, H).is_zero() == flat, c
 
 
 def test_torsion_curvature_names_an_unmet_block_premise():
     # e^{013} meets the curved block AdS3 in 2 of its 3 legs, so d(H) is
     # Unverified: closure was never computed and must not be reported as
     # failing
-    prod = ProductGeometry([ConstCurvBlock(3, S(-6), lorentzian=True),
-                            ConstCurvBlock(3, S(6))])
+    prod = SymmetricSpace.product([(3, S(-6), True, ""), (3, S(6), False, "")])
     H = KForm.basis(prod.space, 0, 1, 3)
     with pytest.raises(ValueError) as err:
         curvature_with_torsion(prod, H)
     msg = str(err.value)
-    assert "not computed" in msg and "AdS3 in 2 of its 3 legs" in msg, msg
+    assert "not computed" in msg and "R(AdS3:0,AdS3:2) takes it" in msg, msg
     assert "is not closed" not in msg
 
 
@@ -423,9 +542,8 @@ def test_spin_connection_cw_structure():
 
 def test_product_geometry_ricci_blocks():
     R6 = S(6)
-    ads7 = ConstCurvBlock(7, S(-7) * R6, lorentzian=True, label="AdS7")
-    s4 = ConstCurvBlock(4, S(8) * R6, lorentzian=False, label="S4")
-    prod = ProductGeometry([ads7, s4])
+    prod = SymmetricSpace.product([(7, S(-7) * R6, True, "AdS7"),
+                                   (4, S(8) * R6, False, "S4")])
     ric = prod.ricci()
     # S4(8R): Ric = 2R g; AdS7(-7R): Ric = -R g
     for i in range(7):

@@ -10,12 +10,12 @@ from conftest import cw_lie_algebra
 from sugraverify import linalg
 from sugraverify.exactnum import Scalar
 from sugraverify.multilinear import KForm, hodge, form_inner, interior
+from sugraverify.geometry import SymmetricSpace
 from sugraverify.liealg import (
-    MetricLieAlgebra, CWData, jacobi_check, invariance_check,
-    double_extension, abelian, rotation_block_derivation, cw_algebra,
-    cw_canonicalize, canonical_three_form, ce_differential, biinvariant_ricci,
-    d6_catalog, antiselfdual_filter, so3, so12, su3, nw6, nw6_family,
-    so12_so3)
+    CWData, jacobi_check, invariance_check, double_extension, abelian,
+    rotation_block_derivation, cw_canonicalize, canonical_three_form,
+    ce_differential, biinvariant_ricci, d6_catalog, antiselfdual_filter,
+    so3, so12, su3, nw6, nw6_family, so12_so3)
 
 
 def S(x):
@@ -44,22 +44,13 @@ def test_jacobi_cw_symmetric_vs_perturbed():
         for i in range(m):
             for j in range(i, m):
                 A[i][j] = A[j][i] = S(rng.randint(-3, 3))
-        cw = cw_algebra(CWData(A))           # construction asserts Jacobi
-        assert cw_lie_algebra(cw).derived_series()[-1] == 0   # solvable
-    # non-symmetric profile breaks Jacobi: build raw brackets by hand
-    m = 2
-    A = [[S(1), S(2)], [S(0), S(1)]]         # not symmetric
-    brackets = {}
-    for i in range(m):
-        brackets[(1, 2 + i)] = {2 + m + i: S(1)}
-        col = {2 + j: A[j][i] for j in range(m) if not A[j][i].is_zero()}
-        if col:
-            brackets[(1, 2 + m + i)] = col
-        for j in range(m):
-            if not A[i][j].is_zero():
-                brackets[(2 + m + i, 2 + j)] = {0: A[i][j]}
-    bad = MetricLieAlgebra(2 * m + 2, brackets, linalg.eye(2 * m + 2))
-    assert jacobi_check(bad)[0] == "witness"
+        g = cw_lie_algebra(CWData(A))
+        assert jacobi_check(g)[0] == "pass"
+        assert g.derived_series()[-1] == 0   # solvable
+    # a non-symmetric profile breaks Jacobi
+    data = CWData.diagonal([1, 1])
+    data.A[0][1] = S(2)
+    assert jacobi_check(cw_lie_algebra(data))[0] == "witness"
 
 
 def test_invariance_checks():
@@ -185,10 +176,11 @@ def phi_col(phi, j):
 # ---------------------------------------------------------------------------
 
 def test_cw_algebra_zero_profile_decouples():
-    cw = cw_algebra(CWData.diagonal([0, 0, 0]))
+    g = cw_lie_algebra(CWData.diagonal([0, 0, 0]))
     # [e-, a] = 0 and [a, v] = 0: the dual directions are central, and
     # [e-, v] = a is the only bracket left
-    assert sorted(cw.brackets) == [(1, 2), (1, 3), (1, 4)]
+    assert sorted(k for k in g.bracket_table() if k[0] < k[1]) == \
+        [(1, 2), (1, 3), (1, 4)]
 
 
 def second_derived_central(alg):
@@ -213,10 +205,9 @@ def test_cw11_profile_matches_theorem_data():
     mu = S(6)
     vals = [mu * mu * R(-1, 36) * S(k) for k in [4, 4, 4, 1, 1, 1, 1, 1, 1]]
     data = CWData.diagonal(vals)
-    cw = cw_algebra(data)
-    assert cw.dim == 11                     # the space; g = k + p has 20
-    assert cw_lie_algebra(cw).dim == 2 + 2 * 9
-    assert second_derived_central(cw_lie_algebra(cw))   # 3-step solvable
+    assert SymmetricSpace.plane_wave(data).dim == 11   # g = k + p has 20
+    assert cw_lie_algebra(data).dim == 2 + 2 * 9
+    assert second_derived_central(cw_lie_algebra(data))   # 3-step solvable
     assert not data.is_degenerate()
 
 

@@ -8,10 +8,9 @@ from sugraverify.multilinear import (QuadraticSpace, KForm, form_inner, hodge,
                                      interior_frame, lambda_action, wedge,
                                      flat, map_slots, nonzero_columns,
                                      crossed_inners)
-from sugraverify.liealg import (CWData, cw_algebra, nw6, nw6_family,
+from sugraverify.liealg import (CWData, nw6, nw6_family,
                                 so12_so3, e15, canonical_three_form)
-from sugraverify.geometry import (ConstCurvBlock, CoordinatePatch,
-                                  ProductGeometry, cw_patch,
+from sugraverify.geometry import (SymmetricSpace, CoordinatePatch, cw_patch,
                                   lightcone_coframe, spin_connection)
 from sugraverify.clifford import (ComplexScalar, build_gamma, FrameAlgebra,
                                   clifford_action, omega_xf)
@@ -40,7 +39,7 @@ def names(rep):
 def chart_spec(theory, name, data, flux, orientation=1):
     """The plane wave of data at its base point, as the package builds it,
     with the fluxes flux(space) on its frame."""
-    p = cw_algebra(data, orientation)
+    p = SymmetricSpace.plane_wave(data, orientation)
     return BackgroundSpec(theory, name, p, flux(p.space), cw_data=data)
 
 
@@ -116,15 +115,11 @@ def _freund_rubin_swapped():
     # AdS7(-8R) x S4(7R)-style mismatch: magnitudes of the two scalar
     # curvatures interchanged
     Rv = S(6)
-    ads7 = ConstCurvBlock(7, S(-8) * Rv, lorentzian=True, label="AdS7")
-    s4 = ConstCurvBlock(4, S(7) * Rv, lorentzian=False, label="S4")
-    prod = ProductGeometry([ads7, s4])
+    prod = SymmetricSpace.product([(7, S(-8) * Rv, True, "AdS7"),
+                                   (4, S(7) * Rv, False, "S4")])
     q = sqrt_scalar(S(6) * Rv)
-
-    def flux(space):
-        return {"F4": prod.volume_form(1, q)}
-
-    return BackgroundSpec("d11", "ads7xs4-swapped", prod, flux(prod.space))
+    return BackgroundSpec("d11", "ads7xs4-swapped", prod, {
+        "F4": KForm(prod.space, 4, {(7, 8, 9, 10): q})})
 
 
 def test_freund_rubin_swapped_radii_fails_riemann_identity():
@@ -216,16 +211,12 @@ def test_ads5xs5_passes_iib_conditions():
 def _ads5xs5_printed():
     # the normalization 2 sqrt(R/5), common in other F conventions
     Rv = S(5)
-    ads5 = ConstCurvBlock(5, -Rv, lorentzian=True, label="AdS5")
-    s5 = ConstCurvBlock(5, Rv, lorentzian=False, label="S5")
-    prod = ProductGeometry([ads5, s5], orientation=-1)
+    prod = SymmetricSpace.product([(5, -Rv, True, "AdS5"),
+                                   (5, Rv, False, "S5")], orientation=-1)
     c = S(2) * sqrt_scalar(Rv * R_(1, 5))
-
-    def flux(space):
-        G = prod.volume_form(0, c)
-        return {"F5": G + prod.volume_form(1, c), "G5": G}
-
-    return BackgroundSpec("iib", "ads5xs5-printed", prod, flux(prod.space))
+    G = KForm(prod.space, 5, {(0, 1, 2, 3, 4): c})
+    return BackgroundSpec("iib", "ads5xs5-printed", prod, {
+        "F5": G + KForm(prod.space, 5, {(5, 6, 7, 8, 9): c}), "G5": G})
 
 
 def test_ads5xs5_printed_flux_normalization_fails():
