@@ -518,7 +518,10 @@ def _symmetric_check(space, R, holonomy):
     """Raise ValueError unless R meets the first Bianchi identity and every
     generator R_ab of holonomy ([((a, b), covector action)]) annihilates R
     as a derivation, over R's nonzero components: the Jacobi identity of
-    hol + p, hence nabla R = 0 (docs/conventions.md).  With R's symmetries
+    hol + p, hence nabla R = 0 (docs/conventions.md).  Every R that a file
+    can describe (a symmetric profile, constant-curvature blocks) meets it
+    by construction, so the check guards the plane-wave builder and a
+    SymmetricSpace built on any other R, not file input.  With R's symmetries
     the Bianchi sum is the 4-form (x,y,z,w) - (x,z,y,w) + (x,w,y,z).
     R_ab . R, up to a factor 2 where a key repeats its pair, moves one slot
     of one canonical component at a time to its canonical key; slots 2 and
@@ -558,9 +561,10 @@ class SymmetricSpace:
     point extends to a parallel form iff every 2-form R_ab = R(e_a, e_b,
     ., .) of R's support annihilates it; nabla decides that, and d follows.
     Construction checks the first Bianchi identity and R_ab . R = 0, which
-    make hol + p a Lie algebra and R parallel."""
+    make hol + p a Lie algebra and R parallel; check=False skips it where
+    R is parallel by construction (the product builder)."""
 
-    def __init__(self, space, R):
+    def __init__(self, space, R, check=True):
         self.space = space
         self.dim = space.dim
         self._riemann = R
@@ -570,7 +574,8 @@ class SymmetricSpace:
             rows.setdefault((k, l), {})[(i, j)] = v
         self._holonomy = [(ab, covector_action(KForm(space, 2, rows[ab])))
                           for ab in sorted(rows)]
-        _symmetric_check(space, R, self._holonomy)
+        if check:
+            _symmetric_check(space, R, self._holonomy)
 
     @staticmethod
     def plane_wave(data, orientation=1):
@@ -592,7 +597,10 @@ class SymmetricSpace:
         curvature as a Scalar, lorentzian, label) in the concatenated
         orthonormal frame, with exactly one lorentzian block, its timelike
         leg first, and legs named label:i.  A block of sectional curvature
-        K has R(a, b, a, b) = -K g_aa g_bb."""
+        K has R(a, b, a, b) = -K g_aa g_bb, that is (K/2) g_b . g_b: it meets
+        the first Bianchi identity, so(block) fixes it and the other blocks'
+        generators do not touch its legs, so R is parallel and the builder
+        skips the construction check (the tests run it on every product)."""
         lorentzian = sum(1 for blk in blocks if blk[2])
         if lorentzian != 1:
             raise ValueError(f"blocks: a product needs exactly one "
@@ -613,7 +621,7 @@ class SymmetricSpace:
                     comps[(a, b, a, b)] = -(K * g[a][a] * g[b][b])
             ofs += dim
         space = QuadraticSpace(g, orientation, names, inverse=g)
-        return SymmetricSpace(space, BiSymTensor(space, comps))
+        return SymmetricSpace(space, BiSymTensor(space, comps), check=False)
 
     def signature(self):
         return self.space.signature()
@@ -622,19 +630,7 @@ class SymmetricSpace:
         return self._riemann
 
     def ricci(self):
-        """Ric(y, z) = sum_a R_ya^a_z, the trace of R read off the covector
-        actions -R_ab^i_t of the generators (a < b), which hold R with an
-        index raised: additions only."""
-        ric = {}
-        for (a, b), act in self._holonomy:
-            for y, i, sign in ((b, a, 1), (a, b, -1)):
-                for z, x in act.get(i, {}).items():
-                    if y <= z:
-                        accumulate(ric, (y, z), x if sign > 0 else -x)
-        out = linalg.zeros(self.dim, self.dim)
-        for (y, z), x in ric.items():
-            out[y][z] = out[z][y] = x
-        return out
+        return self._riemann.ricci()
 
     def nabla(self, F):
         """{} when every holonomy generator annihilates F, that is when F is

@@ -584,22 +584,27 @@ class BiSymTensor:
         return None
 
     def ricci(self):
-        """Ric(Y,Z) = sum_a g^{ab} R(e_a, Y, Z, e_b) (positive on spheres)."""
+        """Ric(Y,Z) = sum_a g^{ab} R(e_a, Y, Z, e_b) (positive on spheres),
+        summed over the stored components in each index order that the
+        symmetries give them."""
         n = self.space.dim
+        inv = [dict(col) for col in self.space.inverse_cols]
+        ric = {}
+        for (i, j, k, l), v in self.components.items():
+            for p, q, r, s in ((i, j, k, l), (k, l, i, j))[
+                    :1 if (i, j) == (k, l) else 2]:
+                for a, y, z, b, flip in ((p, q, r, s, False),
+                                         (q, p, r, s, True),
+                                         (p, q, s, r, True),
+                                         (q, p, s, r, False)):
+                    gab = inv[a].get(b)
+                    if gab is None or y > z:
+                        continue
+                    term = gab * (-v if flip else v)
+                    ric[y, z] = ric[y, z] + term if (y, z) in ric else term
         out = [[Scalar(0)] * n for _ in range(n)]
-        for y in range(n):
-            for z in range(y, n):
-                total = None
-                for a, row in enumerate(self.space.inverse_cols):
-                    for b, gab in row:
-                        c = self.get(a, y, z, b)
-                        if c.is_zero():
-                            continue
-                        term = gab * c
-                        total = term if total is None else total + term
-                if total is not None:
-                    out[y][z] = total
-                    out[z][y] = total
+        for (y, z), total in ric.items():
+            out[y][z] = out[z][y] = total
         return out
 
 

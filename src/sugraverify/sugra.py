@@ -382,7 +382,7 @@ def supercovariant_flatness(b, nabla_F=None):
     dimension, kernel basis, alg).
 
     R^D is taken at the base point (supercovariant_curvature).  The
-    geometry checked nabla R = 0 when it was built; with nabla F = 0 as
+    plane-wave builder checked nabla R = 0; with nabla F = 0 as
     well, R^D is parallel and vanishes everywhere iff it vanishes there.
     nabla F (computed here unless given) is therefore the premise of every
     condition: where it fails, they fail naming it, and nothing else is

@@ -181,6 +181,18 @@ def test_construction_rejects_a_curvature_that_is_not_parallel():
         SymmetricSpace(sp, BiSymTensor(sp, {(0, 1, 2, 3): S(1)}))
 
 
+def test_every_product_passes_the_construction_check():
+    # the product builder skips the Bianchi and R_ab . R check because
+    # constant-curvature blocks are parallel by construction; the check,
+    # run on the products' R, agrees
+    prods = [SymmetricSpace.product(blocks) for blocks in PRODUCTS.values()]
+    prods += [catalog.get_background(bid).geometry
+              for bid in ("ads7xs4", "ads4xs7", "ads5xs5")]
+    for prod in prods:
+        checked = SymmetricSpace(prod.space, prod.riemann())
+        assert checked.riemann() is prod.riemann()
+
+
 def test_flat_patch_is_flat():
     p = flat_patch(4)
     assert christoffel(p) == {}
