@@ -441,9 +441,9 @@ def _e1_9_iia_background():
 
 
 def _d6_background(name, algebra, notes=()):
-    """A d=6 background on a metric Lie algebra, its torsion the canonical
-    three-form."""
-    return BackgroundSpec("d6-(1,0)", name, algebra,
+    """A d=6 background on the group of a metric Lie algebra at its
+    identity, its torsion the canonical three-form."""
+    return BackgroundSpec("d6-(1,0)", name, SymmetricSpace.group(algebra),
                           {"H3": canonical_three_form(algebra)}, notes)
 
 

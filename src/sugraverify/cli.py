@@ -181,12 +181,19 @@ _ALGEBRAS = {
 }
 
 
-def _algebra_by_id(name):
+def _algebra_by_id(name, dim):
+    """The algebra of the id name, or None for an unknown id.  A d2n2 id
+    whose dimension 2n + 2 exceeds QuadraticSpace's 13 or differs from dim,
+    the number of --along components, is rejected before it is built."""
     if name in _ALGEBRAS:
         return _ALGEBRAS[name]()
     if name.startswith("d2n2(") and name.endswith(")"):
         from .liealg import d2n2
         weights = [parse_scalar(w) for w in name[5:-1].split(",")]
+        n = 2 * len(weights) + 2
+        if not n == dim <= 13:
+            raise ValueError(f"{name} has dimension {n} and --along {dim} "
+                             f"components; both must agree, at most 13")
         return d2n2(weights)
     if name.startswith("so12+so3(") and name.endswith(")"):
         a = parse_scalar(name[9:-1])
@@ -207,14 +214,13 @@ def cmd_reduce(args):
         print(json.dumps(red, indent=2) if args.format == "json"
               else "\n".join(f"{k}: {v}" for k, v in red.items()))
         return 0
-    g = _algebra_by_id(args.algebra)
-    if g is None:
-        print(f"error: unknown algebra {args.algebra!r}; have "
-              f"{sorted(_ALGEBRAS)}, d2n2(w1,...), and e1_10",
-              file=sys.stderr)
-        return 2
     try:
         X = [parse_scalar(x) for x in args.along.split(",")]
+        g = _algebra_by_id(args.algebra, len(X))
+        if g is None:
+            raise ValueError(f"unknown algebra {args.algebra!r}; have "
+                             f"{sorted(_ALGEBRAS)}, d2n2(w1,...), "
+                             f"so12+so3(a), and e1_10")
         if len(X) != g.dim:
             raise ValueError(f"expected {g.dim} components")
         red = reduce_group(g, X)

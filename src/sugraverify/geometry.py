@@ -1,22 +1,21 @@
-"""Exact tensor calculus on polynomial-metric coordinate patches, and
-symmetric spaces at one point.
+"""Symmetric spaces at one point, and exact tensor calculus on
+polynomial-metric coordinate patches.
 
-Every geometry a verifier sees -- a SymmetricSpace (a plane wave or a
-product of constant-curvature blocks, at its base point) or a
-liealg.MetricLieAlgebra -- offers one interface: ``space`` and ``dim``,
+Every geometry a verifier sees is a SymmetricSpace at its base point: a
+plane wave, a product of constant-curvature blocks, or a Lie group with a
+bi-invariant metric at its identity.  It offers ``space`` and ``dim``,
 ``signature()``, ``riemann()`` and ``ricci()``, the exterior derivative
-``d(F)``, the covariant derivative ``nabla(F)`` as {direction: form}, and
-(algebra and chart) the connection coefficients ``gamma(k, i, j)`` and
-coordinate partials ``partial(x, mu)``, None where they vanish.  Every one
-computes d and nabla.  A CoordinatePatch offers the same interface on
-polynomial components; the package builds none for a verifier, and the
-tests hold the plane wave at one point to its chart.
+``d(F)`` and the covariant derivative ``nabla(F)`` as {direction: form},
+and holds its Riemann tensor as data.  A CoordinatePatch offers the same
+interface on polynomial components, plus the connection coefficients
+``gamma(k, i, j)`` and coordinate partials ``partial(x, mu)``, None where
+they vanish; the package builds none for a verifier, and the tests hold
+every SymmetricSpace to a chart or to the Koszul connection of a Lie
+algebra at one point.
 
-Curvature is one formula over ``gamma`` and ``partial`` (``_curvature``):
-``riemann()`` of a chart or an algebra applies it to the Levi-Civita
-coefficients, ``curvature_with_torsion`` to Gamma + T/2.  Only
-``CoordinatePatch.gamma`` reads the Christoffel symbols.  A SymmetricSpace
-holds its Riemann tensor as data.
+Curvature on a chart is one formula over ``gamma`` and ``partial``
+(``_curvature``): ``riemann`` applies it to the Levi-Civita coefficients,
+``curvature_with_torsion`` to Gamma + T/2.
 
 Sign conventions (calibrated once, see docs/conventions.md):
   * Riemann  R(X,Y)Z = [nabla_X, nabla_Y]Z - nabla_[X,Y] Z,
@@ -36,7 +35,7 @@ from .multilinear import QuadraticSpace, KForm, BiSymTensor, sort_sign, \
     covector_action, derivation_action
 from . import linalg
 
-__all__ = ["CoordinatePatch", "cw_patch", "christoffel", "riemann", "ricci",
+__all__ = ["CoordinatePatch", "cw_patch", "christoffel", "riemann",
            "exterior_derivative", "covariant_derivative_form",
            "curvature_with_torsion", "flat_torsion_consequences",
            "lightcone_coframe", "SymmetricSpace"]
@@ -192,7 +191,7 @@ def _curvature(geom, gamma):
 
     with d = geom.partial and the frame bracket C^l_{ab} = L^l_{ab} - L^l_{ba}
     read from the torsion-free Levi-Civita coefficients L = geom.gamma (zero
-    on a chart, the structure constants on a Lie algebra).  Only
+    on a chart, the structure constants in an invariant frame).  Only
     BiSymTensor's canonical keys are evaluated, so pair symmetry is assumed;
     for D = nabla + T/2 it follows from dH = 0."""
     n = geom.dim
@@ -243,13 +242,10 @@ def _curvature(geom, gamma):
 
 
 def riemann(p):
-    """Riemann tensor of the Levi-Civita connection of a chart or a metric
-    Lie algebra, as a BiSymTensor."""
+    """Riemann tensor of the Levi-Civita connection of a geometry with
+    connection coefficients gamma and partials partial (a chart), as a
+    BiSymTensor."""
     return _curvature(p, p.gamma)
-
-
-def ricci(p):
-    return p.riemann().ricci()
 
 
 def exterior_derivative(F, p):
@@ -323,12 +319,12 @@ def curvature_with_torsion(geom, H):
     R^D(X,Y,Z,W) = R + 1/2 g((nabla_X T)(Y,Z),W) - 1/2 g((nabla_Y T)(X,Z),W)
                    - 1/4 g(T(X,W),T(Y,Z)) + 1/4 g(T(Y,W),T(X,Z)),
 
-    which the tests check.  On a metric Lie algebra with its canonical
-    3-form this vanishes identically (the parallelising connection).  A
-    SymmetricSpace (a plane wave or a product, at one point) has no
-    connection coefficients: there dH = 0 only for a parallel H, so
-    nabla T = 0 and the expansion is taken as it stands, its last two
-    terms being -1/4 crossed_inners(H)."""
+    which the tests check.  A SymmetricSpace (a plane wave, a product or a
+    group, at one point) has no connection coefficients: there dH = 0 only
+    for a parallel H, so nabla T = 0 and the expansion is taken as it
+    stands, its last two terms being -1/4 crossed_inners(H).  On a group
+    with its canonical 3-form this vanishes (the parallelising
+    connection)."""
     dH = geom.d(H)
     if isinstance(dH, Unverified):
         raise ValueError(f"closure of the torsion 3-form was not computed: "
@@ -520,9 +516,10 @@ def _symmetric_check(space, R, holonomy):
     as a derivation, over R's nonzero components: the Jacobi identity of
     hol + p, hence nabla R = 0 (docs/conventions.md).  Every R that a file
     can describe (a symmetric profile, constant-curvature blocks) meets it
-    by construction, so the check guards the plane-wave builder and a
-    SymmetricSpace built on any other R, not file input.  With R's symmetries
-    the Bianchi sum is the 4-form (x,y,z,w) - (x,z,y,w) + (x,w,y,z).
+    by construction, so the check guards the plane-wave builder, the Jacobi
+    identity of a group's algebra and a SymmetricSpace built on any other
+    R, not file input.  With R's symmetries the Bianchi sum is the 4-form
+    (x,y,z,w) - (x,z,y,w) + (x,w,y,z).
     R_ab . R, up to a factor 2 where a key repeats its pair, moves one slot
     of one canonical component at a time to its canonical key; slots 2 and
     3 of a key that repeats its pair give what slots 0 and 1 give."""
@@ -622,6 +619,40 @@ class SymmetricSpace:
             ofs += dim
         space = QuadraticSpace(g, orientation, names, inverse=g)
         return SymmetricSpace(space, BiSymTensor(space, comps), check=False)
+
+    @staticmethod
+    def group(g):
+        """The Lie group of the metric Lie algebra g (its ``space`` and
+        ``bracket_table()``) with the bi-invariant metric, at the identity
+        in the invariant frame: R(a, b, c, d) = -1/4 B([e_a,e_b],[e_c,e_d])
+        over the nonzero brackets, lowered through the nonzero Gram
+        entries.  Raises ValueError unless B is ad-invariant, that is
+        unless B([e_a,e_b],e_k) is skew in (b, k).  Given invariance the
+        construction check's Bianchi pass is the Jacobi identity of g and
+        its R_ab . R pass ad-invariance, and hol = ad [g, g]."""
+        space = g.space
+        brackets = g.bracket_table()
+        low = {}            # (a, b): {k: B([e_a, e_b], e_k)}, both orders
+        for ab, vec in brackets.items():
+            row = low[ab] = {}
+            for i, x in vec.items():
+                for k, gik in space.metric_cols[i]:
+                    accumulate(row, k, x * gik)
+        for (a, b), row in low.items():
+            for k, v in row.items():
+                if not (v + low.get((a, k), {}).get(b, _Z)).is_zero():
+                    raise ValueError(f"metric not invariant (witness "
+                                     f"{(a, b, k)})")
+        quarter = Scalar.from_rational(-1, 4)
+        pairs = sorted(ab for ab in brackets if ab[0] < ab[1])
+        comps = {}
+        for pos, ab in enumerate(pairs):
+            for cd in pairs[pos:]:
+                for k, x in brackets[ab].items():
+                    y = low[cd].get(k)
+                    if y is not None:
+                        accumulate(comps, ab + cd, x * y * quarter)
+        return SymmetricSpace(space, BiSymTensor(space, comps))
 
     def signature(self):
         return self.space.signature()

@@ -1,6 +1,8 @@
 """Metric Lie algebras: verification primitives, double extensions,
-plane-wave (Cahen-Wallach) profiles and their moduli, canonical 3-forms,
-the Chevalley-Eilenberg differential, and bi-invariant Ricci curvature.
+plane-wave (Cahen-Wallach) profiles and their moduli, canonical 3-forms
+and the Chevalley-Eilenberg differential.  An algebra is data only: the
+geometry of its group is geometry.SymmetricSpace.group, which reads its
+space and brackets.
 
 Structure constants are stored as a dense 3-index array of Scalars with
 [e_i, e_j] = sum_k c[i][j][k] e_k.  Invariant metrics are exact symmetric
@@ -13,21 +15,18 @@ from itertools import combinations
 from .exactnum import Scalar, ZERO, ONE, sqrt_scalar
 from .multilinear import (QuadraticSpace, KForm, hodge, form_component,
                           sort_sign, accumulate)
-from .geometry import covariant_derivative_form, riemann
 from . import linalg
 
 __all__ = ["MetricLieAlgebra", "CWData", "jacobi_check", "invariance_check",
            "double_extension", "cw_canonicalize",
-           "canonical_three_form", "ce_differential", "biinvariant_ricci",
+           "canonical_three_form", "ce_differential",
            "d6_catalog", "so3", "so12", "su3", "SU3_STRUCTURE"]
 
 _Z = ZERO
 
 
 class MetricLieAlgebra:
-    """Lie algebra with an invariant scalar product and an orientation.
-    It is also the geometry of its group with the left-invariant metric, in
-    the invariant frame (the interface in geometry's docstring)."""
+    """Lie algebra with an invariant scalar product and an orientation."""
 
     def __init__(self, dim, brackets, metric, orientation=1, name=""):
         self.dim = dim
@@ -42,8 +41,6 @@ class MetricLieAlgebra:
         self.orientation = orientation
         self.name = name
         self._space = None
-        self._gamma = None
-        self._riemann = None
 
     def bracket(self, x, y):
         """[x, y] for coefficient vectors x, y."""
@@ -102,53 +99,6 @@ class MetricLieAlgebra:
         if self._space is None:
             self._space = QuadraticSpace(self.metric, self.orientation)
         return self._space
-
-    # -- the geometry of the group with its left-invariant metric ----------
-
-    def signature(self):
-        return self.space.signature()
-
-    def gamma(self, k, i, j):
-        """Levi-Civita coefficient: the e_k component of nabla_{e_i} e_j, or
-        None where it vanishes.  From the Koszul formula
-        2 B(nabla_i j, k) = B([i,j],k) - B([j,k],i) + B([k,i],j)."""
-        if self._gamma is None:
-            n = self.dim
-            half = Scalar.from_rational(1, 2)
-            lower = [[[(self.inner(self.c[i][j], self.basis_vector(l))
-                        - self.inner(self.c[j][l], self.basis_vector(i))
-                        + self.inner(self.c[l][i], self.basis_vector(j)))
-                       * half for l in range(n)]
-                      for j in range(n)] for i in range(n)]
-            self._gamma = {}
-            for i in range(n):
-                for j in range(n):
-                    for kk, row in enumerate(self.space.inverse_cols):
-                        s = _Z
-                        for l, g in row:
-                            if not lower[i][j][l].is_zero():
-                                s = s + g * lower[i][j][l]
-                        if not s.is_zero():
-                            self._gamma[(kk, i, j)] = s
-        return self._gamma.get((k, i, j))
-
-    def partial(self, x, mu):
-        """Invariant frame components are constant."""
-        return None
-
-    def riemann(self):
-        if self._riemann is None:
-            self._riemann = riemann(self)
-        return self._riemann
-
-    def ricci(self):
-        return biinvariant_ricci(self)
-
-    def d(self, F):
-        return ce_differential(F, self)
-
-    def nabla(self, F):
-        return covariant_derivative_form(F, self)
 
     def basis_vector(self, i):
         v = [_Z] * self.dim
@@ -374,7 +324,7 @@ def cw_canonicalize(data):
 
 
 # ---------------------------------------------------------------------------
-# canonical forms, CE differential, Ricci
+# canonical forms and the CE differential
 # ---------------------------------------------------------------------------
 
 def canonical_three_form(g):
@@ -419,29 +369,6 @@ def ce_differential(omega, g):
         if total is not None and not total.is_zero():
             comps[idx] = total
     return KForm(g.space, k + 1, comps)
-
-
-def biinvariant_ricci(g):
-    """Ric(X,Y) = -1/4 tr(ad_X ad_Y), the Ricci tensor of the bi-invariant
-    metric (sign calibrated so the round 3-sphere has positive Ricci)."""
-    status, w = invariance_check(g)
-    if status != "pass":
-        raise ValueError(f"metric not invariant (witness {w})")
-    n = g.dim
-    out = linalg.zeros(n, n)
-    quarter = Scalar.from_rational(-1, 4)
-    for i in range(n):
-        for j in range(i, n):
-            tr = _Z
-            for a in range(n):
-                for b in range(n):
-                    if not (g.c[i][a][b].is_zero() or g.c[j][b][a].is_zero()):
-                        tr = tr + g.c[j][b][a] * g.c[i][a][b]
-            # tr(ad_i ad_j) = sum_{a,b} (ad_i)_{b a}(ad_j)_{a b}
-            val = quarter * tr
-            out[i][j] = val
-            out[j][i] = val
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ Covers d=11, the constant axi-dilaton sector of IIB, d=6 (1,0), and the
 type-II common sector.  Every check is exact; each verifier emits a
 VerificationReport listing all conditions it owes (passes, failures with
 witnesses, and cited facts, reported as such rather than silently
-skipped).  Each verifier has one body for every geometry kind: it works
-through the geometry interface described in geometry's docstring, which
-computes every d and nabla.
+skipped).  Every geometry a verifier reads is a geometry.SymmetricSpace
+at one point (a plane wave, a product or a group), so each verifier has
+one body, through the interface described in geometry's docstring.
 """
 
 from collections import namedtuple
@@ -30,6 +30,7 @@ __all__ = ["BackgroundSpec", "VerificationReport", "theory_geometry",
            "dilatino_kernel", "OUT_OF_SCOPE"]
 
 _Z = Scalar(0)
+_HALF = Scalar.from_rational(1, 2)
 
 OUT_OF_SCOPE = [
     "enhanced plane-wave supersymmetry counts (18-28 of the summary table): "
@@ -112,10 +113,10 @@ class BackgroundSpec(namedtuple("BackgroundSpec", "theory name geometry "
                                 defaults=((), None, None))):
     """A background as data, built once.
 
-    geometry is a SymmetricSpace (a plane wave or a product of
-    constant-curvature blocks, at one point) or a MetricLieAlgebra (the
-    interface in geometry's docstring), and fluxes a dict of named KForms
-    on geometry.space; notes go into the report.
+    geometry is a SymmetricSpace at one point (a plane wave, a product of
+    constant-curvature blocks or a group with a bi-invariant metric), and
+    fluxes a dict of named KForms on geometry.space; notes go into the
+    report.
     cw_data keeps a plane wave's profile, which the tr A invariant reads.
     The typeII-common and iia records have no geometry: their verifiers
     read the frame_data that the catalog assembles by hand.
@@ -193,25 +194,20 @@ def _add_supercovariant_flatness(rep, b, nabla_F):
 # d = 11
 # ---------------------------------------------------------------------------
 
-def _stress(space, F, trace):
-    """T(X,Y) = 1/2 <iota_X F, iota_Y F> - trace g(X,Y) |F|^2
-    componentwise."""
-    _, F2, T2 = _contractions(F, 1)
-    half = Scalar.from_rational(1, 2)
-    if trace.is_zero() or F2.is_zero():
-        return [[t * half for t in row] for row in T2]
-    return [[t * half - trace * g * F2 for t, g in zip(row, grow)]
-            for row, grow in zip(T2, space.metric)]
-
-
-def _contractions(F, depth):
-    """contraction_inners(F, depth), |F|^2 and <iota_i F, iota_j F>."""
-    table = contraction_inners(F, depth)
-    T2 = [[_Z] * F.space.dim for _ in range(F.space.dim)]
+def _stress(space, table, a, trace):
+    """T(X,Y) = a <iota_X F, iota_Y F> - trace g(X,Y) |F|^2 as a matrix,
+    from the contraction_inners table of F (depth 1 or more) and the
+    nonzero Gram entries; a = 1/2 is the stress tensor."""
+    T = [[_Z] * space.dim for _ in range(space.dim)]
     for (A, B), v in table.items():
         if len(A) == 1:
-            T2[A[0]][B[0]] = T2[B[0]][A[0]] = v
-    return table, table.get(((), ()), _Z), T2
+            T[A[0]][B[0]] = T[B[0]][A[0]] = v * a
+    c = -(trace * table.get(((), ()), _Z))
+    if not c.is_zero():
+        for j, col in enumerate(space.metric_cols):
+            for i, gij in col:
+                T[i][j] = T[i][j] + gij * c
+    return T
 
 
 def _add_einstein(rep, name, geom, T):
@@ -248,7 +244,8 @@ def _d11_field_equations(b):
     _add_vanishing(rep, "maxwell d*F=-1/2 F^F",
                    _maxwell_residual(geom.space, F, nabla_F))
     _add_einstein(rep, "einstein Ric=T(g,F)", geom,
-                  _stress(geom.space, F, Scalar.from_rational(1, 6)))
+                  _stress(geom.space, contraction_inners(F, 1), _HALF,
+                          Scalar.from_rational(1, 6)))
     rep.invariants["|F|^2"] = str(form_inner(F, F))
     if b.cw_data is not None:
         rep.invariants["tr A"] = str(_trace(b.cw_data.A))
@@ -284,17 +281,15 @@ def _riemann_flux_rhs(space, F):
     Riem(X,Y,Z,W) = 1/12 <iota_X iota_Y F, iota_W iota_Z F>
                     + 1/36 (g . T2)(X,Y,Z,W) - 1/72 |F|^2 (g . g)(X,Y,Z,W).
     iota_X iota_Y F = -F(e_X, e_Y, ...), so the first term is -1/12 of the
-    depth-2 table at its own canonical key."""
-    table, F2, T2 = _contractions(F, 2)
+    depth-2 table at its own canonical key.  The last two terms are one
+    product g . h with h = 1/36 T2 - 1/72 |F|^2 g, built as _stress."""
+    table = contraction_inners(F, 2)
     c12 = Scalar.from_rational(-1, 12)
     t4 = BiSymTensor(space, {A + B: v * c12 for (A, B), v in table.items()
                              if len(A) == 2})
-    want = t4 + kulkarni_nomizu(space.metric, T2, space) \
-        .scale(Scalar.from_rational(1, 36))
-    if F2.is_zero():
-        return want
-    return want + kulkarni_nomizu(space.metric, space.metric, space) \
-        .scale(Scalar.from_rational(-1, 72) * F2)
+    h = _stress(space, table, Scalar.from_rational(1, 36),
+                Scalar.from_rational(1, 72))
+    return t4 + kulkarni_nomizu(space.metric, h, space)
 
 
 def _add_identity(rep, name, riem, want):
@@ -497,8 +492,8 @@ def _plujac_holds(F):
 def verify_d6(b):
     """dH = 0, anti-selfduality *H = -H, the Einstein equation
     Ric = 1/2 <iota_X H, iota_Y H> (this module's Ricci sign), and flatness
-    of the parallelising connection.  Geometry may be a metric Lie algebra
-    or a symmetric space at one point."""
+    of the parallelising connection, all at one point of a symmetric space
+    (a group at its identity, a plane wave or a product)."""
     rep = VerificationReport(b.name, "d6-(1,0)")
     geom = theory_geometry("d6-(1,0)", b.name, b.geometry)
     H = _theory_fluxes(b)["H3"]
@@ -506,7 +501,7 @@ def verify_d6(b):
     _add_vanishing(rep, "dH=0", dH)
     _add_vanishing(rep, "*H=-H", hodge(H) + H)
     _add_einstein(rep, "einstein Ric = 1/2 <iH,iH>", geom,
-                  _stress(geom.space, H, _Z))
+                  _stress(geom.space, contraction_inners(H, 1), _HALF, _Z))
     if isinstance(dH, Unverified):      # an H that the holonomy moves
         flat, witness = False, f"premise dH = 0 is undecided: {dH}"
     else:

@@ -4,8 +4,10 @@ import os
 
 from sugraverify import linalg
 from sugraverify.exactnum import Polynomial, Scalar
-from sugraverify.geometry import CoordinatePatch
-from sugraverify.liealg import MetricLieAlgebra
+from sugraverify.geometry import (CoordinatePatch, riemann,
+                                  covariant_derivative_form)
+from sugraverify.liealg import (MetricLieAlgebra, ce_differential,
+                                invariance_check)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -46,3 +48,68 @@ def flat_patch(dim, lorentzian=True):
         g[i][i] = Polynomial.constant(-1 if (lorentzian and i == 0) else 1)
     return CoordinatePatch([f"x{i}" for i in range(dim)], g,
                            [row[:] for row in g])
+
+
+class KoszulFrame:
+    """The Levi-Civita connection of the left-invariant metric of a metric
+    Lie algebra g in its invariant frame: gamma(k, i, j) is the e_k
+    component of nabla_{e_i} e_j from the Koszul formula
+    2 B(nabla_i e_j, e_k) = B([i,j],k) - B([j,k],i) + B([k,i],j), None
+    where it vanishes, and partial is None (frame components are
+    constant).  geometry.riemann and curvature_with_torsion read it as they
+    read a chart, d is the Chevalley-Eilenberg differential and nabla the
+    coefficient formula: the oracle that SymmetricSpace.group is held to."""
+
+    def __init__(self, g):
+        self.g, self.space, self.dim = g, g.space, g.dim
+        n, half = g.dim, Scalar.from_rational(1, 2)
+        e = [g.basis_vector(i) for i in range(n)]
+        self._gamma = {}
+        for i in range(n):
+            for j in range(n):
+                lower = [(g.inner(g.c[i][j], e[l]) - g.inner(g.c[j][l], e[i])
+                          + g.inner(g.c[l][i], e[j])) * half
+                         for l in range(n)]
+                for k, row in enumerate(self.space.inverse_cols):
+                    s = Scalar(0)
+                    for l, x in row:
+                        s = s + x * lower[l]
+                    if not s.is_zero():
+                        self._gamma[(k, i, j)] = s
+
+    def gamma(self, k, i, j):
+        return self._gamma.get((k, i, j))
+
+    def partial(self, x, mu):
+        return None
+
+    def riemann(self):
+        return riemann(self)
+
+    def d(self, F):
+        return ce_differential(F, self.g)
+
+    def nabla(self, F):
+        return covariant_derivative_form(F, self)
+
+
+def biinvariant_ricci(g):
+    """Ric(X,Y) = -1/4 tr(ad_X ad_Y), the Ricci tensor of the bi-invariant
+    metric of g (sign calibrated so the round 3-sphere has positive Ricci):
+    the Ricci oracle of SymmetricSpace.group."""
+    status, w = invariance_check(g)
+    if status != "pass":
+        raise ValueError(f"metric not invariant (witness {w})")
+    n = g.dim
+    out = linalg.zeros(n, n)
+    quarter = Scalar.from_rational(-1, 4)
+    for i in range(n):
+        for j in range(i, n):
+            # tr(ad_i ad_j) = sum_{a,b} (ad_i)_{b a} (ad_j)_{a b}
+            tr = Scalar(0)
+            for a in range(n):
+                for b in range(n):
+                    if not (g.c[i][a][b].is_zero() or g.c[j][b][a].is_zero()):
+                        tr = tr + g.c[j][b][a] * g.c[i][a][b]
+            out[i][j] = out[j][i] = quarter * tr
+    return out

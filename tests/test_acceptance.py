@@ -17,7 +17,7 @@ from sugraverify.liealg import (CWData, cw_canonicalize, canonical_three_form,
                                 antiselfdual_filter, nw6, nw6_family,
                                 so12_so3, su3, e15)
 from sugraverify.geometry import (cw_patch, curvature_with_torsion,
-                                  flat_torsion_consequences)
+                                  flat_torsion_consequences, SymmetricSpace)
 from sugraverify.sugra import (BackgroundSpec, supercovariant_flatness,
                                verify_d6, verify_iib_maxsusy)
 from sugraverify.kaluza import reduce_group, reduce_flat_d11, \
@@ -124,7 +124,7 @@ def test_criterion_5_flat_torsion_theorem_property():
     count = ok_count = 0
     for g in d6_catalog(1, 1) + [su3(), nw6_family(2, 3)]:
         H = canonical_three_form(g)
-        repd = flat_torsion_consequences(g, H)
+        repd = flat_torsion_consequences(SymmetricSpace.group(g), H)
         count += 1
         ok_count += int(repd["precondition_RD_zero"] and repd["nabla_H_zero"]
                         and repd["jacobi_cyclic"])
@@ -134,7 +134,8 @@ def test_criterion_5_flat_torsion_theorem_property():
         weights = [rng.randint(1, 6) for _ in range(n // 2)]
         g = double_extension(abelian(n), rotation_block_derivation(weights),
                              b=rng.randint(-2, 2))
-        repd = flat_torsion_consequences(g, canonical_three_form(g))
+        repd = flat_torsion_consequences(SymmetricSpace.group(g),
+                                         canonical_three_form(g))
         count += 1
         ok_count += int(repd["precondition_RD_zero"] and repd["nabla_H_zero"]
                         and repd["jacobi_cyclic"])
@@ -248,7 +249,6 @@ def test_criterion_9_negative_controls():
     ok = ok and not rep.passed and cond["einstein Ric=T(g,F)"].witness
     details.append("cw11 A11+1: einstein witness")
     # swapped Freund-Rubin radii
-    from sugraverify.geometry import SymmetricSpace
     from sugraverify.exactnum import sqrt_scalar
     from sugraverify.sugra import verify_d11_maxsusy
     Rv = S(6)
@@ -263,7 +263,7 @@ def test_criterion_9_negative_controls():
     details.append("swapped FR radii: riemann witness")
     # beta = 2 alpha in d six
     g12 = so12_so3(1, 2)
-    bad = BackgroundSpec("d6-(1,0)", "ads3xs3(1,2)", g12,
+    bad = BackgroundSpec("d6-(1,0)", "ads3xs3(1,2)", SymmetricSpace.group(g12),
                          {"H3": canonical_three_form(g12)})
     rep3 = verify_d6(bad)
     c3 = {c.name: c for c in rep3.conditions}
@@ -278,7 +278,7 @@ def test_criterion_9_negative_controls():
         Hbad = KForm(sp, 3, {(2, 3, 4): S(1)})
     raised = False
     try:
-        curvature_with_torsion(g, Hbad)
+        curvature_with_torsion(SymmetricSpace.group(g), Hbad)
     except ValueError:
         raised = True
     ok = ok and raised

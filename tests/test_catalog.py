@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import checkout_env
 from sugraverify.exactnum import Scalar
 from sugraverify.liealg import cw_canonicalize
+from sugraverify.geometry import SymmetricSpace
 from sugraverify import catalog, cli
 from sugraverify.catalog import (enumerate_parallelisable, solve_dilaton,
                                  susy_count, builtin_backgrounds,
@@ -473,6 +474,30 @@ def test_catalog_documents_verify_as_their_catalog_ids(tmp_path):
         assert rep.passed and rep.conditions == want.conditions, bid
 
 
+def test_only_symmetric_spaces_reach_the_verifiers(tmp_path):
+    # every catalog geometry (the iia record has none) and every cw or
+    # product document, of each theory, is a SymmetricSpace at one point
+    specs = [b for b in builtin_backgrounds() if b.geometry is not None]
+    assert [b.name for b in specs] == [i for i in CATALOG_IDS
+                                       if i != "e1_9_iia"]
+    nw6_wave = {"theory": "d6-(1,0)", "geometry": {
+        "type": "cw", "orientation": -1, "profile": [
+            ["-1/4" if i == j else "0" for j in range(4)]
+            for i in range(4)]},
+        "fluxes": {"H3": [{"indices": [1, 2, 3], "coeff": "1"},
+                          {"indices": [1, 4, 5], "coeff": "1"}]}}
+    docs = list(FUZZ_DOCUMENTS.values()) + [
+        cw11_document(), ads4xs7_document([0, 1, 2, 3]),
+        d6_product_document(2, 2), nw6_wave]
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(doc))
+        specs.append(load_background(str(path)))
+    assert {b.theory for b in specs} == {"d11", "iib", "d6-(1,0)"}
+    for b in specs:
+        assert type(b.geometry) is SymmetricSpace, b.name
+
+
 @settings(derandomize=True, max_examples=150, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
@@ -758,13 +783,38 @@ def test_cli_reduce():
     assert code == 2 and "spacelike" in err
 
 
-def test_cli_reduce_rejects_a_bad_direction():
+def test_cli_reduce_rejects_a_bad_direction(monkeypatch, capsys):
     for algebra in ("nw6", "e1_10"):
         code, out, err = run_cli("reduce", algebra, "--along", "a,b")
         assert code == 2 and not out, (algebra, out, err)
         assert err == "error: unbound parameter 'a'\n", err
     code, _, err = run_cli("reduce", "nw6", "--along", "1,0")
     assert code == 2 and "expected 6 components" in err, err
+    # each malformed id exits 2 with a message, not a traceback; a d2n2 id
+    # too large for a QuadraticSpace, or of another dimension than --along,
+    # is rejected before any algebra is built
+    from sugraverify import liealg
+    built = []
+    monkeypatch.setattr(liealg, "d2n2", lambda w: built.append(w))
+    six = "0,0,1,0,0,0"
+    for algebra, along, why in (
+            ("d2n2()", six, "unexpected token"),
+            ("d2n2(1,x)", six, "unbound parameter 'x'"),
+            ("so12+so3(x)", six, "unbound parameter 'x'"),
+            ("so12+so3()", six, "unexpected token"),
+            ("d2n2(1,2,3,4,5,6,7)", ",".join(["0"] * 16),
+             "d2n2(1,2,3,4,5,6,7) has dimension 16 and --along 16 "
+             "components; both must agree, at most 13"),
+            ("d2n2(1,2,3,4,5)", six,
+             "has dimension 12 and --along 6 components")):
+        assert cli.main(["reduce", algebra, "--along", along]) == 2, algebra
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("error: ") and why in err, err
+    assert built == []
+    monkeypatch.undo()
+    assert cli.main(["reduce", "d2n2(0)", "--along", "0,0,1,0"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "weights must be nonzero" in err, err
 
 
 def test_cli_verify_all_parallel():

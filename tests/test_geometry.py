@@ -9,15 +9,16 @@ from sugraverify.multilinear import (KForm, BiSymTensor, form_component,
                                      kulkarni_nomizu)
 from sugraverify.liealg import (CWData, abelian, double_extension,
                                 rotation_block_derivation, nw6, d6_catalog,
-                                canonical_three_form, su3, so12_so3,
-                                biinvariant_ricci)
+                                canonical_three_form, su3, so12_so3, so3,
+                                MetricLieAlgebra, SU3_STRUCTURE,
+                                jacobi_check, invariance_check)
 from sugraverify.geometry import (
-    CoordinatePatch, cw_patch, christoffel, riemann, ricci,
+    CoordinatePatch, cw_patch, christoffel, riemann,
     exterior_derivative, covariant_derivative_form, curvature_with_torsion,
     flat_torsion_consequences, lightcone_coframe, spin_connection,
     SymmetricSpace, Unverified, _check_frame)
 
-from conftest import flat_patch
+from conftest import flat_patch, KoszulFrame, biinvariant_ricci
 
 
 def cyclic_violation(riem):
@@ -56,7 +57,7 @@ def cw11_data(mu=6):
 def test_signature_of_every_geometry_kind():
     # a chart's metric is polynomial: its signature is read at the origin
     assert cw_patch(cw11_data()).signature() == (1, 10)
-    assert nw6().signature() == (1, 5)
+    assert SymmetricSpace.group(nw6()).signature() == (1, 5)
     prod = SymmetricSpace.product([(5, S(-5), True, ""), (5, S(5), False, "")])
     assert prod.signature() == (1, 9)
     assert prod.space.names[::5] == ("AdS5:0", "S5:0")
@@ -365,14 +366,31 @@ def same_components(a, b):
         {k: str(v) for k, v in b.components.items()}
 
 
+def held_to_the_koszul_oracle(g):
+    """Assert that the group of g at its identity has the Riemann tensor of
+    the Koszul connection, the Ricci tensor -1/4 tr(ad ad) and, for H and
+    2H with H the canonical 3-form, the torsion curvature that the
+    Gamma + T/2 formula gives."""
+    group, koszul = SymmetricSpace.group(g), KoszulFrame(g)
+    assert group.riemann().components == riemann(koszul).components, g.name
+    assert group.ricci() == biinvariant_ricci(g), g.name
+    H = canonical_three_form(g)
+    for torsion in (H, H + H):
+        rd = curvature_with_torsion(group, torsion)
+        assert same_components(rd, curvature_with_torsion(koszul, torsion)), \
+            g.name
+
+
 def test_torsion_curvature_equals_its_expansion_on_algebras():
     algebras = d6_catalog(1, 1) + d6_catalog(1, 2) + [su3(), nw6()]
     nonzero = 0
     for g in algebras:
+        koszul = KoszulFrame(g)
         H = canonical_three_form(g)
         for torsion in (H, H + H):
-            rd = curvature_with_torsion(g, torsion)
-            assert same_components(rd, torsion_expansion(g, torsion)), g.name
+            rd = curvature_with_torsion(koszul, torsion)
+            assert same_components(rd, torsion_expansion(koszul, torsion)), \
+                g.name
             nonzero += not rd.is_zero()
     # 2H misses the parallelising balance on every non-abelian algebra
     assert nonzero == len(algebras) - 2
@@ -396,14 +414,15 @@ def test_torsion_curvature_equals_its_expansion_on_a_chart():
 
 def test_torsion_curvature_on_a_product_at_one_point():
     # AdS3 x S3 with the curvatures of so(1,2) + so(3) is that group: the
-    # product's R equals the algebra's, and its torsion curvature R - 1/4
-    # crossed_inners(H) vanishes for the canonical 3-form, as on the algebra
+    # product's R equals the group's, and its torsion curvature R - 1/4
+    # crossed_inners(H) vanishes for the canonical 3-form, as on the group
     alg = so12_so3(1, 1)
+    group = SymmetricSpace.group(alg)
     prod = SymmetricSpace.product([(3, R(-3, 2), True, ""),
                                    (3, R(3, 2), False, "")])
-    assert prod.riemann().components == alg.riemann().components
+    assert prod.riemann().components == group.riemann().components
     H = canonical_three_form(alg)
-    assert curvature_with_torsion(alg, H).is_zero()
+    assert curvature_with_torsion(group, H).is_zero()
     assert curvature_with_torsion(
         prod, KForm(prod.space, 3, H.components)).is_zero()
     # AdS3(-6) x S3(6): H = 2 dvol on each block is flat, dvol is not
@@ -427,7 +446,8 @@ def test_torsion_curvature_names_an_unmet_block_premise():
 
 
 def test_lie_algebra_riemann_has_the_biinvariant_ricci():
-    # an oracle independent of the Koszul coefficients: Ric = -1/4 B(ad, ad)
+    # an oracle independent of the Koszul coefficients: Ric = -1/4 B(ad, ad);
+    # the group's R, Ricci and R^D are held to both
     rng = random.Random(8)
     algebras = d6_catalog(1, 1) + d6_catalog(1, 2) + [su3(), nw6()]
     for _ in range(10):
@@ -437,18 +457,44 @@ def test_lie_algebra_riemann_has_the_biinvariant_ricci():
         algebras.append(double_extension(abelian(n), J,
                                          b=rng.choice([0, 1, -2])))
     for g in algebras:
-        assert riemann(g).ricci() == biinvariant_ricci(g), g.name
+        assert riemann(KoszulFrame(g)).ricci() == biinvariant_ricci(g), g.name
+        held_to_the_koszul_oracle(g)
+
+
+def test_group_construction_rejects_a_broken_algebra_or_metric():
+    # su(3) with f_123 doubled keeps totally antisymmetric structure
+    # constants, so the delta metric stays invariant, but the Jacobi
+    # identity fails, and with it the first Bianchi identity of R
+    brackets = {}
+    for (i, j, k), f in SU3_STRUCTURE.items():
+        f = f + f if (i, j, k) == (0, 1, 2) else f
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            brackets.setdefault((min(a, b), max(a, b)), {})[c] = \
+                f if a < b else -f
+    broken = MetricLieAlgebra(8, brackets, linalg.eye(8), name="su3-broken")
+    assert jacobi_check(broken)[0] == "witness"
+    assert invariance_check(broken) == ("pass", None)
+    with pytest.raises(ValueError, match="first Bianchi identity"):
+        SymmetricSpace.group(broken)
+    # so(3) with the metric diag(1, 1, 2), which ad does not preserve
+    metric = linalg.eye(3)
+    metric[2][2] = S(2)
+    skewed = MetricLieAlgebra(3, so3().bracket_table(), metric)
+    assert invariance_check(skewed)[0] == "witness"
+    with pytest.raises(ValueError, match="metric not invariant"):
+        SymmetricSpace.group(skewed)
 
 
 def test_catalog_algebras_parallelising_connection_flat():
     for g in d6_catalog(1, 1) + [su3(), nw6()]:
         H = canonical_three_form(g)
-        rd = curvature_with_torsion(g, H)
-        assert rd.is_zero(), g.name
-        rep = flat_torsion_consequences(g, H)
-        assert rep["precondition_RD_zero"]
-        assert rep["nabla_H_zero"]
-        assert rep["jacobi_cyclic"]
+        for geom in (SymmetricSpace.group(g), KoszulFrame(g)):
+            rd = curvature_with_torsion(geom, H)
+            assert rd.is_zero(), g.name
+            rep = flat_torsion_consequences(geom, H)
+            assert rep["precondition_RD_zero"]
+            assert rep["nabla_H_zero"]
+            assert rep["jacobi_cyclic"]
 
 
 def test_random_double_extensions_flat_with_canonical_torsion():
@@ -459,7 +505,8 @@ def test_random_double_extensions_flat_with_canonical_torsion():
             [rng.randint(1, 5) for _ in range(n // 2)])
         d = double_extension(abelian(n), J, b=0)
         H = canonical_three_form(d)
-        assert curvature_with_torsion(d, H).is_zero()
+        assert curvature_with_torsion(SymmetricSpace.group(d), H).is_zero()
+        held_to_the_koszul_oracle(d)
 
 
 def test_non_closed_torsion_rejected():
@@ -519,9 +566,10 @@ def test_flat_torsion_consequences_negative_control():
     g = nw6()
     H = canonical_three_form(g)
     Hbad = H + H
-    rep = flat_torsion_consequences(g, Hbad)
-    assert rep["precondition_RD_zero"] is False
-    assert rep.get("witness") is not None
+    for geom in (SymmetricSpace.group(g), KoszulFrame(g)):
+        rep = flat_torsion_consequences(geom, Hbad)
+        assert rep["precondition_RD_zero"] is False
+        assert rep.get("witness") is not None
 
 
 # ---------------------------------------------------------------------------

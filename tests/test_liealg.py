@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cw_lie_algebra
+from conftest import cw_lie_algebra, biinvariant_ricci
 from sugraverify import linalg
 from sugraverify.exactnum import Scalar
 from sugraverify.multilinear import KForm, hodge, form_inner, interior
@@ -14,7 +14,7 @@ from sugraverify.geometry import SymmetricSpace
 from sugraverify.liealg import (
     CWData, jacobi_check, invariance_check, double_extension, abelian,
     rotation_block_derivation, cw_canonicalize, canonical_three_form,
-    ce_differential, biinvariant_ricci, d6_catalog, antiselfdual_filter,
+    ce_differential, d6_catalog, antiselfdual_filter,
     so3, so12, su3, nw6, nw6_family, so12_so3)
 
 

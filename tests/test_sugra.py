@@ -463,7 +463,7 @@ def test_ads3xs3_passes_and_unequal_weights_fail():
     rep = verify_background(get_background("ads3xs3"))
     assert rep.passed
     g = so12_so3(1, 2)
-    bad = BackgroundSpec("d6-(1,0)", "ads3xs3(1,2)", g,
+    bad = BackgroundSpec("d6-(1,0)", "ads3xs3(1,2)", SymmetricSpace.group(g),
                          {"H3": canonical_three_form(g)})
     rep2 = verify_d6(bad)
     assert not rep2.passed
@@ -474,10 +474,24 @@ def test_ads3xs3_passes_and_unequal_weights_fail():
 
 def test_nw6_unequal_weights_fail_antiselfduality():
     g = nw6_family(1, 2)
-    bad = BackgroundSpec("d6-(1,0)", "d(E4,R)(1,2)", g,
+    bad = BackgroundSpec("d6-(1,0)", "d(E4,R)(1,2)", SymmetricSpace.group(g),
                          {"H3": canonical_three_form(g)})
     rep = verify_d6(bad)
     assert not rep.passed
+
+
+def test_d6_torsion_that_the_group_holonomy_moves_fails_on_its_premise():
+    # on the nw6 group at its identity, e^{234} is not invariant under
+    # hol = ad [g, g]: dH = 0 and flatness fail naming the generator
+    g = nw6()
+    H = KForm(g.space, 3, {(2, 3, 4): S(1)})
+    rep = verify_d6(BackgroundSpec("d6-(1,0)", "nw6-e234",
+                                   SymmetricSpace.group(g), {"H3": H}))
+    cond = {c.name: c for c in rep.conditions}
+    assert not rep.passed and not cond["dH=0"].passed
+    assert "R(e1,e2) takes it to" in cond["dH=0"].witness
+    assert cond["parallelising connection flat (R^D = 0)"].witness == \
+        f"premise dH = 0 is undecided: {cond['dH=0'].witness}"
 
 
 def test_theory_gate_rejects_dimension_and_signature():
@@ -496,7 +510,7 @@ def test_theory_gate_rejects_dimension_and_signature():
     # a euclidean six-dimensional algebra has the right dimension only
     e6 = MetricLieAlgebra(6, {}, linalg.eye(6), name="E6")
     with pytest.raises(ValueError, match=r"signature \(0, 6\)"):
-        verify_d6(BackgroundSpec("d6-(1,0)", "e6", e6,
+        verify_d6(BackgroundSpec("d6-(1,0)", "e6", SymmetricSpace.group(e6),
                                  {"H3": canonical_three_form(e6)}))
 
 
