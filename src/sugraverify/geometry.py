@@ -34,6 +34,7 @@ from .multilinear import QuadraticSpace, KForm, BiSymTensor, sort_sign, \
     signature, accumulate, crossed_inners, nonzero_columns, \
     covector_action, derivation_action
 from . import linalg
+from .liealg import invariance_check
 
 __all__ = ["CoordinatePatch", "cw_patch", "christoffel", "riemann",
            "exterior_derivative", "covariant_derivative_form",
@@ -626,23 +627,14 @@ class SymmetricSpace:
         ``bracket_table()``) with the bi-invariant metric, at the identity
         in the invariant frame: R(a, b, c, d) = -1/4 B([e_a,e_b],[e_c,e_d])
         over the nonzero brackets, lowered through the nonzero Gram
-        entries.  Raises ValueError unless B is ad-invariant, that is
-        unless B([e_a,e_b],e_k) is skew in (b, k).  Given invariance the
-        construction check's Bianchi pass is the Jacobi identity of g and
-        its R_ab . R pass ad-invariance, and hol = ad [g, g]."""
-        space = g.space
-        brackets = g.bracket_table()
-        low = {}            # (a, b): {k: B([e_a, e_b], e_k)}, both orders
-        for ab, vec in brackets.items():
-            row = low[ab] = {}
-            for i, x in vec.items():
-                for k, gik in space.metric_cols[i]:
-                    accumulate(row, k, x * gik)
-        for (a, b), row in low.items():
-            for k, v in row.items():
-                if not (v + low.get((a, k), {}).get(b, _Z)).is_zero():
-                    raise ValueError(f"metric not invariant (witness "
-                                     f"{(a, b, k)})")
+        entries.  Raises ValueError unless B is ad-invariant (by
+        liealg.invariance_check).  Given invariance the construction
+        check's Bianchi pass is the Jacobi identity of g and its
+        R_ab . R pass ad-invariance, and hol = ad [g, g]."""
+        status, w = invariance_check(g)
+        if status != "pass":
+            raise ValueError(f"metric not invariant (witness {w})")
+        brackets, low = g.bracket_table(), g.lowered_brackets()
         quarter = Scalar.from_rational(-1, 4)
         pairs = sorted(ab for ab in brackets if ab[0] < ab[1])
         comps = {}
@@ -652,7 +644,7 @@ class SymmetricSpace:
                     y = low[cd].get(k)
                     if y is not None:
                         accumulate(comps, ab + cd, x * y * quarter)
-        return SymmetricSpace(space, BiSymTensor(space, comps))
+        return SymmetricSpace(g.space, BiSymTensor(g.space, comps))
 
     def signature(self):
         return self.space.signature()

@@ -70,6 +70,17 @@ class MetricLieAlgebra:
                 for i in range(n) for j in range(n)
                 if any(not v.is_zero() for v in self.c[i][j])}
 
+    def lowered_brackets(self):
+        """{(i, j): {k: B([e_i, e_j], e_k)}}, nonzero brackets and entries
+        only, lowered through the nonzero Gram entries."""
+        low = {}
+        for ij, vec in self.bracket_table().items():
+            row = low[ij] = {}
+            for i, x in vec.items():
+                for k, gik in self.space.metric_cols[i]:
+                    accumulate(row, k, x * gik)
+        return low
+
     def ad(self, x):
         """Matrix of ad_x."""
         n = self.dim
@@ -165,15 +176,14 @@ def jacobi_check(g):
 
 
 def invariance_check(g):
-    """B([X,Y],Z) = B(X,[Y,Z]) on all basis triples."""
-    n = g.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = g.inner(g.basis_bracket(i, j), g.basis_vector(k))
-                rhs = g.inner(g.basis_vector(i), g.basis_bracket(j, k))
-                if not (lhs - rhs).is_zero():
-                    return ("witness", (i, j, k))
+    """Ad-invariance of g's metric, B([e_a,e_b],e_k) + B(e_b,[e_a,e_k]) = 0,
+    over the nonzero lowered brackets (it is symmetric in b and k).
+    Returns ("pass", None) or ("witness", the first failing (a, b, k))."""
+    low = g.lowered_brackets()
+    for (a, b), row in low.items():
+        for k, v in row.items():
+            if not (v + low.get((a, k), {}).get(b, _Z)).is_zero():
+                return ("witness", (a, b, k))
     return ("pass", None)
 
 
@@ -332,13 +342,10 @@ def canonical_three_form(g):
     status, w = invariance_check(g)
     if status != "pass":
         raise ValueError(f"metric not invariant (witness {w})")
-    n = g.dim
-    comps = {}
-    for i, j, k in combinations(range(n), 3):
-        v = g.inner(g.basis_bracket(i, j), g.basis_vector(k))
-        if not v.is_zero():
-            comps[(i, j, k)] = v
-    return KForm(g.space, 3, comps)
+    low = g.lowered_brackets()
+    return KForm(g.space, 3, {(i, j, k): v for (i, j), row in
+                              sorted(low.items()) if i < j
+                              for k, v in sorted(row.items()) if j < k})
 
 
 def ce_differential(omega, g):

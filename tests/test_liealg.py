@@ -12,7 +12,8 @@ from sugraverify.exactnum import Scalar
 from sugraverify.multilinear import KForm, hodge, form_inner, interior
 from sugraverify.geometry import SymmetricSpace
 from sugraverify.liealg import (
-    CWData, jacobi_check, invariance_check, double_extension, abelian,
+    MetricLieAlgebra, CWData, jacobi_check, invariance_check,
+    double_extension, abelian,
     rotation_block_derivation, cw_canonicalize, canonical_three_form,
     ce_differential, d6_catalog, antiselfdual_filter,
     so3, so12, su3, nw6, nw6_family, so12_so3)
@@ -61,6 +62,33 @@ def test_invariance_checks():
     g = so3()
     g.metric[0][0] = S(2)
     assert invariance_check(g)[0] == "witness"
+
+
+@pytest.mark.parametrize("make", [so3, nw6, so12_so3])
+def test_sparse_invariance_check_agrees_with_the_dense_one(make):
+    # the sparse check walks the nonzero lowered brackets only; the dense
+    # one tests B([e_i,e_j],e_k) = B(e_i,[e_j,e_k]) on every basis triple,
+    # also where one side's bracket vanishes
+    def dense(g):
+        e = g.basis_vector
+        return all((g.inner(g.basis_bracket(i, j), e(k)) -
+                    g.inner(e(i), g.basis_bracket(j, k))).is_zero()
+                   for i, j, k in itertools.product(range(g.dim), repeat=3))
+
+    g = make()
+    verdicts = set()
+    for i, j in [(None, None)] + list(
+            itertools.combinations_with_replacement(range(g.dim), 2)):
+        metric = [row[:] for row in g.metric]
+        if i is not None:       # None keeps the invariant metric
+            metric[i][j] = metric[j][i] = metric[i][j] + S(3)
+        if linalg.det(metric).is_zero():
+            continue
+        h = MetricLieAlgebra(g.dim, g.bracket_table(), metric)
+        status = invariance_check(h)[0]
+        assert (status == "pass") == dense(h), (i, j)
+        verdicts.add(status)
+    assert verdicts == {"pass", "witness"}
 
 
 @pytest.mark.parametrize("make", [so12_so3, su3, nw6])
