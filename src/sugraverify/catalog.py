@@ -26,6 +26,7 @@ from .clifford import build_gamma, FrameAlgebra
 from .liealg import (CWData, nw6, so12_so3, e15, canonical_three_form,
                      SU3_STRUCTURE)
 from .geometry import SymmetricSpace
+from .kaluza import verify_iia
 from .sugra import (BackgroundSpec, VerificationReport, theory_geometry,
                     _DIMENSION,
                     verify_d11_maxsusy, verify_iib_maxsusy, verify_d6,
@@ -430,14 +431,21 @@ def _cw10_background(mu=1):
          "mu/2 leaves a 16-dimensional kernel only"])
 
 
+def _e1_10_background():
+    return _plane_wave(
+        "d11", "e1_10", CWData.diagonal([0] * 9), {"F4": {}},
+        ["mu = 0 member of the plane-wave family: flat space, zero flux"])
+
+
 def _e1_9_iia_background():
+    """The reduction of its d=11 parent e1_10 along x9 of the parent's frame
+    (xp, xm, x1..x9), which kaluza.verify_iia computes."""
     return BackgroundSpec(
         "iia", "e1_9_iia", None, {},
         ["obtained by reducing the flat eleven-dimensional vacuum along a "
          "spacelike translation"],
-        frame_data={"direction": {
-            "type": "translation",
-            "components": [Scalar(0)] * 10 + [Scalar(1)]}})
+        frame_data={"parent": _e1_10_background(),
+                    "along": [Scalar(0)] * 10 + [Scalar(1)]})
 
 
 def _d6_background(name, algebra, notes=()):
@@ -454,9 +462,7 @@ _BUILDERS = {
     "ads7xs4": _ads7_s4_background,
     "ads4xs7": _ads4_s7_background,
     "cw11": _cw11_background,
-    "e1_10": lambda: _plane_wave(
-        "d11", "e1_10", CWData.diagonal([0] * 9), {"F4": {}},
-        ["mu = 0 member of the plane-wave family: flat space, zero flux"]),
+    "e1_10": _e1_10_background,
     "ads5xs5": _ads5_s5_background,
     "cw10": _cw10_background,
     "e1_9": lambda: _plane_wave(
@@ -503,17 +509,7 @@ def verify_background(b):
     if b.theory == "iib":
         return verify_iib_maxsusy(b)
     if b.theory == "iia":
-        from .kaluza import reduce_flat_d11
-        rep = VerificationReport(b.name, "iia")
-        red = reduce_flat_d11(b.frame_data["direction"])
-        rep.add("flat E^{1,9} with zero fluxes and constant dilaton",
-                red["metric"] == "flat E^{1,9}" and red["dilaton"] == "constant"
-                and red["F2"] == red["H3"] == red["G4"] == "0")
-        rep.add("maximal supersymmetry preserved", red["max_susy_preserved"],
-                note=red["note"])
-        for n in b.notes:
-            rep.notes.append(n)
-        return rep
+        return verify_iia(b)
     if b.theory == "d6-(1,0)":
         return verify_d6(b)
     if b.theory == "typeII-common":

@@ -1,10 +1,9 @@
 """Exact Clifford algebra representations and the Clifford action of forms.
 
-Gamma matrices for the supported signatures are built from tensor products
-of 2x2 real blocks {1, s1, s3, eps} together with octonion/quaternion
-left-multiplication matrices, so every entry is 0 or +-1 (or a fourth root
-of unity in the complex (1,5) case).  They are stored as signed
-permutations.
+Gamma matrices for the two signatures that the verifiers use, (1,10) and
+(1,9), are built from tensor products of 2x2 real blocks {1, s1, s3, eps}
+together with octonion left-multiplication matrices, so every entry is 0
+or +-1.  They are stored as signed permutations.
 
 Computations with spinor endomorphisms happen in a sparse basis of
 antisymmetrized frame monomials gamma_[S] = gamma_[s1...sk], indexed by
@@ -35,8 +34,7 @@ from .multilinear import QuadraticSpace, interior, wedge, accumulate, flat, \
 from . import linalg
 
 __all__ = ["ComplexScalar", "CliffordRep", "build_gamma", "FrameAlgebra",
-           "CliffordElement", "clifford_action", "omega_xf",
-           "spinor_to_vector", "kernel_dim"]
+           "CliffordElement", "clifford_action", "omega_xf", "kernel_dim"]
 
 _Z = ZERO
 _ONE = ONE
@@ -65,9 +63,6 @@ class ComplexScalar:
 
     def is_zero(self):
         return self.re.is_zero() and self.im.is_zero()
-
-    def is_real(self):
-        return self.im.is_zero()
 
     def conj(self):
         return ComplexScalar(self.re, -self.im)
@@ -137,7 +132,7 @@ class ComplexScalar:
 # ---------------------------------------------------------------------------
 
 class SPMat:
-    """M e_j = val[j] e_{perm[j]} with unit values (+-1 or ComplexScalar)."""
+    """M e_j = val[j] e_{perm[j]} with unit values +-1."""
 
     __slots__ = ("perm", "vals")
 
@@ -151,12 +146,11 @@ class SPMat:
 
     def __matmul__(self, other):
         perm = tuple(self.perm[p] for p in other.perm)
-        vals = tuple(_unit_mul(self.vals[p], v)
-                     for p, v in zip(other.perm, other.vals))
+        vals = tuple(self.vals[p] * v for p, v in zip(other.perm, other.vals))
         return SPMat(perm, vals)
 
     def scale(self, s):
-        return SPMat(self.perm, tuple(_unit_mul(v, s) for v in self.vals))
+        return SPMat(self.perm, tuple(v * s for v in self.vals))
 
     def tensor(self, other):
         n2 = len(other.perm)
@@ -164,66 +158,39 @@ class SPMat:
         for i, (pi, vi) in enumerate(zip(self.perm, self.vals)):
             for j, (pj, vj) in enumerate(zip(other.perm, other.vals)):
                 perm.append(pi * n2 + pj)
-                vals.append(_unit_mul(vi, vj))
+                vals.append(vi * vj)
         return SPMat(perm, vals)
 
-    def dense(self, scalar=True):
+    def dense(self):
         n = len(self.perm)
-        zero = _Z if scalar else ComplexScalar(0, 0)
-        out = [[zero] * n for _ in range(n)]
+        out = [[_Z] * n for _ in range(n)]
         for j, (p, v) in enumerate(zip(self.perm, self.vals)):
-            out[p][j] = _unit_to_coeff(v, scalar)
+            out[p][j] = Scalar(v)
         return out
 
     def column(self, j):
         return self.perm[j], self.vals[j]
 
     def __eq__(self, other):
-        return self.perm == other.perm and \
-            all(_unit_eq(a, b) for a, b in zip(self.vals, other.vals))
+        return self.perm == other.perm and self.vals == other.vals
 
     def is_minus_identity(self):
         return self.perm == tuple(range(len(self.perm))) and \
-            all(_unit_eq(v, -1) for v in self.vals)
+            all(v == -1 for v in self.vals)
 
     def is_identity(self):
         return self.perm == tuple(range(len(self.perm))) and \
-            all(_unit_eq(v, 1) for v in self.vals)
-
-
-def _unit_mul(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        return a * b
-    ca = a if isinstance(a, ComplexScalar) else ComplexScalar(a, 0)
-    cb = b if isinstance(b, ComplexScalar) else ComplexScalar(b, 0)
-    return ca * cb
-
-
-def _unit_eq(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        return a == b
-    return _unit_mul(a, 1) == _unit_mul(b, 1)
-
-
-def _unit_to_coeff(v, scalar):
-    if isinstance(v, int):
-        return Scalar(v) if scalar else ComplexScalar(v, 0)
-    if scalar:
-        if not v.is_real():
-            raise ValueError("complex unit in a real representation")
-        return v.re
-    return v
+            all(v == 1 for v in self.vals)
 
 
 _E2 = SPMat((1, 0), (-1, 1))          # eps = [[0,1],[-1,0]]
 _S1 = SPMat((1, 0), (1, 1))           # sigma_1
 _S3 = SPMat((0, 1), (1, -1))          # sigma_3
 _I2 = SPMat.identity(2)
-_IE = SPMat((1, 0), (ComplexScalar(0, -1), ComplexScalar(0, 1)))   # i*eps
 
 
 # ---------------------------------------------------------------------------
-# octonion / quaternion left multiplications
+# octonion left multiplications
 # ---------------------------------------------------------------------------
 
 _FANO = [(1, 2, 3), (1, 4, 5), (1, 7, 6), (2, 4, 6), (2, 5, 7),
@@ -245,14 +212,14 @@ def _octonion_table():
     return t
 
 
-def _left_mult_spmats(dim):
+def _left_mult_spmats():
     """Signed-permutation matrices of left multiplication by the basis
-    units of the octonions (dim 8) or quaternions (dim 4)."""
+    units of the octonions."""
     table = _octonion_table()
     mats = []
-    for a in range(dim):
-        perm, vals = [0] * dim, [0] * dim
-        for j in range(dim):
+    for a in range(8):
+        perm, vals = [0] * 8, [0] * 8
+        for j in range(8):
             s, k = table[a][j]
             perm[j] = k
             vals[j] = s
@@ -261,7 +228,7 @@ def _left_mult_spmats(dim):
 
 
 def _b_block(l):
-    """[[0, L],[L^T, 0]] as a signed permutation on doubled空间 space."""
+    """[[0, L],[L^T, 0]] as a signed permutation on doubled space."""
     n = len(l.perm)
     perm, vals = [0] * (2 * n), [0] * (2 * n)
     # columns 0..n-1 (first block) hit rows n..2n-1 via L^T;
@@ -288,13 +255,12 @@ class CliffordRep:
     eta = diag(-1,...,-1,+1,...,+1) (t timelike legs first, mostly-plus).
     """
 
-    def __init__(self, signature, gammas, real=True):
+    def __init__(self, signature, gammas):
         self.signature = signature
         self.t, self.s = signature
         self.n = self.t + self.s
         self.gammas = gammas
         self.spinor_dim = len(gammas[0].perm)
-        self.real = real
         self.eta = [Scalar(-1)] * self.t + [Scalar(1)] * self.s
         self._check_relations()
         self.chirality = None
@@ -314,19 +280,18 @@ class CliffordRep:
                     want = self.eta[a]
                     for j in range(n):
                         p, v = ab.column(j)
-                        if p != j or not _unit_eq(v, int(want.rational_value())):
+                        if p != j or v != int(want.rational_value()):
                             raise RuntimeError(f"gamma_{a}^2 != eta")
                 else:
                     for j in range(n):
                         pa, va = ab.column(j)
                         pb, vb = ba.column(j)
-                        if pa != pb or not _unit_eq(_unit_mul(va, 1),
-                                                    _unit_mul(-1, vb)):
+                        if pa != pb or va != -vb:
                             raise RuntimeError(
                                 f"gamma_{a} gamma_{b} not anticommuting")
 
     def gamma_dense(self, a):
-        return self.gammas[a].dense(scalar=self.real)
+        return self.gammas[a].dense()
 
     def volume_spmat(self):
         vol = self.gammas[0]
@@ -339,9 +304,10 @@ _REP_CACHE = {}
 
 
 def build_gamma(signature):
-    """Exact Clifford representation for (1,10), (1,9), (1,5), (1,2) and
-    (0,k) for k <= 4.  For (1,10) the normalized volume element is forced
-    to act as minus the identity (flipping gamma_0 if necessary)."""
+    """Exact Clifford representation for (1,10) or (1,9), the signatures of
+    d=11 and type-II supergravity; ValueError for any other.  For (1,10)
+    the normalized volume element is forced to act as minus the identity
+    (flipping gamma_0 if necessary)."""
     signature = tuple(signature)
     rep = _REP_CACHE.get(signature)
     if rep is None:
@@ -350,57 +316,30 @@ def build_gamma(signature):
 
 
 def _make_rep(signature):
-    t, s = signature
-    if signature == (1, 10) or signature == (1, 9):
-        octs = _left_mult_spmats(8)
-        bs = [_b_block(l) for l in octs]          # eight 16x16 involutions
-        omega = bs[0]
-        for b in bs[1:]:
-            omega = omega @ b
-        two = [_E2, _S1, _S3]
-        gsets = [g.tensor(omega) for g in two] + [_I2.tensor(b) for b in bs]
-        if signature == (1, 9):
-            gammas = gsets[:10]
-        else:
-            gammas = gsets
-            vol = gammas[0]
-            for g in gammas[1:]:
-                vol = vol @ g
-            if vol.is_identity():
-                gammas = [gammas[0].scale(-1)] + gammas[1:]
-            rep = CliffordRep(signature, gammas)
-            if not rep.volume_spmat().is_minus_identity():
-                raise RuntimeError("(1,10) volume element is not -1")
-            return rep
-        rep = CliffordRep(signature, gammas)
+    if signature not in ((1, 10), (1, 9)):
+        raise ValueError(f"unsupported signature {signature}")
+    octs = _left_mult_spmats()
+    bs = [_b_block(l) for l in octs]          # eight 16x16 involutions
+    omega = bs[0]
+    for b in bs[1:]:
+        omega = omega @ b
+    two = [_E2, _S1, _S3]
+    gammas = [g.tensor(omega) for g in two] + [_I2.tensor(b) for b in bs]
+    if signature == (1, 9):
+        rep = CliffordRep(signature, gammas[:10])
         if rep.chirality is None or \
                 not (rep.chirality @ rep.chirality).is_identity():
             raise RuntimeError("(1,9) chirality does not square to 1")
         return rep
-    if signature == (1, 5):
-        gammas = [
-            _E2.tensor(_I2).tensor(_I2),
-            _S1.tensor(_I2).tensor(_I2),
-            _S3.tensor(_IE).tensor(_I2),
-            _S3.tensor(_S1).tensor(_I2),
-            _S3.tensor(_S3).tensor(_IE),
-            _S3.tensor(_S3).tensor(_S1),
-        ]
-        return CliffordRep(signature, gammas, real=False)
-    if signature == (1, 2):
-        return CliffordRep(signature, [_E2, _S1, _S3])
-    if t == 0 and 1 <= s <= 4:
-        if s == 1:
-            gammas = [SPMat((0,), (1,))]
-        elif s == 2:
-            gammas = [_S1, _S3]
-        elif s == 3:
-            gammas = [_S1.tensor(_I2), _S3.tensor(_I2), _E2.tensor(_E2)]
-        else:
-            quats = _left_mult_spmats(4)
-            gammas = [_b_block(l) for l in quats]
-        return CliffordRep(signature, gammas)
-    raise ValueError(f"unsupported signature {signature}")
+    vol = gammas[0]
+    for g in gammas[1:]:
+        vol = vol @ g
+    if vol.is_identity():
+        gammas = [gammas[0].scale(-1)] + gammas[1:]
+    rep = CliffordRep(signature, gammas)
+    if not rep.volume_spmat().is_minus_identity():
+        raise RuntimeError("(1,10) volume element is not -1")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -683,17 +622,16 @@ class CliffordElement:
         """Dense spinor_dim x spinor_dim matrix (entries keep the coefficient
         ring of the element)."""
         N = self.alg.rep.spinor_dim
-        one, zero = _units(self.alg)
-        out = [[zero] * N for _ in range(N)]
+        out = [[_Z] * N for _ in range(N)]
         for j in range(N):
-            for i, x in self.apply({j: one}).items():
+            for i, x in self.apply({j: _ONE}).items():
                 out[i][j] = x
         return out
 
     def trace(self):
         """Each word adds its coefficient times the units at the fixed
         points of its signed permutation."""
-        t = _units(self.alg)[1]
+        t = _Z
         for c, sp in self.words():
             for j, (p, u) in enumerate(zip(sp.perm, sp.vals)):
                 if p == j:
@@ -712,17 +650,8 @@ class CliffordElement:
 
 
 def _unit_scale(x, u):
-    """x times a unit of a signed permutation (+-1 or ComplexScalar)."""
-    if isinstance(u, int):
-        return x if u == 1 else -x
-    return u * x
-
-
-def _units(alg):
-    """(one, zero) of the representation's scalar ring."""
-    if alg.rep.real:
-        return _ONE, _Z
-    return ComplexScalar(1, 0), ComplexScalar(0, 0)
+    """x times a unit +-1 of a signed permutation."""
+    return x if u == 1 else -x
 
 
 # ---------------------------------------------------------------------------
@@ -750,26 +679,8 @@ def omega_xf(X, F, alg):
 
 
 # ---------------------------------------------------------------------------
-# spinor bilinears and kernels
+# kernels
 # ---------------------------------------------------------------------------
-
-def spinor_to_vector(eps1, eps2, alg):
-    """V^a with g(V, X) = (eps1, X . eps2); indices raised with the Gram."""
-    C = alg.rep.gammas[0]           # the pairing matrix, as a signed perm
-    n = alg.space.dim
-    psi = _sparse(eps2)
-    V_low = []
-    for a in range(n):
-        # gamma_a in the frame: c of the *lowered* basis vector e_a
-        s = _Z
-        for j, x in alg.element({(a,): _ONE}).apply(psi).items():
-            p, u = C.column(j)
-            if not eps1[p].is_zero():
-                s = s + eps1[p] * _unit_scale(x, u)
-        V_low.append(s)
-    return [sum((g * V_low[b] for b, g in row), _Z)
-            for row in alg.space.inverse_cols]
-
 
 def _sparse(col):
     """A dense spinor as {index: component}."""
@@ -787,9 +698,8 @@ def kernel_dim(ops, alg, columns=None):
     stay sparse until the elimination; a row that repeats an earlier one up
     to a factor adds nothing to the row space and is dropped."""
     N = alg.rep.spinor_dim
-    one, zero = _units(alg)
     if columns is None:
-        cols = [{j: one} for j in range(N)]
+        cols = [{j: _ONE} for j in range(N)]
     else:
         cols = [_sparse(c) for c in columns]
     ncols = len(cols)
@@ -801,12 +711,12 @@ def kernel_dim(ops, alg, columns=None):
             for k, col in enumerate(cols):
                 for j, x in col.items():
                     accumulate(block.setdefault(perm[j], {}), k,
-                               _unit_scale(c if x is one else c * x, vals[j]))
+                               _unit_scale(c if x is _ONE else c * x, vals[j]))
         for row in block.values():
             if row and _new_direction(row,
                                       seen.setdefault(frozenset(row), [])):
-                rows.append([row.get(k, zero) for k in range(ncols)])
-    basis = linalg.nullspace(rows, ncols=ncols, one=one, zero=zero)
+                rows.append([row.get(k, _Z) for k in range(ncols)])
+    basis = linalg.nullspace(rows, ncols=ncols)
     return len(basis), basis
 
 
@@ -837,25 +747,23 @@ def chiral_basis(alg, sign):
     if chi is None:
         raise ValueError("representation has no chirality operator")
     N = alg.rep.spinor_dim
-    real = alg.rep.real
-    one, zero = _units(alg)
-    s = Scalar(sign) if real else ComplexScalar(sign, 0)
+    s = Scalar(sign)
     out = []
     for j in range(N):
         p, v = chi.column(j)
         if p < j:
             continue            # the pair (p, j) was tried from p
-        # chi e_j = v e_p, so e_j + (sign / v) e_p when p != j
-        col = {j: one}
+        # chi e_j = v e_p, so e_j + (sign / v) e_p when p != j; v = +-1
+        col = {j: _ONE}
         if p != j:
-            col[p] = s * _unit_to_coeff(v, real).inverse()
+            col[p] = s if v == 1 else -s
         img = {}
         for i, x in col.items():
             q, u = chi.column(i)
             accumulate(img, q, _unit_scale(x, u))
         if img.keys() == col.keys() and \
                 all((img[i] - s * x).is_zero() for i, x in col.items()):
-            out.append([col.get(i, zero) for i in range(N)])
+            out.append([col.get(i, _Z) for i in range(N)])
     if len(out) != N // 2:
         raise RuntimeError("chiral split must halve the spinor space")
     return out

@@ -3,35 +3,24 @@
 Group reductions happen at the invariant-frame level: given a metric Lie
 algebra with parallelising torsion H and a unit spacelike element X, the
 reduced data (h, alpha, F, G2) is computed algebraically and the exact
-identities F = G2 and H = *_h G2 + alpha ^ G2 are verified.  Flat-space
-reductions of the eleven-dimensional vacuum are handled separately.
+identities F = G2 and H = *_h G2 + alpha ^ G2 are verified.  A d=11
+background is reduced to IIA along a direction X of its frame at one point
+(reduce_d11), on the same symmetric space that verifies it; verify_iia
+reports the catalog's IIA entry from its d=11 parent that way.
 """
 
 from .exactnum import Scalar, sqrt_scalar
-from .multilinear import QuadraticSpace, KForm, wedge, interior, hodge
+from .multilinear import QuadraticSpace, KForm, wedge, interior, hodge, flat
 from .liealg import canonical_three_form, ce_differential
+from .clifford import omega_xf, kernel_dim
+from .sugra import VerificationReport, theory_geometry, \
+    supercovariant_curvature
 from . import linalg
 
-__all__ = ["reduce_form", "reduce_group", "reduce_flat_d11",
+__all__ = ["reduce_group", "reduce_d11", "verify_iia",
            "unit_spacelike_sample"]
 
 _Z = Scalar(0)
-
-
-def reduce_form(F, alpha, xi):
-    """Split an invariant form along the fibre:  F = G - alpha ^ H with
-    H = -iota_xi F and both G, H horizontal.  alpha(xi) = 1 is required."""
-    pairing = _Z
-    for (i,), c in alpha.components.items():
-        pairing = pairing + c * xi[i]
-    if not (pairing - Scalar(1)).is_zero():
-        raise ValueError("alpha(xi) != 1")
-    H = interior(xi, F) * Scalar(-1)
-    G = F + wedge(alpha, H)
-    for name, form in (("G", G), ("H", H)):
-        if not interior(xi, form).is_zero():
-            raise ValueError(f"{name} failed horizontality")
-    return G, H
 
 
 class ReducedBackground:
@@ -148,28 +137,80 @@ def _eval_on(form, vectors):
     return out.components.get((), _Z)
 
 
-def reduce_flat_d11(direction):
-    """Reduction of the flat eleven-dimensional vacuum along a spacelike
-    translation: flat ten-dimensional space, zero fluxes, constant dilaton,
-    maximal supersymmetry preserved.  Rejects non-spacelike directions."""
-    t = direction.get("type", "translation")
-    if t != "translation":
-        raise ValueError("only translation reductions are supported")
-    comps = direction["components"]          # components in the flat frame
-    eta = [Scalar(-1)] + [Scalar(1)] * 10
-    norm2 = _Z
-    for i, c in enumerate(comps):
-        norm2 = norm2 + eta[i] * c * c
+# the checks of reduce_d11 that make the reduced background flat with zero
+# fluxes and constant dilaton, and the one that counts its spinors
+_FLAT_CHECKS = ("X_flat parallel (|X| and the dilaton constant)",
+                "F2 = d X_flat / |X|^2 = 0", "R = 0 (flat quotient)",
+                "H3 = iota_X F4 = 0", "G4 = F4 - X_flat ^ H3 / |X|^2 = 0")
+_SUSY_CHECK = "all spinors descend (ker R^D_ab and Omega_X)"
+
+
+def reduce_d11(parent, X):
+    """Reduce the d=11 plane wave parent (a BackgroundSpec) to IIA along X,
+    given by its components in the parent's frame at its point.  X must be
+    spacelike; otherwise ValueError.  Returns {check: witness}, the
+    witness "" where the check passes.
+
+    Each check is computed on the parent: X_flat parallel (nabla), so |X|
+    and the dilaton are constant, and F2 = d X_flat / |X|^2 = 0 (d); R = 0,
+    so the quotient is flat; H3 = iota_X F4 and the horizontal part G4 of
+    F4 vanish.  For a parallel X the spinorial Lie derivative acts on a
+    D-parallel spinor as -Omega_X, so the spinors that descend lie in the
+    joint kernel of the parent's R^D_ab and Omega_X, whose premises are
+    nabla F = 0 and X_flat parallel; all of them descend iff the kernel is
+    the whole spinor space (docs/conventions.md)."""
+    geom = theory_geometry("d11", parent.name, parent.geometry)
+    space = geom.space
+    if len(X) != space.dim:
+        raise ValueError(f"expected {space.dim} components")
+    Xb = flat(space, X)
+    norm2 = sum((X[i] * c for (i,), c in Xb.components.items()), _Z)
     if norm2.sign() <= 0:
         raise ValueError("reduction direction must be spacelike")
-    return {
-        "metric": "flat E^{1,9}",
-        "dilaton": "constant",
-        "F2": "0", "H3": "0", "G4": "0",
-        "max_susy_preserved": True,
-        "note": "flat spinor connection downstairs: 32 constant Killing "
-                "spinors remain",
-    }
+    F = parent.fluxes["F4"]
+    alg, curv = supercovariant_curvature(parent)
+    omega = omega_xf(X, KForm(alg.space, 4, F.components), alg)
+    kernel, _ = kernel_dim(list(curv.values()) + [omega], alg)
+    moved = geom.nabla(Xb)
+    H3 = interior(X, F)
+    R = geom.riemann().first_nonzero()
+    witnesses = dict(zip(_FLAT_CHECKS, (
+        str(next(iter(moved.values()))) if moved else "",
+        _witness(geom.d(Xb)),
+        "" if R is None else
+        f"R({','.join(space.names[i] for i in R[0])}) = {R[1]}",
+        _witness(H3),
+        _witness(F - wedge(Xb, H3) * norm2.inverse()))))
+    N = alg.rep.spinor_dim
+    why = [] if kernel == N else \
+        [f"the joint kernel is {kernel}-dimensional, of {N}"]
+    why += [f"premise {name} fails" for name, bad in (
+        ("nabla F = 0", geom.nabla(F)), ("X_flat parallel", moved)) if bad]
+    witnesses[_SUSY_CHECK] = "; ".join(why)
+    return witnesses
+
+
+def _witness(x):
+    """"" for a zero form, else the form (or an Unverified) as text."""
+    return "" if x.is_zero() else str(x)
+
+
+def verify_iia(b):
+    """The report of the IIA record b, reduced by reduce_d11 from its d=11
+    parent b.frame_data["parent"] along b.frame_data["along"]: one
+    condition for a flat background with zero fluxes and constant dilaton,
+    naming each failing check, and one for maximal supersymmetry."""
+    witnesses = reduce_d11(b.frame_data["parent"], b.frame_data["along"])
+    rep = VerificationReport(b.name, "iia")
+    bad = [f"{k}: {witnesses[k]}" for k in _FLAT_CHECKS if witnesses[k]]
+    rep.add("flat E^{1,9} with zero fluxes and constant dilaton", not bad,
+            witness="; ".join(bad))
+    why = witnesses[_SUSY_CHECK]
+    rep.add("maximal supersymmetry preserved", not why, witness=why,
+            note="" if why else "flat spinor connection downstairs: 32 "
+                                "constant Killing spinors remain")
+    rep.notes.extend(b.notes)
+    return rep
 
 
 def unit_spacelike_sample(g, rng, count):

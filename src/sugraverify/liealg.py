@@ -81,19 +81,6 @@ class MetricLieAlgebra:
                     accumulate(row, k, x * gik)
         return low
 
-    def ad(self, x):
-        """Matrix of ad_x."""
-        n = self.dim
-        m = [[_Z] * n for _ in range(n)]
-        for i in range(n):
-            if x[i].is_zero():
-                continue
-            for j in range(n):
-                for k in range(n):
-                    if not self.c[i][j][k].is_zero():
-                        m[k][j] = m[k][j] + x[i] * self.c[i][j][k]
-        return m
-
     def inner(self, x, y):
         out = _Z
         for j, col in enumerate(self.space.metric_cols):
@@ -299,9 +286,6 @@ class CWData:
         for i, v in enumerate(values):
             A[i][i] = v if isinstance(v, Scalar) else Scalar(v)
         return CWData(A)
-
-    def is_degenerate(self):
-        return linalg.det(self.A).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from .exactnum import Scalar
 
 __all__ = ["mat_mul", "mat_add", "mat_sub", "mat_neg", "mat_scale", "eye",
            "zeros", "transpose", "mat_eq_zero", "rref", "nullspace", "rank",
-           "det", "charpoly", "solve", "inverse"]
+           "det", "charpoly", "inverse"]
 
 
 def zeros(n, m, zero=None):
@@ -120,17 +120,14 @@ def rank(mat):
     return len(rref(mat)[1])
 
 
-def nullspace(mat, ncols=None, one=None, zero=None):
+def nullspace(mat, ncols=None):
     """Exact basis of {v : mat @ v = 0}; returns list of column vectors."""
+    o, z = Scalar(1), Scalar(0)
     if not mat:
         n = ncols or 0
-        o = Scalar(1) if one is None else one
-        z = Scalar(0) if zero is None else zero
         return [[o if i == j else z for i in range(n)] for j in range(n)]
     m = len(mat[0])
     rows, pivots = rref(mat)
-    o = Scalar(1) if one is None else one
-    z = Scalar(0) if zero is None else zero
     free = [c for c in range(m) if c not in pivots]
     basis = []
     for f in free:
@@ -199,20 +196,6 @@ def det(mat):
             f = rows[i][c] * inv
             rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return d if sign == 1 else -d
-
-
-def solve(mat, rhs):
-    """Solve mat @ x = rhs for a single vector rhs, or None if inconsistent."""
-    n, m = len(mat), len(mat[0])
-    aug = [list(mat[i]) + [rhs[i]] for i in range(n)]
-    rows, pivots = rref(aug)
-    if m in pivots:
-        return None
-    zero = mat[0][0] * 0
-    x = [zero] * m
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][m]
-    return x
 
 
 def inverse(mat):

@@ -118,8 +118,10 @@ class BackgroundSpec(namedtuple("BackgroundSpec", "theory name geometry "
     fluxes a dict of named KForms on geometry.space; notes go into the
     report.
     cw_data keeps a plane wave's profile, which the tr A invariant reads.
-    The typeII-common and iia records have no geometry: their verifiers
-    read the frame_data that the catalog assembles by hand.
+    The typeII-common and iia records have no geometry.  The typeII-common
+    verifier reads the frame_data that the catalog assembles by hand; the
+    iia record's frame_data is its d=11 parent and the direction that
+    kaluza.verify_iia reduces it along.
     """
 
     __slots__ = ()

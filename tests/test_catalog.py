@@ -783,6 +783,27 @@ def test_cli_reduce():
     assert code == 2 and "spacelike" in err
 
 
+def test_cli_reduce_d11_prints_its_checks(capsys):
+    # --along is X in the frame (xp, xm, x1..x9); x9 reduces e1_10 to flat
+    # IIA
+    x9 = ",".join(["0"] * 10 + ["1"])
+    assert cli.main(["reduce", "e1_10", "--along", x9]) == 0
+    out, _ = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == 6 and all(l.startswith("PASS  ") for l in lines)
+    assert "PASS  H3 = iota_X F4 = 0" in lines
+    assert cli.main(["reduce", "e1_10", "--along", x9, "--format",
+                     "json"]) == 0
+    out, _ = capsys.readouterr()
+    assert json.loads(out) == {line[6:]: True for line in lines}
+    # a null (xp) or timelike (xp - xm) direction exits 2
+    for along in (",".join(["1"] + ["0"] * 10),
+                  ",".join(["1", "-1"] + ["0"] * 9)):
+        assert cli.main(["reduce", "e1_10", "--along", along]) == 2
+        out, err = capsys.readouterr()
+        assert not out and "spacelike" in err, err
+
+
 def test_cli_reduce_rejects_a_bad_direction(monkeypatch, capsys):
     for algebra in ("nw6", "e1_10"):
         code, out, err = run_cli("reduce", algebra, "--along", "a,b")
@@ -802,6 +823,7 @@ def test_cli_reduce_rejects_a_bad_direction(monkeypatch, capsys):
             ("d2n2(1,x)", six, "unbound parameter 'x'"),
             ("so12+so3(x)", six, "unbound parameter 'x'"),
             ("so12+so3()", six, "unexpected token"),
+            ("so12+so3(0)", six, "so12+so3(0): the scale a must be nonzero"),
             ("d2n2(1,2,3,4,5,6,7)", ",".join(["0"] * 16),
              "d2n2(1,2,3,4,5,6,7) has dimension 16 and --along 16 "
              "components; both must agree, at most 13"),

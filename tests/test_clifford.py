@@ -11,8 +11,7 @@ from sugraverify.multilinear import KForm, QuadraticSpace, wedge, interior, \
     accumulate
 from sugraverify.clifford import (
     ComplexScalar, build_gamma, FrameAlgebra, CliffordElement,
-    clifford_action, omega_xf,
-    spinor_to_vector, kernel_dim, chiral_basis)
+    clifford_action, omega_xf, kernel_dim, chiral_basis)
 
 
 def S(x):
@@ -38,8 +37,7 @@ def alg_1_10(rep_1_10):
 # representation construction
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("sig", [(1, 10), (1, 9), (1, 5), (1, 2),
-                                 (0, 1), (0, 2), (0, 3), (0, 4)])
+@pytest.mark.parametrize("sig", [(1, 10), (1, 9)])
 def test_clifford_relations(sig):
     # the constructor asserts gamma_a gamma_b + gamma_b gamma_a = 2 eta_ab
     rep = build_gamma(sig)
@@ -48,8 +46,10 @@ def test_clifford_relations(sig):
 
 
 def test_unsupported_signature():
-    with pytest.raises(ValueError):
-        build_gamma((2, 3))
+    # only the signatures of d=11 and type-II supergravity are built
+    for sig in ((2, 3), (1, 5), (1, 2), (0, 1), (0, 4)):
+        with pytest.raises(ValueError, match="unsupported signature"):
+            build_gamma(sig)
 
 
 def test_volume_element_minus_identity_1_10(rep_1_10):
@@ -258,7 +258,7 @@ def test_omega_cw11_flux_exact_and_nilpotency():
 
 
 # ---------------------------------------------------------------------------
-# invariant pairing and spinor bilinears
+# the invariant pairing
 # ---------------------------------------------------------------------------
 
 def spinor_pairing_matrix(alg):
@@ -294,22 +294,6 @@ def test_pairing_spin_invariance(alg_1_10):
         lhs = linalg.mat_mul(C, gab)
         rhs = linalg.mat_mul(linalg.transpose(gab), C)
         assert linalg.mat_eq_zero(linalg.mat_add(lhs, rhs))
-
-
-def test_spinor_to_vector_zero_and_bilinear(alg_1_10):
-    rng = random.Random(12)
-    e1 = [S(rng.randint(-2, 2)) for _ in range(32)]
-    e1b = [S(rng.randint(-2, 2)) for _ in range(32)]
-    e2 = [S(rng.randint(-2, 2)) for _ in range(32)]
-    zero = [S(0)] * 32
-    assert all(v.is_zero() for v in spinor_to_vector(e1, zero, alg_1_10))
-    a, b = S(3), S(-2)
-    lin = [a * x + b * y for x, y in zip(e1, e1b)]
-    got = spinor_to_vector(lin, e2, alg_1_10)
-    v1 = spinor_to_vector(e1, e2, alg_1_10)
-    v2 = spinor_to_vector(e1b, e2, alg_1_10)
-    for g, x, y in zip(got, v1, v2):
-        assert (g - (a * x + b * y)).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +374,8 @@ def test_complex_scalar_field_ops():
 # ---------------------------------------------------------------------------
 
 def test_frame_map_not_reproducing_the_gram_raises():
-    rep = build_gamma((1, 2))
-    space = QuadraticSpace(linalg.eye(3))          # no timelike leg
+    rep = build_gamma((1, 9))
+    space = QuadraticSpace(linalg.eye(10))         # no timelike leg
     with pytest.raises(ValueError, match="Gram"):
         FrameAlgebra(space, rep)
     # the check is an exception, so python -O keeps it
@@ -402,8 +386,8 @@ def test_frame_map_not_reproducing_the_gram_raises():
             "from sugraverify.clifford import build_gamma, FrameAlgebra\n"
             "from sugraverify.multilinear import QuadraticSpace\n"
             "try:\n"
-            "    FrameAlgebra(QuadraticSpace(linalg.eye(3)), "
-            "build_gamma((1, 2)))\n"
+            "    FrameAlgebra(QuadraticSpace(linalg.eye(10)), "
+            "build_gamma((1, 9)))\n"
             "except ValueError as e:\n"
             "    print('ValueError:', e)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],

@@ -1,6 +1,6 @@
 """Every module-level import in the package is used or re-exported, every
-module-level function is called from the package or named in ORPHANS with
-the reason it stays, and liealg does not read geometry."""
+module-level function and method is called from the package or named in
+ORPHANS with the reason it stays, and liealg does not read geometry."""
 
 import ast
 import os
@@ -64,70 +64,108 @@ def test_unused_import_check_catches_them():
     assert unused_imports(src) == [(2, "KForm"), (4, "json")]
 
 
-# module:function for the module-level functions that no module of the
-# package reads, exported or not, each with the reason it stays
+# module:function for the module-level functions, and module:Class.method
+# for the methods, that no module of the package reads, exported or not,
+# each with the reason it stays (the ROADMAP item that would give it a
+# caller or move it)
 ORPHANS = {
     "catalog:builtin_backgrounds":
         "tests: the catalog size and the golden reports of every id",
     "catalog:verify_typeII_product":
-        "tests; its caller comes with the type-II row reports (ROADMAP 4)",
-    "clifford:spinor_to_vector":
-        "tests: the Dirac current of the Clifford calibration (ROADMAP 9)",
+        "tests; its caller comes with the type-II row reports (ROADMAP 3)",
+    "clifford:CliffordElement.realize":
+        "tests: the dense reference of every sparse Clifford product and "
+        "kernel; the benchmark tracer's clifford.realize target",
+    "clifford:CliffordRep.gamma_dense":
+        "tests: the dense gammas of the spinor pairing (ROADMAP 8)",
     "geometry:cw_patch":
         "tests: the plane-wave chart that SymmetricSpace.plane_wave is held "
-        "to; the benchmark tracer's geometry.cw_patch target (ROADMAP 9)",
+        "to; the benchmark tracer's geometry.cw_patch target (ROADMAP 4)",
     "geometry:flat_torsion_consequences":
-        "tests: the flat-torsion acceptance criterion (ROADMAP 9)",
+        "tests: the flat-torsion acceptance criterion (ROADMAP 8)",
     "geometry:lightcone_coframe":
         "tests: the chart calibration of the pointwise R^D; the benchmark "
-        "tracer's geometry.lightcone_coframe target (ROADMAP 9)",
+        "tracer's geometry.lightcone_coframe target (ROADMAP 4)",
     "geometry:spin_connection":
         "tests: the chart calibration of the pointwise R^D; the benchmark "
-        "tracer's geometry.spin_connection target (ROADMAP 9)",
-    "kaluza:reduce_form":
-        "tests: the fibre split of an invariant form (ROADMAP 9)",
+        "tracer's geometry.spin_connection target (ROADMAP 4)",
     "kaluza:unit_spacelike_sample":
         "the certificate benchmark's reduce units and the reduction sweeps",
+    "liealg:MetricLieAlgebra.center":
+        "tests: the center oracle of the double extensions (ROADMAP 8)",
+    "liealg:MetricLieAlgebra.derived_series":
+        "tests: the solvability oracle of the plane-wave algebras "
+        "(ROADMAP 8)",
     "liealg:antiselfdual_filter":
-        "tests: the d=6 acceptance criterion (ROADMAP 9)",
+        "tests: the d=6 acceptance criterion (ROADMAP 8)",
     "liealg:d6_catalog":
         "tests: the five d=6 families that the group geometry is held to "
-        "(ROADMAP 9)",
+        "(ROADMAP 8)",
     "liealg:jacobi_check":
-        "tests: the Jacobi oracle of the group's Bianchi check (ROADMAP 9)",
-    "linalg:mat_eq_zero": "tests: dense matrix comparisons (ROADMAP 9)",
-    "linalg:mat_neg": "tests: dense matrix comparisons (ROADMAP 9)",
-    "linalg:mat_sub": "tests: dense matrix comparisons (ROADMAP 9)",
-    "linalg:solve": "tests: its own test only (ROADMAP 9)",
+        "tests: the Jacobi oracle of the group's Bianchi check (ROADMAP 8)",
+    "linalg:det": "tests: the dense determinant oracle (ROADMAP 8)",
+    "linalg:mat_eq_zero": "tests: dense matrix comparisons (ROADMAP 8)",
+    "linalg:mat_neg": "tests: dense matrix comparisons (ROADMAP 8)",
+    "linalg:mat_sub": "tests: dense matrix comparisons (ROADMAP 8)",
+    "multilinear:KForm.scalar":
+        "tests: 0-forms of the Hodge and Clifford tests (ROADMAP 8)",
+    "multilinear:QuadraticSpace.euclidean":
+        "tests: the euclidean frames of the form tests (ROADMAP 8)",
+    "multilinear:QuadraticSpace.minkowski":
+        "tests: the Minkowski frames of the form tests (ROADMAP 8)",
     "multilinear:plucker_rank_oracle":
         "the forms benchmark workload and the Plucker tests (ROADMAP 1)",
+    "sugra:VerificationReport.from_json":
+        "tests: the report round trip through JSON (ROADMAP 5)",
     "sugra:verify_d11":
         "tests: the d=11 field equations alone; the benchmark tracer's "
         "sugra.verify_d11 target",
 }
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _defined(tree):
+    """(qualified name, name) of the module-level functions of tree and
+    the non-dunder methods of its module-level classes."""
+    for node in tree.body:
+        if isinstance(node, _FUNCTIONS):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, _FUNCTIONS) and not (
+                        m.name.startswith("__") and m.name.endswith("__")):
+                    yield f"{node.name}.{m.name}", m.name
+
+
+def _reads(node, own=frozenset()):
+    """The names that node reads by name or attribute, leaving out a read
+    of a function's own name inside its body."""
+    for n in ast.iter_child_nodes(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            name = n.id
+        elif isinstance(n, ast.Attribute):
+            name = n.attr
+        else:
+            name = None
+        if name is not None and name not in own:
+            yield name
+        yield from _reads(n, own | {n.name} if isinstance(n, _FUNCTIONS)
+                          else own)
+
+
 def orphaned_functions(sources):
-    """Sorted module:function names of the module-level functions in
-    sources ({module: source}) that no module reads by name or attribute,
+    """Sorted module:name of the module-level functions, and module:
+    Class.method of the non-dunder methods of module-level classes, in
+    sources ({module: source}) that no module reads by name or attribute
     outside the function's own body; an __all__ entry is not a read."""
     defined, read = [], set()
     for module, source in sources.items():
-        for node in ast.parse(source).body:
-            own = node.name if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
-            if own:
-                defined.append((module, own))
-            for n in ast.walk(node):
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                    name = n.id
-                elif isinstance(n, ast.Attribute):
-                    name = n.attr
-                else:
-                    continue
-                if name != own:
-                    read.add(name)
-    return sorted(f"{m}:{f}" for m, f in defined if f not in read)
+        tree = ast.parse(source)
+        defined += [(module, q, name) for q, name in _defined(tree)]
+        read.update(_reads(tree))
+    return sorted(f"{m}:{q}" for m, q, name in defined if name not in read)
 
 
 def _sources():
@@ -144,12 +182,18 @@ def test_every_orphaned_function_is_named_with_its_reason():
 
 def test_orphan_check_catches_them():
     # f calls only itself, g is called from another module, h is only
-    # exported, k is read as an attribute
+    # exported, k is read as an attribute; of the methods of C, p calls
+    # only itself, q is read as an attribute and __init__ is a dunder
     sources = {"a": "def f():\n    return f()\n\ndef g():\n    pass\n"
                     "__all__ = ['h']\n\ndef h():\n    pass\n",
                "b": "from .a import g\n\ndef k():\n    return g()\n\n"
-                    "def m(x):\n    return x.k\n"}
-    assert orphaned_functions(sources) == ["a:f", "a:h", "b:m"]
+                    "def m(x):\n    return x.k\n",
+               "c": "class C:\n    def __init__(self):\n        pass\n\n"
+                    "    def p(self):\n        return self.p()\n\n"
+                    "    def q(self):\n        pass\n\n"
+                    "def r(c):\n    return c.q()\n"}
+    assert orphaned_functions(sources) == ["a:f", "a:h", "b:m", "c:C.p",
+                                           "c:r"]
 
 
 # the polynomial chart is the reference the tests hold the plane-wave pair

@@ -2,67 +2,27 @@ import random
 
 import pytest
 
+from sugraverify import kaluza
+from sugraverify.catalog import get_background, verify_background
 from sugraverify.exactnum import Scalar
-from sugraverify.multilinear import KForm, wedge, interior
-from sugraverify.liealg import (nw6, nw6_family, so12_so3, e15,
-                                canonical_three_form, d6_catalog)
-from sugraverify.kaluza import (reduce_form, reduce_group, reduce_flat_d11,
-                                unit_spacelike_sample)
+from sugraverify.liealg import nw6, nw6_family, so12_so3, e15
+from sugraverify.multilinear import KForm
+from sugraverify.kaluza import reduce_group, reduce_d11, \
+    unit_spacelike_sample
+from sugraverify.sugra import BackgroundSpec
 
 S = Scalar
-
-
-def test_reduce_form_horizontal_input():
-    g = e15()
-    sp = g.space
-    alpha = KForm.basis(sp, 1)                 # dual to e1; alpha(e1) = 1
-    xi = [S(0)] * 6
-    xi[1] = S(1)
-    F = KForm.basis(sp, 2, 3)
-    G, H = reduce_form(F, alpha, xi)
-    assert H.is_zero() and G == F
-
-
-def test_reduce_form_vertical_roundtrip():
-    g = e15()
-    sp = g.space
-    alpha = KForm.basis(sp, 1)
-    xi = [S(0)] * 6
-    xi[1] = S(1)
-    om = KForm.basis(sp, 2, 3)
-    F = wedge(alpha, om)
-    G, H = reduce_form(F, alpha, xi)
-    assert G.is_zero()
-    # round-trip: G - alpha ^ H = F
-    assert (G - wedge(alpha, H)) == F
-    # horizontality
-    assert interior(xi, G).is_zero() and interior(xi, H).is_zero()
-
-
-def test_reduce_form_requires_normalized_pairing():
-    g = e15()
-    sp = g.space
-    alpha = KForm.basis(sp, 1, coeff=S(2))
-    xi = [S(0)] * 6
-    xi[1] = S(1)
-    with pytest.raises(ValueError):
-        reduce_form(KForm.basis(sp, 2, 3), alpha, xi)
+# x9 in the d=11 plane-wave frame (xp, xm, x1..x9)
+X9 = [S(0)] * 10 + [S(1)]
 
 
 def test_cw11_flux_reduction_along_transverse_direction():
-    # iota_{d9} F = 0 for F = mu dx- ^ dx1 ^ dx2 ^ dx3: H = 0, G = F
-    from sugraverify.catalog import get_background
-    b = get_background("cw11")
-    p = b.geometry
-    F = b.fluxes["F4"]
-    xi = [None] * 11
-    from sugraverify.exactnum import Polynomial
-    xi = [Polynomial.constant(0)] * 11
-    xi[10] = Polynomial.constant(1)
-    alpha = KForm(p.space, 1, {(10,): Polynomial.constant(1)})
-    G, H = reduce_form(F, alpha, xi)
-    assert H.is_zero()
-    assert (G - F).is_zero()
+    # iota_{x9} F = 0 for F = mu dx- ^ dx1 ^ dx2 ^ dx3: H3 = 0, and the
+    # horizontal part G4 = F is what is left
+    witnesses = reduce_d11(get_background("cw11"), X9)
+    assert witnesses["H3 = iota_X F4 = 0"] == ""
+    assert witnesses["G4 = F4 - X_flat ^ H3 / |X|^2 = 0"] == \
+        "(6) xm^x1^x2^x3"
 
 
 # ---------------------------------------------------------------------------
@@ -124,22 +84,72 @@ def test_reduction_sweep_all_catalog_algebras():
 
 
 def test_flat_d11_reduction():
-    out = reduce_flat_d11({"type": "translation",
-                           "components": [S(0)] * 10 + [S(1)]})
-    assert out["metric"] == "flat E^{1,9}"
-    assert out["dilaton"] == "constant"
-    assert out["F2"] == out["H3"] == out["G4"] == "0"
-    assert out["max_susy_preserved"]
+    # e1_10 along x9: every check is computed and passes, and all 32
+    # spinors descend
+    witnesses = reduce_d11(get_background("e1_10"), X9)
+    assert list(witnesses) == list(kaluza._FLAT_CHECKS) + \
+        [kaluza._SUSY_CHECK]
+    assert not any(witnesses.values())
     # any spacelike combination reduces the same way
-    out2 = reduce_flat_d11({"type": "translation",
-                            "components": [S(0), S(3), S(4)] + [S(0)] * 8})
-    assert out2["metric"] == out["metric"]
+    X = [S(0), S(3), S(4)] + [S(0)] * 8
+    assert reduce_d11(get_background("e1_10"), X) == witnesses
 
 
 def test_flat_d11_null_direction_rejected():
-    with pytest.raises(ValueError):
-        reduce_flat_d11({"type": "translation",
-                         "components": [S(1), S(1)] + [S(0)] * 9})
-    with pytest.raises(ValueError):
-        reduce_flat_d11({"type": "rotation",
-                         "components": [S(0)] * 10 + [S(1)]})
+    e1_10 = get_background("e1_10")
+    for X in ([S(1)] + [S(0)] * 10,             # xp is null
+              [S(1), S(-1)] + [S(0)] * 9):      # xp - xm is timelike
+        with pytest.raises(ValueError, match="spacelike"):
+            reduce_d11(e1_10, X)
+    with pytest.raises(ValueError, match="expected 11 components"):
+        reduce_d11(e1_10, X9[:10])
+
+
+def test_d11_reduction_of_a_curved_parent_fails_naming_the_holonomy():
+    # cw11 along x9: R(xm, x9) moves X_flat, so X is not parallel, the
+    # quotient is not flat, and only 16 spinors are X-invariant
+    witnesses = reduce_d11(get_background("cw11"), X9)
+    assert "R(xm,x9) takes it to" in \
+        witnesses["X_flat parallel (|X| and the dilaton constant)"]
+    assert witnesses["R = 0 (flat quotient)"] == "R(xm,x1,xm,x1) = -4"
+    assert witnesses[kaluza._SUSY_CHECK] == (
+        "the joint kernel is 16-dimensional, of 32; premise X_flat "
+        "parallel fails")
+    rep = _iia_report(get_background("cw11"))
+    flat, susy = rep.conditions
+    assert not flat.passed and "R(xm,x9)" in flat.witness
+    assert not susy.passed and "16-dimensional" in susy.witness
+    assert susy.note == ""
+
+
+def test_d11_reduction_with_flux_along_the_fibre_fails():
+    # F4 on the legs (xm, x1, x2, x9) of flat space: H3 = iota_X F4 != 0
+    parent = get_background("e1_10")
+    parent = parent._replace(fluxes={"F4": KForm(
+        parent.geometry.space, 4, {(1, 2, 3, 10): S(1)})})
+    witnesses = reduce_d11(parent, X9)
+    assert witnesses["H3 = iota_X F4 = 0"] == "(-1) xm^x1^x2"
+    assert witnesses["G4 = F4 - X_flat ^ H3 / |X|^2 = 0"] == ""
+    assert witnesses[kaluza._SUSY_CHECK] == \
+        "the joint kernel is 16-dimensional, of 32"
+    rep = _iia_report(parent)
+    assert [c.passed for c in rep.conditions] == [False, False]
+
+
+def test_verify_e1_9_iia_computes_its_spinor_kernel(monkeypatch):
+    calls = []
+    kernel_dim = kaluza.kernel_dim
+
+    def spy(ops, alg, columns=None):
+        calls.append(len(ops))
+        return kernel_dim(ops, alg, columns)
+
+    monkeypatch.setattr(kaluza, "kernel_dim", spy)
+    rep = verify_background(get_background("e1_9_iia"))
+    assert rep.passed and calls == [56]     # 55 values of R^D and Omega_X
+
+
+def _iia_report(parent):
+    return kaluza.verify_iia(BackgroundSpec(
+        "iia", "e1_9_iia", None, {},
+        frame_data={"parent": parent, "along": X9}))

@@ -50,13 +50,6 @@ def test_det_singular():
     assert linalg.det(_mat([[1, 2], [2, 4]])).is_zero()
 
 
-def test_solve():
-    m = _mat([[1, 1], [1, -1]])
-    x = linalg.solve(m, [S(3), S(1)])
-    assert x == [S(2), S(1)]
-    assert linalg.solve(_mat([[1, 1], [1, 1]]), [S(0), S(1)]) is None
-
-
 def test_charpoly_small():
     # diag(1,2): p(x) = x^2 - 3x + 2
     c = linalg.charpoly(_mat([[1, 0], [0, 2]]))
