@@ -28,7 +28,7 @@ over the nonzero entries only; no dense spinor_dim x spinor_dim matrix is
 built.  realize() builds one only for callers that ask for it.
 """
 
-from .exactnum import Scalar, ZERO, ONE
+from .exactnum import Scalar, ComplexScalar, ZERO, ONE
 from .multilinear import QuadraticSpace, interior, wedge, accumulate, flat, \
     map_slots, nonzero_columns, _merge_sign
 from . import linalg
@@ -39,92 +39,6 @@ __all__ = ["ComplexScalar", "CliffordRep", "build_gamma", "FrameAlgebra",
 _Z = ZERO
 _ONE = ONE
 _TWO = Scalar(2)
-
-
-_REAL = (int, Scalar)
-
-
-def _from_int(n):
-    return ZERO if n == 0 else ONE if n == 1 else Scalar(n)
-
-
-class ComplexScalar:
-    """a + b*i with exact real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = re if not isinstance(re, int) else _from_int(re)
-        self.im = im if not isinstance(im, int) else _from_int(im)
-
-    @staticmethod
-    def i():
-        return ComplexScalar(0, 1)
-
-    def is_zero(self):
-        return self.re.is_zero() and self.im.is_zero()
-
-    def conj(self):
-        return ComplexScalar(self.re, -self.im)
-
-    # a real operand (int or Scalar) acts on re and im directly
-
-    def __add__(self, other):
-        if isinstance(other, ComplexScalar):
-            return ComplexScalar(self.re + other.re, self.im + other.im)
-        if isinstance(other, _REAL):
-            return ComplexScalar(self.re + other, self.im)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ComplexScalar(-self.re, -self.im)
-
-    def __sub__(self, other):
-        if isinstance(other, ComplexScalar):
-            return ComplexScalar(self.re - other.re, self.im - other.im)
-        if isinstance(other, _REAL):
-            return ComplexScalar(self.re - other, self.im)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, ComplexScalar):
-            return ComplexScalar(self.re * other.re - self.im * other.im,
-                                 self.re * other.im + self.im * other.re)
-        if isinstance(other, _REAL):
-            return ComplexScalar(self.re * other, self.im * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        n = self.re * self.re + self.im * self.im
-        if not isinstance(n, Scalar):
-            raise TypeError("can only invert ComplexScalar with Scalar parts")
-        ninv = n.inverse()
-        return ComplexScalar(self.re * ninv, -self.im * ninv)
-
-    def __truediv__(self, other):
-        if not isinstance(other, ComplexScalar):
-            other = ComplexScalar(other)
-        return self * other.inverse()
-
-    def __eq__(self, other):
-        if not isinstance(other, (ComplexScalar,) + _REAL):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __str__(self):
-        return f"({self.re}) + ({self.im})*i"
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +177,7 @@ class CliffordRep:
         self.spinor_dim = len(gammas[0].perm)
         self.eta = [Scalar(-1)] * self.t + [Scalar(1)] * self.s
         self._check_relations()
+        self.chiral_halves = {}     # sign: chiral_basis, built on first use
         self.chirality = None
         if self.n % 2 == 0:
             vol = gammas[0]
@@ -742,11 +657,16 @@ def _new_direction(row, same_support):
 
 def chiral_basis(alg, sign):
     """Exact basis of the +-1 chirality eigenspace (even-dimensional reps),
-    as dense column vectors."""
-    chi = alg.rep.chirality
+    as a tuple of dense column tuples.  It is built and checked on first
+    use and then held on the representation."""
+    rep = alg.rep
+    half = rep.chiral_halves.get(sign)
+    if half is not None:
+        return half
+    chi = rep.chirality
     if chi is None:
         raise ValueError("representation has no chirality operator")
-    N = alg.rep.spinor_dim
+    N = rep.spinor_dim
     s = Scalar(sign)
     out = []
     for j in range(N):
@@ -763,7 +683,8 @@ def chiral_basis(alg, sign):
             accumulate(img, q, _unit_scale(x, u))
         if img.keys() == col.keys() and \
                 all((img[i] - s * x).is_zero() for i, x in col.items()):
-            out.append([col.get(i, _Z) for i in range(N)])
+            out.append(tuple(col.get(i, _Z) for i in range(N)))
     if len(out) != N // 2:
         raise RuntimeError("chiral split must halve the spinor space")
-    return out
+    half = rep.chiral_halves[sign] = tuple(out)
+    return half

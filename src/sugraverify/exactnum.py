@@ -1,4 +1,5 @@
-"""Exact scalars (rationals with adjoined square roots) and sparse polynomials.
+"""Exact scalars (rationals with adjoined square roots, and complex numbers
+over them) and sparse polynomials.
 
 A Scalar is a finite sum  sum_r  c_r * sqrt(r)  where each radicand r is a
 positive square-free integer (r = 1 for the rational part) and each c_r is an
@@ -17,7 +18,8 @@ from math import gcd, isqrt
 
 from ._backend import RAT, RAT_ONE, RAT_ZERO, rat
 
-__all__ = ["Scalar", "Polynomial", "parse_scalar", "sqrt_scalar"]
+__all__ = ["Scalar", "ComplexScalar", "Polynomial", "parse_scalar",
+           "sqrt_scalar"]
 
 
 # trial division covers the divisors up to _TRIAL_BOUND; a cofactor below
@@ -375,6 +377,85 @@ def sqrt_scalar(x):
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
+
+
+_REAL = (int, Scalar)
+
+
+def _from_int(n):
+    return ZERO if n == 0 else ONE if n == 1 else Scalar(n)
+
+
+class ComplexScalar:
+    """a + b*i with exact real and imaginary parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = re if not isinstance(re, int) else _from_int(re)
+        self.im = im if not isinstance(im, int) else _from_int(im)
+
+    def is_zero(self):
+        return self.re.is_zero() and self.im.is_zero()
+
+    # a real operand (int or Scalar) acts on re and im directly
+
+    def __add__(self, other):
+        if isinstance(other, ComplexScalar):
+            return ComplexScalar(self.re + other.re, self.im + other.im)
+        if isinstance(other, _REAL):
+            return ComplexScalar(self.re + other, self.im)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ComplexScalar(-self.re, -self.im)
+
+    def __sub__(self, other):
+        if isinstance(other, ComplexScalar):
+            return ComplexScalar(self.re - other.re, self.im - other.im)
+        if isinstance(other, _REAL):
+            return ComplexScalar(self.re - other, self.im)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, ComplexScalar):
+            return ComplexScalar(self.re * other.re - self.im * other.im,
+                                 self.re * other.im + self.im * other.re)
+        if isinstance(other, _REAL):
+            return ComplexScalar(self.re * other, self.im * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        n = self.re * self.re + self.im * self.im
+        if not isinstance(n, Scalar):
+            raise TypeError("can only invert ComplexScalar with Scalar parts")
+        ninv = n.inverse()
+        return ComplexScalar(self.re * ninv, -self.im * ninv)
+
+    def __truediv__(self, other):
+        if not isinstance(other, ComplexScalar):
+            other = ComplexScalar(other)
+        return self * other.inverse()
+
+    def __eq__(self, other):
+        if not isinstance(other, (ComplexScalar,) + _REAL):
+            return NotImplemented
+        return (self - other).is_zero()
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __str__(self):
+        return f"({self.re}) + ({self.im})*i"
+
+    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------

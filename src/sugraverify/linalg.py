@@ -3,15 +3,23 @@
 Matrices are lists of lists whose entries support +, -, *, .is_zero() and,
 where division is required, .inverse().  Everything here is small (n <= 64).
 rref eliminates over sparse {column: entry} rows, so its cost follows the
-nonzero entries rather than the matrix size; det keeps plain Gaussian
-elimination.
+nonzero entries rather than the matrix size.
+
+When every entry lies in one quadratic field -- Q, Q(sqrt d) for one
+square-free d, or Q(i) -- rref eliminates fraction-free in Python ints
+under either rational backend: each row becomes {column: (A, B)} with
+A + B sqrt(d) integers (d = 1 for Q, -1 for Q(i)), and only the reduced
+rows go back to exact scalars.  Any other matrix is eliminated over its
+entries' own field operations.
 """
 
-from .exactnum import Scalar
+from math import gcd, lcm
 
-__all__ = ["mat_mul", "mat_add", "mat_sub", "mat_neg", "mat_scale", "eye",
-           "zeros", "transpose", "mat_eq_zero", "rref", "nullspace", "rank",
-           "det", "charpoly", "inverse"]
+from ._backend import rat
+from .exactnum import Scalar, ComplexScalar, ZERO, _mk
+
+__all__ = ["mat_mul", "mat_add", "mat_scale", "eye", "zeros", "transpose",
+           "rref", "nullspace", "rank", "charpoly", "inverse"]
 
 
 def zeros(n, m, zero=None):
@@ -52,14 +60,6 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_neg(a):
-    return [[-x for x in r] for r in a]
-
-
 def mat_scale(a, c):
     return [[x * c for x in r] for r in a]
 
@@ -68,18 +68,155 @@ def transpose(a):
     return [list(r) for r in zip(*a)]
 
 
-def mat_eq_zero(a):
-    return all(x.is_zero() for r in a for x in r)
-
-
 def rref(mat):
     """Reduced row echelon form; returns (rref_rows, pivot_columns).
 
     The rows are eliminated as {column: entry} maps.  Each pivot is the
     sparsest remaining row with a nonzero entry in its column, and clearing
     that column from another row touches only the pivot row's nonzero
-    entries.  The reduced form is unique, so the choice of pivot row changes
-    neither the rows nor the pivots."""
+    entries.  The reduced form is unique, so the choice of pivot row, and
+    whether the integer or the field elimination runs, changes neither the
+    rows nor the pivots."""
+    d = _quadratic_radicand(mat)
+    if d is None:
+        return _rref_field(mat)
+    return _rref_integer(mat, d)
+
+
+def _quadratic_radicand(mat):
+    """d of the one field Q(sqrt d) that holds every entry of mat: 1 for
+    Q, a square-free d > 1, or -1 for complex entries with rational parts;
+    None for anything else (two radicands, a complex entry with a radical,
+    an entry that is not a Scalar or a ComplexScalar)."""
+    d = 1
+    for row in mat:
+        for x in row:
+            if type(x) is Scalar:
+                irr = x._irr
+                if irr is None:
+                    continue
+                if len(irr) != 1:
+                    return None
+                r = next(iter(irr))
+            elif type(x) is ComplexScalar:
+                re, im = x.re, x.im
+                if type(re) is not Scalar or type(im) is not Scalar or \
+                        re._irr is not None or im._irr is not None:
+                    return None
+                r = -1
+            else:
+                return None
+            if d == 1:
+                d = r
+            elif d != r:
+                return None
+    return d
+
+
+def _primitive(row):
+    """row divided, in place, by the gcd of its integers."""
+    g = gcd(*[v for ab in row.values() for v in ab])
+    if g > 1:
+        for k, (a, b) in row.items():
+            row[k] = (a // g, b // g)
+    return row
+
+
+def _integer_row(row, d):
+    """A row of Q(sqrt d) entries as {column: (A, B)}, A + B sqrt(d) with
+    A, B integers: the entries times the lcm of their denominators, divided
+    by their content."""
+    parts, den = {}, 1
+    for k, x in enumerate(row):
+        if x is ZERO:
+            continue
+        if type(x) is Scalar:
+            a, irr = x._q, x._irr
+            b = 0 if irr is None else irr[d]
+        else:
+            a, b = x.re._q, x.im._q
+        if a or b:
+            den = lcm(den, a.denominator, b.denominator)
+            parts[k] = (a, b)
+    return _primitive({k: (int(a.numerator) * (den // int(a.denominator)),
+                           int(b.numerator) * (den // int(b.denominator)))
+                       for k, (a, b) in parts.items()})
+
+
+def _rref_integer(mat, d):
+    """rref of a matrix over Q(sqrt d) (see _quadratic_radicand), eliminated
+    fraction-free: a pivot row is multiplied by its pivot's conjugate, so
+    the pivot is an integer p, and clearing its column from a row with
+    entry f there is  row <- p row - f pivot_row  (both divided by
+    gcd(p, f) first), after which the row is divided by its content.  The
+    pivot of a reduced row stays an integer, and the row is divided by it
+    only when the exact scalars are built."""
+    n = len(mat)
+    m = len(mat[0]) if n else 0
+    live = [row for row in (_integer_row(r, d) for r in mat) if row]
+    done, pivots = [], []
+    for c in range(m):
+        if not live:
+            break
+        cands = [row for row in live if c in row]
+        if not cands:
+            continue
+        row = min(cands, key=len)
+        live = [other for other in live if other is not row]
+        p0, p1 = row[c]
+        if p1:
+            row = _primitive({k: (a * p0 - d * b * p1, b * p0 - a * p1)
+                              for k, (a, b) in row.items()})
+        p = row[c][0]
+        for other in live + done:
+            f = other.get(c)
+            if f is None:
+                continue
+            f0, f1 = f
+            g = gcd(p, f0, f1)
+            s, f0, f1 = p // g, f0 // g, f1 // g
+            if s != 1:
+                for k, (a, b) in other.items():
+                    other[k] = (s * a, s * b)
+            for k, (a, b) in row.items():
+                if f1:
+                    a, b = f0 * a + d * f1 * b, f0 * b + f1 * a
+                else:
+                    a, b = f0 * a, f0 * b
+                x = other.get(k)
+                if x is not None:
+                    a, b = x[0] - a, x[1] - b
+                    if not (a or b):
+                        del other[k]
+                        continue
+                else:
+                    a, b = -a, -b
+                other[k] = (a, b)
+            if other:
+                _primitive(other)
+        live = [other for other in live if other]
+        done.append(row)
+        pivots.append(c)
+    zero = mat[0][0] * 0 if m else None
+    rows = [[zero] * m for _ in range(n)]
+    for out, row, c in zip(rows, done, pivots):
+        p = row[c][0]
+        for k, (a, b) in row.items():
+            out[k] = _quadratic_scalar(a, b, p, d)
+    return rows, pivots
+
+
+def _quadratic_scalar(a, b, p, d):
+    """(a + b sqrt(d)) / p for integers a, b, p, as a Scalar, or as a
+    ComplexScalar for d = -1."""
+    if d == -1:
+        return ComplexScalar(_mk(rat(a, p)), _mk(rat(b, p)))
+    return _mk(rat(a, p), {d: rat(b, p)} if b else None)
+
+
+def _rref_field(mat):
+    """rref by the entries' own field operations, for matrices outside one
+    quadratic field."""
     n = len(mat)
     m = len(mat[0]) if n else 0
     live = [{c: x for c, x in enumerate(r) if not x.is_zero()} for r in mat]
@@ -172,30 +309,6 @@ def det_nodiv(mat):
         return out
 
     return minor(0, cols)
-
-
-def det(mat):
-    """Determinant by fraction-producing Gaussian elimination (exact field)."""
-    n = len(mat)
-    rows = [list(r) for r in mat]
-    sign = 1
-    d = None
-    for c in range(n):
-        piv = next((i for i in range(c, n) if not rows[i][c].is_zero()), None)
-        if piv is None:
-            return rows[0][0] * 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        p = rows[c][c]
-        d = p if d is None else d * p
-        inv = p.inverse()
-        for i in range(c + 1, n):
-            if rows[i][c].is_zero():
-                continue
-            f = rows[i][c] * inv
-            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return d if sign == 1 else -d
 
 
 def inverse(mat):

@@ -113,3 +113,36 @@ def biinvariant_ricci(g):
                         tr = tr + g.c[j][b][a] * g.c[i][a][b]
             out[i][j] = out[j][i] = quarter * tr
     return out
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_eq_zero(a):
+    return all(x.is_zero() for r in a for x in r)
+
+
+def det(mat):
+    """Determinant by fraction-producing Gaussian elimination (exact field):
+    the dense oracle of the package's rank and invertibility checks."""
+    n = len(mat)
+    rows = [list(r) for r in mat]
+    sign = 1
+    d = None
+    for c in range(n):
+        piv = next((i for i in range(c, n) if not rows[i][c].is_zero()), None)
+        if piv is None:
+            return rows[0][0] * 0
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            sign = -sign
+        p = rows[c][c]
+        d = p if d is None else d * p
+        inv = p.inverse()
+        for i in range(c + 1, n):
+            if rows[i][c].is_zero():
+                continue
+            f = rows[i][c] * inv
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return d if sign == 1 else -d

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import cw_lie_algebra
+from conftest import cw_lie_algebra, mat_sub
 from sugraverify.exactnum import Scalar, Polynomial
 from sugraverify.multilinear import KForm, BiSymTensor, kulkarni_nomizu
 from sugraverify.liealg import CWData
@@ -41,7 +41,7 @@ def _rotated(rng, diag):
             K[i][j] = S(rng.randint(-2, 2))
             K[j][i] = -K[i][j]
     I = linalg.eye(m)
-    O = linalg.mat_mul(linalg.mat_sub(I, K),
+    O = linalg.mat_mul(mat_sub(I, K),
                        linalg.inverse(linalg.mat_add(I, K)))
     D = linalg.zeros(m, m)
     for i, d in enumerate(diag):

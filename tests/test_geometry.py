@@ -18,7 +18,7 @@ from sugraverify.geometry import (
     flat_torsion_consequences, lightcone_coframe, spin_connection,
     SymmetricSpace, Unverified, _check_frame)
 
-from conftest import flat_patch, KoszulFrame, biinvariant_ricci
+from conftest import flat_patch, KoszulFrame, biinvariant_ricci, mat_sub
 
 
 def cyclic_violation(riem):
@@ -770,7 +770,7 @@ def _rotated_cw(rng, m):
             K[i][j] = S(rng.randint(-2, 2))
             K[j][i] = -K[i][j]
     I = linalg.eye(m)
-    O = linalg.mat_mul(linalg.mat_sub(I, K),
+    O = linalg.mat_mul(mat_sub(I, K),
                        linalg.inverse(linalg.mat_add(I, K)))
     D = linalg.zeros(m, m)
     for i in range(m):

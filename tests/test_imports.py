@@ -103,10 +103,9 @@ ORPHANS = {
         "(ROADMAP 8)",
     "liealg:jacobi_check":
         "tests: the Jacobi oracle of the group's Bianchi check (ROADMAP 8)",
-    "linalg:det": "tests: the dense determinant oracle (ROADMAP 8)",
-    "linalg:mat_eq_zero": "tests: dense matrix comparisons (ROADMAP 8)",
-    "linalg:mat_neg": "tests: dense matrix comparisons (ROADMAP 8)",
-    "linalg:mat_sub": "tests: dense matrix comparisons (ROADMAP 8)",
+    "multilinear:KForm.basis":
+        "tests: the basis forms of the form, Clifford and Lie-algebra tests "
+        "(ROADMAP 8)",
     "multilinear:KForm.scalar":
         "tests: 0-forms of the Hodge and Clifford tests (ROADMAP 8)",
     "multilinear:QuadraticSpace.euclidean":
@@ -140,17 +139,18 @@ def _defined(tree):
 
 
 def _reads(node, own=frozenset()):
-    """The names that node reads by name or attribute, leaving out a read
-    of a function's own name inside its body."""
+    """(kind, name) of the names that node reads, kind "name" for a bare
+    name and "attr" for an attribute, leaving out a read of a function's
+    own name inside its body."""
     for n in ast.iter_child_nodes(node):
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-            name = n.id
+            read = ("name", n.id)
         elif isinstance(n, ast.Attribute):
-            name = n.attr
+            read = ("attr", n.attr)
         else:
-            name = None
-        if name is not None and name not in own:
-            yield name
+            read = None
+        if read is not None and read[1] not in own:
+            yield read
         yield from _reads(n, own | {n.name} if isinstance(n, _FUNCTIONS)
                           else own)
 
@@ -158,14 +158,19 @@ def _reads(node, own=frozenset()):
 def orphaned_functions(sources):
     """Sorted module:name of the module-level functions, and module:
     Class.method of the non-dunder methods of module-level classes, in
-    sources ({module: source}) that no module reads by name or attribute
-    outside the function's own body; an __all__ entry is not a read."""
-    defined, read = [], set()
+    sources ({module: source}) that no module reads outside the function's
+    own body: a function by name or attribute, a method by attribute only,
+    so that a local variable of the same name does not count.  An __all__
+    entry is not a read."""
+    defined, reads = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
         defined += [(module, q, name) for q, name in _defined(tree)]
-        read.update(_reads(tree))
-    return sorted(f"{m}:{q}" for m, q, name in defined if name not in read)
+        reads.update(_reads(tree))
+    names = {name for _, name in reads}
+    attrs = {name for kind, name in reads if kind == "attr"}
+    return sorted(f"{m}:{q}" for m, q, name in defined
+                  if name not in (attrs if "." in q else names))
 
 
 def _sources():
@@ -183,7 +188,8 @@ def test_every_orphaned_function_is_named_with_its_reason():
 def test_orphan_check_catches_them():
     # f calls only itself, g is called from another module, h is only
     # exported, k is read as an attribute; of the methods of C, p calls
-    # only itself, q is read as an attribute and __init__ is a dunder
+    # only itself, q is read as an attribute, t only as a local variable's
+    # name and __init__ is a dunder
     sources = {"a": "def f():\n    return f()\n\ndef g():\n    pass\n"
                     "__all__ = ['h']\n\ndef h():\n    pass\n",
                "b": "from .a import g\n\ndef k():\n    return g()\n\n"
@@ -191,9 +197,10 @@ def test_orphan_check_catches_them():
                "c": "class C:\n    def __init__(self):\n        pass\n\n"
                     "    def p(self):\n        return self.p()\n\n"
                     "    def q(self):\n        pass\n\n"
-                    "def r(c):\n    return c.q()\n"}
+                    "    def t(self):\n        pass\n\n"
+                    "def r(c):\n    t = c.q()\n    return t\n"}
     assert orphaned_functions(sources) == ["a:f", "a:h", "b:m", "c:C.p",
-                                           "c:r"]
+                                           "c:C.t", "c:r"]
 
 
 # the polynomial chart is the reference the tests hold the plane-wave pair

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cw_lie_algebra, biinvariant_ricci
+from conftest import (cw_lie_algebra, biinvariant_ricci, det, mat_eq_zero,
+                      mat_sub)
 from sugraverify import linalg
 from sugraverify.exactnum import Scalar
 from sugraverify.multilinear import KForm, hodge, form_inner, interior
@@ -82,7 +83,7 @@ def test_sparse_invariance_check_agrees_with_the_dense_one(make):
         metric = [row[:] for row in g.metric]
         if i is not None:       # None keeps the invariant metric
             metric[i][j] = metric[j][i] = metric[i][j] + S(3)
-        if linalg.det(metric).is_zero():
+        if det(metric).is_zero():
             continue
         h = MetricLieAlgebra(g.dim, g.bracket_table(), metric)
         status = invariance_check(h)[0]
@@ -371,7 +372,7 @@ def test_canonical_three_form_closed_random_double_extensions():
 
 def test_biinvariant_ricci_abelian_zero():
     ric = biinvariant_ricci(abelian(4))
-    assert linalg.mat_eq_zero(ric)
+    assert mat_eq_zero(ric)
 
 
 def test_biinvariant_ricci_so3():
@@ -379,7 +380,7 @@ def test_biinvariant_ricci_so3():
     # multiple of the metric (round-sphere calibration)
     ric = biinvariant_ricci(so3())
     want = linalg.mat_scale(linalg.eye(3), R(1, 2))
-    assert linalg.mat_eq_zero(linalg.mat_sub(ric, want))
+    assert mat_eq_zero(mat_sub(ric, want))
 
 
 def _ad(g, i):
@@ -407,7 +408,7 @@ def test_biinvariant_ricci_nw6():
     g = nw6()
     ric = biinvariant_ricci(g)
     oracle = _ricci_trace_oracle(g)
-    assert linalg.mat_eq_zero(linalg.mat_sub(ric, oracle))
+    assert mat_eq_zero(mat_sub(ric, oracle))
     # two rotation blocks of weight 1: Ric(e-, e-) = 1, everything else 0
     for i in range(6):
         for j in range(6):
@@ -503,7 +504,7 @@ def _profile_and_motion(draw):
                 S_[i][j] = S(draw(st.integers(-3, 3)))
                 S_[j][i] = -S_[i][j]
     I = linalg.eye(m)
-    O = linalg.mat_mul(linalg.mat_sub(I, S_),
+    O = linalg.mat_mul(mat_sub(I, S_),
                        linalg.inverse(linalg.mat_add(I, S_)))
     c = R(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
     return A, O, c
@@ -513,7 +514,7 @@ def _profile_and_motion(draw):
 @given(_profile_and_motion())
 def test_cw_key_is_invariant_under_cayley_rotations_and_scale(case):
     A, O, c = case
-    assert linalg.mat_eq_zero(linalg.mat_sub(
+    assert mat_eq_zero(mat_sub(
         linalg.mat_mul(linalg.transpose(O), O), linalg.eye(len(A))))
     A2 = linalg.mat_scale(
         linalg.mat_mul(linalg.transpose(O), linalg.mat_mul(A, O)), c)
