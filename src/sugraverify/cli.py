@@ -21,7 +21,6 @@ from .exactnum import parse_scalar
 from .liealg import CWData, cw_canonicalize, nw6, so12_so3, e15, su3
 from .kaluza import reduce_group, reduce_d11
 from . import catalog
-from ._backend import BACKEND_NAME
 
 # what malformed input raises: a missing file, bad JSON or a bad scalar
 _INPUT_ERRORS = (OSError, KeyError, ValueError, ZeroDivisionError)
@@ -235,8 +234,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="sugraverify",
         description="exact verification of maximally supersymmetric and "
-                    "parallelisable supergravity backgrounds "
-                    f"(rational backend: {BACKEND_NAME})")
+                    "parallelisable supergravity backgrounds")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="verify a background")

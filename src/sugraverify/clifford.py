@@ -23,9 +23,9 @@ orthonormal words.
 Elements act on sparse spinors ({index: component}) through their
 orthonormal words, each a coefficient times a signed permutation, with the
 words of all monomials merged.  A kernel's rows come from one pass over the
-words and stay sparse, repeated rows are dropped, and linalg.rref eliminates
-over the nonzero entries only; no dense spinor_dim x spinor_dim matrix is
-built.  realize() builds one only for callers that ask for it.
+words and stay sparse, and linalg.rref eliminates over the nonzero entries
+only; no dense spinor_dim x spinor_dim matrix is built.  realize() builds
+one only for callers that ask for it.
 """
 
 from .exactnum import Scalar, ComplexScalar, ZERO, ONE
@@ -301,15 +301,14 @@ class FrameAlgebra:
         self._matrix_cache = {}
 
     @staticmethod
-    def orthonormal(rep, orientation=1):
+    def orthonormal(rep):
         g = linalg.eye(rep.n)
         for a in range(rep.t):
             g[a][a] = Scalar(-1)
-        space = QuadraticSpace(g, orientation)
-        return FrameAlgebra(space, rep)
+        return FrameAlgebra(QuadraticSpace(g), rep)
 
     @staticmethod
-    def lightcone(rep, orientation=1):
+    def lightcone(rep):
         """Frame (e+, e-, e1..e_{n-2}) over the orthonormal representation,
         with gamma_+ = gammahat_{n-1} + gammahat_0 and gamma_- =
         (gammahat_{n-1} - gammahat_0)/2, so B(e+, e-) = 1 and the frame map
@@ -317,7 +316,7 @@ class FrameAlgebra:
         differs from it by a boost, which changes no kernel dimension, trace
         or chirality."""
         n = rep.n
-        space = QuadraticSpace.lightcone(n - 2, orientation=orientation)
+        space = QuadraticSpace.lightcone(n - 2)
         half = Scalar.from_rational(1, 2)
         M = linalg.zeros(n, n)
         M[0][n - 1] = _ONE
@@ -597,68 +596,38 @@ def omega_xf(X, F, alg):
 # kernels
 # ---------------------------------------------------------------------------
 
-def _sparse(col):
-    """A dense spinor as {index: component}."""
-    return {i: x for i, x in enumerate(col) if not x.is_zero()}
-
-
 def kernel_dim(ops, alg, columns=None):
     """Joint kernel of a list of CliffordElements with exact (rational or
     complex rational) coefficients.  Returns (dimension, basis_vectors).
-    `columns` restricts to the subspace spanned by the given dense column
-    vectors (e.g. a chiral half); basis vectors are then coordinates on
-    those columns.
+    `columns` restricts to the subspace spanned by the given sparse column
+    vectors ({index: component}, e.g. a chiral half); basis vectors are then
+    coordinates on those columns.
 
     Each operator's rows come from one pass over its orthonormal words and
-    stay sparse until the elimination; a row that repeats an earlier one up
-    to a factor adds nothing to the row space and is dropped."""
-    N = alg.rep.spinor_dim
+    stay sparse until the elimination, where a row that repeats another up
+    to a factor reduces to zero."""
     if columns is None:
-        cols = [{j: _ONE} for j in range(N)]
-    else:
-        cols = [_sparse(c) for c in columns]
-    ncols = len(cols)
-    rows, seen = [], {}
+        columns = [{j: _ONE} for j in range(alg.rep.spinor_dim)]
+    ncols = len(columns)
+    rows = []
     for op in ops:
         block = {}
         for c, sp in op.words():
             perm, vals = sp.perm, sp.vals
-            for k, col in enumerate(cols):
+            for k, col in enumerate(columns):
                 for j, x in col.items():
                     accumulate(block.setdefault(perm[j], {}), k,
                                _unit_scale(c if x is _ONE else c * x, vals[j]))
-        for row in block.values():
-            if row and _new_direction(row,
-                                      seen.setdefault(frozenset(row), [])):
-                rows.append([row.get(k, _Z) for k in range(ncols)])
+        rows += [[row.get(k, _Z) for k in range(ncols)]
+                 for row in block.values() if row]
     basis = linalg.nullspace(rows, ncols=ncols)
     return len(basis), basis
 
 
-def _new_direction(row, same_support):
-    """Whether a nonzero sparse row is a multiple of none of the rows in
-    same_support, which have the same columns; if so it is added there.
-    A factor of +-1, the common one, is tested without multiplying."""
-    k0 = next(iter(row))
-    a = row[k0]
-    for other in same_support:
-        b = other[k0]
-        if a == b:
-            same = all(x == other[k] for k, x in row.items())
-        elif a == -b:
-            same = all(x == -other[k] for k, x in row.items())
-        else:
-            same = all(x * b == other[k] * a for k, x in row.items())
-        if same:
-            return False
-    same_support.append(row)
-    return True
-
-
 def chiral_basis(alg, sign):
     """Exact basis of the +-1 chirality eigenspace (even-dimensional reps),
-    as a tuple of dense column tuples.  It is built and checked on first
-    use and then held on the representation."""
+    as a tuple of sparse columns {index: +-1}.  It is built and checked on
+    first use and then held on the representation."""
     rep = alg.rep
     half = rep.chiral_halves.get(sign)
     if half is not None:
@@ -683,7 +652,7 @@ def chiral_basis(alg, sign):
             accumulate(img, q, _unit_scale(x, u))
         if img.keys() == col.keys() and \
                 all((img[i] - s * x).is_zero() for i, x in col.items()):
-            out.append(tuple(col.get(i, _Z) for i in range(N)))
+            out.append(col)
     if len(out) != N // 2:
         raise RuntimeError("chiral split must halve the spinor space")
     half = rep.chiral_halves[sign] = tuple(out)

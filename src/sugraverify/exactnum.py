@@ -2,8 +2,8 @@
 over them) and sparse polynomials.
 
 A Scalar is a finite sum  sum_r  c_r * sqrt(r)  where each radicand r is a
-positive square-free integer (r = 1 for the rational part) and each c_r is an
-exact rational.  The rational part is held directly and the other terms in
+positive square-free integer (r = 1 for the rational part) and each c_r is a
+Fraction.  The rational part is held directly and the other terms in
 a radicand map that a rational value does not have, so the rational
 arithmetic that dominates costs one rational operation.  The representation
 is canonical: zero coefficients are never stored, so equality is equality of
@@ -14,13 +14,15 @@ Polynomials are multivariate over Scalar with a sparse exponent-tuple
 representation and are used for coordinate-dependent tensor components.
 """
 
+from fractions import Fraction
 from math import gcd, isqrt
-
-from ._backend import RAT, RAT_ONE, RAT_ZERO, rat
 
 __all__ = ["Scalar", "ComplexScalar", "Polynomial", "parse_scalar",
            "sqrt_scalar"]
 
+
+_Q0 = Fraction(0)
+_Q1 = Fraction(1)
 
 # trial division covers the divisors up to _TRIAL_BOUND; a cofactor below
 # its cube has at most two prime factors, so it is still factored exactly
@@ -63,7 +65,7 @@ def _sqrt_bounds(r, digits):
     if key not in _SQRT_CACHE:
         scale = 10 ** digits
         lo = isqrt(r * scale * scale)
-        _SQRT_CACHE[key] = (rat(lo, scale), rat(lo + 1, scale))
+        _SQRT_CACHE[key] = (Fraction(lo, scale), Fraction(lo + 1, scale))
     return _SQRT_CACHE[key]
 
 
@@ -82,11 +84,11 @@ class Scalar:
         if isinstance(value, Scalar):
             self._q, self._irr = value._q, value._irr
         else:
-            self._q, self._irr = RAT(value), None
+            self._q, self._irr = Fraction(value), None
 
     @staticmethod
     def from_rational(n, d=1):
-        return _mk(rat(n, d))
+        return _mk(Fraction(n, d))
 
     @property
     def _terms(self):
@@ -140,7 +142,8 @@ class Scalar:
             if not oq:
                 return self
             if irr is None and not q:
-                return other if isinstance(other, Scalar) else _mk(RAT(oq))
+                return other if isinstance(other, Scalar) else \
+                    _mk(Fraction(oq))
             return _mk(q + oq, irr)
         if irr is None:
             return other if not q else _mk(q + oq, oirr)
@@ -211,7 +214,7 @@ class Scalar:
                     terms[r] += c
                 else:
                     terms[r] = c
-        q = terms.pop(1, RAT_ZERO)
+        q = terms.pop(1, _Q0)
         return _mk(q, {r: c for r, c in terms.items() if c} or None)
 
     __rmul__ = __mul__
@@ -227,7 +230,7 @@ class Scalar:
         if irr is None:
             if not self._q:
                 raise ZeroDivisionError("division by zero Scalar")
-            return _mk(RAT_ONE / self._q)
+            return _mk(_Q1 / self._q)
         # g > 1 divides a radicand and, for every radicand r, gcd(g, r) is
         # 1 or g; flipping sqrt(r) for g | r is then the conjugation over
         # any prime of g, found without factoring
@@ -313,8 +316,7 @@ class Scalar:
     def __float__(self):
         out = 0.0
         for r, c in self._terms.items():
-            out += float(c.numerator) / float(c.denominator) * \
-                (r ** 0.5 if r != 1 else 1.0)
+            out += float(c) * (r ** 0.5 if r != 1 else 1.0)
         return out
 
     def __bool__(self):
@@ -349,7 +351,7 @@ _new = object.__new__
 
 
 def _mk(q, irr=None):
-    """The Scalar with rational part q (a RAT) and radicand map irr (None,
+    """The Scalar with rational part q (a Fraction) and radicand map irr (None,
     or a map with no zero coefficient)."""
     s = _new(Scalar)
     s._q = q
@@ -369,10 +371,10 @@ def sqrt_scalar(x):
         raise ValueError(f"sqrt of negative value {q}")
     if q == 0:
         return ZERO
-    n, d = int(q.numerator), int(q.denominator)
+    n, d = q.numerator, q.denominator
     m, r = _squarefree_split(n * d)     # sqrt(n/d) = sqrt(n d)/d
-    c = rat(m, d)
-    return _mk(c) if r == 1 else _mk(RAT_ZERO, {r: c})
+    c = Fraction(m, d)
+    return _mk(c) if r == 1 else _mk(_Q0, {r: c})
 
 
 ZERO = Scalar(0)

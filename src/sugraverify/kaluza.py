@@ -40,7 +40,7 @@ class ReducedBackground:
         return all(v for v in self.checks.values())
 
 
-def reduce_group(g, X, H=None):
+def reduce_group(g, X):
     """Reduce a parallelised group along the left-invariant direction X
     (spacelike; normalized internally so the dilaton vanishes).
 
@@ -48,12 +48,11 @@ def reduce_group(g, X, H=None):
     orthogonal complement, G2 = iota_X H, and verifies F = G2 and
     H = *_h G2 + alpha ^ G2 exactly.
 
-    H defaults to the parallelising torsion g(T(X,Y),Z) = -B([X,Y],Z) of
-    the connection whose parallel fields are left-invariant (minus the
-    canonical 3-form); the reduction identities hold in that convention."""
+    H is minus the canonical 3-form: the parallelising torsion
+    g(T(X,Y),Z) = -B([X,Y],Z) of the connection whose parallel fields are
+    left-invariant; the reduction identities hold in that convention."""
     n = g.dim
-    if H is None:
-        H = canonical_three_form(g) * Scalar(-1)
+    H = canonical_three_form(g) * Scalar(-1)
     norm2 = g.inner(X, X)
     if norm2.sign() <= 0:
         raise ValueError("reduction direction must be spacelike")

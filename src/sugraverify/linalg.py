@@ -6,31 +6,28 @@ rref eliminates over sparse {column: entry} rows, so its cost follows the
 nonzero entries rather than the matrix size.
 
 When every entry lies in one quadratic field -- Q, Q(sqrt d) for one
-square-free d, or Q(i) -- rref eliminates fraction-free in Python ints
-under either rational backend: each row becomes {column: (A, B)} with
+square-free d, or Q(i) -- rref eliminates fraction-free in Python ints:
+each row becomes {column: (A, B)} with
 A + B sqrt(d) integers (d = 1 for Q, -1 for Q(i)), and only the reduced
 rows go back to exact scalars.  Any other matrix is eliminated over its
 entries' own field operations.
 """
 
+from fractions import Fraction
 from math import gcd, lcm
 
-from ._backend import rat
-from .exactnum import Scalar, ComplexScalar, ZERO, _mk
+from .exactnum import Scalar, ComplexScalar, ZERO, ONE, _mk
 
 __all__ = ["mat_mul", "mat_add", "mat_scale", "eye", "zeros", "transpose",
            "rref", "nullspace", "rank", "charpoly", "inverse"]
 
 
-def zeros(n, m, zero=None):
-    z = Scalar(0) if zero is None else zero
-    return [[z for _ in range(m)] for _ in range(n)]
+def zeros(n, m):
+    return [[ZERO] * m for _ in range(n)]
 
 
-def eye(n, one=None, zero=None):
-    o = Scalar(1) if one is None else one
-    z = Scalar(0) if zero is None else zero
-    return [[o if i == j else z for j in range(n)] for i in range(n)]
+def eye(n):
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
@@ -138,8 +135,8 @@ def _integer_row(row, d):
         if a or b:
             den = lcm(den, a.denominator, b.denominator)
             parts[k] = (a, b)
-    return _primitive({k: (int(a.numerator) * (den // int(a.denominator)),
-                           int(b.numerator) * (den // int(b.denominator)))
+    return _primitive({k: (a.numerator * (den // a.denominator),
+                           b.numerator * (den // b.denominator))
                        for k, (a, b) in parts.items()})
 
 
@@ -210,8 +207,8 @@ def _quadratic_scalar(a, b, p, d):
     """(a + b sqrt(d)) / p for integers a, b, p, as a Scalar, or as a
     ComplexScalar for d = -1."""
     if d == -1:
-        return ComplexScalar(_mk(rat(a, p)), _mk(rat(b, p)))
-    return _mk(rat(a, p), {d: rat(b, p)} if b else None)
+        return ComplexScalar(_mk(Fraction(a, p)), _mk(Fraction(b, p)))
+    return _mk(Fraction(a, p), {d: Fraction(b, p)} if b else None)
 
 
 def _rref_field(mat):
@@ -259,17 +256,15 @@ def rank(mat):
 
 def nullspace(mat, ncols=None):
     """Exact basis of {v : mat @ v = 0}; returns list of column vectors."""
-    o, z = Scalar(1), Scalar(0)
     if not mat:
-        n = ncols or 0
-        return [[o if i == j else z for i in range(n)] for j in range(n)]
+        return eye(ncols or 0)
     m = len(mat[0])
     rows, pivots = rref(mat)
     free = [c for c in range(m) if c not in pivots]
     basis = []
     for f in free:
-        v = [z] * m
-        v[f] = o
+        v = [ZERO] * m
+        v[f] = ONE
         for r, c in enumerate(pivots):
             v[c] = -rows[r][f]
         basis.append(v)

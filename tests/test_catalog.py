@@ -871,37 +871,6 @@ def test_cli_enumerate_diff_against_golden_empty():
     assert doc["susy_counts"] == golden("table4.txt")
 
 
-def test_reports_identical_across_rational_backends():
-    pytest.importorskip("gmpy2")
-    # the two arithmetic backends must produce byte-identical reports
-    outs = {}
-    for backend in ("gmpy2", "fractions"):
-        env = checkout_env(SUGRAVERIFY_RATIONAL_BACKEND=backend)
-        proc = subprocess.run(
-            [sys.executable, "-m", "sugraverify.cli", "verify", "cw11",
-             "--format", "json"],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        outs[backend] = proc.stdout
-    assert outs["gmpy2"] == outs["fractions"]
-
-
-def test_forced_missing_backend_names_the_variable():
-    # forcing gmpy2 where it cannot be imported must fail, and say how to
-    # recover; blocking the module makes this independent of the install
-    env = checkout_env(SUGRAVERIFY_RATIONAL_BACKEND="gmpy2")
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; sys.modules['gmpy2'] = None; "
-         "import sugraverify._backend"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode != 0
-    last = proc.stderr.strip().splitlines()[-1]
-    assert last.startswith("ImportError:"), proc.stderr
-    assert "SUGRAVERIFY_RATIONAL_BACKEND" in last
-    assert "pip install .[fast]" in last
-
-
 def declared_console_script(name):
     """(module, attribute) that [project.scripts] in pyproject.toml gives
     for the console script `name`."""

@@ -449,17 +449,17 @@ def _random_element(alg, rng, terms=3, degree=3, coeff=_random_coeff):
 
 
 def _dense_kernel(ops, columns):
-    """Reference kernel: realize() times each column, one row per row of
-    each realized matrix, then linalg.nullspace."""
+    """Reference kernel: realize() times each sparse column, one row per row
+    of each realized matrix, then linalg.nullspace."""
     rows = []
     for op in ops:
         for row in op.realize():
             out = []
             for col in columns:
                 x = S(0)
-                for a, b in zip(row, col):
-                    if not a.is_zero() and not b.is_zero():
-                        x = a * b + x
+                for j, b in col.items():
+                    if not row[j].is_zero():
+                        x = row[j] * b + x
                 out.append(x)
             rows.append(out)
     return linalg.nullspace(rows, ncols=len(columns))
@@ -469,14 +469,22 @@ def test_chiral_kernel_matches_dense_reference(rep_1_9):
     alg = FrameAlgebra.lightcone(rep_1_9)
     gminus = alg.raised_gamma(1)        # c(e^-): a null leg, half rank
     rng = random.Random(2024)
-    dims = set()
+    cases = []
     for trial in range(4):
         ops = [_random_element(alg, rng) * gminus
                for _ in range(rng.randint(1, 2))]
         if trial % 2:
             ops.append(_random_element(alg, rng, terms=2))
-        for sign in (1, -1):
-            cols = chiral_basis(alg, sign)
+        cases.append(ops)
+    # an operator repeated and added -1, 2 and i times over: every row of
+    # the copies is a multiple of a row of the first, and reaches rref
+    op = cases[0][0]
+    i = ComplexScalar(0, 1)
+    cases.append([op, op, op.scale(S(-1)), op.scale(S(2)), op.scale(i)])
+    full = [{j: S(1)} for j in range(rep_1_9.spinor_dim)]
+    dims = set()
+    for ops in cases:
+        for cols in (chiral_basis(alg, 1), chiral_basis(alg, -1), full):
             dim, basis = kernel_dim(ops, alg, columns=cols)
             want = _dense_kernel(ops, cols)
             assert dim == len(want)
@@ -770,8 +778,8 @@ def test_kernel_bases_are_annihilated_by_direct_application(monkeypatch):
             else:
                 spinor = {}
                 for x, col in zip(v, columns):
-                    for j, y in enumerate(col):
-                        if not (x.is_zero() or y.is_zero()):
+                    for j, y in col.items():
+                        if not x.is_zero():
                             spinor[j] = spinor[j] + x * y if j in spinor \
                                 else x * y
             assert spinor

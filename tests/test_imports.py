@@ -270,3 +270,53 @@ def test_geometry_import_check_catches_them():
                                      "riemann"]
     assert geometry_imports("import sugraverify.geometry\n") == \
         ["geometry"]
+
+
+# a switch read from the environment is a second path through the program;
+# the report directory is the one the package reads
+ENV_VARIABLES = ["SUGRAVERIFY_REPORT_DIR"]
+
+
+def environment_reads(sources):
+    """Sorted module:variable for each os.environ.get, os.environ[...] and
+    os.getenv read in sources, with "?" for a variable that is not a
+    string literal."""
+    out = set()
+    for module, source in sources.items():
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Subscript) and _name(n.value) == "environ":
+                key = n.slice
+            elif isinstance(n, ast.Call) and n.args and (
+                    _name(n.func) == "getenv" or
+                    isinstance(n.func, ast.Attribute) and n.func.attr == "get"
+                    and _name(n.func.value) == "environ"):
+                key = n.args[0]
+            else:
+                continue
+            out.add(f"{module}:" + (key.value if isinstance(key, ast.Constant)
+                                    else "?"))
+    return sorted(out)
+
+
+def _name(node):
+    return node.attr if isinstance(node, ast.Attribute) else \
+        node.id if isinstance(node, ast.Name) else None
+
+
+def test_the_report_directory_is_the_only_environment_variable():
+    assert sorted({r.split(":")[1] for r in environment_reads(_sources())}) \
+        == ENV_VARIABLES
+
+
+def test_environment_read_check_catches_them():
+    # a get, a subscript, getenv under either import and a computed name
+    # count; a string that names a variable and a get on another mapping
+    # or by itself do not
+    sources = {"a": "import os\nX = os.environ.get('A_MODE', 'auto')\n"
+                    "V = {}.get('H')\nU = get('I')\n",
+               "b": "import os\ndef f():\n    return os.environ['B']\n",
+               "c": "from os import getenv, environ\nY = getenv('C')\n"
+                    "Z = environ.get('D' + 'E')\n",
+               "d": "import os\nW = os.getenv('F')\n'os.environ.get(\"G\")'\n"}
+    assert environment_reads(sources) == ["a:A_MODE", "b:B", "c:?", "c:C",
+                                          "d:F"]
