@@ -23,9 +23,10 @@ orthonormal words.
 Elements act on sparse spinors ({index: component}) through their
 orthonormal words, each a coefficient times a signed permutation, with the
 words of all monomials merged.  A kernel's rows come from one pass over the
-words and stay sparse, and linalg.rref eliminates over the nonzero entries
-only; no dense spinor_dim x spinor_dim matrix is built.  realize() builds
-one only for callers that ask for it.
+words as sparse integer pairs A + B sqrt(d), eliminated fraction-free over
+the nonzero entries only; Scalars appear only in the kernel basis, and no
+dense spinor_dim x spinor_dim matrix is built.  realize() builds one only
+for callers that ask for it.
 """
 
 from .exactnum import Scalar, ComplexScalar, ZERO, ONE
@@ -302,10 +303,7 @@ class FrameAlgebra:
 
     @staticmethod
     def orthonormal(rep):
-        g = linalg.eye(rep.n)
-        for a in range(rep.t):
-            g[a][a] = Scalar(-1)
-        return FrameAlgebra(QuadraticSpace(g), rep)
+        return FrameAlgebra(QuadraticSpace.minkowski(rep.n), rep)
 
     @staticmethod
     def lightcone(rep):
@@ -600,27 +598,48 @@ def kernel_dim(ops, alg, columns=None):
     """Joint kernel of a list of CliffordElements with exact (rational or
     complex rational) coefficients.  Returns (dimension, basis_vectors).
     `columns` restricts to the subspace spanned by the given sparse column
-    vectors ({index: component}, e.g. a chiral half); basis vectors are then
-    coordinates on those columns.
+    vectors ({index: +-1}, e.g. a chiral half; any other entry is a
+    ValueError); basis vectors are then coordinates on those columns.
 
-    Each operator's rows come from one pass over its orthonormal words and
-    stay sparse until the elimination, where a row that repeats another up
-    to a factor reduces to zero."""
+    Each operator's coefficients are scaled once to primitive integer pairs
+    A + B sqrt(d) (which keeps its kernel), and a word moves each column
+    entry with a sign, so the rows are {column: (A, B)} sums of +-(A, B),
+    eliminated fraction-free; Scalars appear only in the basis.  Operators
+    outside one quadratic field take Scalar rows and linalg.nullspace."""
     if columns is None:
         columns = [{j: _ONE} for j in range(alg.rep.spinor_dim)]
     ncols = len(columns)
+    entries = []                    # (column, spinor index, sign)
+    for k, col in enumerate(columns):
+        for j, x in col.items():
+            s = 1 if x is _ONE or x == 1 else -1 if x == -1 else 0
+            if not s:
+                raise ValueError(f"kernel column {k} has entry {x}, not +-1")
+            entries.append((k, j, s))
+    words = [op.words() for op in ops]
+    d = linalg._quadratic_radicand([[c for c, _ in w] for w in words])
     rows = []
-    for op in ops:
+    if d is None:
+        for op in ops:
+            images = [op.apply(col) for col in columns]
+            rows += [[img.get(i, _Z) for img in images]
+                     for i in range(alg.rep.spinor_dim)]
+        basis = linalg.nullspace(rows, ncols=ncols)
+        return len(basis), basis
+    for w in words:
         block = {}
-        for c, sp in op.words():
-            perm, vals = sp.perm, sp.vals
-            for k, col in enumerate(columns):
-                for j, x in col.items():
-                    accumulate(block.setdefault(perm[j], {}), k,
-                               _unit_scale(c if x is _ONE else c * x, vals[j]))
-        rows += [[row.get(k, _Z) for k in range(ncols)]
-                 for row in block.values() if row]
-    basis = linalg.nullspace(rows, ncols=ncols)
+        for t, pos in linalg._integer_row([c for c, _ in w], d).items():
+            neg = (-pos[0], -pos[1])
+            perm, vals = w[t][1].perm, w[t][1].vals
+            for k, j, s in entries:
+                row = block.setdefault(perm[j], {})
+                e = pos if vals[j] == s else neg
+                x = row.get(k)
+                row[k] = e if x is None else (x[0] + e[0], x[1] + e[1])
+        rows += ({k: e for k, e in row.items() if e[0] or e[1]}
+                 for row in block.values())
+    basis = linalg._integer_basis(
+        *linalg._eliminate_integer(rows, ncols, d), ncols, d)
     return len(basis), basis
 
 

@@ -9,8 +9,8 @@ When every entry lies in one quadratic field -- Q, Q(sqrt d) for one
 square-free d, or Q(i) -- rref eliminates fraction-free in Python ints:
 each row becomes {column: (A, B)} with
 A + B sqrt(d) integers (d = 1 for Q, -1 for Q(i)), and only the reduced
-rows go back to exact scalars.  Any other matrix is eliminated over its
-entries' own field operations.
+rows, or a null-space basis, become exact scalars.  Any other matrix is
+eliminated over its entries' own field operations.
 """
 
 from fractions import Fraction
@@ -77,7 +77,14 @@ def rref(mat):
     d = _quadratic_radicand(mat)
     if d is None:
         return _rref_field(mat)
-    return _rref_integer(mat, d)
+    m = len(mat[0]) if mat else 0
+    done, pivots = _eliminate_integer([_integer_row(r, d) for r in mat], m, d)
+    zero = mat[0][0] * 0 if m else None
+    rows = [[zero] * m for _ in mat]
+    for out, row, c in zip(rows, done, pivots):
+        for k, (a, b) in row.items():
+            out[k] = _quadratic_scalar(a, b, row[c][0], d)
+    return rows, pivots
 
 
 def _quadratic_radicand(mat):
@@ -140,17 +147,15 @@ def _integer_row(row, d):
                        for k, (a, b) in parts.items()})
 
 
-def _rref_integer(mat, d):
-    """rref of a matrix over Q(sqrt d) (see _quadratic_radicand), eliminated
-    fraction-free: a pivot row is multiplied by its pivot's conjugate, so
-    the pivot is an integer p, and clearing its column from a row with
-    entry f there is  row <- p row - f pivot_row  (both divided by
-    gcd(p, f) first), after which the row is divided by its content.  The
-    pivot of a reduced row stays an integer, and the row is divided by it
-    only when the exact scalars are built."""
-    n = len(mat)
-    m = len(mat[0]) if n else 0
-    live = [row for row in (_integer_row(r, d) for r in mat) if row]
+def _eliminate_integer(rows, m, d):
+    """(reduced rows, pivots) of rows {column: (A, B)} over Q(sqrt d) with m
+    columns, eliminated fraction-free in place: a pivot row is multiplied by
+    its pivot's conjugate, so the pivot is an integer p, and clearing its
+    column from a row with entry f there is  row <- p row - f pivot_row
+    (both divided by gcd(p, f) first), after which the row is divided by its
+    content.  A reduced row keeps its integer pivot; it is divided by it
+    only when exact scalars are built."""
+    live = [row for row in rows if row]
     done, pivots = [], []
     for c in range(m):
         if not live:
@@ -194,13 +199,22 @@ def _rref_integer(mat, d):
         live = [other for other in live if other]
         done.append(row)
         pivots.append(c)
-    zero = mat[0][0] * 0 if m else None
-    rows = [[zero] * m for _ in range(n)]
-    for out, row, c in zip(rows, done, pivots):
-        p = row[c][0]
-        for k, (a, b) in row.items():
-            out[k] = _quadratic_scalar(a, b, p, d)
-    return rows, pivots
+    return done, pivots
+
+
+def _integer_basis(done, pivots, m, d):
+    """Null space basis of _eliminate_integer's rows: per free column f, 1 at
+    f and, at each pivot, minus the pivot row's entry at f over the pivot."""
+    basis = []
+    for f in [c for c in range(m) if c not in pivots]:
+        v = [ZERO] * m
+        v[f] = ONE
+        for row, c in zip(done, pivots):
+            x = row.get(f)
+            if x is not None:
+                v[c] = _quadratic_scalar(-x[0], -x[1], row[c][0], d)
+        basis.append(v)
+    return basis
 
 
 def _quadratic_scalar(a, b, p, d):
@@ -259,7 +273,11 @@ def nullspace(mat, ncols=None):
     if not mat:
         return eye(ncols or 0)
     m = len(mat[0])
-    rows, pivots = rref(mat)
+    d = _quadratic_radicand(mat)
+    if d is not None:
+        return _integer_basis(*_eliminate_integer(
+            [_integer_row(r, d) for r in mat], m, d), m, d)
+    rows, pivots = _rref_field(mat)
     free = [c for c in range(m) if c not in pivots]
     basis = []
     for f in free:

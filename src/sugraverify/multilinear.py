@@ -39,9 +39,10 @@ class QuadraticSpace:
 
     Entries are usually Scalars; a coordinate patch may carry Polynomial
     entries, in which case the exact inverse must be supplied (and is
-    verified).  metric_cols and inverse_cols are nonzero_columns of the Gram
-    and inverse-Gram matrices, found once; both are symmetric, so these are
-    their rows too, and every raise, lower and frame check walks them."""
+    verified), as the fixed frames below supply theirs.  metric_cols and
+    inverse_cols are nonzero_columns of the Gram and inverse-Gram matrices,
+    found once; both are symmetric, so these are their rows too, and every
+    raise, lower and frame check walks them."""
 
     def __init__(self, metric, orientation=1, names=None, inverse=None):
         self.dim = len(metric)
@@ -75,14 +76,15 @@ class QuadraticSpace:
 
     @staticmethod
     def euclidean(n, orientation=1):
-        return QuadraticSpace(linalg.eye(n), orientation)
+        g = linalg.eye(n)
+        return QuadraticSpace(g, orientation, inverse=g)
 
     @staticmethod
     def minkowski(n, orientation=1):
         """Mostly-plus frame (-,+,...,+) with the timelike leg first."""
         g = linalg.eye(n)
         g[0][0] = Scalar(-1)
-        return QuadraticSpace(g, orientation)
+        return QuadraticSpace(g, orientation, inverse=g)
 
     @staticmethod
     def lightcone(n_transverse, extra=None, orientation=1):
@@ -92,13 +94,14 @@ class QuadraticSpace:
         g[0][1] = g[1][0] = Scalar(1)
         for i in range(n_transverse):
             g[2 + i][2 + i] = Scalar(1)
-        if extra:
-            for i, s in enumerate(extra):
-                g[2 + n_transverse + i][2 + n_transverse + i] = Scalar(s)
+        inv = [row[:] for row in g]
+        for k, s in enumerate(extra or (), 2 + n_transverse):
+            g[k][k] = Scalar(s)
+            inv[k][k] = g[k][k].inverse()
         names = ["e+", "e-"] + [f"e{i+1}" for i in range(n_transverse)]
         if extra:
             names += [f"f{i+1}" for i in range(len(extra))]
-        return QuadraticSpace(g, orientation, names)
+        return QuadraticSpace(g, orientation, names, inverse=inv)
 
     def signature(self):
         if self._signature is None:

@@ -494,6 +494,57 @@ def test_chiral_kernel_matches_dense_reference(rep_1_9):
     assert len(dims) > 1, dims         # both trivial and larger kernels
 
 
+def test_kernel_columns_other_than_plus_or_minus_one_raise(rep_1_9):
+    # the rows are built from signs alone, so a column entry that is not
+    # +-1 is refused, by an exception that python -O keeps
+    alg = FrameAlgebra.lightcone(rep_1_9)
+    op = alg.raised_gamma(1)
+    for x in (S(2), Scalar.from_rational(1, 2), S(0), ComplexScalar(0, 1),
+              sqrt_scalar(S(2))):
+        cols = [{0: S(1)}, {1: S(1), 2: x}]
+        with pytest.raises(ValueError, match="not \\+-1"):
+            kernel_dim([op], alg, columns=cols)
+    cols = [{0: S(-1)}, {1: S(1), 2: ComplexScalar(-1, 0)}]
+    assert kernel_dim([op], alg, columns=cols)[0] == \
+        len(_dense_kernel([op], cols))
+
+
+def test_kernels_outside_one_quadratic_field_take_the_field_route(
+        rep_1_9, monkeypatch):
+    alg = FrameAlgebra.lightcone(rep_1_9)
+    gminus = alg.raised_gamma(1)
+    r2, r3 = sqrt_scalar(S(2)), sqrt_scalar(S(3))
+    i = ComplexScalar(0, 1)
+    two_radicands = [alg.element({(2,): r2, (3, 4): r3, (): S(1)}) * gminus]
+    complex_radical = [alg.element({(): i * r2, (2, 5): S(1)}) * gminus,
+                       alg.element({(3,): S(2), (4,): r2}) * gminus]
+    one_radicand = [alg.element({(2,): r2, (3, 4): S(3)}) * gminus]
+    integer, field = [], []
+    monkeypatch.setattr(linalg, "_eliminate_integer",
+                        lambda rows, m, d, run=linalg._eliminate_integer:
+                        integer.append(d) or run(rows, m, d))
+    monkeypatch.setattr(linalg, "_rref_field",
+                        lambda mat, run=linalg._rref_field:
+                        field.append(mat) or run(mat))
+    full = [{j: S(1)} for j in range(rep_1_9.spinor_dim)]
+    dims = set()
+    for ops, route in ((two_radicands, "field"), (complex_radical, "field"),
+                       (one_radicand, 2)):
+        for cols in (chiral_basis(alg, 1), chiral_basis(alg, -1), full):
+            del integer[:], field[:]
+            dim, basis = kernel_dim(ops, alg, columns=cols)
+            if route == "field":
+                assert field and not integer
+            else:
+                assert integer == [route] and not field
+            want = _dense_kernel(ops, cols)
+            assert dim == len(want)
+            for v, w in zip(basis, want):
+                assert all((a - b).is_zero() for a, b in zip(v, w))
+            dims.add(dim)
+    assert 0 < min(dims) and len(dims) > 1, dims
+
+
 def test_commutator_equals_difference_of_products(rep_1_9):
     alg = FrameAlgebra.lightcone(rep_1_9)
     rng = random.Random(5)

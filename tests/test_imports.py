@@ -110,8 +110,6 @@ ORPHANS = {
         "tests: 0-forms of the Hodge and Clifford tests (ROADMAP 8)",
     "multilinear:QuadraticSpace.euclidean":
         "tests: the euclidean frames of the form tests (ROADMAP 8)",
-    "multilinear:QuadraticSpace.minkowski":
-        "tests: the Minkowski frames of the form tests (ROADMAP 8)",
     "multilinear:plucker_rank_oracle":
         "the forms benchmark workload and the Plucker tests (ROADMAP 1)",
     "sugra:VerificationReport.from_json":

@@ -267,9 +267,9 @@ def test_verify_all_and_the_susy_rows_eliminate_over_the_integers(
         monkeypatch):
     seen = _field_eliminations(monkeypatch)
     integer = []
-    monkeypatch.setattr(linalg, "_rref_integer",
-                        lambda mat, d, run=linalg._rref_integer:
-                        integer.append(d) or run(mat, d))
+    monkeypatch.setattr(linalg, "_eliminate_integer",
+                        lambda rows, m, d, run=linalg._eliminate_integer:
+                        integer.append(d) or run(rows, m, d))
     counts = []
     monkeypatch.setattr(catalog, "susy_count",
                         lambda p, kind, run=catalog.susy_count:

@@ -426,6 +426,25 @@ def test_nonsymmetric_metric_rejected():
         QuadraticSpace([[S(1), S(2)], [S(0), S(1)]])
 
 
+def test_fixed_frames_carry_the_gauss_jordan_inverse(monkeypatch):
+    # the fixed frames hand their inverse to the checked inverse= path, so
+    # building them runs no elimination; the entries are those of
+    # linalg.inverse, including 1/s on the lightcone's extra legs
+    inverse = linalg.inverse
+    calls = []
+    monkeypatch.setattr(linalg, "inverse",
+                        lambda m: calls.append(m) or inverse(m))
+    spaces = [QuadraticSpace.euclidean(6), QuadraticSpace.minkowski(7),
+              QuadraticSpace.lightcone(8),
+              QuadraticSpace.lightcone(3, extra=[-1, 4, Scalar(2)])]
+    assert not calls
+    for sp in spaces:
+        want = inverse(sp.metric)
+        assert all(x == y for r, w in zip(sp.metric_inv, want)
+                   for x, y in zip(r, w)), sp
+    assert spaces[-1].metric_inv[6][6] == Scalar.from_rational(1, 4)
+
+
 # ---------------------------------------------------------------------------
 # Kulkarni-Nomizu
 # ---------------------------------------------------------------------------
