@@ -22,11 +22,11 @@ orthonormal words.
 
 Elements act on sparse spinors ({index: component}) through their
 orthonormal words, each a coefficient times a signed permutation, with the
-words of all monomials merged.  A kernel's rows come from one pass over the
-words as sparse integer pairs A + B sqrt(d), eliminated fraction-free over
-the nonzero entries only; Scalars appear only in the kernel basis, and no
-dense spinor_dim x spinor_dim matrix is built.  realize() builds one only
-for callers that ask for it.
+words of all monomials merged once per element.  A kernel's rows come from
+one pass over the words as sparse integer pairs A + B sqrt(d), eliminated
+fraction-free over the nonzero entries only; Scalars appear only in the
+kernel basis, and no dense spinor_dim x spinor_dim matrix is built.
+realize() builds one only for callers that ask for it.
 """
 
 from .exactnum import Scalar, ComplexScalar, ZERO, ONE
@@ -440,11 +440,12 @@ class CliffordElement:
     """Sparse sum of antisymmetrized frame monomials gamma_[S] with exact
     coefficients, comps = {sorted S: coefficient}."""
 
-    __slots__ = ("alg", "comps")
+    __slots__ = ("alg", "comps", "_words")
 
     def __init__(self, alg, comps=None):
         self.alg = alg
         self.comps = {}
+        self._words = None          # words(), merged on first use
         if comps:
             for k, c in comps.items():
                 if not c.is_zero():
@@ -513,12 +514,17 @@ class CliffordElement:
 
     def words(self):
         """The element over orthonormal words, as a list of (coefficient,
-        SPMat) with one entry per word whose coefficient is nonzero."""
-        merged = {}
-        for mono, c in self.comps.items():
-            for word, w in self.alg.mono_words(mono).items():
-                accumulate(merged, word, c * w)
-        return [(c, self.alg.word_matrix(word)) for word, c in merged.items()]
+        SPMat) with one entry per word whose coefficient is nonzero.  An
+        element does not change after __init__, so the words are merged
+        once and kept on it."""
+        if self._words is None:
+            merged = {}
+            for mono, c in self.comps.items():
+                for word, w in self.alg.mono_words(mono).items():
+                    accumulate(merged, word, c * w)
+            self._words = [(c, self.alg.word_matrix(word))
+                           for word, c in merged.items()]
+        return self._words
 
     def apply(self, spinor):
         """The image of a sparse spinor {index: component}, in the same form

@@ -102,7 +102,8 @@ class Scalar:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self):
-        return self._irr is None and not self._q
+        # _q is always a Fraction, so its numerator is a plain int
+        return self._irr is None and not self._q._numerator
 
     def is_rational(self):
         return self._irr is None

@@ -10,7 +10,8 @@ reports the catalog's IIA entry from its d=11 parent that way.
 """
 
 from .exactnum import Scalar, sqrt_scalar
-from .multilinear import QuadraticSpace, KForm, wedge, interior, hodge, flat
+from .multilinear import QuadraticSpace, KForm, wedge, interior, hodge, \
+    flat, map_slots, nonzero_columns
 from .liealg import canonical_three_form, ce_differential
 from .clifford import omega_xf, kernel_dim
 from .sugra import VerificationReport, theory_geometry, \
@@ -85,13 +86,12 @@ def reduce_group(g, X):
     m = len(comp_basis)
     h = [[g.inner(comp_basis[a], comp_basis[b]) for b in range(m)]
          for a in range(m)]
-    t, s = _signature_of(h)
-    checks["lorentzian quotient"] = (t, s) == (1, m - 1)
+    quotient = QuadraticSpace(h, 1)
+    checks["lorentzian quotient"] = quotient.signature() == (1, m - 1)
     # push H and G2 to the quotient frame and verify H = *_h G2 + alpha^G2.
     # The quotient orientation is fixed by vol_h = -iota_X vol_g: the choice
     # under which anti-selfdual torsion reduces with G3 = + *_h G2
     # (recorded convention).
-    quotient = QuadraticSpace(h, 1)
     vol_q = _restrict(interior(Xu, space.volume_form()), comp_basis, quotient)
     want = quotient.volume_form()
     ratio = None
@@ -99,7 +99,7 @@ def reduce_group(g, X):
         got = vol_q.components.get(idx, _Z)
         ratio = got * c.inverse()
     if ratio is not None and ratio.sign() > 0:
-        quotient = QuadraticSpace(h, -1)
+        quotient = QuadraticSpace(h, -1, inverse=quotient.metric_inv)
     G2_q = _restrict(G2, comp_basis, quotient)
     H_q3 = _restrict(H - wedge(alpha, G2), comp_basis, quotient)
     checks["H = *_h G2 + alpha ^ G2"] = (H_q3 - hodge(G2_q)).is_zero()
@@ -113,27 +113,12 @@ def reduce_group(g, X):
     return ReducedBackground(h, alpha, F2, G2, comp_basis, checks)
 
 
-def _signature_of(h):
-    return QuadraticSpace([row[:] for row in h], 1).signature()
-
-
 def _restrict(form, basis, quotient):
-    """Components of an invariant form evaluated on a complement basis."""
-    m = len(basis)
-    comps = {}
-    from itertools import combinations
-    for idx in combinations(range(m), form.degree):
-        val = _eval_on(form, [basis[i] for i in idx])
-        if not val.is_zero():
-            comps[idx] = val
-    return KForm(quotient, form.degree, comps)
-
-
-def _eval_on(form, vectors):
-    out = form
-    for v in reversed(vectors):
-        out = interior(v, out)
-    return out.components.get((), _Z)
+    """The pullback of an invariant form to the complement: its components
+    form(b_a1, ..., b_ak) on the complement basis, for a1 < ... < ak, in
+    one map_slots pass that sends e^mu to sum_a b_a^mu e^a."""
+    return KForm(quotient, form.degree,
+                 map_slots(form.components, nonzero_columns(basis)))
 
 
 # the checks of reduce_d11 that make the reduced background flat with zero

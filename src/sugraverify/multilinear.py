@@ -49,13 +49,14 @@ class QuadraticSpace:
         if not (1 <= self.dim <= 13):
             raise ValueError("quadratic spaces support dimensions 1..13")
         self.metric = [list(row) for row in metric]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if not (self.metric[i][j] - self.metric[j][i]).is_zero():
+        self.metric_cols = nonzero_columns(self.metric)
+        # an asymmetric pair has a nonzero entry whose mirror differs
+        for j, col in enumerate(self.metric_cols):
+            for i, g in col:
+                if not (self.metric[j][i] - g).is_zero():
                     raise ValueError("metric must be symmetric")
         self.metric_inv = linalg.inverse(self.metric) if inverse is None \
             else [list(row) for row in inverse]
-        self.metric_cols = nonzero_columns(self.metric)
         self.inverse_cols = nonzero_columns(self.metric_inv)
         if inverse is not None:
             prod = {}               # g g^{-1} - 1 over the nonzero entries
@@ -362,9 +363,10 @@ def interior_frame(space, i, a):
 
 
 def nonzero_columns(M):
-    """[[(a, M[a][mu]) for the nonzero entries of column mu] for each mu]."""
+    """[[(a, M[a][mu]) for the nonzero entries of column mu] for each mu],
+    for a square or rectangular M."""
     return [[(a, row[mu]) for a, row in enumerate(M) if not row[mu].is_zero()]
-            for mu in range(len(M))]
+            for mu in range(len(M[0]))]
 
 
 def map_slots(components, cols):
@@ -615,21 +617,18 @@ def plucker_check(F):
     """Plucker decomposability test for a 4- or 5-form with Scalar entries.
 
     Contracts down to a 1-form with basis vectors and wedges back against F;
-    decomposable iff every contraction wedge vanishes.  Returns
+    decomposable iff every contraction wedge vanishes.  The nonzero
+    contractions iota_A F over increasing (k-1)-tuples A come from one
+    basis_contractions pass and are walked in sorted order, so the witness
+    is the first failing A of combinations(range(n), k-1).  Returns
     ("decomposable", None) or ("witness", index_tuple).
     """
     if F.degree not in (4, 5):
         raise ValueError("plucker_check expects a 4- or 5-form")
-    space = F.space
-    n = space.dim
     depth = F.degree - 1
-    for idx in combinations(range(n), depth):
-        g = F
-        for i in reversed(idx):
-            g = interior_frame(space, i, g)
-        if g.is_zero():
-            continue
-        if not wedge(g, F).is_zero():
+    table = basis_contractions(F, depth)
+    for idx in sorted(A for A in table if len(A) == depth):
+        if not wedge(KForm(F.space, 1, table[idx]), F).is_zero():
             return "witness", idx
     return "decomposable", None
 

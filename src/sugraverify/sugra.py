@@ -424,13 +424,16 @@ def supercovariant_flatness(b, nabla_F=None):
         rep.add("nu = 1", dim == N)
         return rep, dim, basis, alg
     # IIB: complex Weyl spinors; the curvature must annihilate the chiral
-    # half carrying the supersymmetry.  Both halves are tried, and the
-    # realized one is recorded relative to the frame's orientation: c(vol)
-    # is Gamma_11 times the orientation.
+    # half carrying the supersymmetry.  Both halves are tried, the -1 half
+    # only when the +1 kernel is not the whole half (a tie goes to +1
+    # either way), and the realized one is recorded relative to the frame's
+    # orientation: c(vol) is Gamma_11 times the orientation.
     results = {}
     for sign in (1, -1):
         results[sign] = kernel_dim(list(curv.values()), alg,
                                    columns=chiral_basis(alg, sign))
+        if 2 * results[sign][0] == N:
+            break
     best = max(results, key=lambda s: results[s][0])
     dim, basis = results[best]
     rep.add("supercovariant curvature R^D = 0 on the Weyl bundle",
@@ -568,19 +571,21 @@ def dilatino_kernel(b):
     """Kernel of the algebraic dilatino operator c(dphi + 1/2 H) on the
     32-dimensional type-II spinor space, frame-constant sector.  Returns
     (iia_count, iib_count): IIA counts the kernel on S+ + S-, IIB twice the
-    kernel on S+."""
-    space = b.frame_data["space"]
-    H = b.frame_data["H"]
-    dphi = b.frame_data["dphi"]
+    kernel on S+.
+
+    Every monomial of the operator is odd (checked: a RuntimeError names
+    the first even one), so it maps S+ to S- and S- to S+, and its kernel
+    on S+ + S- is the sum of its kernels on the two chiral halves; only
+    those two are eliminated."""
     alg = b.frame_data["alg"]
-    op = clifford_action(dphi, alg) + \
-        clifford_action(H, alg).scale(Scalar.from_rational(1, 2))
-    dim_full, _ = kernel_dim([op], alg)
-    plus = chiral_basis(alg, 1)
-    dim_plus, _ = kernel_dim([op], alg, columns=plus)
-    minus = chiral_basis(alg, -1)
-    dim_minus, _ = kernel_dim([op], alg, columns=minus)
-    if dim_plus + dim_minus != dim_full:
-        raise RuntimeError(f"dilatino kernel: chiral halves {dim_plus} + "
-                           f"{dim_minus} != full kernel {dim_full}")
-    return dim_full, 2 * dim_plus
+    op = clifford_action(b.frame_data["dphi"], alg) + \
+        clifford_action(b.frame_data["H"], alg).scale(_HALF)
+    even = next((S for S in sorted(op.comps) if not len(S) % 2), None)
+    if even is not None:
+        names = ",".join(alg.space.names[i] for i in even)
+        raise RuntimeError(f"dilatino operator c(dphi + 1/2 H) has the even "
+                           f"monomial g[{names}], so it does not swap the "
+                           f"chiral halves")
+    dim_plus, _ = kernel_dim([op], alg, columns=chiral_basis(alg, 1))
+    dim_minus, _ = kernel_dim([op], alg, columns=chiral_basis(alg, -1))
+    return dim_plus + dim_minus, 2 * dim_plus

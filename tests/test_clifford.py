@@ -815,9 +815,14 @@ def test_kernel_bases_are_annihilated_by_direct_application(monkeypatch):
         assert catalog.verify_background(catalog.get_background(bid)).passed
     catalog.verify_background(
         catalog.get_background("cw11", perturb={(0, 1): S(1)}))
-    for p, kind in _susy_rows():
+    rows = _susy_rows()
+    for p, kind in rows:
         catalog.susy_count(p, kind)
-    assert len(calls) >= 6 + 3 * 19
+    # one joint kernel per d=11 plane wave (cw11, e1_10 and the perturbed
+    # cw11), one per IIB plane wave whose +1 half is the whole kernel (cw10,
+    # e1_9), and the two chiral halves of each susy row
+    assert len(rows) == 19
+    assert len(calls) == 3 + 2 + 2 * len(rows)
     partial = 0
     for ops, alg, columns, dim, basis in calls:
         assert dim == len(basis)

@@ -284,6 +284,43 @@ def test_shape_dispatch_matches_dictionary_reference(pair):
     assert _as_ref(x + 0) == X and _as_ref(x * 0) == {}
 
 
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.fractions(max_denominator=60), st.fractions(max_denominator=60),
+       st.sampled_from((2, 3, 5, 6, 7)))
+def test_is_zero_agrees_with_fraction_zero(a, b, r):
+    # is_zero reads the numerator of _q, so _q is a Fraction on every
+    # constructor path: Scalar(int), Scalar(Fraction), from_rational, the
+    # parser, and the _mk results of the arithmetic
+    x, y, root = Scalar(a), Scalar(b), sqrt_scalar(r)
+    mu = {"mu": x}
+    cases = [
+        (Scalar(a.numerator), Fraction(a.numerator)),
+        (x, a), (Scalar(Fraction(0, 7)), Fraction(0)),
+        (Scalar.from_rational(a.numerator, a.denominator), a),
+        (parse_scalar("0*mu", mu), Fraction(0)),
+        (parse_scalar("mu - mu", mu), Fraction(0)),
+        (parse_scalar("2*mu", mu), 2 * a),
+        (x - y, a - b), (x - x, Fraction(0)), (x + y, a + b),
+        (x * Scalar(0), Fraction(0)), (Scalar(0) * x, Fraction(0)),
+        (x * y, a * b), (-x, -a), (x * 0, Fraction(0)), (x - 0, a),
+        ((x + y * root) - y * root, a),      # irrational parts cancel
+        (y * root - root * y, Fraction(0)),
+        (root * root - r, Fraction(0)),
+        ((x + root) * (x - root), a * a - r),
+    ]
+    if a:
+        cases.append((x.inverse() * x, Fraction(1)))
+    for value, want in cases:
+        assert type(value._q) is Fraction
+        assert value.is_rational()
+        assert value.is_zero() == (want == 0)
+        assert value.rational_value() == want
+    z = x + y * root                    # rational only when b is 0
+    assert type(z._q) is Fraction
+    assert z.is_rational() == (b == 0)
+    assert z.is_zero() == (a == 0 and b == 0)
+
+
 def test_cancellation_returns_a_rational_shape():
     r2, r3 = sqrt_scalar(2), sqrt_scalar(3)
     for s in ((1 + r2) * (1 - r2), (rational(1, 2) + r3) - r3, r2 * r2,

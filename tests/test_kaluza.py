@@ -1,12 +1,14 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from sugraverify import kaluza
 from sugraverify.catalog import get_background, verify_background
 from sugraverify.exactnum import Scalar
-from sugraverify.liealg import nw6, nw6_family, so12_so3, e15
-from sugraverify.multilinear import KForm
+from sugraverify.liealg import nw6, nw6_family, so12_so3, e15, \
+    canonical_three_form
+from sugraverify.multilinear import KForm, QuadraticSpace, interior, wedge
 from sugraverify.kaluza import reduce_group, reduce_d11, \
     unit_spacelike_sample
 from sugraverify.sugra import BackgroundSpec
@@ -56,6 +58,55 @@ def test_so12_so3_reduction_along_sphere_direction():
     assert red.passed
     assert red.checks["dG2 = 0"]
     assert red.checks["d *_h G2 = -F ^ G2"]
+
+
+def _restrict_by_interior_chain(form, basis):
+    """{increasing a: form(v_ak, ..., v_a1)} over the nonzero values, by the
+    chain of interior products that kaluza._restrict replaced."""
+    comps = {}
+    for idx in combinations(range(len(basis)), form.degree):
+        out = form
+        for i in reversed(idx):
+            out = interior(basis[i], out)
+        val = out.components.get((), S(0))
+        if not val.is_zero():
+            comps[idx] = val
+    return comps
+
+
+_D6_ALGEBRAS = {"nw6": nw6, "so12_so3(1,1)": lambda: so12_so3(1, 1),
+                "e15": e15}
+
+
+@pytest.mark.parametrize("name", sorted(_D6_ALGEBRAS))
+def test_restrict_is_the_interior_chain_up_to_the_reversal_sign(name):
+    # The chain evaluates form(v_k, ..., v_1) and the pullback form(v_1,
+    # ..., v_k); they differ by (-1)^(k(k-1)/2), -1 for k = 2 and 3.  Every
+    # reduction check is homogeneous in the restricted forms (H_q3 - *_h G2
+    # flips as a whole), and the orientation test reads the (n-1)-form
+    # iota_X vol_g with n = 6, whose sign is (-1)^10 = +1, so the verdicts
+    # do not move.
+    g = _D6_ALGEBRAS[name]()
+    rng = random.Random(name)
+    H = canonical_three_form(g) * S(-1)
+    flipped = 0
+    for X in unit_spacelike_sample(g, rng, 3):
+        red = reduce_group(g, X)
+        assert red.passed
+        quotient = QuadraticSpace(red.h, 1)
+        forms = [red.G2, H - wedge(red.alpha, red.G2), H,
+                 interior(X, g.space.volume_form())]
+        forms += [KForm(g.space, k, {
+            tuple(sorted(rng.sample(range(g.dim), k))): S(rng.randint(-3, 3))
+            for _ in range(3)}) for k in range(1, 6)]
+        for form in forms:
+            k = form.degree
+            sign = -1 if k * (k - 1) // 2 % 2 else 1
+            old = _restrict_by_interior_chain(form, red.complement)
+            new = kaluza._restrict(form, red.complement, quotient)
+            assert new.components == {i: c * sign for i, c in old.items()}
+            flipped += sign < 0 and bool(old)
+    assert flipped > 0
 
 
 def test_null_and_timelike_directions_rejected():

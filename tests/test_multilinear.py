@@ -541,6 +541,54 @@ def test_plucker_against_rank_oracle_bulk():
     assert agree == samples
 
 
+def _plucker_by_interior_chain(F):
+    """The per-tuple loop that plucker_check replaced: iota_{i1} ...
+    iota_{ik-1} F by interior_frame for every increasing tuple, in
+    combinations order."""
+    space = F.space
+    for idx in combinations(range(space.dim), F.degree - 1):
+        g = F
+        for i in reversed(idx):
+            g = interior_frame(space, i, g)
+        if not g.is_zero() and not wedge(g, F).is_zero():
+            return "witness", idx
+    return "decomposable", None
+
+
+_FRAMES = {"euclidean": QuadraticSpace.euclidean,
+           "minkowski": QuadraticSpace.minkowski,
+           "lightcone": lambda n: QuadraticSpace.lightcone(n - 2)}
+
+
+@pytest.mark.parametrize("frame", sorted(_FRAMES))
+def test_plucker_check_matches_the_interior_chain(frame):
+    # random sparse 4- and 5-forms in dims 8..11, planted decomposable ones,
+    # and decomposable ones plus one basis term: the one-pass contractions
+    # give the status and the first witness tuple of the interior chain
+    rng = random.Random(f"plucker-{frame}")
+    seen = set()
+    for n in range(8, 12):
+        sp = _FRAMES[frame](n)
+        for k in (4, 5):
+            for kind in range(6):
+                if kind % 3 == 0:
+                    F = KForm(sp, k, {tuple(sorted(rng.sample(range(n), k))):
+                                      S(rng.choice((-2, -1, 1, 3)))
+                                      for _ in range(rng.randint(2, 6))})
+                else:
+                    F = KForm.scalar(sp, S(1))
+                    for _ in range(k):
+                        F = wedge(F, KForm(sp, 1, {
+                            (i,): S(rng.choice((-2, -1, 1, 2)))
+                            for i in rng.sample(range(n), rng.randint(1, 3))}))
+                    if kind % 3 == 2:
+                        F = F + basis(sp, *sorted(rng.sample(range(n), k)))
+                got = plucker_check(F)
+                assert got == _plucker_by_interior_chain(F), (n, k, kind)
+                seen.add(got[0])
+    assert seen == {"decomposable", "witness"}
+
+
 _EUCLID = {}
 
 

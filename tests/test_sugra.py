@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -13,7 +15,8 @@ from sugraverify.liealg import (CWData, nw6, nw6_family,
 from sugraverify.geometry import (SymmetricSpace, CoordinatePatch, cw_patch,
                                   lightcone_coframe, spin_connection)
 from sugraverify.clifford import (ComplexScalar, build_gamma, FrameAlgebra,
-                                  clifford_action, omega_xf)
+                                  clifford_action, omega_xf, kernel_dim,
+                                  chiral_basis)
 from sugraverify.sugra import (BackgroundSpec, VerificationReport, verify_d11,
                                verify_d11_maxsusy, supercovariant_connection,
                                supercovariant_curvature,
@@ -23,7 +26,7 @@ from sugraverify.sugra import (BackgroundSpec, VerificationReport, verify_d11,
                                _riemann_flux_rhs,
                                _plujac_holds,
                                _maxwell_residual)
-from conftest import flat_patch
+from conftest import checkout_env, flat_patch
 from sugraverify.catalog import (get_background, verify_background,
                                  assemble_parallelisable, typeII_background,
                                  GeometryProduct)
@@ -568,6 +571,85 @@ def test_dilatino_kernels_match_summary_table():
     assert dilatino_kernel(b) == (16, 16)
     b = typeII_background(cw10, "constant")
     assert dilatino_kernel(b) == (16, 16)
+
+
+_EVEN_DILATINO = """
+from sugraverify.catalog import typeII_background, GeometryProduct
+from sugraverify.exactnum import Scalar
+from sugraverify.multilinear import KForm
+from sugraverify.sugra import dilatino_kernel
+b = typeII_background(GeometryProduct("E(1,0)", flats=9), "constant")
+space = b.frame_data["space"]
+b.frame_data["H"] = KForm(space, 2, {(2, 3): Scalar(1)})
+try:
+    dilatino_kernel(b)
+except RuntimeError as e:
+    print(e)
+"""
+
+
+def test_dilatino_kernel_rejects_an_even_operator_under_python_O():
+    # with a 2-form in place of H, c(dphi + 1/2 H) has the even monomial
+    # g[e1,e2] and does not swap S+ and S-, so its kernel is not the sum of
+    # its chiral kernels; the premise is an exception, which -O keeps
+    out =subprocess.run([sys.executable, "-O", "-c", _EVEN_DILATINO],
+                         capture_output=True, text=True, timeout=60,
+                         env=checkout_env())
+    assert out.returncode == 0, out.stderr
+    assert "even monomial g[e1,e2]" in out.stdout
+
+
+def _iib_half_calls(monkeypatch, b):
+    """supercovariant_flatness(b) with sugra.kernel_dim spied on: (report,
+    the number of kernel_dim calls)."""
+    from sugraverify import sugra
+    calls = []
+
+    def spy(ops, alg, columns=None):
+        calls.append(columns)
+        return kernel_dim(ops, alg, columns=columns)
+
+    monkeypatch.setattr(sugra, "kernel_dim", spy)
+    return supercovariant_flatness(b)[0], len(calls)
+
+
+def _chiral_kernel_dims(b):
+    """{sign: kernel dimension of R^D on that chiral half}, both computed."""
+    alg, curv = supercovariant_curvature(b)
+    return {sign: kernel_dim(list(curv.values()), alg,
+                             columns=chiral_basis(alg, sign))[0]
+            for sign in (1, -1)}
+
+
+def test_iib_half_check_stops_at_a_whole_plus_half(monkeypatch):
+    # cw10's flux is self-dual: the +1 kernel is the whole half, so the -1
+    # half is not eliminated; a tie would go to +1 anyway
+    b = get_background("cw10")
+    rep, calls = _iib_half_calls(monkeypatch, b)
+    assert calls == 1
+    assert _chiral_kernel_dims(b)[1] == 16
+    assert rep.invariants == {"kernel dimension (complex)": "16",
+                              "chirality": "+1", "nu": "32/32"}
+    assert rep.passed
+
+
+def test_iib_half_check_tries_the_minus_half_on_anti_selfdual_flux(
+        monkeypatch):
+    # flipping the sign of the F5 term carrying leg 9 makes the flux
+    # anti-self-dual: the +1 kernel is empty, the -1 half is tried and
+    # carries all of nu, as it did when both halves were always tried
+    b = get_background("cw10")
+    F = b.fluxes["F5"]
+    flipped = KForm(F.space, 5, {I: -c if 9 in I else c
+                                 for I, c in F.components.items()})
+    b = b._replace(fluxes=dict(b.fluxes, F5=flipped))
+    rep, calls = _iib_half_calls(monkeypatch, b)
+    assert calls == 2
+    dims = _chiral_kernel_dims(b)
+    assert dims[-1] == 16 and dims[1] < 16
+    assert rep.invariants == {"kernel dimension (complex)": "16",
+                              "chirality": "-1", "nu": "32/32"}
+    assert rep.passed
 
 
 # ---------------------------------------------------------------------------
